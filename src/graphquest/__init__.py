@@ -6,7 +6,7 @@ everything it has seen in an explicit memory, and backtracks to earlier
 entities when the evidence it gathered cannot answer the question.
 """
 
-from .planner.engine import Backends, Planner, PlannerRunError, run_question
+from .planner.engine import Backends, Planner, PlannerRunError
 from .planner.state import (
     AblationFlags,
     PlannerConfig,
@@ -26,6 +26,5 @@ __all__ = [
     "Question",
     "RunTrace",
     "Verdict",
-    "run_question",
     "__version__",
 ]

@@ -107,11 +107,9 @@ def _trace_filename(record_id: str) -> str:
     return _SAFE_NAME.sub("_", record_id) or "record"
 
 
-def _run_record(record: DatasetRecord, config: PlannerConfig,
-                backends: Backends) -> tuple[QuestionResult, RunTrace]:
+def _run_record(record: DatasetRecord,
+                planner: Planner) -> tuple[QuestionResult, RunTrace]:
     question = Question(record.question, tuple(record.topic_entities))
-    planner = Planner(backends.kg, backends.llm, config,
-                      scorer=backends.scorer)
     error: str | None = None
     predicted = ""
     iterations = 0
@@ -160,9 +158,12 @@ def run_eval(records: list[DatasetRecord], config: PlannerConfig,
     if out_dir is not None:
         trace_dir = Path(out_dir) / "traces"
         trace_dir.mkdir(parents=True, exist_ok=True)
+    # planners are stateless, so the workers share one
+    planner = Planner(backends.kg, backends.llm, config,
+                      scorer=backends.scorer)
 
     def worker(record: DatasetRecord) -> tuple[QuestionResult, RunTrace]:
-        return _run_record(record, config, backends)
+        return _run_record(record, planner)
 
     if parallelism == 1:
         outcomes = [worker(record) for record in records]

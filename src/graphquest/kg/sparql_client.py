@@ -2,21 +2,18 @@
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
 from typing import Callable
 
 import requests
 
+from ..retry import post_json
 from .queries import render_sparql
 from .types import Direction, EntityLabel, KGError
 
-logger = logging.getLogger(__name__)
-
 SPARQL_MIME = "application/sparql-query"
 RESULTS_MIME = "application/sparql-results+json"
-RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
 
 class BackendUnreachableError(KGError):
@@ -87,32 +84,17 @@ class SparqlKG:
         return list(values)
 
     def _execute(self, query: str, variable: str) -> list[str]:
-        last_error = "no attempt made"
-        for attempt in range(1, self.max_retries + 1):
-            try:
-                response = self.session.post(
-                    self.endpoint_url,
-                    data=query.encode("utf-8"),
-                    headers={"Content-Type": SPARQL_MIME,
-                             "Accept": RESULTS_MIME},
-                    timeout=self.timeout_seconds,
-                )
-            except requests.RequestException as exc:
-                last_error = str(exc)
-            else:
-                if response.status_code == 200:
-                    return self._parse(response.json(), variable)
-                last_error = f"HTTP {response.status_code}"
-                if response.status_code not in RETRYABLE_STATUS:
-                    raise BackendUnreachableError(
-                        self.endpoint_url, attempt, last_error)
-            if attempt < self.max_retries:
-                delay = self.backoff_seconds * (2 ** (attempt - 1))
-                logger.warning("SPARQL attempt %d failed (%s); retrying in %.1fs",
-                               attempt, last_error, delay)
-                self._sleep(delay)
-        raise BackendUnreachableError(
-            self.endpoint_url, self.max_retries, last_error)
+        payload = post_json(
+            self.session, self.endpoint_url,
+            max_retries=self.max_retries,
+            backoff_seconds=self.backoff_seconds, sleep=self._sleep,
+            error=lambda attempts, last: BackendUnreachableError(
+                self.endpoint_url, attempts, last),
+            data=query.encode("utf-8"),
+            headers={"Content-Type": SPARQL_MIME, "Accept": RESULTS_MIME},
+            timeout=self.timeout_seconds,
+        )
+        return self._parse(payload, variable)
 
     @staticmethod
     def _parse(payload: dict, variable: str) -> list[str]:

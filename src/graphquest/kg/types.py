@@ -33,9 +33,6 @@ class Triplet:
     relation: str
     object: str
 
-    def as_tuple(self) -> tuple[str, str, str]:
-        return (self.subject, self.relation, self.object)
-
 
 @dataclass(frozen=True)
 class EntityLabel:

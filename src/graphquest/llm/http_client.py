@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import logging
 import os
 import time
 from typing import Callable
 
 import requests
 
+from ..retry import post_json
 from .types import (
     Completion,
     GenerationConfig,
@@ -17,10 +17,7 @@ from .types import (
     approximate_tokens,
 )
 
-logger = logging.getLogger(__name__)
-
 API_KEY_ENV_VARS = ("GRAPHQUEST_API_KEY", "OPENAI_API_KEY")
-RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
 
 def _api_key_from_env() -> str | None:
@@ -63,7 +60,14 @@ class ChatCompletionsBackend:
         if key:
             headers["Authorization"] = f"Bearer {key}"
         started = time.perf_counter()
-        payload = self._post(body, headers)
+        payload = post_json(
+            self.session, self.url, max_retries=self.max_retries,
+            backoff_seconds=self.backoff_seconds, sleep=self._sleep,
+            error=lambda attempts, last: TransportError(
+                f"chat endpoint {self.url} failed after {attempts} "
+                f"attempts: {last}"),
+            json=body, headers=headers, timeout=self.timeout_seconds,
+        )
         latency = time.perf_counter() - started
         try:
             text = payload["choices"][0]["message"]["content"] or ""
@@ -82,29 +86,3 @@ class ChatCompletionsBackend:
             usage=Usage(int(input_tokens), int(output_tokens)),
             latency_seconds=latency,
         )
-
-    def _post(self, body: dict, headers: dict) -> dict:
-        last_error = "no attempt made"
-        for attempt in range(1, self.max_retries + 1):
-            try:
-                response = self.session.post(
-                    self.url, json=body, headers=headers,
-                    timeout=self.timeout_seconds,
-                )
-            except requests.RequestException as exc:
-                last_error = str(exc)
-            else:
-                if response.status_code == 200:
-                    return response.json()
-                last_error = f"HTTP {response.status_code}"
-                if response.status_code not in RETRYABLE_STATUS:
-                    raise TransportError(
-                        f"chat request to {self.url} failed: {last_error}")
-            if attempt < self.max_retries:
-                delay = self.backoff_seconds * (2 ** (attempt - 1))
-                logger.warning("chat attempt %d failed (%s); retrying in %.1fs",
-                               attempt, last_error, delay)
-                self._sleep(delay)
-        raise TransportError(
-            f"chat endpoint {self.url} unreachable after "
-            f"{self.max_retries} attempts: {last_error}")

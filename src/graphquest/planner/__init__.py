@@ -7,7 +7,6 @@ from .engine import (
     Planner,
     PlannerRunError,
     RunResult,
-    run_question,
 )
 from .state import (
     AblationFlags,
@@ -45,5 +44,4 @@ __all__ = [
     "SubObjectives",
     "Subgraph",
     "Verdict",
-    "run_question",
 ]

@@ -13,7 +13,9 @@ import json
 import logging
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable
 
 from ..kg.types import Direction, KGBackend, Triplet
 from ..llm.parsing import (
@@ -23,7 +25,7 @@ from ..llm.parsing import (
     parse_json_object,
     parse_list,
 )
-from ..llm.types import CompletionBackend
+from ..llm.types import CompletionBackend, Usage
 from ..prompts import PromptLibrary
 from ..recall import Scorer, TrigramScorer, top_k
 from ..trace import RunTrace
@@ -44,9 +46,13 @@ from .state import (
 logger = logging.getLogger(__name__)
 
 # Answer strings that mean "not answered yet" (compared case-insensitively).
-INSUFFICIENT_ANSWERS = frozenset({"", "unknown", "insufficient", "no"})
+INSUFFICIENT_ANSWERS = frozenset({"", "unknown", "insufficient"})
 
 _INDEX_RE = re.compile(r"(\d+)")
+
+_decode_answer = partial(parse_json_object, required_keys={"A", "R"})
+_decode_reflection = partial(parse_json_object,
+                             required_keys={"Add", "Reason"})
 
 
 class PlannerRunError(Exception):
@@ -74,6 +80,33 @@ class Backends:
 
 
 @dataclass
+class _Run:
+    """The working state of one question, created afresh by `Planner.run`.
+
+    Every stage records its trace events at the frontier's current
+    iteration, which is 0 while the question is being decomposed.
+    """
+
+    question: Question
+    trace: RunTrace = field(default_factory=RunTrace)
+    # id -> label of every entity seen so far, topic entities included
+    labels: dict[str, str] = field(init=False)
+    frontier: Frontier = field(init=False)
+    objectives: SubObjectives = field(init=False)
+    memory: Memory = field(init=False)
+
+    def __post_init__(self) -> None:
+        topics = self.question.topic_entities
+        self.labels = dict(topics)
+        self.frontier = Frontier(iteration=0, tail_entities=list(topics),
+                                 candidate_pool=dict(topics))
+
+    def record(self, kind: str, payload: dict,
+               usage: Usage | None = None) -> None:
+        self.trace.record(kind, self.frontier.iteration, payload, usage)
+
+
+@dataclass
 class RunResult:
     verdict: Verdict
     trace: RunTrace
@@ -85,7 +118,12 @@ class RunResult:
 
 
 class Planner:
-    """Drives one question at a time; not safe for concurrent runs."""
+    """Answers questions over one knowledge graph with one model.
+
+    Stateless: each `run` keeps its working state in a fresh per-run
+    object, so one planner may serve many runs, one after another,
+    nested, or on several threads (as far as its backends allow).
+    """
 
     def __init__(self, kg: KGBackend, llm: CompletionBackend,
                  config: PlannerConfig | None = None, *,
@@ -96,149 +134,127 @@ class Planner:
         self.config = config or PlannerConfig()
         self.scorer = scorer or TrigramScorer()
         self.prompts = prompts or PromptLibrary()
-        self._labels: dict[str, str] = {}
 
-    # -- entry points ----------------------------------------------------
+    # -- entry point -----------------------------------------------------
 
     def run(self, question: Question) -> RunResult:
-        trace = RunTrace()
+        run = _Run(question)
         started = time.perf_counter()
         try:
-            return self._run(question, trace, started)
+            return self._run(run, started)
         except Exception as exc:
             elapsed = time.perf_counter() - started
-            trace.record("final", 0, {
+            run.trace.record("final", 0, {
                 "error": str(exc),
                 "elapsed_seconds": round(elapsed, 6),
             })
-            raise PlannerRunError(f"run aborted: {exc}", trace) from exc
+            raise PlannerRunError(f"run aborted: {exc}", run.trace) from exc
 
-    def _run(self, question: Question, trace: RunTrace,
-             started: float) -> RunResult:
-        ablations = self.config.ablations
-        self._labels = dict(question.topic_entities)
-        objectives = self.decompose(question, trace)
-        memory = Memory(
+    def _run(self, run: _Run, started: float) -> RunResult:
+        frontier = run.frontier
+        run.objectives = self.decompose(run)
+        run.memory = Memory(
             subgraph=Subgraph(),
             paths=[ReasoningPath(origin=eid)
-                   for eid, _ in question.topic_entities],
-            status=SubObjectiveStatus.initial(len(objectives.items)),
+                   for eid, _ in run.question.topic_entities],
+            status=SubObjectiveStatus.initial(len(run.objectives.items)),
         )
-        frontier = Frontier(
-            iteration=0,
-            tail_entities=list(question.topic_entities),
-            tail_relations=[],
-            candidate_pool=dict(question.topic_entities),
-        )
-        verdict: Verdict | None = None
-        iterations = 0
         for depth in range(1, self.config.max_depth + 1):
-            iterations = depth
             frontier.iteration = depth
-            if ablations.no_memory:
+            if self.config.ablations.no_memory:
                 # keep only what the current iteration discovers
-                memory.subgraph = Subgraph()
+                run.memory.subgraph = Subgraph()
                 frontier.candidate_pool = dict(frontier.tail_entities)
-            pending = self.explore_relations(
-                question, objectives, frontier, memory, trace)
-            new_paths = self.explore_entities(
-                question, pending, memory, frontier, trace)
-            self.update_memory(
-                question, objectives, memory, new_paths, frontier, trace)
-            verdict = self.evaluate(question, memory, trace, depth)
+            pending = self.explore_relations(run)
+            self.update_memory(run, self.explore_entities(run, pending))
+            verdict = self.evaluate(run)
             if verdict.sufficient:
                 break
-            decision = self.reflect(question, frontier, memory, trace)
-            if decision.add:
-                present = {eid for eid, _ in frontier.tail_entities}
-                for eid in decision.backtrack_entities:
-                    if eid not in present:
-                        frontier.tail_entities.append(
-                            (eid, self._cached_label(eid)))
-                        present.add(eid)
-        exhausted = verdict is None or not verdict.sufficient
+            decision = self.reflect(run)
+            # reflection only re-opens entities not already on the frontier
+            frontier.tail_entities.extend(
+                (eid, self._label(run, eid))
+                for eid in decision.backtrack_entities)
+        exhausted = not verdict.sufficient
         if exhausted:
-            verdict = self.evaluate(
-                question, memory, trace, iterations, forced=True)
+            verdict = self.evaluate(run, forced=True)
         elapsed = time.perf_counter() - started
-        trace.record("final", iterations, {
+        run.record("final", {
             "answer": verdict.answer,
             "reason": verdict.reason,
             "sufficient": verdict.sufficient,
             "forced": verdict.forced,
             "exhausted": exhausted,
-            "iterations": iterations,
+            "iterations": frontier.iteration,
             "elapsed_seconds": round(elapsed, 6),
         })
-        return RunResult(verdict, trace, memory, frontier, objectives,
-                         iterations, elapsed)
+        return RunResult(verdict, run.trace, run.memory, frontier,
+                         run.objectives, frontier.iteration, elapsed)
 
     # -- stage: task decomposition --------------------------------------
 
-    def decompose(self, question: Question, trace: RunTrace) -> SubObjectives:
+    def decompose(self, run: _Run) -> SubObjectives:
+        text = run.question.text
         if self.config.ablations.no_guidance:
-            trace.record("selection", 0, {
+            run.record("selection", {
                 "stage": "decompose",
-                "selected": [question.text],
+                "selected": [text],
                 "note": "guidance disabled",
             })
-            return SubObjectives((question.text,))
-        prompt = self.prompts.render("decompose", question=question.text)
-        items, warning = self._ask_list(prompt, trace, 0, "decompose")
+            return SubObjectives((text,))
+        prompt = self.prompts.render("decompose", question=text)
+        items, warning = self._ask(run, prompt, "decompose", parse_list)
         if not items:
-            items = [question.text]
+            items = [text]
             warning = warning or "empty sub-objective list"
         payload: dict = {"stage": "decompose", "selected": list(items)}
         if warning:
             payload["warning"] = warning
-        trace.record("selection", 0, payload)
+        run.record("selection", payload)
         return SubObjectives(tuple(items))
 
     # -- stage: relation exploration ------------------------------------
 
-    def explore_relations(self, question: Question, objectives: SubObjectives,
-                          frontier: Frontier, memory: Memory,
-                          trace: RunTrace) -> list[PendingExpansion]:
+    def explore_relations(self, run: _Run) -> list[PendingExpansion]:
+        subgraph = run.memory.subgraph
         pending: list[PendingExpansion] = []
-        frontier.tail_relations = []
         breadth = self.config.ablations.fixed_breadth
-        for eid, label in frontier.tail_entities:
+        for eid, label in run.frontier.tail_entities:
             tagged: list[tuple[str, Direction]] = []
             for direction in (Direction.OUTGOING, Direction.INCOMING):
                 relations = self.kg.search_relations(eid, direction)
-                trace.record("kg_query", frontier.iteration, {
+                run.record("kg_query", {
                     "op": "relations",
                     "entity": eid,
                     "direction": direction.value,
                     "count": len(relations),
                 })
                 for relation in relations:
-                    memory.subgraph.relation_edges.add(
-                        (eid, relation, direction))
+                    subgraph.relation_edges.add((eid, relation, direction))
                     # pairs expanded in an earlier iteration are spent;
                     # re-offering them would just repeat the same hop
-                    if (eid, relation, direction) not in memory.subgraph.expanded:
+                    if (eid, relation, direction) not in subgraph.expanded:
                         tagged.append((relation, direction))
             names = sorted({relation for relation, _ in tagged})
             if not names:
-                trace.record("selection", frontier.iteration, {
+                run.record("selection", {
                     "stage": "relations", "entity": eid,
                     "candidates": [], "selected": [],
                 })
                 continue
             prompt = self.prompts.render(
                 "relation_selection",
-                question=question.text,
-                sub_objectives=json.dumps(list(objectives.items),
+                question=run.question.text,
+                sub_objectives=json.dumps(list(run.objectives.items),
                                           ensure_ascii=False),
                 topic_entity=label,
                 relations="; ".join(names),
             )
-            raw, warning = self._ask_list(
-                prompt, trace, frontier.iteration, "relation_selection")
+            raw, warning = self._ask(run, prompt, "relation_selection",
+                                     parse_list)
             chosen: list[str] = []
             dropped: list[str] = []
-            for item in raw:
+            for item in raw or ():
                 name = item.strip()
                 if name in names:
                     if name not in chosen:
@@ -257,10 +273,11 @@ class Planner:
                 payload["dropped"] = dropped
             if warning:
                 payload["warning"] = warning
-            trace.record("selection", frontier.iteration, payload)
+            run.record("selection", payload)
             if not chosen:
                 continue
-            extendable = [p for p in memory.paths if p.tail_entity() == eid]
+            extendable = [p for p in run.memory.paths
+                          if p.tail_entity() == eid]
             if not extendable:
                 # reached by backtracking with no live path ending here
                 extendable = [ReasoningPath(origin=eid)]
@@ -271,21 +288,17 @@ class Planner:
                     if relation in chosen:
                         pending.append(
                             PendingExpansion(path, relation, direction))
-            for relation, direction in tagged:
-                if relation in chosen:
-                    frontier.tail_relations.append((relation, direction))
         return pending
 
     # -- stage: entity exploration --------------------------------------
 
-    def explore_entities(self, question: Question,
-                         pending: list[PendingExpansion], memory: Memory,
-                         frontier: Frontier,
-                         trace: RunTrace) -> list[ReasoningPath]:
-        iteration = frontier.iteration
+    def explore_entities(self, run: _Run, pending: list[PendingExpansion]
+                         ) -> list[ReasoningPath]:
+        frontier = run.frontier
         if not pending:
             frontier.tail_entities = []
             return []
+        subgraph = run.memory.subgraph
         results: dict[tuple, list[tuple[str, str]]] = {}
         groups: list[tuple[PendingExpansion, list[tuple[str, str]]]] = []
         for expansion in pending:
@@ -294,27 +307,26 @@ class Planner:
             if pair not in results:
                 found = self.kg.search_entities(
                     tail, expansion.relation, expansion.direction)
-                trace.record("kg_query", iteration, {
+                run.record("kg_query", {
                     "op": "entities",
                     "entity": tail,
                     "relation": expansion.relation,
                     "direction": expansion.direction.value,
                     "count": len(found),
                 })
-                memory.subgraph.expanded.add(pair)
-                labeled = [(cid, self._label_of(cid, trace, iteration))
-                           for cid in found]
+                subgraph.expanded.add(pair)
+                labeled = [(cid, self._label(run, cid)) for cid in found]
                 for cid, clabel in labeled:
                     if expansion.direction is Direction.OUTGOING:
                         triple = Triplet(tail, expansion.relation, cid)
                     else:
                         triple = Triplet(cid, expansion.relation, tail)
-                    memory.subgraph.triples.add(triple)
+                    subgraph.triples.add(triple)
                     frontier.candidate_pool.setdefault(cid, clabel)
                 if len(labeled) > self.config.recall.threshold:
-                    kept = top_k(question.text, labeled,
+                    kept = top_k(run.question.text, labeled,
                                  self.config.recall.k, self.scorer)
-                    trace.record("selection", iteration, {
+                    run.record("selection", {
                         "stage": "recall",
                         "entity": tail,
                         "relation": expansion.relation,
@@ -330,7 +342,7 @@ class Planner:
         for expansion, labeled in groups:
             if not labeled:
                 continue
-            tail_label = self._cached_label(expansion.path.tail_entity())
+            tail_label = self._label(run, expansion.path.tail_entity())
             names = ", ".join(clabel for _, clabel in labeled)
             if expansion.direction is Direction.OUTGOING:
                 parts.append(f"({tail_label}, {expansion.relation}, [{names}])")
@@ -339,19 +351,18 @@ class Planner:
             rendered.append((expansion, labeled))
         if not parts:
             frontier.tail_entities = []
-            trace.record("selection", iteration, {
+            run.record("selection", {
                 "stage": "entities", "selected": [], "tails": [],
             })
             return []
         prompt = self.prompts.render(
             "entity_selection",
-            question=question.text,
+            question=run.question.text,
             triplets="; ".join(parts),
         )
-        raw, warning = self._ask_list(
-            prompt, trace, iteration, "entity_selection")
+        raw, warning = self._ask(run, prompt, "entity_selection", parse_list)
         selected: list[str] = []
-        for item in raw:
+        for item in raw or ():
             name = item.strip()
             if name and name not in selected:
                 selected.append(name)
@@ -399,14 +410,14 @@ class Planner:
             payload["cycles"] = sorted(set(cycles))
         if warning:
             payload["warning"] = warning
-        trace.record("selection", iteration, payload)
+        run.record("selection", payload)
         return new_paths
 
     # -- stage: memory update -------------------------------------------
 
-    def update_memory(self, question: Question, objectives: SubObjectives,
-                      memory: Memory, new_paths: list[ReasoningPath],
-                      frontier: Frontier, trace: RunTrace) -> None:
+    def update_memory(self, run: _Run,
+                      new_paths: list[ReasoningPath]) -> None:
+        memory, objectives = run.memory, run.objectives
         if new_paths:
             prefixes = {(p.origin, p.steps[:-1]) for p in new_paths}
             memory.paths = [p for p in memory.paths
@@ -418,15 +429,14 @@ class Planner:
         else:
             prompt = self.prompts.render(
                 "memory_update",
-                question=question.text,
+                question=run.question.text,
                 sub_objectives=json.dumps(list(objectives.items),
                                           ensure_ascii=False),
                 memory=self._render_status(memory.status),
-                triplets=self._render_paths(memory),
+                triplets=self._render_paths(run),
             )
-            data, warning = self._ask_json(
-                prompt, trace, frontier.iteration, "memory_update",
-                required=None)
+            data, warning = self._ask(run, prompt, "memory_update",
+                                      extract_json_object)
             if data:
                 for key, value in data.items():
                     index = self._status_index(key)
@@ -435,27 +445,25 @@ class Planner:
         payload: dict = {
             "status": list(memory.status.entries),
             "paths": len(memory.paths),
-            "tail_entities": [eid for eid, _ in frontier.tail_entities],
-            "candidate_pool": sorted(frontier.candidate_pool),
+            "tail_entities": [eid for eid, _ in run.frontier.tail_entities],
+            "candidate_pool": sorted(run.frontier.candidate_pool),
             "subgraph": memory.subgraph.size_summary(),
         }
         if warning:
             payload["warning"] = warning
-        trace.record("memory_update", frontier.iteration, payload)
+        run.record("memory_update", payload)
 
     # -- stage: evaluation ----------------------------------------------
 
-    def evaluate(self, question: Question, memory: Memory, trace: RunTrace,
-                 iteration: int, forced: bool = False) -> Verdict:
+    def evaluate(self, run: _Run, forced: bool = False) -> Verdict:
         prompt = self.prompts.render(
             "answer",
-            question=question.text,
-            memory=self._render_status(memory.status),
-            triplets=self._render_paths(memory),
+            question=run.question.text,
+            memory=self._render_status(run.memory.status),
+            triplets=self._render_paths(run),
         )
         stage = "forced_answer" if forced else "evaluate"
-        data, warning = self._ask_json(
-            prompt, trace, iteration, stage, required={"A", "R"})
+        data, warning = self._ask(run, prompt, stage, _decode_answer)
         if data is None:
             verdict = Verdict(False, None, "evaluation response unparseable",
                               forced=forced)
@@ -482,36 +490,34 @@ class Planner:
         }
         if warning:
             payload["warning"] = warning
-        trace.record("verdict", iteration, payload)
+        run.record("verdict", payload)
         return verdict
 
     # -- stage: reflection ----------------------------------------------
 
-    def reflect(self, question: Question, frontier: Frontier, memory: Memory,
-                trace: RunTrace) -> ReflectionDecision:
-        iteration = frontier.iteration
+    def reflect(self, run: _Run) -> ReflectionDecision:
+        frontier, memory = run.frontier, run.memory
         if self.config.ablations.no_reflection:
             decision = ReflectionDecision(False, "reflection disabled")
-            trace.record("reflection", iteration, {
+            run.record("reflection", {
                 "add": False, "reason": decision.reason, "backtrack": [],
                 "note": "reflection disabled",
             })
             return decision
         prompt = self.prompts.render(
             "reflection",
-            question=question.text,
+            question=run.question.text,
             entities=json.dumps([label for _, label in frontier.tail_entities],
                                 ensure_ascii=False),
             memory=self._render_status(memory.status),
-            triplets=self._render_paths(memory),
+            triplets=self._render_paths(run),
         )
-        data, warning = self._ask_json(
-            prompt, trace, iteration, "reflection",
-            required={"Add", "Reason"})
+        data, warning = self._ask(run, prompt, "reflection",
+                                  _decode_reflection)
         if data is None:
             decision = ReflectionDecision(False,
                                           "reflection response unparseable")
-            trace.record("reflection", iteration, {
+            run.record("reflection", {
                 "add": False, "reason": decision.reason, "backtrack": [],
                 "warning": warning,
             })
@@ -527,19 +533,19 @@ class Planner:
             payload = {"add": False, "reason": reason, "backtrack": []}
             if warning:
                 payload["warning"] = warning
-            trace.record("reflection", iteration, payload)
+            run.record("reflection", payload)
             return decision
         pool = frontier.candidate_pool
         prompt2 = self.prompts.render(
             "backtrack_selection",
-            question=question.text,
+            question=run.question.text,
             reason=reason,
             candidates=json.dumps(sorted(set(pool.values())),
                                   ensure_ascii=False),
             memory=self._render_status(memory.status),
         )
-        names, warning2 = self._ask_list(
-            prompt2, trace, iteration, "backtrack_selection")
+        names, warning2 = self._ask(run, prompt2, "backtrack_selection",
+                                    parse_list)
         warning = self._join_warnings(warning, warning2)
         current = {eid for eid, _ in frontier.tail_entities}
         label_to_ids: dict[str, list[str]] = {}
@@ -547,7 +553,7 @@ class Planner:
             label_to_ids.setdefault(clabel, []).append(eid)
         chosen: list[str] = []
         dropped: list[str] = []
-        for raw_name in names:
+        for raw_name in names or ():
             name = raw_name.strip()
             if name in pool:
                 ids = [name]
@@ -584,70 +590,50 @@ class Planner:
             payload["dropped"] = dropped
         if warning:
             payload["warning"] = warning
-        trace.record("reflection", iteration, payload)
+        run.record("reflection", payload)
         return decision
 
     # -- helpers ---------------------------------------------------------
 
-    def _complete(self, prompt: str, trace: RunTrace, iteration: int,
-                  stage: str) -> str:
+    def _complete(self, run: _Run, prompt: str, stage: str) -> str:
         completion = self.llm.complete(prompt, self.config.generation)
-        trace.record("llm_call", iteration, {
+        run.record("llm_call", {
             "stage": stage,
             "prompt": prompt,
             "response": completion.text,
         }, usage=completion.usage)
         return completion.text
 
-    def _ask_list(self, prompt: str, trace: RunTrace, iteration: int,
-                  stage: str) -> tuple[list[str], str | None]:
-        text = self._complete(prompt, trace, iteration, stage)
-        try:
-            return parse_list(text), None
-        except ParseError as first:
-            text = self._complete(prompt, trace, iteration, stage + "_retry")
-            try:
-                return parse_list(text), f"first response unparseable ({first})"
-            except ParseError as second:
-                return [], f"unparseable after retry ({second})"
+    def _ask(self, run: _Run, prompt: str, stage: str,
+             decode: Callable[[str], Any]) -> tuple[Any, str | None]:
+        """Decode the model's reply, asking once more if it fails.
 
-    def _ask_json(self, prompt: str, trace: RunTrace, iteration: int,
-                  stage: str,
-                  required: set[str] | None) -> tuple[dict | None, str | None]:
-        if required:
-            decode = lambda t: parse_json_object(t, required)  # noqa: E731
-        else:
-            decode = extract_json_object
-        text = self._complete(prompt, trace, iteration, stage)
+        Returns the decoded value, or None when both replies fail, and a
+        warning whenever the first reply was unusable.
+        """
+        text = self._complete(run, prompt, stage)
         try:
             return decode(text), None
         except ParseError as first:
-            text = self._complete(prompt, trace, iteration, stage + "_retry")
+            text = self._complete(run, prompt, stage + "_retry")
             try:
                 return decode(text), f"first response unparseable ({first})"
             except ParseError as second:
                 return None, f"unparseable after retry ({second})"
 
-    def _label_of(self, entity: str, trace: RunTrace, iteration: int) -> str:
-        hit = self._labels.get(entity)
-        if hit is not None:
-            return hit
-        resolved = self.kg.resolve_label(entity)
-        trace.record("kg_query", iteration, {
-            "op": "label",
-            "entity": entity,
-            "label": resolved.label,
-            "fallback": resolved.is_fallback,
-        })
-        self._labels[entity] = resolved.label
-        return resolved.label
-
-    def _cached_label(self, entity: str) -> str:
-        hit = self._labels.get(entity)
-        if hit is None:
-            hit = self.kg.resolve_label(entity).label
-            self._labels[entity] = hit
-        return hit
+    def _label(self, run: _Run, entity: str) -> str:
+        """The entity's label; a first sight is resolved and traced."""
+        label = run.labels.get(entity)
+        if label is None:
+            resolved = self.kg.resolve_label(entity)
+            run.record("kg_query", {
+                "op": "label",
+                "entity": entity,
+                "label": resolved.label,
+                "fallback": resolved.is_fallback,
+            })
+            label = run.labels[entity] = resolved.label
+        return label
 
     def _render_status(self, status: SubObjectiveStatus) -> str:
         return json.dumps(
@@ -656,14 +642,14 @@ class Planner:
             ensure_ascii=False,
         )
 
-    def _render_paths(self, memory: Memory) -> str:
+    def _render_paths(self, run: _Run) -> str:
         lines: list[str] = []
         seen: set[str] = set()
-        for path in memory.paths:
+        for path in run.memory.paths:
             for step in path.steps:
-                line = (f"{self._cached_label(step.subject)}, "
+                line = (f"{self._label(run, step.subject)}, "
                         f"{step.relation}, "
-                        f"{self._cached_label(step.object)}")
+                        f"{self._label(run, step.object)}")
                 if line not in seen:
                     seen.add(line)
                     lines.append(line)
@@ -678,12 +664,3 @@ class Planner:
     def _join_warnings(*parts: str | None) -> str | None:
         present = [p for p in parts if p]
         return "; ".join(present) if present else None
-
-
-def run_question(question: Question, config: PlannerConfig,
-                 backends: Backends) -> tuple[Verdict, RunTrace]:
-    """Convenience wrapper: one fresh planner, one question."""
-    planner = Planner(backends.kg, backends.llm, config,
-                      scorer=backends.scorer)
-    result = planner.run(question)
-    return result.verdict, result.trace

@@ -79,9 +79,6 @@ class ReasoningPath:
     origin: str
     steps: tuple[PathStep, ...] = ()
 
-    def key(self) -> tuple:
-        return (self.origin, self.steps)
-
     def entities(self) -> tuple[str, ...]:
         visited = [self.origin]
         for step in self.steps:
@@ -142,8 +139,6 @@ class Frontier:
     iteration: int
     # (entity id, label) pairs still to be expanded this iteration
     tail_entities: list[tuple[str, str]]
-    # (relation, direction) pairs chosen in the current iteration
-    tail_relations: list[tuple[str, Direction]]
     # id -> label over every candidate seen so far (topic entities included)
     candidate_pool: dict[str, str]
 

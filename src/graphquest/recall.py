@@ -7,7 +7,6 @@ over lowercase character-trigram multisets.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from collections import Counter
@@ -16,7 +15,7 @@ from typing import Callable, Protocol, Sequence
 
 import requests
 
-logger = logging.getLogger(__name__)
+from .retry import post_json
 
 
 class RecallError(ValueError):
@@ -118,31 +117,20 @@ class RemoteEmbeddingScorer:
         body: dict = {"input": [text]}
         if self.model:
             body["model"] = self.model
-        last_error = "no attempt made"
-        for attempt in range(1, self.max_retries + 1):
-            try:
-                response = self.session.post(
-                    self.endpoint_url, json=body,
-                    timeout=self.timeout_seconds,
-                )
-            except requests.RequestException as exc:
-                last_error = str(exc)
-            else:
-                if response.status_code == 200:
-                    payload = response.json()
-                    try:
-                        vector = [float(v) for v in
-                                  payload["data"][0]["embedding"]]
-                    except (KeyError, IndexError, TypeError, ValueError):
-                        raise RecallError(
-                            "malformed embedding response") from None
-                    self._cache[text] = vector
-                    return vector
-                last_error = f"HTTP {response.status_code}"
-            if attempt < self.max_retries:
-                self._sleep(self.backoff_seconds * (2 ** (attempt - 1)))
-        raise RecallError(
-            f"embedding endpoint {self.endpoint_url} unreachable: {last_error}")
+        payload = post_json(
+            self.session, self.endpoint_url, max_retries=self.max_retries,
+            backoff_seconds=self.backoff_seconds, sleep=self._sleep,
+            error=lambda attempts, last: RecallError(
+                f"embedding endpoint {self.endpoint_url} failed after "
+                f"{attempts} attempts: {last}"),
+            json=body, timeout=self.timeout_seconds,
+        )
+        try:
+            vector = [float(v) for v in payload["data"][0]["embedding"]]
+        except (KeyError, IndexError, TypeError, ValueError):
+            raise RecallError("malformed embedding response") from None
+        self._cache[text] = vector
+        return vector
 
 
 def top_k(question: str, candidates: Sequence[tuple[str, str]], k: int,

@@ -7,17 +7,17 @@ relation excluded — finds the office holder. Every structural detail of
 that trajectory is pinned here.
 """
 
+import json
+
 import pytest
 
-from graphquest.llm.scripted import ScriptedBackend
-from graphquest.planner.engine import (
-    Backends,
-    Planner,
-    PlannerRunError,
-    run_question,
-)
+from graphquest.llm.scripted import ResponderRule, ScriptedBackend
+from graphquest.planner.engine import Planner, PlannerRunError
 from graphquest.planner.state import AblationFlags, PlannerConfig
 from graphquest.trace import RunTrace
+
+from adversaries import ANSWER_ANCHOR
+from test_acceptance import _stable_lines
 
 NAKED = "m.0jt3_v"
 PRESIDENT = "m.02rhx1c"
@@ -191,13 +191,52 @@ class TestFullRun:
             lines.append(serialized)
         assert lines[0] == lines[1]
 
-    def test_run_question_wrapper(self, panama_kg, panama_llm,
-                                  panama_question):
-        verdict, trace = run_question(
-            panama_question, PlannerConfig(),
-            Backends(kg=panama_kg, llm=panama_llm))
-        assert verdict.answer == "Juan Carlos Varela"
-        assert trace.final_event() is not None
+
+class TestVerdicts:
+    def test_plain_no_is_an_answer(self, panama_kg, panama_llm,
+                                   panama_question):
+        # a yes/no question may be answered "No"; only "insufficient"
+        # (and its synonyms) means the evidence falls short
+        rule = ResponderRule(ANSWER_ANCHOR,
+                             json.dumps({"A": "No", "R": "it is not"}))
+        llm = ScriptedBackend([rule] + panama_llm.rules)
+        result = Planner(panama_kg, llm).run(panama_question)
+        assert result.verdict.sufficient is True
+        assert result.verdict.answer == "No"
+        assert result.verdict.forced is False
+        assert result.iterations == 1
+
+
+class TestReentrancy:
+    def test_nested_run_on_same_planner(self, panama_kg, panama_llm,
+                                        panama_question):
+        solo = _stable_lines(
+            Planner(panama_kg, panama_llm).run(panama_question).trace)
+        nested = []
+
+        class NestingKG:
+            """Runs the same question again from inside the first
+            entity search of the outer run."""
+
+            def search_relations(self, entity, direction):
+                return panama_kg.search_relations(entity, direction)
+
+            def search_entities(self, *args):
+                if not nested:
+                    nested.append(None)
+                    nested[0] = planner.run(panama_question)
+                return panama_kg.search_entities(*args)
+
+            def resolve_label(self, entity):
+                return panama_kg.resolve_label(entity)
+
+        planner = Planner(NestingKG(), panama_llm)
+        outer = planner.run(panama_question)
+        assert _stable_lines(nested[0].trace) == solo
+        assert _stable_lines(outer.trace) == solo
+        # the planner kept nothing of either run
+        assert set(vars(planner)) == {"kg", "llm", "config", "scorer",
+                                      "prompts"}
 
 
 class TestAblations:

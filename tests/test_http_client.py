@@ -30,6 +30,14 @@ class FakeSession:
         return outcome
 
 
+def not_json():
+    """A 200 whose body is an HTML page, as a proxy error page would be."""
+    response = requests.Response()
+    response.status_code = 200
+    response._content = b"<html>busy</html>"
+    return response
+
+
 def chat_payload(text, usage=None):
     payload = {"choices": [{"message": {"role": "assistant", "content": text}}]}
     if usage is not None:
@@ -134,3 +142,14 @@ class TestRetries:
             backend.complete("p", CONFIG)
         assert "3 attempts" in str(info.value)
         assert "HTTP 503" in str(info.value)
+
+    def test_non_json_body_is_retried_then_typed(self):
+        backend, session, _ = make_backend(
+            [not_json(), FakeResponse(200, chat_payload("ok"))])
+        assert backend.complete("p", CONFIG).text == "ok"
+        assert len(session.requests) == 2
+        backend, session, _ = make_backend([not_json()] * 3)
+        with pytest.raises(TransportError) as info:
+            backend.complete("p", CONFIG)
+        assert "3 attempts" in str(info.value)
+        assert len(session.requests) == 3

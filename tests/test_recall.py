@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,6 +141,14 @@ class FakeSession:
         return outcome
 
 
+def not_json():
+    """A 200 whose body is an HTML page, as a proxy error page would be."""
+    response = requests.Response()
+    response.status_code = 200
+    response._content = b"<html>busy</html>"
+    return response
+
+
 def embedding(vector):
     return FakeResponse(200, {"data": [{"embedding": vector}]})
 
@@ -188,3 +197,27 @@ class TestRemoteScorer:
                                        session=session, sleep=lambda _: None)
         with pytest.raises(RecallError):
             scorer.score("q", "c")
+
+    def test_client_error_fails_fast(self):
+        session = FakeSession([FakeResponse(401)])
+        sleeps = []
+        scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
+                                       session=session, sleep=sleeps.append)
+        with pytest.raises(RecallError) as info:
+            scorer.score("q", "c")
+        assert "HTTP 401" in str(info.value)
+        assert len(session.requests) == 1
+        assert sleeps == []
+
+    def test_non_json_body_is_retried_then_typed(self):
+        session = FakeSession([not_json(), embedding([1.0]), embedding([1.0])])
+        scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
+                                       session=session, sleep=lambda _: None)
+        assert scorer.score("q", "c") == pytest.approx(1.0)
+        assert len(session.requests) == 3
+        session = FakeSession([not_json()] * 3)
+        scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
+                                       session=session, sleep=lambda _: None)
+        with pytest.raises(RecallError):
+            scorer.score("q", "c")
+        assert len(session.requests) == 3

@@ -18,6 +18,14 @@ class FakeResponse:
         return self._payload
 
 
+def not_json():
+    """A 200 whose body is an HTML page, as a proxy error page would be."""
+    response = requests.Response()
+    response.status_code = 200
+    response._content = b"<html>busy</html>"
+    return response
+
+
 def results_payload(variable, values):
     return {
         "results": {
@@ -157,6 +165,18 @@ class TestRetries:
         assert info.value.attempts == 1
         assert len(session.requests) == 1
         assert sleeps == []
+
+    def test_non_json_body_is_retried_then_typed(self):
+        payload = results_payload("relation", ["a.rel"])
+        client, session, _ = make_client([not_json(),
+                                          FakeResponse(200, payload)])
+        assert client.search_relations("m.0x", Direction.OUTGOING) == ["a.rel"]
+        assert len(session.requests) == 2
+        client, session, _ = make_client([not_json()] * 3)
+        with pytest.raises(KGError) as info:
+            client.search_relations("m.0x", Direction.OUTGOING)
+        assert info.value.attempts == 3
+        assert len(session.requests) == 3
 
 
 class TestLabels:
