@@ -17,9 +17,11 @@ RESULTS_MIME = "application/sparql-results+json"
 
 
 class BackendUnreachableError(KGError):
+    """The endpoint refused a query, or every retry of it failed."""
+
     def __init__(self, endpoint: str, attempts: int, last_error: str):
         super().__init__(
-            f"SPARQL endpoint {endpoint} unreachable after {attempts} "
+            f"SPARQL endpoint {endpoint} failed after {attempts} "
             f"attempts: {last_error}"
         )
         self.endpoint = endpoint

@@ -219,6 +219,9 @@ class Planner:
         subgraph = run.memory.subgraph
         pending: list[PendingExpansion] = []
         breadth = self.config.ablations.fixed_breadth
+        ending_at: dict[str, list[ReasoningPath]] = {}
+        for path in run.memory.paths:
+            ending_at.setdefault(path.tail_entity(), []).append(path)
         for eid, label in run.frontier.tail_entities:
             tagged: list[tuple[str, Direction]] = []
             for direction in (Direction.OUTGOING, Direction.INCOMING):
@@ -276,11 +279,8 @@ class Planner:
             run.record("selection", payload)
             if not chosen:
                 continue
-            extendable = [p for p in run.memory.paths
-                          if p.tail_entity() == eid]
-            if not extendable:
-                # reached by backtracking with no live path ending here
-                extendable = [ReasoningPath(origin=eid)]
+            # reached by backtracking with no live path ending here
+            extendable = ending_at.get(eid) or [ReasoningPath(origin=eid)]
             for path in extendable:
                 if len(path.steps) >= self.config.max_depth:
                     continue
@@ -376,6 +376,7 @@ class Planner:
         breadth = self.config.ablations.fixed_breadth
         if breadth is not None:
             valid = valid[:breadth]
+        chosen = set(valid)
         new_paths: list[ReasoningPath] = []
         new_tails: list[tuple[str, str]] = []
         seen_tails: set[str] = set()
@@ -383,7 +384,7 @@ class Planner:
         for expansion, labeled in rendered:
             tail = expansion.path.tail_entity()
             for cid, clabel in labeled:
-                if clabel not in valid and cid not in valid:
+                if clabel not in chosen and cid not in chosen:
                     continue
                 if cid in expansion.path.entities():
                     cycles.append(clabel)

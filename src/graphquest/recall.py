@@ -7,6 +7,7 @@ over lowercase character-trigram multisets.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import Counter
@@ -44,32 +45,37 @@ class RecallConfig:
     endpoint: str | None = None
 
 
-def _trigrams(text: str) -> Counter:
-    lowered = text.strip().lower()
-    return Counter(lowered[i:i + 3] for i in range(len(lowered) - 2))
+def _trigrams(lowered: str) -> tuple[Counter, float]:
+    """Trigram counts of a stripped, lower-cased text, and their norm."""
+    counts = Counter([lowered[i:i + 3] for i in range(len(lowered) - 2)])
+    return counts, math.sqrt(sum(v * v for v in counts.values()))
+
+
+@functools.lru_cache(maxsize=32)
+def _question_trigrams(lowered: str) -> tuple[Counter, float]:
+    # top_k scores every candidate against the same question, so the
+    # question's side of the cosine is built once. A pure function of its
+    # argument, so one cache serves every thread and planner; callers must
+    # not mutate the counts it hands out.
+    return _trigrams(lowered)
 
 
 class TrigramScorer:
     """Similarity over character-trigram counts; exact match scores 1.0."""
 
     def score(self, question: str, label: str) -> float:
-        q = question.strip()
-        c = label.strip()
+        q = question.strip().lower()
+        c = label.strip().lower()
         if not q or not c:
             raise RecallError("cannot score empty text")
-        if q.lower() == c.lower():
+        if q == c:
             return 1.0
-        left = _trigrams(q)
-        right = _trigrams(c)
+        left, left_norm = _question_trigrams(q)
+        right, right_norm = _trigrams(c)
         if not left or not right:
             return 0.0
-        shared = set(left) & set(right)
-        dot = sum(left[g] * right[g] for g in shared)
-        norm = math.sqrt(sum(v * v for v in left.values()))
-        norm *= math.sqrt(sum(v * v for v in right.values()))
-        if norm == 0.0:
-            return 0.0
-        return dot / norm
+        dot = sum(left.get(g, 0) * n for g, n in right.items())
+        return dot / (left_norm * right_norm)
 
 
 class RemoteEmbeddingScorer:
@@ -94,23 +100,23 @@ class RemoteEmbeddingScorer:
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
         self._sleep = sleep
-        self._cache: dict[str, list[float]] = {}
+        # text -> (embedding, its norm)
+        self._cache: dict[str, tuple[list[float], float]] = {}
 
     def score(self, question: str, label: str) -> float:
         q = question.strip()
         c = label.strip()
         if not q or not c:
             raise RecallError("cannot score empty text")
-        left = self._embed(q)
-        right = self._embed(c)
+        left, left_norm = self._embed(q)
+        right, right_norm = self._embed(c)
         dot = sum(a * b for a, b in zip(left, right))
-        norm = math.sqrt(sum(a * a for a in left))
-        norm *= math.sqrt(sum(b * b for b in right))
+        norm = left_norm * right_norm
         if norm == 0.0:
             return 0.0
         return dot / norm
 
-    def _embed(self, text: str) -> list[float]:
+    def _embed(self, text: str) -> tuple[list[float], float]:
         hit = self._cache.get(text)
         if hit is not None:
             return hit
@@ -129,8 +135,9 @@ class RemoteEmbeddingScorer:
             vector = [float(v) for v in payload["data"][0]["embedding"]]
         except (KeyError, IndexError, TypeError, ValueError):
             raise RecallError("malformed embedding response") from None
-        self._cache[text] = vector
-        return vector
+        entry = vector, math.sqrt(sum(v * v for v in vector))
+        self._cache[text] = entry
+        return entry
 
 
 def top_k(question: str, candidates: Sequence[tuple[str, str]], k: int,

@@ -62,13 +62,14 @@ def check_invariants(result, config):
             approximate_tokens(event.payload["prompt"])
         assert event.usage.output_tokens == \
             approximate_tokens(event.payload["response"])
+    breadth = config.ablations.fixed_breadth
     for event in result.trace.iter_kind("selection"):
-        if event.payload.get("stage") == "relations":
+        stage = event.payload.get("stage")
+        if stage == "relations":
             assert set(event.payload["selected"]) <= \
                 set(event.payload["candidates"])
-            breadth = config.ablations.fixed_breadth
-            if breadth is not None:
-                assert len(event.payload["selected"]) <= breadth
+        if stage in ("relations", "entities") and breadth is not None:
+            assert len(event.payload["selected"]) <= breadth
     for event in result.trace.iter_kind("verdict"):
         if not event.payload["forced"]:
             # answer present exactly when the verdict claims sufficiency
@@ -154,6 +155,43 @@ class TestRandomizedTrajectories:
         config = PlannerConfig(max_depth=3)
         result = Planner(kg, responder, config).run(question)
         check_invariants(result, config)
+
+    def test_breadth_one_cuts_relations_and_entities(self):
+        # the Panama script never offers a choice that a cap of 1 would
+        # cut; here the responder keeps ~70% of every offer, so it must
+        config = PlannerConfig(max_depth=3,
+                               ablations=AblationFlags(fixed_breadth=1))
+        stages = {"relation_selection": "relations",
+                  "entity_selection": "entities"}
+        cuts = {"relations": 0, "entities": 0}
+        for seed in range(8):
+            rng = random.Random(3000 + seed)
+            triples, labels = random_graph(rng)
+            entities = sorted(labels)
+            topics = tuple((eid, labels[eid]) for eid in entities[:2])
+            question = Question(f"How does {labels[entities[0]]} relate "
+                                f"to {labels[entities[1]]}?", topics)
+            result = Planner(make_kg(triples, labels),
+                             PromptAwareResponder(seed), config).run(question)
+            check_invariants(result, config)
+            asked = None  # (selection stage, reply) of the last selection call
+            for event in result.trace.events:
+                if event.kind == "llm_call":
+                    stage = event.payload["stage"].removesuffix("_retry")
+                    asked = (stages.get(stage), event.payload["response"])
+                    continue
+                stage = event.payload.get("stage")
+                if event.kind != "selection" or stage not in cuts:
+                    continue
+                if asked is not None and asked[0] == stage:
+                    listed = {name.strip() for name in json.loads(asked[1])}
+                    if stage == "relations":
+                        valid = listed & set(event.payload["candidates"])
+                    else:
+                        valid = listed - set(event.payload.get("dropped", ()))
+                    cuts[stage] += len(valid) >= 2
+                asked = None
+        assert all(cuts.values()), cuts
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("flags", [

@@ -1,10 +1,13 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphquest import recall
 from graphquest.recall import (
     RecallConfig,
     RecallError,
@@ -16,6 +19,42 @@ from graphquest.recall import (
 from oracles import oracle_top_k, oracle_trigram_score
 
 QUESTION = "Who is in control of the place where the movie takes place?"
+
+
+def frozen_trigram_score(question, label):
+    """TrigramScorer.score as it was before the question's trigram profile
+    was computed once per question: every score must equal it bit for bit,
+    because top_k breaks ties on exact floats."""
+    q = question.strip()
+    c = label.strip()
+    if q.lower() == c.lower():
+        return 1.0
+
+    def grams(text):
+        lowered = text.strip().lower()
+        return Counter(lowered[i:i + 3] for i in range(len(lowered) - 2))
+
+    left = grams(q)
+    right = grams(c)
+    if not left or not right:
+        return 0.0
+    shared = set(left) & set(right)
+    dot = sum(left[g] * right[g] for g in shared)
+    norm = math.sqrt(sum(v * v for v in left.values()))
+    norm *= math.sqrt(sum(v * v for v in right.values()))
+    if norm == 0.0:
+        return 0.0
+    return dot / norm
+
+
+# few letters so that trigrams repeat and collide; letters whose
+# lower-case form differs in length ("İ") or is not a plain fold ("ẞ", "Σ")
+_FOLDING = "abAB İıßẞΣσς-"
+_PAD = st.text(alphabet=" \t\n\u00a0\u3000", max_size=3)
+_BODY = st.text(alphabet=_FOLDING, min_size=1, max_size=12) | \
+    st.text(min_size=1, max_size=40)
+_TEXTS = st.builds(lambda head, body, tail: head + body + tail,
+                   _PAD, _BODY, _PAD).filter(lambda s: s.strip())
 
 
 class TestTrigramScorer:
@@ -57,6 +96,18 @@ class TestTrigramScorer:
     def test_agrees_with_independent_implementation(self, question, label):
         assert TrigramScorer().score(question, label) == \
             pytest.approx(oracle_trigram_score(question, label))
+
+    @given(_TEXTS, st.lists(_TEXTS, min_size=1, max_size=6))
+    @example(" Panama ", ["panama", "PANAMA CITY", "ab", "Pa"])
+    @example("ab", ["AB", "abc", "b"])
+    @example("İstanbul", ["i̇stanbul", "istanbul", "ISTANBUL"])
+    @example("Straße", ["STRASSE", "strasse", "STRAẞE"])
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_frozen_formula(self, question, labels):
+        scorer = TrigramScorer()
+        for label in labels:
+            got = scorer.score(question, label)
+            assert got.hex() == frozen_trigram_score(question, label).hex()
 
     @given(st.text(min_size=3, max_size=40).filter(lambda s: s.strip()),
            st.text(min_size=3, max_size=40).filter(lambda s: s.strip()))
@@ -103,6 +154,19 @@ class TestTopK:
         kept = top_k("zzzzzz", candidates, 3)
         assert [(c.entity, c.label) for c in kept] == \
             [("m.03", "aaa"), ("m.01", "bbb"), ("m.02", "bbb")]
+
+    def test_question_trigrams_built_once(self, monkeypatch):
+        built = []
+        trigrams = recall._trigrams
+
+        def counting(text):
+            built.append(text)
+            return trigrams(text)
+
+        monkeypatch.setattr(recall, "_trigrams", counting)
+        candidates = [(f"m.{i}", f"Candidate label {i}") for i in range(200)]
+        top_k("Which of two hundred candidates is closest?", candidates, 5)
+        assert len(built) <= 201  # one per label, at most one question
 
     def test_k_larger_than_pool_keeps_everything(self):
         assert len(top_k(QUESTION, self.CANDIDATES, 100)) == \

@@ -157,6 +157,7 @@ class TestRetries:
             client.search_relations("m.0x", Direction.OUTGOING)
         assert info.value.attempts == 3
         assert "HTTP 500" in str(info.value)
+        assert "failed after 3 attempts" in str(info.value)
 
     def test_client_error_fails_fast(self):
         client, session, sleeps = make_client([FakeResponse(400)])
@@ -165,6 +166,10 @@ class TestRetries:
         assert info.value.attempts == 1
         assert len(session.requests) == 1
         assert sleeps == []
+        # the endpoint answered and refused the query: not "unreachable"
+        assert str(info.value) == (
+            f"SPARQL endpoint {client.endpoint_url} failed after 1 "
+            f"attempts: HTTP 400")
 
     def test_non_json_body_is_retried_then_typed(self):
         payload = results_payload("relation", ["a.rel"])

@@ -1,0 +1,118 @@
+"""Run the benchmark on two checkouts in alternating pairs and compare them.
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR \
+        --workload hub-fanout --seed 1 --pairs 10
+
+Each pair runs `perfbench/run.py --trace 0` once in each checkout, with
+the run length that PARENT_DIR's BENCHMARK.json sets; even pairs run the
+parent first, odd pairs the change. Every run's end-to-end metrics are
+printed as it finishes. At the end, for each metric, the script prints
+each side's median and quartiles, the change in the median, the pairs
+the change won (ties count for neither side), and whether the gain rule
+holds: the change wins at least nine tenths of the pairs and the medians
+differ by more than the distance between the parent's quartiles.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int,
+             seconds: float) -> dict:
+    """One `perfbench/run.py --trace 0` run: its final JSON line."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload,
+               "--seed", str(seed), "--seconds", str(seconds),
+               "--trace", "0"]
+    done = subprocess.run(command, cwd=checkout, capture_output=True,
+                          text=True)
+    lines = done.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(f"{checkout}: benchmark printed nothing "
+                         f"(exit {done.returncode}):\n{done.stderr}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(runs: list[tuple[dict, dict]],
+              better: dict[str, str]) -> list[dict]:
+    """Per metric: each side's quartiles, the change's wins, the gain rule.
+
+    `runs` holds one (parent, change) pair of run.py results per pair;
+    `better` maps each metric name to "lower" or "higher".
+    """
+    rows = []
+    for name in runs[0][0]["metrics"]:
+        parent = [p["metrics"][name]["value"] for p, _ in runs]
+        change = [c["metrics"][name]["value"] for _, c in runs]
+        # names carry a "<workload>." prefix under --workload all
+        sign = 1 if better[name.rsplit(".", 1)[-1]] == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        p_q1, p_med, p_q3 = quartiles(parent)
+        c_q1, c_med, c_q3 = quartiles(change)
+        rows.append({
+            "metric": name,
+            "unit": runs[0][0]["metrics"][name]["unit"],
+            "parent": (p_q1, p_med, p_q3),
+            "change": (c_q1, c_med, c_q3),
+            "delta": (c_med - p_med) / p_med if p_med else 0.0,
+            "wins": wins,
+            "gain": (wins >= 0.9 * len(runs)
+                     and sign * (c_med - p_med) > p_q3 - p_q1),
+        })
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    sides = {"parent": args.parent, "change": args.change}
+    runs = []
+    for index in range(args.pairs):
+        order = ("parent", "change") if index % 2 == 0 else \
+            ("change", "parent")
+        result = {}
+        for side in order:
+            result[side] = run_once(sides[side], args.workload, args.seed,
+                                    spec["run_seconds"])
+            values = " ".join(f"{name}={m['value']:.6g}" for name, m in
+                              result[side]["metrics"].items())
+            print(f"pair {index + 1} {side:6} failed="
+                  f"{result[side]['failed']}/{result[side]['attempted']} "
+                  f"{values}", flush=True)
+        runs.append((result["parent"], result["change"]))
+    print(f"\n{args.workload} seed={args.seed} pairs={args.pairs}: "
+          f"median [q1, q3] per side")
+    for row in summarize(runs, better):
+        p_q1, p_med, p_q3 = row["parent"]
+        c_q1, c_med, c_q3 = row["change"]
+        print(f"{row['metric']:22} parent {p_med:10.5g} [{p_q1:.5g}, "
+              f"{p_q3:.5g}]  change {c_med:10.5g} [{c_q1:.5g}, {c_q3:.5g}] "
+              f"{row['unit']:6} {100 * row['delta']:+7.1f}%  wins "
+              f"{row['wins']}/{args.pairs}"
+              f"{'  gain' if row['gain'] else ''}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
