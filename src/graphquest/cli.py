@@ -4,6 +4,7 @@ inspect a saved trace."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -20,13 +21,16 @@ from .config import (
 from .harness.datasets import FLAVORS, load_dataset
 from .harness.evaluate import ablation_matrix, run_eval, summary_rows
 from .llm.accounting import usage_total
+from .llm.types import LLMError
 from .planner.engine import Planner, PlannerRunError
-from .planner.state import Question
+from .planner.state import AblationFlags, Question
 from .trace import RunTrace
 
 logger = logging.getLogger(__name__)
 
-ABLATION_NAMES = ("no_guidance", "no_memory", "no_reflection")
+# the on/off ablations; fixed_breadth takes a value
+ABLATION_NAMES = tuple(flag.name for flag in dataclasses.fields(AblationFlags)
+                       if flag.name != "fixed_breadth")
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
@@ -74,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--ablate", action="append", default=[],
                     metavar="SPEC",
                     help=("ablation variant to add, repeatable: "
-                          "no_guidance | no_memory | no_reflection | "
-                          "fixed_breadth=N, comma-combinable"))
+                          + " | ".join(ABLATION_NAMES)
+                          + " | fixed_breadth=N, comma-combinable"))
     ev.add_argument("--parallel", type=int, default=1, metavar="N",
                     help="worker threads (default: 1)")
     _add_shared_flags(ev)
@@ -288,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, LLMError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

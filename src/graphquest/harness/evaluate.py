@@ -86,8 +86,7 @@ class EvalReport:
 
 def apply_overrides(config: PlannerConfig, overrides: dict) -> PlannerConfig:
     """Produce a config variant; ablation keys land on the flag set."""
-    ablation_keys = {"no_guidance", "no_memory", "no_reflection",
-                     "fixed_breadth"}
+    ablation_keys = {flag.name for flag in dataclasses.fields(AblationFlags)}
     flag_values = {}
     direct = {}
     for key, value in overrides.items():

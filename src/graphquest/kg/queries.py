@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from .types import KGError
 
-SPARQL_PREFIX = "PREFIX ns: <http://rdf.freebase.com/ns/>"
-
 RELATION_OUT_TEMPLATE = """\
 PREFIX ns: <http://rdf.freebase.com/ns/>
 SELECT DISTINCT ?relation

@@ -21,11 +21,6 @@ class Direction(enum.Enum):
     OUTGOING = "outgoing"
     INCOMING = "incoming"
 
-    def flipped(self) -> "Direction":
-        if self is Direction.OUTGOING:
-            return Direction.INCOMING
-        return Direction.OUTGOING
-
 
 @dataclass(frozen=True)
 class Triplet:

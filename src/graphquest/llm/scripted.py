@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from .types import (
     Completion,
     GenerationConfig,
+    LLMError,
     NoMatchingRuleError,
     Usage,
     approximate_tokens,
@@ -48,23 +49,35 @@ class ScriptedBackend:
     @classmethod
     def from_file(cls, path: str) -> "ScriptedBackend":
         """Load rules from JSON: a list of rule objects, or an object with
-        a "rules" list and optional "default" response."""
+        a "rules" list and optional "default" response.
+
+        Raises LLMError, naming the file and the rule index, when the file
+        is not JSON or not of that shape.
+        """
         with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+            try:
+                payload = json.load(handle)
+            except ValueError as exc:
+                raise LLMError(f"rule file {path}: not JSON ({exc})") from None
+        default = None
+        raw_rules = payload
         if isinstance(payload, dict):
             raw_rules = payload.get("rules", [])
             default = payload.get("default")
-        else:
-            raw_rules = payload
-            default = None
-        rules = [
-            ResponderRule(
+        if not isinstance(raw_rules, list):
+            raise LLMError(f'rule file {path}: expected a list of rules or '
+                           f'an object with a "rules" list')
+        rules = []
+        for index, entry in enumerate(raw_rules):
+            if not (isinstance(entry, dict)
+                    and {"pattern", "response"} <= entry.keys()):
+                raise LLMError(f'rule file {path}: rule {index} needs '
+                               f'"pattern" and "response"')
+            rules.append(ResponderRule(
                 pattern=str(entry["pattern"]),
                 response=str(entry["response"]),
                 regex=bool(entry.get("regex", False)),
-            )
-            for entry in raw_rules
-        ]
+            ))
         return cls(rules, default_response=default)
 
     def complete(self, prompt: str, config: GenerationConfig) -> Completion:

@@ -16,7 +16,6 @@ from .state import (
     PlannerConfig,
     Question,
     ReasoningPath,
-    ReflectionDecision,
     StateError,
     SubObjectiveStatus,
     SubObjectives,
@@ -37,7 +36,6 @@ __all__ = [
     "PlannerRunError",
     "Question",
     "ReasoningPath",
-    "ReflectionDecision",
     "RunResult",
     "StateError",
     "SubObjectiveStatus",

@@ -36,7 +36,6 @@ from .state import (
     PlannerConfig,
     Question,
     ReasoningPath,
-    ReflectionDecision,
     SubObjectiveStatus,
     SubObjectives,
     Subgraph,
@@ -53,6 +52,23 @@ _INDEX_RE = re.compile(r"(\d+)")
 _decode_answer = partial(parse_json_object, required_keys={"A", "R"})
 _decode_reflection = partial(parse_json_object,
                              required_keys={"Add", "Reason"})
+
+
+def _present(**fields: Any) -> dict:
+    """The fields with a truthy value: a payload's optional keys."""
+    return {key: value for key, value in fields.items() if value}
+
+
+def _join_warnings(*parts: str | None) -> str | None:
+    return "; ".join(part for part in parts if part) or None
+
+
+def _oriented(tail: str, relation: str, other: str,
+              direction: Direction) -> tuple[str, str, str]:
+    """(subject, relation, object) of the edge from `tail` to `other`."""
+    if direction is Direction.OUTGOING:
+        return tail, relation, other
+    return other, relation, tail
 
 
 class PlannerRunError(Exception):
@@ -170,11 +186,9 @@ class Planner:
             verdict = self.evaluate(run)
             if verdict.sufficient:
                 break
-            decision = self.reflect(run)
             # reflection only re-opens entities not already on the frontier
             frontier.tail_entities.extend(
-                (eid, self._label(run, eid))
-                for eid in decision.backtrack_entities)
+                (eid, self._label(run, eid)) for eid in self.reflect(run))
         exhausted = not verdict.sufficient
         if exhausted:
             verdict = self.evaluate(run, forced=True)
@@ -207,10 +221,8 @@ class Planner:
         if not items:
             items = [text]
             warning = warning or "empty sub-objective list"
-        payload: dict = {"stage": "decompose", "selected": list(items)}
-        if warning:
-            payload["warning"] = warning
-        run.record("selection", payload)
+        run.record("selection", {"stage": "decompose", "selected": list(items),
+                                 **_present(warning=warning)})
         return SubObjectives(tuple(items))
 
     # -- stage: relation exploration ------------------------------------
@@ -238,7 +250,8 @@ class Planner:
                     # re-offering them would just repeat the same hop
                     if (eid, relation, direction) not in subgraph.expanded:
                         tagged.append((relation, direction))
-            names = sorted({relation for relation, _ in tagged})
+            offered = {relation for relation, _ in tagged}
+            names = sorted(offered)
             if not names:
                 run.record("selection", {
                     "stage": "relations", "entity": eid,
@@ -255,28 +268,19 @@ class Planner:
             )
             raw, warning = self._ask(run, prompt, "relation_selection",
                                      parse_list)
-            chosen: list[str] = []
-            dropped: list[str] = []
-            for item in raw or ():
-                name = item.strip()
-                if name in names:
-                    if name not in chosen:
-                        chosen.append(name)
-                else:
-                    dropped.append(item)
-            if breadth is not None:
-                chosen = chosen[:breadth]
-            payload: dict = {
+            raw = raw or []
+            # de-duplicate before the cap; a None breadth slices nothing
+            chosen = list(dict.fromkeys(
+                name for item in raw if (name := item.strip()) in offered
+            ))[:breadth]
+            dropped = [item for item in raw if item.strip() not in offered]
+            run.record("selection", {
                 "stage": "relations",
                 "entity": eid,
                 "candidates": names,
-                "selected": list(chosen),
-            }
-            if dropped:
-                payload["dropped"] = dropped
-            if warning:
-                payload["warning"] = warning
-            run.record("selection", payload)
+                "selected": chosen,
+                **_present(dropped=dropped, warning=warning),
+            })
             if not chosen:
                 continue
             # reached by backtracking with no live path ending here
@@ -300,118 +304,92 @@ class Planner:
             return []
         subgraph = run.memory.subgraph
         results: dict[tuple, list[tuple[str, str]]] = {}
-        groups: list[tuple[PendingExpansion, list[tuple[str, str]]]] = []
+        # the expansions that found something, each with its candidates
+        offers: list[tuple[PendingExpansion, list[tuple[str, str]]]] = []
         for expansion in pending:
             tail = expansion.path.tail_entity()
-            pair = (tail, expansion.relation, expansion.direction)
+            relation, direction = expansion.relation, expansion.direction
+            pair = (tail, relation, direction)
             if pair not in results:
-                found = self.kg.search_entities(
-                    tail, expansion.relation, expansion.direction)
+                found = self.kg.search_entities(tail, relation, direction)
                 run.record("kg_query", {
-                    "op": "entities",
-                    "entity": tail,
-                    "relation": expansion.relation,
-                    "direction": expansion.direction.value,
-                    "count": len(found),
+                    "op": "entities", "entity": tail, "relation": relation,
+                    "direction": direction.value, "count": len(found),
                 })
                 subgraph.expanded.add(pair)
                 labeled = [(cid, self._label(run, cid)) for cid in found]
                 for cid, clabel in labeled:
-                    if expansion.direction is Direction.OUTGOING:
-                        triple = Triplet(tail, expansion.relation, cid)
-                    else:
-                        triple = Triplet(cid, expansion.relation, tail)
-                    subgraph.triples.add(triple)
+                    subgraph.triples.add(
+                        Triplet(*_oriented(tail, relation, cid, direction)))
                     frontier.candidate_pool.setdefault(cid, clabel)
                 if len(labeled) > self.config.recall.threshold:
                     kept = top_k(run.question.text, labeled,
                                  self.config.recall.k, self.scorer)
                     run.record("selection", {
-                        "stage": "recall",
-                        "entity": tail,
-                        "relation": expansion.relation,
-                        "direction": expansion.direction.value,
-                        "before": len(labeled),
-                        "after": len(kept),
+                        "stage": "recall", "entity": tail,
+                        "relation": relation, "direction": direction.value,
+                        "before": len(labeled), "after": len(kept),
                     })
                     labeled = [(c.entity, c.label) for c in kept]
                 results[pair] = labeled
-            groups.append((expansion, results[pair]))
+            if results[pair]:
+                offers.append((expansion, results[pair]))
+        if not offers:
+            frontier.tail_entities = []
+            run.record("selection", {
+                "stage": "entities", "selected": [], "tails": [],
+            })
+            return []
         parts: list[str] = []
-        rendered: list[tuple[PendingExpansion, list[tuple[str, str]]]] = []
-        for expansion, labeled in groups:
-            if not labeled:
-                continue
+        known: set[str] = set()
+        for expansion, labeled in offers:
             tail_label = self._label(run, expansion.path.tail_entity())
             names = ", ".join(clabel for _, clabel in labeled)
             if expansion.direction is Direction.OUTGOING:
                 parts.append(f"({tail_label}, {expansion.relation}, [{names}])")
             else:
                 parts.append(f"([{names}], {expansion.relation}, {tail_label})")
-            rendered.append((expansion, labeled))
-        if not parts:
-            frontier.tail_entities = []
-            run.record("selection", {
-                "stage": "entities", "selected": [], "tails": [],
-            })
-            return []
+            for cid, clabel in labeled:
+                known.add(cid)
+                known.add(clabel)
         prompt = self.prompts.render(
             "entity_selection",
             question=run.question.text,
             triplets="; ".join(parts),
         )
         raw, warning = self._ask(run, prompt, "entity_selection", parse_list)
-        selected: list[str] = []
-        for item in raw or ():
-            name = item.strip()
-            if name and name not in selected:
-                selected.append(name)
-        known: set[str] = set()
-        for _, labeled in rendered:
-            for cid, clabel in labeled:
-                known.add(cid)
-                known.add(clabel)
-        valid = [name for name in selected if name in known]
-        dropped = [name for name in selected if name not in known]
+        selected = list(dict.fromkeys(
+            name for item in raw or () if (name := item.strip())))
         breadth = self.config.ablations.fixed_breadth
-        if breadth is not None:
-            valid = valid[:breadth]
+        valid = [name for name in selected if name in known][:breadth]
+        dropped = [name for name in selected if name not in known]
         chosen = set(valid)
         new_paths: list[ReasoningPath] = []
-        new_tails: list[tuple[str, str]] = []
-        seen_tails: set[str] = set()
-        cycles: list[str] = []
-        for expansion, labeled in rendered:
-            tail = expansion.path.tail_entity()
+        # id -> label of each new tail, in first-reached order
+        new_tails: dict[str, str] = {}
+        cycles: set[str] = set()
+        for expansion, labeled in offers:
+            path = expansion.path
+            tail = path.tail_entity()
             for cid, clabel in labeled:
                 if clabel not in chosen and cid not in chosen:
                     continue
-                if cid in expansion.path.entities():
-                    cycles.append(clabel)
+                if cid in path.entities():
+                    cycles.add(clabel)
                     continue
-                if expansion.direction is Direction.OUTGOING:
-                    step = PathStep(tail, expansion.relation, cid,
-                                    expansion.direction)
-                else:
-                    step = PathStep(cid, expansion.relation, tail,
-                                    expansion.direction)
-                new_paths.append(expansion.path.extended(step))
-                if cid not in seen_tails:
-                    seen_tails.add(cid)
-                    new_tails.append((cid, clabel))
-        frontier.tail_entities = new_tails
-        payload: dict = {
+                edge = _oriented(tail, expansion.relation, cid,
+                                 expansion.direction)
+                new_paths.append(
+                    path.extended(PathStep(*edge, expansion.direction)))
+                new_tails.setdefault(cid, clabel)
+        frontier.tail_entities = list(new_tails.items())
+        run.record("selection", {
             "stage": "entities",
             "selected": valid,
-            "tails": [cid for cid, _ in new_tails],
-        }
-        if dropped:
-            payload["dropped"] = dropped
-        if cycles:
-            payload["cycles"] = sorted(set(cycles))
-        if warning:
-            payload["warning"] = warning
-        run.record("selection", payload)
+            "tails": list(new_tails),
+            **_present(dropped=dropped, cycles=sorted(cycles),
+                       warning=warning),
+        })
         return new_paths
 
     # -- stage: memory update -------------------------------------------
@@ -443,16 +421,14 @@ class Planner:
                     index = self._status_index(key)
                     if index is not None and 1 <= index <= len(objectives.items):
                         memory.status.entries[index - 1] = str(value)
-        payload: dict = {
+        run.record("memory_update", {
             "status": list(memory.status.entries),
             "paths": len(memory.paths),
             "tail_entities": [eid for eid, _ in run.frontier.tail_entities],
             "candidate_pool": sorted(run.frontier.candidate_pool),
             "subgraph": memory.subgraph.size_summary(),
-        }
-        if warning:
-            payload["warning"] = warning
-        run.record("memory_update", payload)
+            **_present(warning=warning),
+        })
 
     # -- stage: evaluation ----------------------------------------------
 
@@ -476,35 +452,29 @@ class Planner:
                 primary = str(raw_answer).strip()
             reason = str(data.get("R", "")).strip()
             sufficient = primary.lower() not in INSUFFICIENT_ANSWERS
-            if forced:
-                verdict = Verdict(sufficient, primary or None, reason,
-                                  forced=True)
-            elif sufficient:
-                verdict = Verdict(True, primary, reason)
-            else:
-                verdict = Verdict(False, None, reason)
-        payload: dict = {
+            # only a forced verdict may carry a hedged answer
+            answer = (primary or None) if sufficient or forced else None
+            verdict = Verdict(sufficient, answer, reason, forced=forced)
+        run.record("verdict", {
             "sufficient": verdict.sufficient,
             "answer": verdict.answer,
             "reason": verdict.reason,
             "forced": forced,
-        }
-        if warning:
-            payload["warning"] = warning
-        run.record("verdict", payload)
+            **_present(warning=warning),
+        })
         return verdict
 
     # -- stage: reflection ----------------------------------------------
 
-    def reflect(self, run: _Run) -> ReflectionDecision:
+    def reflect(self, run: _Run) -> list[str]:
+        """The ids of the entities to re-open; empty to press on."""
         frontier, memory = run.frontier, run.memory
         if self.config.ablations.no_reflection:
-            decision = ReflectionDecision(False, "reflection disabled")
             run.record("reflection", {
-                "add": False, "reason": decision.reason, "backtrack": [],
+                "add": False, "reason": "reflection disabled", "backtrack": [],
                 "note": "reflection disabled",
             })
-            return decision
+            return []
         prompt = self.prompts.render(
             "reflection",
             question=run.question.text,
@@ -516,26 +486,19 @@ class Planner:
         data, warning = self._ask(run, prompt, "reflection",
                                   _decode_reflection)
         if data is None:
-            decision = ReflectionDecision(False,
-                                          "reflection response unparseable")
+            add, reason = False, "reflection response unparseable"
+        else:
+            add = normalize_bool(data["Add"])
+            reason = str(data.get("Reason", "")).strip()
+            if add is None:
+                warning = _join_warnings(
+                    warning, f"unrecognized Add value {data['Add']!r}")
+        if not add:
             run.record("reflection", {
-                "add": False, "reason": decision.reason, "backtrack": [],
-                "warning": warning,
+                "add": False, "reason": reason, "backtrack": [],
+                **_present(warning=warning),
             })
-            return decision
-        flag = normalize_bool(data["Add"])
-        reason = str(data.get("Reason", "")).strip()
-        if flag is None:
-            warning = self._join_warnings(
-                warning, f"unrecognized Add value {data['Add']!r}")
-            flag = False
-        if not flag:
-            decision = ReflectionDecision(False, reason)
-            payload = {"add": False, "reason": reason, "backtrack": []}
-            if warning:
-                payload["warning"] = warning
-            run.record("reflection", payload)
-            return decision
+            return []
         pool = frontier.candidate_pool
         prompt2 = self.prompts.render(
             "backtrack_selection",
@@ -547,7 +510,7 @@ class Planner:
         )
         names, warning2 = self._ask(run, prompt2, "backtrack_selection",
                                     parse_list)
-        warning = self._join_warnings(warning, warning2)
+        warning = _join_warnings(warning, warning2)
         current = {eid for eid, _ in frontier.tail_entities}
         label_to_ids: dict[str, list[str]] = {}
         for eid, clabel in pool.items():
@@ -574,25 +537,18 @@ class Planner:
                     dropped.append(name)
                 else:
                     chosen.append(eid)
-        if chosen:
-            decision = ReflectionDecision(True, reason, tuple(chosen))
-        else:
-            decision = ReflectionDecision(False, reason)
-            warning = self._join_warnings(
+        if not chosen:
+            warning = _join_warnings(
                 warning, "no valid backtrack entity; add withdrawn")
-        payload = {
-            "add": decision.add,
+        run.record("reflection", {
+            "add": bool(chosen),
             "reason": reason,
-            "backtrack": list(decision.backtrack_entities),
+            "backtrack": chosen,
             "candidate_pool": sorted(pool),
             "tails": sorted(current),
-        }
-        if dropped:
-            payload["dropped"] = dropped
-        if warning:
-            payload["warning"] = warning
-        run.record("reflection", payload)
-        return decision
+            **_present(dropped=dropped, warning=warning),
+        })
+        return chosen
 
     # -- helpers ---------------------------------------------------------
 
@@ -660,8 +616,3 @@ class Planner:
     def _status_index(key: str) -> int | None:
         match = _INDEX_RE.search(str(key))
         return int(match.group(1)) if match else None
-
-    @staticmethod
-    def _join_warnings(*parts: str | None) -> str | None:
-        present = [p for p in parts if p]
-        return "; ".join(present) if present else None

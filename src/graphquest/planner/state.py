@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..kg.types import Direction, Triplet
 from ..llm.types import GenerationConfig
@@ -69,9 +69,6 @@ class PathStep:
     def target(self) -> str:
         return (self.object if self.direction is Direction.OUTGOING
                 else self.subject)
-
-    def as_triplet(self) -> Triplet:
-        return Triplet(self.subject, self.relation, self.object)
 
 
 @dataclass(frozen=True)
@@ -159,17 +156,6 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class ReflectionDecision:
-    add: bool
-    reason: str
-    backtrack_entities: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.add and self.backtrack_entities:
-            raise StateError("backtrack entities present without add=true")
-
-
-@dataclass(frozen=True)
 class AblationFlags:
     no_guidance: bool = False
     no_memory: bool = False
@@ -186,14 +172,12 @@ class AblationFlags:
 
     def active(self) -> tuple[str, ...]:
         names = []
-        if self.no_guidance:
-            names.append("no_guidance")
-        if self.no_memory:
-            names.append("no_memory")
-        if self.no_reflection:
-            names.append("no_reflection")
-        if self.fixed_breadth is not None:
-            names.append(f"fixed_breadth={self.fixed_breadth}")
+        for flag in fields(self):
+            value = getattr(self, flag.name)
+            if value is True:
+                names.append(flag.name)
+            elif value:
+                names.append(f"{flag.name}={value}")
         return tuple(names)
 
 

@@ -441,11 +441,15 @@ def test_criterion_8_randomized_invariant_sweep(capsys, panama_kg,
             _assert_acyclic(result)
             runs += 1
 
+        fallbacks = 0
         for seed in range(240):
             rng = random.Random(80_000 + seed)
             triples, labels = random_graph(rng)
-            kg = make_kg(triples, labels)
             entities = sorted(labels)
+            # every fourth entity has no name, so label fallbacks occur
+            kg = make_kg(triples, {eid: labels[eid]
+                                   for index, eid in enumerate(entities)
+                                   if index % 4 != 3})
             topics = tuple((eid, labels[eid]) for eid in entities[:2])
             question = Question(
                 f"How does {labels[entities[0]]} relate to "
@@ -455,7 +459,10 @@ def test_criterion_8_randomized_invariant_sweep(capsys, panama_kg,
                              small).run(question)
             check_invariants(result, small)
             _assert_acyclic(result)
+            fallbacks += sum(bool(e.payload.get("fallback"))
+                             for e in result.trace.iter_kind("kg_query"))
             runs += 1
+        assert fallbacks > 0
 
         flag_sets = [
             AblationFlags(),

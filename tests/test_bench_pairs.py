@@ -1,6 +1,7 @@
 """The summary that tools/bench_pairs.py prints from paired runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -8,7 +9,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-BETTER = {"question_s_p50": "lower", "questions_per_s": "higher"}
+SPEC = {"question_s_p50": {"better": "lower", "bound": 0.2},
+        "questions_per_s": {"better": "higher", "bound": 0.25}}
 
 
 def result(p50, rate):
@@ -28,7 +30,7 @@ def test_wins_follow_each_metric_direction_and_ties_count_for_neither():
     runs = [(result(1.0, 10.0), result(0.5, 20.0)),
             (result(1.0, 10.0), result(0.5, 10.0)),
             (result(1.0, 10.0), result(1.5, 5.0))]
-    rows = {row["metric"]: row for row in bench_pairs.summarize(runs, BETTER)}
+    rows = {row["metric"]: row for row in bench_pairs.summarize(runs, SPEC)}
     assert rows["question_s_p50"]["wins"] == 2
     assert rows["questions_per_s"]["wins"] == 1
     assert rows["question_s_p50"]["delta"] == -0.5
@@ -39,14 +41,74 @@ def test_gain_needs_nine_tenths_and_a_gap_wider_than_parent_spread():
     steady = [(result(1.0 + 0.01 * i, 10.0), result(0.5, 10.0 + 0.01 * i))
               for i in range(10)]
     rows = {row["metric"]: row
-            for row in bench_pairs.summarize(steady, BETTER)}
+            for row in bench_pairs.summarize(steady, SPEC)}
     assert rows["question_s_p50"]["wins"] == 10
     assert rows["question_s_p50"]["gain"]
     # 9 wins of 10, but by less than the parent's interquartile range
     noisy = [(result(1.0 + 0.1 * i, 10.0), result(0.99 + 0.1 * i, 10.0))
              for i in range(9)] + [(result(1.0, 10.0), result(2.0, 10.0))]
     rows = {row["metric"]: row
-            for row in bench_pairs.summarize(noisy, BETTER)}
+            for row in bench_pairs.summarize(noisy, SPEC)}
     assert rows["question_s_p50"]["wins"] == 9
     assert not rows["question_s_p50"]["gain"]
     assert rows["questions_per_s"]["wins"] == 0
+
+
+def test_regression_is_a_median_worse_by_more_than_the_bound():
+    # p50 bound 0.2 (lower is better), throughput bound 0.25 (higher)
+    runs = [(result(1.0, 10.0), result(1.25, 7.6)) for _ in range(4)]
+    rows = {row["metric"]: row for row in bench_pairs.summarize(runs, SPEC)}
+    assert rows["question_s_p50"]["regression"]      # +25% > 20%
+    assert not rows["questions_per_s"]["regression"]  # -24% < 25%
+    runs = [(result(1.0, 10.0), result(1.15, 7.0)) for _ in range(4)]
+    rows = {row["metric"]: row for row in bench_pairs.summarize(runs, SPEC)}
+    assert not rows["question_s_p50"]["regression"]  # +15% < 20%
+    assert rows["questions_per_s"]["regression"]     # -30% > 25%
+    # a move in the better direction is never a regression
+    runs = [(result(1.0, 10.0), result(0.5, 20.0)) for _ in range(4)]
+    rows = bench_pairs.summarize(runs, SPEC)
+    assert not any(row["regression"] for row in rows)
+    assert not any(row["unresolved"] for row in rows)
+
+
+def test_unresolved_when_parent_spread_exceeds_the_bound():
+    # parent p50 quartiles 1.15 and 1.45 around a median of 1.3: a spread
+    # of 23% of the median, wider than the 20% bound
+    wide = [(result(1.0 + 0.2 * i, 10.0), result(1.0, 10.0))
+            for i in range(4)]
+    rows = {row["metric"]: row
+            for row in bench_pairs.summarize(wide, SPEC)}
+    assert rows["question_s_p50"]["unresolved"]
+    assert not rows["question_s_p50"]["regression"]
+    assert not rows["questions_per_s"]["unresolved"]
+    # the same spread is resolved when every change run beats every
+    # parent run
+    clear = [(result(1.0 + 0.2 * i, 10.0), result(0.9, 10.0))
+             for i in range(4)]
+    rows = {row["metric"]: row
+            for row in bench_pairs.summarize(clear, SPEC)}
+    assert not rows["question_s_p50"]["unresolved"]
+
+
+def test_main_marks_regressions(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        side.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1,
+        "end_to_end": [{"name": name, **entry}
+                       for name, entry in SPEC.items()],
+    }))
+    values = {parent: result(1.0, 10.0), change: result(1.5, 10.0)}
+
+    def fake_run(checkout, workload, seed, seconds):
+        return {"failed": 0, "attempted": 5, **values[checkout]}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w",
+                             "--seed", "1", "--pairs", "2"]) == 0
+    lines = {line.split()[0]: line
+             for line in capsys.readouterr().out.splitlines()
+             if line.startswith("question")}
+    assert "REGRESSION" in lines["question_s_p50"]
+    assert "REGRESSION" not in lines["questions_per_s"]

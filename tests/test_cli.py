@@ -198,6 +198,19 @@ class TestErrorExits:
         assert code == 2
         assert "file not found" in capsys.readouterr().err
 
+    def test_malformed_script_is_exit_2(self, tmp_path, capsys):
+        script = tmp_path / "rules.json"
+        script.write_text('[{"match": "x", "response": "y"}]',
+                          encoding="utf-8")
+        code = main(["run", "--question", "Q?", "--topic", "m.0a=A",
+                     "--kg", str(FIXTURES / "panama.tsv"),
+                     "--script", str(script),
+                     "--out", str(tmp_path / "runs")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{script}: rule 0 needs" in err
+        assert "Traceback" not in err
+
     def test_config_error_is_exit_2(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
         conf.write_text("kg.mode = oracle\n", encoding="utf-8")

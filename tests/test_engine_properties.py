@@ -56,6 +56,15 @@ def check_invariants(result, config):
     assert [e.seq for e in events] == list(range(len(events)))
     finals = [e for e in events if e.kind == "final"]
     assert len(finals) == 1 and events[-1] is finals[0]
+    for event in events:
+        # optional keys appear only when they carry something
+        for key in ("warning", "dropped", "cycles"):
+            if key in event.payload:
+                assert event.payload[key], (event.kind, key)
+    for event in result.trace.iter_kind("kg_query"):
+        if event.payload.get("fallback"):
+            # an unnamed entity is shown by its id
+            assert event.payload["label"] == event.payload["entity"]
     for event in result.trace.iter_kind("llm_call"):
         assert event.usage is not None
         assert event.usage.input_tokens == \
@@ -76,8 +85,9 @@ def check_invariants(result, config):
             assert (event.payload["answer"] is not None) == \
                 event.payload["sufficient"]
     for event in result.trace.iter_kind("reflection"):
-        if event.payload.get("backtrack"):
-            assert event.payload["add"] is True
+        # add is true exactly when some entity is re-opened
+        assert event.payload["add"] is bool(event.payload["backtrack"])
+        if event.payload["add"]:
             assert set(event.payload["backtrack"]) <= \
                 set(event.payload["candidate_pool"])
     if not config.ablations.no_memory:
@@ -326,10 +336,11 @@ class TestBreadthCap:
         )
         backend = ScriptedBackend([
             ResponderRule(DECOMPOSE_ANCHOR, '["#1 pick"]'),
-            # junk first: it must be discarded before the cap is applied,
-            # so the two real picks both survive
+            # junk and a repeat first: both must be discarded before the
+            # cap is applied, so the two real picks both survive
             ResponderRule(RELATION_ANCHOR,
-                          '["not.a.relation", "test.rel.c", "test.rel.a"]'),
+                          '["not.a.relation", "test.rel.c", "test.rel.c", '
+                          '"test.rel.a"]'),
             ResponderRule(ENTITY_ANCHOR, '["Three", "One"]'),
             ResponderRule(MEMORY_ANCHOR, '{"#1": "picked"}'),
             ResponderRule(ANSWER_ANCHOR, '{"A": "Three", "R": "done"}'),

@@ -34,12 +34,6 @@ class TestDirection:
         assert Direction.OUTGOING.value == "outgoing"
         assert Direction.INCOMING.value == "incoming"
 
-    def test_flipped_is_an_involution(self):
-        assert Direction.OUTGOING.flipped() is Direction.INCOMING
-        assert Direction.INCOMING.flipped() is Direction.OUTGOING
-        for d in Direction:
-            assert d.flipped().flipped() is d
-
 
 class TestValueTypes:
     def test_triplet_is_frozen_and_hashable(self):

@@ -6,6 +6,7 @@ import pytest
 from graphquest.llm.scripted import ResponderRule, ScriptedBackend
 from graphquest.llm.types import (
     GenerationConfig,
+    LLMError,
     NoMatchingRuleError,
     approximate_tokens,
 )
@@ -88,6 +89,25 @@ class TestFromFile:
         backend = ScriptedBackend.from_file(str(path))
         assert backend.complete("hit me", CONFIG).text == "direct"
         assert backend.complete("miss", CONFIG).text == "whatever"
+
+    @pytest.mark.parametrize("text, expected", [
+        ('[{"pattern": ', "not JSON"),
+        ('{"rules": 5}', 'expected a list of rules'),
+        ('"just a string"', 'expected a list of rules'),
+        ('[{"match": "x", "response": "y"}]', 'rule 0 needs'),
+        ('[{"pattern": "x", "response": "y"}, {"pattern": "z"}]',
+         'rule 1 needs'),
+        ('{"rules": [{"pattern": "x", "response": "y"}, "z"]}',
+         'rule 1 needs'),
+    ])
+    def test_malformed_file_is_a_typed_error(self, tmp_path, text,
+                                             expected):
+        path = tmp_path / "rules.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(LLMError) as caught:
+            ScriptedBackend.from_file(str(path))
+        assert str(path) in str(caught.value)
+        assert expected in str(caught.value)
 
     def test_fixture_scripts_load(self, fixtures_dir):
         for name in ("panama_script.json", "capitals_script.json"):

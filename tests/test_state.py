@@ -7,7 +7,6 @@ from graphquest.planner.state import (
     PlannerConfig,
     Question,
     ReasoningPath,
-    ReflectionDecision,
     StateError,
     SubObjectiveStatus,
     SubObjectives,
@@ -48,14 +47,12 @@ class TestPathSteps:
         step = PathStep("m.0a", "r.x.y", "m.0b", OUT)
         assert step.source == "m.0a"
         assert step.target == "m.0b"
-        assert step.as_triplet() == Triplet("m.0a", "r.x.y", "m.0b")
 
     def test_incoming_step_keeps_kg_orientation(self):
         # path stepped from m.0b backwards along (m.0a, r, m.0b)
         step = PathStep("m.0a", "r.x.y", "m.0b", IN)
         assert step.source == "m.0b"
         assert step.target == "m.0a"
-        assert step.as_triplet() == Triplet("m.0a", "r.x.y", "m.0b")
 
 
 class TestReasoningPath:
@@ -121,14 +118,6 @@ class TestVerdict:
         # after exhaustion the best guess is recorded without sufficiency
         Verdict(False, "Panama", "best effort", forced=True)
         Verdict(False, None, "nothing found", forced=True)
-
-
-class TestReflectionDecision:
-    def test_backtrack_requires_add(self):
-        ReflectionDecision(True, "revisit", ("m.0a",))
-        ReflectionDecision(False, "press on")
-        with pytest.raises(StateError):
-            ReflectionDecision(False, "inconsistent", ("m.0a",))
 
 
 class TestSubgraph:

@@ -10,7 +10,12 @@ printed as it finishes. At the end, for each metric, the script prints
 each side's median and quartiles, the change in the median, the pairs
 the change won (ties count for neither side), and whether the gain rule
 holds: the change wins at least nine tenths of the pairs and the medians
-differ by more than the distance between the parent's quartiles.
+differ by more than the distance between the parent's quartiles. A
+metric whose change median is worse than the parent's by more than its
+BENCHMARK.json bound (a fraction of the parent's median) is marked
+REGRESSION; one whose parent quartiles lie further apart than that bound
+is marked unresolved, because such runs cannot show a move that size,
+unless every change run reads better than every parent run.
 """
 
 from __future__ import annotations
@@ -46,21 +51,27 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(runs: list[tuple[dict, dict]],
-              better: dict[str, str]) -> list[dict]:
-    """Per metric: each side's quartiles, the change's wins, the gain rule.
+              spec: dict[str, dict]) -> list[dict]:
+    """Per metric: each side's quartiles, the change's wins, the gain rule,
+    and the regression and spread checks against the metric's bound.
 
     `runs` holds one (parent, change) pair of run.py results per pair;
-    `better` maps each metric name to "lower" or "higher".
+    `spec` maps each metric name to its BENCHMARK.json entry ("better"
+    is "lower" or "higher"; "bound" is a fraction of the parent median).
     """
     rows = []
     for name in runs[0][0]["metrics"]:
         parent = [p["metrics"][name]["value"] for p, _ in runs]
         change = [c["metrics"][name]["value"] for _, c in runs]
         # names carry a "<workload>." prefix under --workload all
-        sign = 1 if better[name.rsplit(".", 1)[-1]] == "higher" else -1
+        entry = spec[name.rsplit(".", 1)[-1]]
+        sign = 1 if entry["better"] == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         p_q1, p_med, p_q3 = quartiles(parent)
         c_q1, c_med, c_q3 = quartiles(change)
+        scale = abs(p_med) or 1.0
+        all_better = min(sign * c for c in change) > max(sign * p
+                                                         for p in parent)
         rows.append({
             "metric": name,
             "unit": runs[0][0]["metrics"][name]["unit"],
@@ -70,6 +81,9 @@ def summarize(runs: list[tuple[dict, dict]],
             "wins": wins,
             "gain": (wins >= 0.9 * len(runs)
                      and sign * (c_med - p_med) > p_q3 - p_q1),
+            "regression": -sign * (c_med - p_med) / scale > entry["bound"],
+            "unresolved": ((p_q3 - p_q1) / scale > entry["bound"]
+                           and not all_better),
         })
     return rows
 
@@ -85,7 +99,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     runs = []
     for index in range(args.pairs):
@@ -103,14 +117,16 @@ def main(argv=None) -> int:
         runs.append((result["parent"], result["change"]))
     print(f"\n{args.workload} seed={args.seed} pairs={args.pairs}: "
           f"median [q1, q3] per side")
-    for row in summarize(runs, better):
+    for row in summarize(runs, metrics):
         p_q1, p_med, p_q3 = row["parent"]
         c_q1, c_med, c_q3 = row["change"]
         print(f"{row['metric']:22} parent {p_med:10.5g} [{p_q1:.5g}, "
               f"{p_q3:.5g}]  change {c_med:10.5g} [{c_q1:.5g}, {c_q3:.5g}] "
               f"{row['unit']:6} {100 * row['delta']:+7.1f}%  wins "
               f"{row['wins']}/{args.pairs}"
-              f"{'  gain' if row['gain'] else ''}")
+              f"{'  gain' if row['gain'] else ''}"
+              f"{'  REGRESSION' if row['regression'] else ''}"
+              f"{'  unresolved' if row['unresolved'] else ''}")
     return 0
 
 
