@@ -4,7 +4,6 @@ inspect a saved trace."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
@@ -12,6 +11,7 @@ import time
 from pathlib import Path
 
 from .config import (
+    LLM_MODES,
     AppConfig,
     ConfigError,
     build_app_config,
@@ -23,14 +23,10 @@ from .harness.evaluate import ablation_matrix, run_eval, summary_rows
 from .llm.accounting import usage_total
 from .llm.types import LLMError
 from .planner.engine import Planner, PlannerRunError
-from .planner.state import AblationFlags, Question
+from .planner.state import Question
 from .trace import RunTrace
 
 logger = logging.getLogger(__name__)
-
-# the on/off ablations; fixed_breadth takes a value
-ABLATION_NAMES = tuple(flag.name for flag in dataclasses.fields(AblationFlags)
-                       if flag.name != "fixed_breadth")
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
@@ -40,7 +36,7 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
                         help="triple file for the in-memory backend")
     parser.add_argument("--endpoint", metavar="URL",
                         help="SPARQL endpoint URL (remote backend)")
-    parser.add_argument("--llm", choices=("scripted", "http"),
+    parser.add_argument("--llm", choices=LLM_MODES,
                         help="language-model backend kind")
     parser.add_argument("--script", metavar="PATH",
                         help="scripted responder rule file")
@@ -78,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--ablate", action="append", default=[],
                     metavar="SPEC",
                     help=("ablation variant to add, repeatable: "
-                          + " | ".join(ABLATION_NAMES)
-                          + " | fixed_breadth=N, comma-combinable"))
+                          "comma-joined planner.* fields, each NAME (true) "
+                          "or NAME=VALUE, e.g. no_memory,fixed_breadth=2"))
     ev.add_argument("--parallel", type=int, default=1, metavar="N",
                     help="worker threads (default: 1)")
     _add_shared_flags(ev)
@@ -113,9 +109,21 @@ def _overrides_from_flags(args: argparse.Namespace) -> dict[str, str]:
     return overrides
 
 
-def _assemble(args: argparse.Namespace) -> AppConfig:
+def _assemble(args: argparse.Namespace,
+              extra: dict[str, str] | None = None) -> AppConfig:
+    """The config of file values, then flags, then `extra` keys."""
     file_values = load_config_file(args.config) if args.config else {}
-    return build_app_config(file_values, _overrides_from_flags(args))
+    return build_app_config(file_values,
+                            {**_overrides_from_flags(args), **(extra or {})})
+
+
+def _ablation_keys(spec: str) -> dict[str, str]:
+    """`no_memory,fixed_breadth=2` as planner.* keys; a bare name is true."""
+    keys = {}
+    for part in spec.split(","):
+        name, equals, value = part.partition("=")
+        keys[f"planner.{name.strip()}"] = value.strip() if equals else "true"
+    return keys
 
 
 def _make_run_dir(root: str) -> Path:
@@ -153,27 +161,6 @@ def _parse_topics(specs: list[str]) -> tuple[tuple[str, str], ...]:
     return tuple(topics)
 
 
-def _parse_ablation(spec: str) -> tuple[str, dict]:
-    overrides: dict = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if part in ABLATION_NAMES:
-            overrides[part] = True
-        elif part.startswith("fixed_breadth="):
-            try:
-                overrides["fixed_breadth"] = int(part.split("=", 1)[1])
-            except ValueError:
-                raise ConfigError(
-                    f"bad fixed_breadth value in --ablate {spec!r}") from None
-        else:
-            raise ConfigError(
-                f"unknown --ablate value {part!r}; expected one of "
-                f"{ABLATION_NAMES} or fixed_breadth=N")
-    if not overrides:
-        raise ConfigError(f"empty --ablate value {spec!r}")
-    return spec, overrides
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     app = _assemble(args)
     backends = build_backends(app)
@@ -208,17 +195,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     app = _assemble(args)
+    variants = [(spec, _assemble(args, _ablation_keys(spec)).planner)
+                for spec in args.ablate]
     backends = build_backends(app)
     records = load_dataset(args.dataset, args.flavor)
     if not records:
         print("dataset has no usable records", file=sys.stderr)
         return 1
     run_dir = _make_run_dir(app.output_dir)
-    if args.ablate:
-        variants = [("full", {})]
-        variants += [_parse_ablation(spec) for spec in args.ablate]
-        rows = ablation_matrix(records, app.planner, variants, backends,
-                               parallelism=args.parallel, out_dir=run_dir)
+    if variants:
+        rows = ablation_matrix(records, [("full", app.planner), *variants],
+                               backends, parallelism=args.parallel,
+                               out_dir=run_dir)
         reports = [report for _, report in rows]
     else:
         reports = [run_eval(records, app.planner, backends,

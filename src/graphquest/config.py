@@ -2,7 +2,9 @@
 
 Config files use dotted keys, one per line (``planner.max_depth = 4``);
 ``#`` starts a comment. Command-line flags override file values, which
-override defaults. API credentials are read from the environment only
+override defaults. Each key sets one dataclass field (``SETTINGS``): the
+field's annotation gives the value's type, and its default is the
+setting's default. API credentials are read from the environment only
 (GRAPHQUEST_API_KEY, falling back to OPENAI_API_KEY), never from files
 or flags.
 """
@@ -14,14 +16,19 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .kg.memory_store import InMemoryKG
+from .kg.memory_store import FORMATS, InMemoryKG
 from .kg.sparql_client import SparqlKG
 from .llm.http_client import ChatCompletionsBackend
 from .llm.scripted import ScriptedBackend
 from .llm.types import GenerationConfig
 from .planner.engine import Backends
-from .planner.state import AblationFlags, PlannerConfig
-from .recall import RecallConfig, RemoteEmbeddingScorer, TrigramScorer
+from .planner.state import AblationFlags, PlannerConfig, StateError
+from .recall import (
+    RecallConfig,
+    RecallError,
+    RemoteEmbeddingScorer,
+    TrigramScorer,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -29,19 +36,8 @@ KG_MODES = ("memory", "sparql")
 LLM_MODES = ("scripted", "http")
 SCORERS = ("trigram", "remote")
 
-KNOWN_KEYS = frozenset({
-    "kg.mode", "kg.path", "kg.format", "kg.endpoint",
-    "llm.mode", "llm.script", "llm.base_url", "llm.model",
-    "llm.temperature", "llm.max_tokens",
-    "llm.frequency_penalty", "llm.presence_penalty",
-    "planner.max_depth", "planner.no_guidance", "planner.no_memory",
-    "planner.no_reflection", "planner.fixed_breadth",
-    "recall.threshold", "recall.k", "recall.scorer", "recall.endpoint",
-    "output.dir",
-})
-
-TRUE_WORDS = frozenset({"true", "1", "yes", "on"})
-FALSE_WORDS = frozenset({"false", "0", "no", "off"})
+BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
+              "false": False, "0": False, "no": False, "off": False}
 
 
 class ConfigError(ValueError):
@@ -57,8 +53,45 @@ class AppConfig:
     llm_mode: str = "scripted"
     llm_script: str | None = None
     llm_base_url: str | None = None
+    recall_scorer: str = "trigram"
+    recall_endpoint: str | None = None
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     output_dir: str = "runs"
+
+
+# dotted key -> (dataclass, field the key sets)
+SETTINGS: dict[str, tuple[type, str]] = {
+    "kg.mode": (AppConfig, "kg_mode"),
+    "kg.path": (AppConfig, "kg_path"),
+    "kg.format": (AppConfig, "kg_format"),
+    "kg.endpoint": (AppConfig, "kg_endpoint"),
+    "llm.mode": (AppConfig, "llm_mode"),
+    "llm.script": (AppConfig, "llm_script"),
+    "llm.base_url": (AppConfig, "llm_base_url"),
+    "llm.model": (GenerationConfig, "model"),
+    "llm.temperature": (GenerationConfig, "temperature"),
+    "llm.max_tokens": (GenerationConfig, "max_tokens"),
+    "llm.frequency_penalty": (GenerationConfig, "frequency_penalty"),
+    "llm.presence_penalty": (GenerationConfig, "presence_penalty"),
+    "planner.max_depth": (PlannerConfig, "max_depth"),
+    "planner.no_guidance": (AblationFlags, "no_guidance"),
+    "planner.no_memory": (AblationFlags, "no_memory"),
+    "planner.no_reflection": (AblationFlags, "no_reflection"),
+    "planner.fixed_breadth": (AblationFlags, "fixed_breadth"),
+    "recall.threshold": (RecallConfig, "threshold"),
+    "recall.k": (RecallConfig, "k"),
+    "recall.scorer": (AppConfig, "recall_scorer"),
+    "recall.endpoint": (AppConfig, "recall_endpoint"),
+    "output.dir": (AppConfig, "output_dir"),
+}
+
+# annotation (without "| None") -> (parser, what a bad value should be)
+PARSERS = {
+    "bool": (lambda text: BOOL_WORDS[text.strip().lower()], "a boolean"),
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, "a string"),
+}
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -77,107 +110,55 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    word = value.strip().lower()
-    if word in TRUE_WORDS:
-        return True
-    if word in FALSE_WORDS:
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-
-
-def _parse_int(key: str, value: str) -> int:
+def _parse(key: str, value: str):
+    cls, name = SETTINGS[key]
+    # annotations are postponed, so each is a string such as "int | None"
+    annotation = next(f.type for f in dataclasses.fields(cls)
+                      if f.name == name)
+    parse, expected = PARSERS[annotation.split(" | ")[0]]
     try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-
-
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+        return parse(value)
+    except (KeyError, ValueError):
+        raise ConfigError(
+            f"{key}: expected {expected}, got {value!r}") from None
 
 
 def build_app_config(file_values: dict[str, str] | None = None,
                      overrides: dict[str, str] | None = None) -> AppConfig:
     """Merge defaults, file values, and flag overrides (in that order)."""
-    merged: dict[str, str] = {}
-    for source in (file_values or {}), (overrides or {}):
-        for key, value in source.items():
-            if key not in KNOWN_KEYS:
-                raise ConfigError(
-                    f"unknown config key {key!r}; known keys: "
-                    f"{', '.join(sorted(KNOWN_KEYS))}"
-                )
-            merged[key] = str(value)
-
-    def get(key: str, default: str | None = None) -> str | None:
-        return merged.get(key, default)
-
-    kg_mode = get("kg.mode", "memory")
-    if kg_mode not in KG_MODES:
-        raise ConfigError(f"kg.mode must be one of {KG_MODES}, got {kg_mode!r}")
-    llm_mode = get("llm.mode", "scripted")
-    if llm_mode not in LLM_MODES:
-        raise ConfigError(
-            f"llm.mode must be one of {LLM_MODES}, got {llm_mode!r}")
-
-    generation = GenerationConfig(
-        model=get("llm.model", GenerationConfig.model),
-        temperature=_parse_float("llm.temperature",
-                                 get("llm.temperature", "0.3")),
-        max_tokens=_parse_int("llm.max_tokens", get("llm.max_tokens", "1024")),
-        frequency_penalty=_parse_float(
-            "llm.frequency_penalty", get("llm.frequency_penalty", "0")),
-        presence_penalty=_parse_float(
-            "llm.presence_penalty", get("llm.presence_penalty", "0")),
-    )
-    scorer_kind = get("recall.scorer", "trigram")
-    if scorer_kind not in SCORERS:
-        raise ConfigError(
-            f"recall.scorer must be one of {SCORERS}, got {scorer_kind!r}")
-    recall = RecallConfig(
-        threshold=_parse_int("recall.threshold", get("recall.threshold", "30")),
-        k=_parse_int("recall.k", get("recall.k", "25")),
-        scorer=scorer_kind,
-        endpoint=get("recall.endpoint"),
-    )
-    fixed_breadth_raw = get("planner.fixed_breadth")
-    ablations = AblationFlags(
-        no_guidance=_parse_bool("planner.no_guidance",
-                                get("planner.no_guidance", "false")),
-        no_memory=_parse_bool("planner.no_memory",
-                              get("planner.no_memory", "false")),
-        no_reflection=_parse_bool("planner.no_reflection",
-                                  get("planner.no_reflection", "false")),
-        fixed_breadth=(_parse_int("planner.fixed_breadth", fixed_breadth_raw)
-                       if fixed_breadth_raw is not None else None),
-    )
-    planner = PlannerConfig(
-        max_depth=_parse_int("planner.max_depth",
-                             get("planner.max_depth", "4")),
-        ablations=ablations,
-        generation=generation,
-        recall=recall,
-    )
-    app = AppConfig(
-        kg_mode=kg_mode,
-        kg_path=get("kg.path"),
-        kg_format=get("kg.format"),
-        kg_endpoint=get("kg.endpoint"),
-        llm_mode=llm_mode,
-        llm_script=get("llm.script"),
-        llm_base_url=get("llm.base_url"),
-        planner=planner,
-        output_dir=get("output.dir", "runs"),
-    )
+    values: dict[type, dict] = {cls: {} for cls, _ in SETTINGS.values()}
+    for key, value in {**(file_values or {}), **(overrides or {})}.items():
+        if key not in SETTINGS:
+            raise ConfigError(
+                f"unknown config key {key!r}; known keys: "
+                f"{', '.join(sorted(SETTINGS))}"
+            )
+        cls, name = SETTINGS[key]
+        values[cls][name] = _parse(key, str(value))
+    try:
+        planner = PlannerConfig(
+            ablations=AblationFlags(**values[AblationFlags]),
+            generation=GenerationConfig(**values[GenerationConfig]),
+            recall=RecallConfig(**values[RecallConfig]),
+            **values[PlannerConfig],
+        )
+    except (StateError, RecallError) as exc:
+        raise ConfigError(str(exc)) from None
+    app = AppConfig(planner=planner, **values[AppConfig])
     _validate(app)
     return app
 
 
 def _validate(app: AppConfig) -> None:
+    choices = [("kg.mode", app.kg_mode, KG_MODES),
+               ("llm.mode", app.llm_mode, LLM_MODES),
+               ("recall.scorer", app.recall_scorer, SCORERS)]
+    if app.kg_format is not None:
+        choices.append(("kg.format", app.kg_format, FORMATS))
+    for key, value, allowed in choices:
+        if value not in allowed:
+            raise ConfigError(
+                f"{key} must be one of {allowed}, got {value!r}")
     if app.kg_mode == "memory" and not app.kg_path:
         raise ConfigError("kg.mode=memory requires kg.path")
     if app.kg_mode == "sparql" and not app.kg_endpoint:
@@ -186,13 +167,8 @@ def _validate(app: AppConfig) -> None:
         raise ConfigError("llm.mode=scripted requires llm.script")
     if app.llm_mode == "http" and not app.llm_base_url:
         raise ConfigError("llm.mode=http requires llm.base_url")
-    if app.planner.recall.scorer == "remote" and not app.planner.recall.endpoint:
+    if app.recall_scorer == "remote" and not app.recall_endpoint:
         raise ConfigError("recall.scorer=remote requires recall.endpoint")
-    if app.kg_format is not None and app.kg_format not in (
-            "tab-separated", "ntriples-subset"):
-        raise ConfigError(
-            f"kg.format must be tab-separated or ntriples-subset, "
-            f"got {app.kg_format!r}")
 
 
 def _guess_format(path: str) -> str:
@@ -214,25 +190,8 @@ def build_backends(app: AppConfig) -> Backends:
         llm = ScriptedBackend.from_file(app.llm_script)
     else:
         llm = ChatCompletionsBackend(app.llm_base_url)
-    if app.planner.recall.scorer == "remote":
-        scorer = RemoteEmbeddingScorer(app.planner.recall.endpoint)
+    if app.recall_scorer == "remote":
+        scorer = RemoteEmbeddingScorer(app.recall_endpoint)
     else:
         scorer = TrigramScorer()
     return Backends(kg=kg, llm=llm, scorer=scorer)
-
-
-def describe(app: AppConfig) -> dict:
-    """Loggable snapshot of the effective configuration (no secrets)."""
-    return {
-        "kg": {"mode": app.kg_mode, "path": app.kg_path,
-               "endpoint": app.kg_endpoint},
-        "llm": {"mode": app.llm_mode, "script": app.llm_script,
-                "base_url": app.llm_base_url,
-                "generation": dataclasses.asdict(app.planner.generation)},
-        "planner": {
-            "max_depth": app.planner.max_depth,
-            "ablations": list(app.planner.ablations.active()),
-            "recall": dataclasses.asdict(app.planner.recall),
-        },
-        "output_dir": app.output_dir,
-    }

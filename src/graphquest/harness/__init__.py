@@ -13,7 +13,6 @@ from .evaluate import (
     QuestionResult,
     SUMMARY_COLUMNS,
     ablation_matrix,
-    apply_overrides,
     run_eval,
     save_report,
     summary_rows,
@@ -31,7 +30,6 @@ __all__ = [
     "QuestionResult",
     "SUMMARY_COLUMNS",
     "ablation_matrix",
-    "apply_overrides",
     "hits_at_1",
     "load_dataset",
     "normalize_answer",

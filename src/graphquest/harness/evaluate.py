@@ -12,7 +12,7 @@ from pathlib import Path
 
 from ..llm.accounting import usage_total
 from ..planner.engine import Backends, Planner, PlannerRunError
-from ..planner.state import AblationFlags, PlannerConfig, Question
+from ..planner.state import PlannerConfig, Question
 from ..trace import RunTrace
 from .datasets import DatasetRecord
 from .metrics import hits_at_1
@@ -82,24 +82,6 @@ class EvalReport:
             "aggregates": self.aggregates(),
             "results": [dataclasses.asdict(r) for r in self.results],
         }
-
-
-def apply_overrides(config: PlannerConfig, overrides: dict) -> PlannerConfig:
-    """Produce a config variant; ablation keys land on the flag set."""
-    ablation_keys = {flag.name for flag in dataclasses.fields(AblationFlags)}
-    flag_values = {}
-    direct = {}
-    for key, value in overrides.items():
-        if key in ablation_keys:
-            flag_values[key] = value
-        elif key == "max_depth":
-            direct["max_depth"] = int(value)
-        else:
-            raise HarnessError(f"unknown config override {key!r}")
-    if flag_values:
-        direct["ablations"] = dataclasses.replace(
-            config.ablations, **flag_values)
-    return dataclasses.replace(config, **direct) if direct else config
 
 
 def _trace_filename(record_id: str) -> str:
@@ -181,17 +163,17 @@ def run_eval(records: list[DatasetRecord], config: PlannerConfig,
     return report
 
 
-def ablation_matrix(records: list[DatasetRecord], base_config: PlannerConfig,
-                    variants: list[tuple[str, dict]], backends: Backends, *,
+def ablation_matrix(records: list[DatasetRecord],
+                    variants: list[tuple[str, PlannerConfig]],
+                    backends: Backends, *,
                     parallelism: int = 1,
                     out_dir: str | Path | None = None
                     ) -> list[tuple[str, EvalReport]]:
-    """Run the same records once per config variant."""
+    """Run the same records once per (name, config) variant."""
     if not variants:
         raise HarnessError("no variants to run")
     rows: list[tuple[str, EvalReport]] = []
-    for variant_name, overrides in variants:
-        config = apply_overrides(base_config, overrides)
+    for variant_name, config in variants:
         variant_dir = None
         if out_dir is not None:
             variant_dir = Path(out_dir) / _trace_filename(variant_name)

@@ -8,7 +8,7 @@ from .queries import (
     render_sparql,
 )
 from .sparql_client import BackendUnreachableError, SparqlKG
-from .types import Direction, EntityLabel, KGError, Triplet, is_mid
+from .types import Direction, EntityLabel, KGError, Triplet
 
 __all__ = [
     "BackendUnreachableError",
@@ -22,6 +22,5 @@ __all__ = [
     "TripleLoadError",
     "Triplet",
     "UnknownTemplateError",
-    "is_mid",
     "render_sparql",
 ]

@@ -38,14 +38,10 @@ class SparqlKG:
 
     def __init__(self, endpoint_url: str, *,
                  session: requests.Session | None = None,
-                 max_retries: int = 3,
-                 backoff_seconds: float = 1.0,
                  timeout_seconds: float = 30.0,
                  sleep: Callable[[float], None] = time.sleep):
         self.endpoint_url = endpoint_url
         self.session = session or requests.Session()
-        self.max_retries = max_retries
-        self.backoff_seconds = backoff_seconds
         self.timeout_seconds = timeout_seconds
         self._sleep = sleep
         self._cache: dict[str, list[str]] = {}
@@ -87,9 +83,7 @@ class SparqlKG:
 
     def _execute(self, query: str, variable: str) -> list[str]:
         payload = post_json(
-            self.session, self.endpoint_url,
-            max_retries=self.max_retries,
-            backoff_seconds=self.backoff_seconds, sleep=self._sleep,
+            self.session, self.endpoint_url, sleep=self._sleep,
             error=lambda attempts, last: BackendUnreachableError(
                 self.endpoint_url, attempts, last),
             data=query.encode("utf-8"),

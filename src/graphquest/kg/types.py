@@ -3,12 +3,8 @@
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
 from typing import Protocol
-
-# Freebase-style machine ids: m.xxxx / g.xxxx
-MID_PATTERN = re.compile(r"^(m|g)\.[0-9a-zA-Z_]+$")
 
 
 class KGError(Exception):
@@ -35,11 +31,6 @@ class EntityLabel:
     label: str
     # True when no human-readable name was found and `label` is the raw id.
     is_fallback: bool = False
-
-
-def is_mid(value: str) -> bool:
-    """True for machine-id shaped strings (as opposed to literals)."""
-    return bool(MID_PATTERN.match(value))
 
 
 class KGBackend(Protocol):

@@ -32,8 +32,6 @@ def _api_key_from_env() -> str | None:
 class ChatCompletionsBackend:
     def __init__(self, base_url: str, *,
                  session: requests.Session | None = None,
-                 max_retries: int = 3,
-                 backoff_seconds: float = 1.0,
                  timeout_seconds: float = 60.0,
                  sleep: Callable[[float], None] = time.sleep):
         base = base_url.rstrip("/")
@@ -41,8 +39,6 @@ class ChatCompletionsBackend:
             base = base + "/chat/completions"
         self.url = base
         self.session = session or requests.Session()
-        self.max_retries = max_retries
-        self.backoff_seconds = backoff_seconds
         self.timeout_seconds = timeout_seconds
         self._sleep = sleep
 
@@ -61,8 +57,7 @@ class ChatCompletionsBackend:
             headers["Authorization"] = f"Bearer {key}"
         started = time.perf_counter()
         payload = post_json(
-            self.session, self.url, max_retries=self.max_retries,
-            backoff_seconds=self.backoff_seconds, sleep=self._sleep,
+            self.session, self.url, sleep=self._sleep,
             error=lambda attempts, last: TransportError(
                 f"chat endpoint {self.url} failed after {attempts} "
                 f"attempts: {last}"),

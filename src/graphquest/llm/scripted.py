@@ -52,7 +52,8 @@ class ScriptedBackend:
         a "rules" list and optional "default" response.
 
         Raises LLMError, naming the file and the rule index, when the file
-        is not JSON or not of that shape.
+        is not JSON, not of that shape, or has a regex that does not
+        compile.
         """
         with open(path, "r", encoding="utf-8") as handle:
             try:
@@ -73,11 +74,18 @@ class ScriptedBackend:
                     and {"pattern", "response"} <= entry.keys()):
                 raise LLMError(f'rule file {path}: rule {index} needs '
                                f'"pattern" and "response"')
-            rules.append(ResponderRule(
+            rule = ResponderRule(
                 pattern=str(entry["pattern"]),
                 response=str(entry["response"]),
                 regex=bool(entry.get("regex", False)),
-            ))
+            )
+            if rule.regex:
+                try:
+                    re.compile(rule.pattern, re.DOTALL)
+                except re.error as exc:
+                    raise LLMError(f"rule file {path}: rule {index} has a "
+                                   f"bad regex ({exc})") from None
+            rules.append(rule)
         return cls(rules, default_response=default)
 
     def complete(self, prompt: str, config: GenerationConfig) -> Completion:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from ..kg.types import Direction, Triplet
 from ..llm.types import GenerationConfig
@@ -170,28 +170,14 @@ class AblationFlags:
                 f"fixed_breadth must be >= 1, got {self.fixed_breadth}"
             )
 
-    def active(self) -> tuple[str, ...]:
-        names = []
-        for flag in fields(self):
-            value = getattr(self, flag.name)
-            if value is True:
-                names.append(flag.name)
-            elif value:
-                names.append(f"{flag.name}={value}")
-        return tuple(names)
-
 
 @dataclass(frozen=True)
 class PlannerConfig:
     max_depth: int = 4
     ablations: AblationFlags = field(default_factory=AblationFlags)
-    generation: "GenerationConfig" = None  # type: ignore[assignment]
-    recall: "RecallConfig" = None  # type: ignore[assignment]
+    generation: GenerationConfig = field(default_factory=GenerationConfig)
+    recall: RecallConfig = field(default_factory=RecallConfig)
 
     def __post_init__(self) -> None:
         if self.max_depth < 1:
             raise StateError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.generation is None:
-            object.__setattr__(self, "generation", GenerationConfig())
-        if self.recall is None:
-            object.__setattr__(self, "recall", RecallConfig())

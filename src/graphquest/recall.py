@@ -41,8 +41,10 @@ class RecallConfig:
     # and keep the best `k`.
     threshold: int = 30
     k: int = 25
-    scorer: str = "trigram"
-    endpoint: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise RecallError(f"k must be >= 1, got {self.k}")
 
 
 def _trigrams(lowered: str) -> tuple[Counter, float]:
@@ -90,15 +92,11 @@ class RemoteEmbeddingScorer:
                  session: requests.Session | None = None,
                  model: str | None = None,
                  timeout_seconds: float = 30.0,
-                 max_retries: int = 3,
-                 backoff_seconds: float = 1.0,
                  sleep: Callable[[float], None] = time.sleep):
         self.endpoint_url = endpoint_url
         self.session = session or requests.Session()
         self.model = model
         self.timeout_seconds = timeout_seconds
-        self.max_retries = max_retries
-        self.backoff_seconds = backoff_seconds
         self._sleep = sleep
         # text -> (embedding, its norm)
         self._cache: dict[str, tuple[list[float], float]] = {}
@@ -124,8 +122,7 @@ class RemoteEmbeddingScorer:
         if self.model:
             body["model"] = self.model
         payload = post_json(
-            self.session, self.endpoint_url, max_retries=self.max_retries,
-            backoff_seconds=self.backoff_seconds, sleep=self._sleep,
+            self.session, self.endpoint_url, sleep=self._sleep,
             error=lambda attempts, last: RecallError(
                 f"embedding endpoint {self.endpoint_url} failed after "
                 f"{attempts} attempts: {last}"),

@@ -10,21 +10,23 @@ import requests
 logger = logging.getLogger(__name__)
 
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
+MAX_ATTEMPTS = 3
+BACKOFF_SECONDS = 1.0
 
 
-def post_json(session: requests.Session, url: str, *, max_retries: int,
-              backoff_seconds: float, sleep: Callable[[float], None],
+def post_json(session: requests.Session, url: str, *,
+              sleep: Callable[[float], None],
               error: Callable[[int, str], Exception], **post_kwargs) -> Any:
     """POST until a 200 with a JSON body arrives, and return the body.
 
     429/5xx statuses, connection errors and non-JSON bodies are retried,
-    sleeping `backoff_seconds * 2**n` after the n-th failed attempt (n
-    from 0); any other status fails at once. `error(attempts, last_error)`
-    builds the caller's typed exception. `post_kwargs` go to
-    `session.post` unchanged.
+    up to MAX_ATTEMPTS attempts, sleeping `BACKOFF_SECONDS * 2**n` after
+    the n-th failed attempt (n from 0); any other status fails at once.
+    `error(attempts, last_error)` builds the caller's typed exception.
+    `post_kwargs` go to `session.post` unchanged.
     """
     last_error = "no attempt made"
-    for attempt in range(1, max_retries + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
             response = session.post(url, **post_kwargs)
         except requests.RequestException as exc:
@@ -39,9 +41,9 @@ def post_json(session: requests.Session, url: str, *, max_retries: int,
                 last_error = f"HTTP {response.status_code}"
                 if response.status_code not in RETRYABLE_STATUS:
                     raise error(attempt, last_error)
-        if attempt < max_retries:
-            delay = backoff_seconds * (2 ** (attempt - 1))
+        if attempt < MAX_ATTEMPTS:
+            delay = BACKOFF_SECONDS * (2 ** (attempt - 1))
             logger.warning("POST %s attempt %d failed (%s); retrying in %.1fs",
                            url, attempt, last_error, delay)
             sleep(delay)
-    raise error(max_retries, last_error)
+    raise error(MAX_ATTEMPTS, last_error)

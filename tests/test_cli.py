@@ -3,8 +3,15 @@ from pathlib import Path
 
 import pytest
 
-from graphquest.cli import _parse_ablation, _parse_topics, build_parser, main
+from graphquest.cli import (
+    _ablation_keys,
+    _assemble,
+    _parse_topics,
+    build_parser,
+    main,
+)
 from graphquest.config import ConfigError
+from graphquest.planner.state import AblationFlags
 from graphquest.trace import RunTrace
 
 from conftest import FIXTURES, PANAMA_QUESTION
@@ -31,15 +38,27 @@ class TestArgumentPlumbing:
             _parse_topics(["=NoId"])
 
     def test_ablation_specs(self):
-        assert _parse_ablation("no_memory") == ("no_memory",
-                                                {"no_memory": True})
-        name, overrides = _parse_ablation("no_guidance,fixed_breadth=3")
-        assert name == "no_guidance,fixed_breadth=3"
-        assert overrides == {"no_guidance": True, "fixed_breadth": 3}
-        with pytest.raises(ConfigError):
-            _parse_ablation("beam_search")
-        with pytest.raises(ConfigError):
-            _parse_ablation("fixed_breadth=wide")
+        assert _ablation_keys("no_memory") == {"planner.no_memory": "true"}
+        assert _ablation_keys("no_guidance, fixed_breadth=3") == {
+            "planner.no_guidance": "true", "planner.fixed_breadth": "3"}
+        # unknown names and bad values are rejected by build_app_config
+        # (see TestErrorExits)
+        assert _ablation_keys("beam_search") == {"planner.beam_search": "true"}
+
+    def test_ablation_variant_configs(self):
+        args = build_parser().parse_args([
+            "eval", "data.json", "--kg", "g.tsv", "--script", "r.json",
+            "--depth", "2"])
+        base = _assemble(args)
+        variant = _assemble(
+            args, _ablation_keys("no_memory,fixed_breadth=3")).planner
+        assert variant.ablations == AblationFlags(no_memory=True,
+                                                  fixed_breadth=3)
+        assert variant.max_depth == 2  # the shared flags still apply
+        assert _assemble(args, _ablation_keys("max_depth=1")
+                         ).planner.max_depth == 1
+        assert base.planner.ablations == AblationFlags()
+        assert base.planner.max_depth == 2
 
     def test_parser_covers_subcommands(self):
         parser = build_parser()
@@ -218,3 +237,33 @@ class TestErrorExits:
                      "--config", str(conf)])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        pytest.param(["--depth", "0"], "max_depth must be >= 1",
+                     id="depth-0"),
+        pytest.param(["--ablate", "fixed_breadth=0"],
+                     "fixed_breadth must be >= 1", id="fixed_breadth-0"),
+        pytest.param(["--ablate", "beam_search"],
+                     "unknown config key 'planner.beam_search'",
+                     id="unknown-ablation"),
+        pytest.param(["--ablate", "fixed_breadth=wide"],
+                     "planner.fixed_breadth: expected an integer",
+                     id="fixed_breadth-wide"),
+        pytest.param(["--config", "recall.k = 0"], "k must be >= 1",
+                     id="recall-k-0"),
+    ])
+    def test_out_of_range_setting_is_exit_2(self, tmp_path, capsys, extra,
+                                            message):
+        if extra[0] == "--config":
+            conf = tmp_path / "app.conf"
+            conf.write_text(extra[1] + "\n", encoding="utf-8")
+            extra = ["--config", str(conf)]
+        code = main(["eval", str(FIXTURES / "capitals_dataset.json"),
+                     "--kg", str(FIXTURES / "capitals.tsv"),
+                     "--script", str(FIXTURES / "capitals_script.json"),
+                     "--out", str(tmp_path / "evals"), *extra])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert message in err
+        assert "Traceback" not in err

@@ -1,17 +1,24 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from graphquest.config import (
+    PARSERS,
+    SETTINGS,
     AppConfig,
     ConfigError,
-    KNOWN_KEYS,
     build_app_config,
     build_backends,
-    describe,
     load_config_file,
 )
 from graphquest.kg.memory_store import InMemoryKG
 from graphquest.llm.scripted import ScriptedBackend
+from graphquest.planner.state import AblationFlags
 from graphquest.recall import TrigramScorer
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestConfigFile:
@@ -63,7 +70,7 @@ class TestMerging:
             build_app_config(dict(self.BASE, **{"planner.depth": "3"}))
         assert "planner.depth" in str(info.value)
         assert "planner.max_depth" in str(info.value)
-        assert "planner.depth" not in KNOWN_KEYS
+        assert "planner.depth" not in SETTINGS
 
     def test_typed_parsing(self):
         app = build_app_config(dict(self.BASE, **{
@@ -152,19 +159,46 @@ class TestBackendAssembly:
         assert isinstance(backends.llm, ChatCompletionsBackend)
 
 
-class TestDescribe:
-    def test_snapshot_has_no_secret_fields(self, monkeypatch):
+class TestAppConfig:
+    def test_holds_no_secret_fields(self, monkeypatch):
         monkeypatch.setenv("GRAPHQUEST_API_KEY", "sk-very-secret")
         app = build_app_config({
             "kg.mode": "sparql", "kg.endpoint": "http://kg.invalid/sparql",
             "llm.mode": "http", "llm.base_url": "http://llm.invalid/v1",
         })
-        snapshot = describe(app)
-        flattened = repr(snapshot)
+        flattened = repr(app)
         assert "sk-very-secret" not in flattened
         assert "api_key" not in flattened.lower()
-        assert snapshot["llm"]["base_url"] == "http://llm.invalid/v1"
-        assert snapshot["planner"]["max_depth"] == 4
+        assert app.llm_base_url == "http://llm.invalid/v1"
+        assert app.planner.max_depth == 4
 
     def test_defaults_without_validation(self):
         assert AppConfig().kg_mode == "memory"
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        app = build_app_config(dict(TestMerging.BASE))
+        assert app == AppConfig(kg_path="g.tsv", llm_script="rules.json")
+        assert app.recall_scorer == "trigram"
+        assert app.recall_endpoint is None
+
+
+class TestSettingsTable:
+    def test_every_key_sets_a_typed_field(self):
+        for key, (cls, name) in SETTINGS.items():
+            annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+            assert name in annotations, key
+            assert annotations[name].split(" | ")[0] in PARSERS, key
+
+    def test_every_ablation_is_a_planner_key(self):
+        for flag in dataclasses.fields(AblationFlags):
+            assert SETTINGS[f"planner.{flag.name}"] == (AblationFlags,
+                                                        flag.name)
+
+    def test_readme_table_lists_every_key(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        documented = set()
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                documented.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+        assert documented == set(SETTINGS)

@@ -10,7 +10,6 @@ from graphquest.harness.evaluate import (
     QuestionResult,
     SUMMARY_COLUMNS,
     ablation_matrix,
-    apply_overrides,
     run_eval,
     summary_rows,
 )
@@ -154,41 +153,19 @@ class TestRunEval:
             assert result.llm_calls == 0
 
 
-class TestApplyOverrides:
-    def test_ablation_keys_land_on_flags(self):
-        config = apply_overrides(PlannerConfig(), {"no_memory": True,
-                                                   "fixed_breadth": 3})
-        assert config.ablations == AblationFlags(no_memory=True,
-                                                 fixed_breadth=3)
-        assert config.max_depth == 4
-
-    def test_max_depth_override(self):
-        config = apply_overrides(PlannerConfig(), {"max_depth": 2})
-        assert config.max_depth == 2
-
-    def test_base_config_untouched(self):
-        base = PlannerConfig()
-        apply_overrides(base, {"no_reflection": True})
-        assert base.ablations.no_reflection is False
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(HarnessError):
-            apply_overrides(PlannerConfig(), {"beam_width": 7})
-
-
 class TestAblationMatrix:
     VARIANTS = [
-        ("full", {}),
-        ("no_reflection", {"no_reflection": True}),
-        ("shallow", {"max_depth": 1}),
+        ("full", PlannerConfig()),
+        ("no_reflection",
+         PlannerConfig(ablations=AblationFlags(no_reflection=True))),
+        ("shallow", PlannerConfig(max_depth=1)),
     ]
 
     def test_one_report_per_variant(self, tmp_path, capitals_records,
                                     capitals_backends):
         out = tmp_path / "matrix"
-        rows = ablation_matrix(capitals_records, PlannerConfig(),
-                               self.VARIANTS, capitals_backends,
-                               out_dir=out)
+        rows = ablation_matrix(capitals_records, self.VARIANTS,
+                               capitals_backends, out_dir=out)
         assert [name for name, _ in rows] == ["full", "no_reflection",
                                               "shallow"]
         # capitals runs finish in one hop, so all variants score alike
@@ -206,8 +183,7 @@ class TestAblationMatrix:
     def test_empty_variant_list_rejected(self, capitals_records,
                                          capitals_backends):
         with pytest.raises(HarnessError):
-            ablation_matrix(capitals_records, PlannerConfig(), [],
-                            capitals_backends)
+            ablation_matrix(capitals_records, [], capitals_backends)
 
 
 class TestSummaryRows:

@@ -120,12 +120,10 @@ class TestRetries:
     def test_retryable_then_success(self):
         backend, session, sleeps = make_backend(
             [FakeResponse(429), requests.ConnectionError("down"),
-             FakeResponse(200, chat_payload("ok"))],
-            backoff_seconds=0.25,
-        )
+             FakeResponse(200, chat_payload("ok"))])
         assert backend.complete("p", CONFIG).text == "ok"
         assert len(session.requests) == 3
-        assert sleeps == [0.25, 0.5]
+        assert sleeps == [1.0, 2.0]
 
     def test_non_retryable_fails_fast(self):
         backend, session, sleeps = make_backend([FakeResponse(401)])

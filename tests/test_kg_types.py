@@ -1,32 +1,6 @@
 import pytest
 
-from graphquest.kg.types import Direction, EntityLabel, Triplet, is_mid
-
-
-class TestIsMid:
-    # frozen expected values, derived by hand from the id grammar
-    @pytest.mark.parametrize("value", [
-        "m.0jt3_v",
-        "m.02rhx1c",
-        "g.11b7f_123",
-        "m.0",
-        "g.1",
-    ])
-    def test_accepts_machine_ids(self, value):
-        assert is_mid(value) is True
-
-    @pytest.mark.parametrize("value", [
-        "Panama",
-        "location.country.capital",
-        "m.",
-        "x.012abc",
-        "m.abc def",
-        "",
-        "ns:m.0jt3_v",
-        "m.0jt3-v",
-    ])
-    def test_rejects_everything_else(self, value):
-        assert is_mid(value) is False
+from graphquest.kg.types import Direction, EntityLabel, Triplet
 
 
 class TestDirection:

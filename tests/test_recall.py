@@ -180,7 +180,11 @@ class TestTopK:
         config = RecallConfig()
         assert config.threshold == 30
         assert config.k == 25
-        assert config.scorer == "trigram"
+
+    def test_config_rejects_k_below_one(self):
+        RecallConfig(k=1)
+        with pytest.raises(RecallError):
+            RecallConfig(k=0)
 
 
 class FakeResponse:

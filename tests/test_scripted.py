@@ -99,6 +99,9 @@ class TestFromFile:
          'rule 1 needs'),
         ('{"rules": [{"pattern": "x", "response": "y"}, "z"]}',
          'rule 1 needs'),
+        ('[{"pattern": "x", "response": "y"}, '
+         '{"pattern": "(", "response": "x", "regex": true}]',
+         'rule 1 has a bad regex'),
     ])
     def test_malformed_file_is_a_typed_error(self, tmp_path, text,
                                              expected):

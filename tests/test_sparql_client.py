@@ -136,12 +136,10 @@ class TestRetries:
     def test_retryable_statuses_back_off_exponentially(self):
         payload = results_payload("relation", ["a.rel"])
         client, session, sleeps = make_client(
-            [FakeResponse(503), FakeResponse(429), FakeResponse(200, payload)],
-            backoff_seconds=0.5,
-        )
+            [FakeResponse(503), FakeResponse(429), FakeResponse(200, payload)])
         assert client.search_relations("m.0x", Direction.OUTGOING) == ["a.rel"]
         assert len(session.requests) == 3
-        assert sleeps == [0.5, 1.0]  # 0.5 * 2^0, 0.5 * 2^1
+        assert sleeps == [1.0, 2.0]  # 1.0 * 2^0, 1.0 * 2^1
 
     def test_connection_errors_are_retried(self):
         payload = results_payload("relation", ["a.rel"])

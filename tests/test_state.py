@@ -139,17 +139,11 @@ class TestConfigs:
         assert config.generation.frequency_penalty == 0.0
         assert config.generation.presence_penalty == 0.0
         assert config.recall.threshold == 30
-        assert config.ablations.active() == ()
+        assert config.ablations == AblationFlags()
 
     def test_depth_must_be_positive(self):
         with pytest.raises(StateError):
             PlannerConfig(max_depth=0)
-
-    def test_ablation_names(self):
-        flags = AblationFlags(no_guidance=True, no_reflection=True,
-                              fixed_breadth=3)
-        assert flags.active() == ("no_guidance", "no_reflection",
-                                  "fixed_breadth=3")
 
     def test_fixed_breadth_must_be_positive(self):
         AblationFlags(fixed_breadth=1)
