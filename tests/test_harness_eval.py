@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from graphquest.config import build_app_config
 from graphquest.harness.datasets import DatasetRecord, load_dataset
 from graphquest.harness.evaluate import (
     EvalReport,
@@ -151,6 +152,29 @@ class TestRunEval:
             assert result.correct is False
             assert "no scripted rule" in result.error
             assert result.llm_calls == 0
+
+
+class TestApplyOverrides:
+    """Ablation variants are planner.* keys applied by build_app_config."""
+
+    BASE = {"kg.path": "g.tsv", "llm.script": "rules.json"}
+
+    def test_ablation_keys_land_on_flags(self):
+        config = build_app_config(self.BASE, {"planner.no_memory": "true",
+                                              "planner.fixed_breadth": "3"})
+        assert config.planner.ablations == AblationFlags(no_memory=True,
+                                                         fixed_breadth=3)
+        assert config.planner.max_depth == 4
+
+    def test_max_depth_override(self):
+        config = build_app_config(self.BASE, {"planner.max_depth": "2"})
+        assert config.planner.max_depth == 2
+
+    def test_base_config_untouched(self):
+        base = build_app_config(self.BASE)
+        build_app_config(self.BASE, {"planner.no_reflection": "true"})
+        assert base.planner.ablations.no_reflection is False
+        assert build_app_config(self.BASE) == base
 
 
 class TestAblationMatrix:
