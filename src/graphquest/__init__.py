@@ -5,26 +5,3 @@ knowledge graph one hop at a time under language-model guidance, keeps
 everything it has seen in an explicit memory, and backtracks to earlier
 entities when the evidence it gathered cannot answer the question.
 """
-
-from .planner.engine import Backends, Planner, PlannerRunError
-from .planner.state import (
-    AblationFlags,
-    PlannerConfig,
-    Question,
-    Verdict,
-)
-from .trace import RunTrace
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AblationFlags",
-    "Backends",
-    "Planner",
-    "PlannerConfig",
-    "PlannerRunError",
-    "Question",
-    "RunTrace",
-    "Verdict",
-    "__version__",
-]

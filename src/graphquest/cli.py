@@ -194,6 +194,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.parallel < 1:
+        raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
     app = _assemble(args)
     variants = [(spec, _assemble(args, _ablation_keys(spec)).planner)
                 for spec in args.ablate]

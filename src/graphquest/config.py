@@ -1,18 +1,19 @@
 """Flat key=value configuration and backend assembly.
 
 Config files use dotted keys, one per line (``planner.max_depth = 4``);
-``#`` starts a comment. Command-line flags override file values, which
-override defaults. Each key sets one dataclass field (``SETTINGS``): the
-field's annotation gives the value's type, and its default is the
-setting's default. API credentials are read from the environment only
-(GRAPHQUEST_API_KEY, falling back to OPENAI_API_KEY), never from files
-or flags.
+a ``#`` at the start of a line or after whitespace starts a comment.
+Command-line flags override file values, which override defaults. Each
+key sets one dataclass field (``SETTINGS``): the field's annotation
+gives the value's type, and its default is the setting's default. API
+credentials are read from the environment only (GRAPHQUEST_API_KEY,
+falling back to OPENAI_API_KEY), never from files or flags.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,6 +36,9 @@ logger = logging.getLogger(__name__)
 KG_MODES = ("memory", "sparql")
 LLM_MODES = ("scripted", "http")
 SCORERS = ("trigram", "remote")
+
+# a "#" that starts a comment; one inside a value ("graph#1.tsv") stays
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
               "false": False, "0": False, "no": False, "off": False}
@@ -98,7 +102,7 @@ def load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for number, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw, 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

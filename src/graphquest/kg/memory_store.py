@@ -13,12 +13,17 @@ import re
 from collections import defaultdict
 from typing import Iterable, Iterator
 
-from .types import Direction, EntityLabel, KGError, Triplet
+from .types import (
+    FREEBASE_NS,
+    OWL_SAMEAS,
+    Direction,
+    EntityLabel,
+    KGError,
+    Triplet,
+)
 
 logger = logging.getLogger(__name__)
 
-FREEBASE_NS = "http://rdf.freebase.com/ns/"
-OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
 NAME_PREDICATE = "type.object.name"
 ALIAS_PREDICATES = frozenset({"common.topic.alias", OWL_SAMEAS})
 
@@ -38,12 +43,6 @@ class TripleLoadError(KGError):
         super().__init__(f"{path}:{line_number}: {message}")
         self.path = path
         self.line_number = line_number
-
-
-def _strip_ns(term: str) -> str:
-    if term.startswith(FREEBASE_NS):
-        return term[len(FREEBASE_NS):]
-    return term
 
 
 def _unescape_literal(raw: str) -> str:
@@ -126,11 +125,11 @@ class InMemoryKG:
         match = _NT_LINE.match(line)
         if match is None:
             raise TripleLoadError(path, number, "not a recognized triple line")
-        subject = _strip_ns(match.group(1))
-        relation = _strip_ns(match.group(2))
+        subject = match.group(1).removeprefix(FREEBASE_NS)
+        relation = match.group(2).removeprefix(FREEBASE_NS)
         raw_obj = match.group(3)
         if raw_obj.startswith("<"):
-            obj = _strip_ns(raw_obj[1:-1])
+            obj = raw_obj[1:-1].removeprefix(FREEBASE_NS)
         else:
             literal = _LITERAL.match(raw_obj)
             if literal is None:

@@ -9,11 +9,12 @@ from typing import Callable
 import requests
 
 from ..retry import post_json
-from .queries import render_sparql
-from .types import Direction, EntityLabel, KGError
+from .queries import entities_query, label_query, relations_query
+from .types import FREEBASE_NS, Direction, EntityLabel, KGError
 
 SPARQL_MIME = "application/sparql-query"
 RESULTS_MIME = "application/sparql-results+json"
+TIMEOUT_SECONDS = 30.0
 
 
 class BackendUnreachableError(KGError):
@@ -38,11 +39,9 @@ class SparqlKG:
 
     def __init__(self, endpoint_url: str, *,
                  session: requests.Session | None = None,
-                 timeout_seconds: float = 30.0,
                  sleep: Callable[[float], None] = time.sleep):
         self.endpoint_url = endpoint_url
         self.session = session or requests.Session()
-        self.timeout_seconds = timeout_seconds
         self._sleep = sleep
         self._cache: dict[str, list[str]] = {}
         self._lock = threading.Lock()
@@ -50,21 +49,15 @@ class SparqlKG:
     # -- queries ---------------------------------------------------------
 
     def search_relations(self, entity: str, direction: Direction) -> list[str]:
-        template = ("relation-out" if direction is Direction.OUTGOING
-                    else "relation-in")
-        query = render_sparql(template, mid=entity)
-        return self._cached(query, "relation")
+        return self._cached(relations_query(entity, direction), "relation")
 
     def search_entities(self, entity: str, relation: str,
                         direction: Direction) -> list[str]:
-        template = ("entity-out" if direction is Direction.OUTGOING
-                    else "entity-in")
-        query = render_sparql(template, mid=entity, relation=relation)
-        return self._cached(query, "tailEntity")
+        return self._cached(entities_query(entity, relation, direction),
+                            "tailEntity")
 
     def resolve_label(self, entity: str) -> EntityLabel:
-        query = render_sparql("name", mid=entity)
-        values = self._cached(query, "tailEntity")
+        values = self._cached(label_query(entity), "tailEntity")
         if values:
             return EntityLabel(entity, values[0])
         return EntityLabel(entity, entity, is_fallback=True)
@@ -88,7 +81,7 @@ class SparqlKG:
                 self.endpoint_url, attempts, last),
             data=query.encode("utf-8"),
             headers={"Content-Type": SPARQL_MIME, "Accept": RESULTS_MIME},
-            timeout=self.timeout_seconds,
+            timeout=TIMEOUT_SECONDS,
         )
         return self._parse(payload, variable)
 
@@ -103,9 +96,7 @@ class SparqlKG:
             entry = binding.get(variable)
             if entry is None:
                 continue
-            value = entry.get("value", "")
-            if value.startswith("http://rdf.freebase.com/ns/"):
-                value = value[len("http://rdf.freebase.com/ns/"):]
+            value = entry.get("value", "").removeprefix(FREEBASE_NS)
             if value:
                 values.add(value)
         return sorted(values)

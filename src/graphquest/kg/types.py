@@ -1,10 +1,13 @@
-"""Shared types for the knowledge-graph backends."""
+"""Shared types and IRIs for the knowledge-graph backends."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from typing import Protocol
+
+FREEBASE_NS = "http://rdf.freebase.com/ns/"
+OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
 
 
 class KGError(Exception):

@@ -1,54 +1,1 @@
 """Language-model backends, structured-output parsing, and accounting."""
-
-from .accounting import usage_total
-from .http_client import ChatCompletionsBackend
-from .parsing import (
-    MalformedJsonError,
-    MissingRequiredKeyError,
-    NoListFoundError,
-    NoObjectFoundError,
-    ParseError,
-    UnbalancedBracketsError,
-    extract_json_object,
-    normalize_bool,
-    parse_json_object,
-    parse_list,
-    strip_code_fences,
-)
-from .scripted import ResponderRule, ScriptedBackend
-from .types import (
-    Completion,
-    CompletionBackend,
-    GenerationConfig,
-    LLMError,
-    NoMatchingRuleError,
-    TransportError,
-    Usage,
-    approximate_tokens,
-)
-
-__all__ = [
-    "ChatCompletionsBackend",
-    "Completion",
-    "CompletionBackend",
-    "GenerationConfig",
-    "LLMError",
-    "MalformedJsonError",
-    "MissingRequiredKeyError",
-    "NoListFoundError",
-    "NoMatchingRuleError",
-    "NoObjectFoundError",
-    "ParseError",
-    "ResponderRule",
-    "ScriptedBackend",
-    "TransportError",
-    "UnbalancedBracketsError",
-    "Usage",
-    "approximate_tokens",
-    "extract_json_object",
-    "normalize_bool",
-    "parse_json_object",
-    "parse_list",
-    "strip_code_fences",
-    "usage_total",
-]

@@ -18,6 +18,7 @@ from .types import (
 )
 
 API_KEY_ENV_VARS = ("GRAPHQUEST_API_KEY", "OPENAI_API_KEY")
+TIMEOUT_SECONDS = 60.0
 
 
 def _api_key_from_env() -> str | None:
@@ -32,14 +33,12 @@ def _api_key_from_env() -> str | None:
 class ChatCompletionsBackend:
     def __init__(self, base_url: str, *,
                  session: requests.Session | None = None,
-                 timeout_seconds: float = 60.0,
                  sleep: Callable[[float], None] = time.sleep):
         base = base_url.rstrip("/")
         if not base.endswith("/chat/completions"):
             base = base + "/chat/completions"
         self.url = base
         self.session = session or requests.Session()
-        self.timeout_seconds = timeout_seconds
         self._sleep = sleep
 
     def complete(self, prompt: str, config: GenerationConfig) -> Completion:
@@ -61,7 +60,7 @@ class ChatCompletionsBackend:
             error=lambda attempts, last: TransportError(
                 f"chat endpoint {self.url} failed after {attempts} "
                 f"attempts: {last}"),
-            json=body, headers=headers, timeout=self.timeout_seconds,
+            json=body, headers=headers, timeout=TIMEOUT_SECONDS,
         )
         latency = time.perf_counter() - started
         try:

@@ -36,8 +36,6 @@ from .state import (
     PlannerConfig,
     Question,
     ReasoningPath,
-    SubObjectiveStatus,
-    SubObjectives,
     Subgraph,
     Verdict,
 )
@@ -108,7 +106,7 @@ class _Run:
     # id -> label of every entity seen so far, topic entities included
     labels: dict[str, str] = field(init=False)
     frontier: Frontier = field(init=False)
-    objectives: SubObjectives = field(init=False)
+    objectives: tuple[str, ...] = field(init=False)
     memory: Memory = field(init=False)
 
     def __post_init__(self) -> None:
@@ -128,7 +126,7 @@ class RunResult:
     trace: RunTrace
     memory: Memory
     frontier: Frontier
-    sub_objectives: SubObjectives
+    sub_objectives: tuple[str, ...]
     iterations: int
     elapsed_seconds: float
 
@@ -160,7 +158,7 @@ class Planner:
             return self._run(run, started)
         except Exception as exc:
             elapsed = time.perf_counter() - started
-            run.trace.record("final", 0, {
+            run.record("final", {
                 "error": str(exc),
                 "elapsed_seconds": round(elapsed, 6),
             })
@@ -173,7 +171,7 @@ class Planner:
             subgraph=Subgraph(),
             paths=[ReasoningPath(origin=eid)
                    for eid, _ in run.question.topic_entities],
-            status=SubObjectiveStatus.initial(len(run.objectives.items)),
+            status=["unknown"] * len(run.objectives),
         )
         for depth in range(1, self.config.max_depth + 1):
             frontier.iteration = depth
@@ -207,7 +205,7 @@ class Planner:
 
     # -- stage: task decomposition --------------------------------------
 
-    def decompose(self, run: _Run) -> SubObjectives:
+    def decompose(self, run: _Run) -> tuple[str, ...]:
         text = run.question.text
         if self.config.ablations.no_guidance:
             run.record("selection", {
@@ -215,7 +213,7 @@ class Planner:
                 "selected": [text],
                 "note": "guidance disabled",
             })
-            return SubObjectives((text,))
+            return (text,)
         prompt = self.prompts.render("decompose", question=text)
         items, warning = self._ask(run, prompt, "decompose", parse_list)
         if not items:
@@ -223,7 +221,7 @@ class Planner:
             warning = warning or "empty sub-objective list"
         run.record("selection", {"stage": "decompose", "selected": list(items),
                                  **_present(warning=warning)})
-        return SubObjectives(tuple(items))
+        return tuple(items)
 
     # -- stage: relation exploration ------------------------------------
 
@@ -261,8 +259,7 @@ class Planner:
             prompt = self.prompts.render(
                 "relation_selection",
                 question=run.question.text,
-                sub_objectives=json.dumps(list(run.objectives.items),
-                                          ensure_ascii=False),
+                sub_objectives=json.dumps(run.objectives, ensure_ascii=False),
                 topic_entity=label,
                 relations="; ".join(names),
             )
@@ -404,13 +401,12 @@ class Planner:
             memory.paths.extend(new_paths)
         warning = None
         if self.config.ablations.no_memory:
-            memory.status = SubObjectiveStatus.initial(len(objectives.items))
+            memory.status = ["unknown"] * len(objectives)
         else:
             prompt = self.prompts.render(
                 "memory_update",
                 question=run.question.text,
-                sub_objectives=json.dumps(list(objectives.items),
-                                          ensure_ascii=False),
+                sub_objectives=json.dumps(objectives, ensure_ascii=False),
                 memory=self._render_status(memory.status),
                 triplets=self._render_paths(run),
             )
@@ -419,10 +415,10 @@ class Planner:
             if data:
                 for key, value in data.items():
                     index = self._status_index(key)
-                    if index is not None and 1 <= index <= len(objectives.items):
-                        memory.status.entries[index - 1] = str(value)
+                    if index is not None and 1 <= index <= len(objectives):
+                        memory.status[index - 1] = str(value)
         run.record("memory_update", {
-            "status": list(memory.status.entries),
+            "status": list(memory.status),
             "paths": len(memory.paths),
             "tail_entities": [eid for eid, _ in run.frontier.tail_entities],
             "candidate_pool": sorted(run.frontier.candidate_pool),
@@ -592,10 +588,10 @@ class Planner:
             label = run.labels[entity] = resolved.label
         return label
 
-    def _render_status(self, status: SubObjectiveStatus) -> str:
+    def _render_status(self, status: list[str]) -> str:
         return json.dumps(
             {f"#{i}": entry
-             for i, entry in enumerate(status.entries, start=1)},
+             for i, entry in enumerate(status, start=1)},
             ensure_ascii=False,
         )
 

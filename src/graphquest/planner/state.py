@@ -27,26 +27,6 @@ class Question:
 
 
 @dataclass(frozen=True)
-class SubObjectives:
-    items: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.items:
-            raise StateError("sub-objective list is empty")
-
-
-@dataclass
-class SubObjectiveStatus:
-    """Per-sub-objective progress notes; always one entry per objective."""
-
-    entries: list[str]
-
-    @classmethod
-    def initial(cls, count: int) -> "SubObjectiveStatus":
-        return cls(["unknown"] * count)
-
-
-@dataclass(frozen=True)
 class PathStep:
     """One traversed edge, stored in KG orientation.
 
@@ -128,7 +108,8 @@ class Subgraph:
 class Memory:
     subgraph: Subgraph
     paths: list[ReasoningPath]
-    status: SubObjectiveStatus
+    # one progress note per sub-objective
+    status: list[str]
 
 
 @dataclass

@@ -18,6 +18,9 @@ import requests
 
 from .retry import post_json
 
+# seconds RemoteEmbeddingScorer waits for each embedding request
+TIMEOUT_SECONDS = 30.0
+
 
 class RecallError(ValueError):
     pass
@@ -91,12 +94,10 @@ class RemoteEmbeddingScorer:
     def __init__(self, endpoint_url: str, *,
                  session: requests.Session | None = None,
                  model: str | None = None,
-                 timeout_seconds: float = 30.0,
                  sleep: Callable[[float], None] = time.sleep):
         self.endpoint_url = endpoint_url
         self.session = session or requests.Session()
         self.model = model
-        self.timeout_seconds = timeout_seconds
         self._sleep = sleep
         # text -> (embedding, its norm)
         self._cache: dict[str, tuple[list[float], float]] = {}
@@ -126,7 +127,7 @@ class RemoteEmbeddingScorer:
             error=lambda attempts, last: RecallError(
                 f"embedding endpoint {self.endpoint_url} failed after "
                 f"{attempts} attempts: {last}"),
-            json=body, timeout=self.timeout_seconds,
+            json=body, timeout=TIMEOUT_SECONDS,
         )
         try:
             vector = [float(v) for v in payload["data"][0]["embedding"]]

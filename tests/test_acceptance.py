@@ -28,7 +28,7 @@ from graphquest.harness.evaluate import SUMMARY_COLUMNS, run_eval, \
     summary_rows
 from graphquest.harness.metrics import hits_at_1
 from graphquest.kg.memory_store import InMemoryKG
-from graphquest.kg.queries import render_sparql
+from graphquest.kg.queries import entities_query, label_query, relations_query
 from graphquest.kg.types import Direction
 from graphquest.llm.accounting import usage_total
 from graphquest.llm.parsing import (
@@ -183,17 +183,14 @@ def test_criterion_3_depth_cap_under_adversaries(capsys, panama_kg,
 
 def test_criterion_4_query_template_goldens(capsys):
     with gate(capsys, "criterion-4 query template goldens"):
-        assert render_sparql("relation-out",
-                             mid="m.0jt3_v") == GOLDEN_RELATION_OUT
-        assert render_sparql("relation-in",
-                             mid="m.0jt3_v") == GOLDEN_RELATION_IN
-        assert render_sparql(
-            "entity-out", mid="m.05qtj",
-            relation="location.country.capital") == GOLDEN_ENTITY_OUT
-        assert render_sparql(
-            "entity-in", mid="m.0fsmy2",
-            relation="location.country.capital") == GOLDEN_ENTITY_IN
-        assert render_sparql("name", mid="m.05qtj") == GOLDEN_NAME
+        out, into = Direction.OUTGOING, Direction.INCOMING
+        assert relations_query("m.0jt3_v", out) == GOLDEN_RELATION_OUT
+        assert relations_query("m.0jt3_v", into) == GOLDEN_RELATION_IN
+        assert entities_query("m.05qtj", "location.country.capital",
+                              out) == GOLDEN_ENTITY_OUT
+        assert entities_query("m.0fsmy2", "location.country.capital",
+                              into) == GOLDEN_ENTITY_IN
+        assert label_query("m.05qtj") == GOLDEN_NAME
 
 
 # -- criterion 5: parser robustness fuzz ----------------------------------

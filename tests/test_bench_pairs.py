@@ -90,7 +90,8 @@ def test_unresolved_when_parent_spread_exceeds_the_bound():
     assert not rows["question_s_p50"]["unresolved"]
 
 
-def test_main_marks_regressions(tmp_path, monkeypatch, capsys):
+def run_main(tmp_path, monkeypatch, seed=1):
+    """main() on two fake checkouts: the change's p50 is 50% worse."""
     parent, change = tmp_path / "parent", tmp_path / "change"
     for side in (parent, change):
         side.mkdir()
@@ -105,10 +106,30 @@ def test_main_marks_regressions(tmp_path, monkeypatch, capsys):
         return {"failed": 0, "attempted": 5, **values[checkout]}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
-    assert bench_pairs.main([str(parent), str(change), "--workload", "w",
-                             "--seed", "1", "--pairs", "2"]) == 0
+    return bench_pairs.main([str(parent), str(change), "--workload", "w",
+                             "--seed", str(seed), "--pairs", "2"])
+
+
+def test_main_marks_regressions(tmp_path, monkeypatch, capsys):
+    assert run_main(tmp_path, monkeypatch) == 0
     lines = {line.split()[0]: line
              for line in capsys.readouterr().out.splitlines()
              if line.startswith("question")}
     assert "REGRESSION" in lines["question_s_p50"]
     assert "REGRESSION" not in lines["questions_per_s"]
+
+
+def test_main_ends_with_one_json_line(tmp_path, monkeypatch, capsys):
+    assert run_main(tmp_path, monkeypatch, seed=3) == 0
+    record = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (record["workload"], record["seed"], record["pairs"]) == \
+        ("w", 3, 2)
+    assert len(record["runs"]) == 2
+    first = record["runs"][0]
+    assert first["parent"]["failed"] == 0
+    assert first["change"]["attempted"] == 5
+    assert first["change"]["metrics"]["question_s_p50"]["value"] == 1.5
+    rows = {row["metric"]: row for row in record["summary"]}
+    assert rows["question_s_p50"]["parent"] == [1.0, 1.0, 1.0]
+    assert rows["question_s_p50"]["regression"]
+    assert not rows["questions_per_s"]["regression"]

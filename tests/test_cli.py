@@ -251,6 +251,8 @@ class TestErrorExits:
                      id="fixed_breadth-wide"),
         pytest.param(["--config", "recall.k = 0"], "k must be >= 1",
                      id="recall-k-0"),
+        pytest.param(["--parallel", "0"], "--parallel must be >= 1, got 0",
+                     id="parallel-0"),
     ])
     def test_out_of_range_setting_is_exit_2(self, tmp_path, capsys, extra,
                                             message):
@@ -267,3 +269,5 @@ class TestErrorExits:
         assert err.startswith("configuration error: ")
         assert message in err
         assert "Traceback" not in err
+        # rejected before the graph loads or a run directory is made
+        assert not (tmp_path / "evals").exists()

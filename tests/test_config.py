@@ -36,6 +36,18 @@ class TestConfigFile:
         assert values == {"kg.mode": "memory", "kg.path": "graph.tsv",
                           "planner.max_depth": "2"}
 
+    def test_hash_starts_a_comment_only_at_line_start_or_after_space(
+            self, tmp_path):
+        path = tmp_path / "app.conf"
+        path.write_text(
+            "#llm.mode = http\n"
+            "kg.path = /data/graph#1.tsv\n"
+            "llm.model = a # note\n",
+            encoding="utf-8",
+        )
+        values = load_config_file(str(path))
+        assert values == {"kg.path": "/data/graph#1.tsv", "llm.model": "a"}
+
     def test_bad_line_reports_position(self, tmp_path):
         path = tmp_path / "app.conf"
         path.write_text("kg.mode = memory\nthis is not a setting\n",

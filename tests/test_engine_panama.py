@@ -51,8 +51,8 @@ class TestFullRun:
     def test_sub_objective_count_matches_status_entries(self, planner,
                                                         panama_question):
         result = planner.run(panama_question)
-        assert len(result.sub_objectives.items) == 2
-        assert len(result.memory.status.entries) == 2
+        assert len(result.sub_objectives) == 2
+        assert len(result.memory.status) == 2
 
     def test_llm_call_budget(self, planner, panama_question):
         result = planner.run(panama_question)
@@ -265,8 +265,8 @@ class TestAblations:
         # same recovery, one fewer model call, question text as the only
         # sub-objective
         assert result.verdict.answer == "Juan Carlos Varela"
-        assert result.sub_objectives.items == (panama_question.text,)
-        assert len(result.memory.status.entries) == 1
+        assert result.sub_objectives == (panama_question.text,)
+        assert len(result.memory.status) == 1
         assert len(stages(result.trace)) == 17
         assert "decompose" not in stages(result.trace)
         first_selection = next(result.trace.iter_kind("selection"))
@@ -330,6 +330,8 @@ class TestFailurePaths:
         final = trace.final_event()
         assert "endpoint gone" in final.payload["error"]
         assert final.payload["elapsed_seconds"] >= 0
+        # logged at the iteration that failed, not at 0
+        assert final.iteration == 2
 
     def test_unmatched_prompt_aborts_cleanly(self, panama_kg,
                                              panama_question):

@@ -50,8 +50,7 @@ def check_invariants(result, config):
     for path in result.memory.paths:
         path.validate(max_length=config.max_depth)
     # one progress note per sub-objective, always
-    assert len(result.memory.status.entries) == \
-        len(result.sub_objectives.items)
+    assert len(result.memory.status) == len(result.sub_objectives)
     events = result.trace.events
     assert [e.seq for e in events] == list(range(len(events)))
     finals = [e for e in events if e.kind == "final"]
@@ -219,7 +218,7 @@ class TestRandomizedTrajectories:
         result = Planner(panama_kg, responder, config).run(panama_question)
         check_invariants(result, config)
         if flags.no_guidance:
-            assert result.sub_objectives.items == (panama_question.text,)
+            assert result.sub_objectives == (panama_question.text,)
         if flags.no_reflection:
             assert all(not e.payload["add"]
                        for e in result.trace.iter_kind("reflection"))
@@ -418,7 +417,7 @@ class TestParseRecovery:
         rules[DECOMPOSE_ANCHOR] = "still not a list"
         backend = FlipFlopBackend(rules, set())
         result = Planner(solo_kg(), backend).run(solo_question())
-        assert result.sub_objectives.items == (solo_question().text,)
+        assert result.sub_objectives == (solo_question().text,)
         first_selection = next(result.trace.iter_kind("selection"))
         assert "unparseable after retry" in first_selection.payload["warning"]
         assert result.verdict.answer == "Target"  # run still completes

@@ -75,6 +75,7 @@ class TestRequestShape:
         assert body["presence_penalty"] == 0.0
         assert body["messages"] == [{"role": "user", "content": "the prompt"}]
         assert "Authorization" not in session.requests[0]["headers"]
+        assert session.requests[0]["timeout"] == 60.0
 
     def test_api_key_read_from_env_only(self, monkeypatch):
         monkeypatch.setenv("GRAPHQUEST_API_KEY", "sk-test-123")

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from graphquest.prompts.registry import (
+from graphquest.prompts import (
     MissingSlotError,
     PromptAssetError,
     PromptError,

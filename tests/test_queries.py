@@ -1,13 +1,10 @@
-import pytest
+from graphquest.kg.queries import entities_query, label_query, relations_query
+from graphquest.kg.types import Direction
 
-from graphquest.kg.queries import (
-    MissingBindingError,
-    TEMPLATES,
-    UnknownTemplateError,
-    render_sparql,
-)
+OUT = Direction.OUTGOING
+IN = Direction.INCOMING
 
-# Golden query text, frozen byte-for-byte. Rendering must produce exactly
+# Golden query text, frozen byte-for-byte. The builders must produce exactly
 # these strings: whitespace, indentation, and clause order all matter
 # because remote results are cached on the rendered text.
 
@@ -62,56 +59,31 @@ GOLDEN_NAME = (
 
 class TestGoldenRenderings:
     def test_relation_out(self):
-        assert render_sparql("relation-out",
-                             mid="m.0jt3_v") == GOLDEN_RELATION_OUT
+        assert relations_query("m.0jt3_v", OUT) == GOLDEN_RELATION_OUT
 
     def test_relation_in(self):
-        assert render_sparql("relation-in",
-                             mid="m.0jt3_v") == GOLDEN_RELATION_IN
+        assert relations_query("m.0jt3_v", IN) == GOLDEN_RELATION_IN
 
     def test_entity_out(self):
-        assert render_sparql(
-            "entity-out", mid="m.05qtj",
-            relation="location.country.capital") == GOLDEN_ENTITY_OUT
+        assert entities_query("m.05qtj", "location.country.capital",
+                              OUT) == GOLDEN_ENTITY_OUT
 
     def test_entity_in(self):
-        assert render_sparql(
-            "entity-in", mid="m.0fsmy2",
-            relation="location.country.capital") == GOLDEN_ENTITY_IN
+        assert entities_query("m.0fsmy2", "location.country.capital",
+                              IN) == GOLDEN_ENTITY_IN
 
     def test_name(self):
-        assert render_sparql("name", mid="m.05qtj") == GOLDEN_NAME
+        assert label_query("m.05qtj") == GOLDEN_NAME
 
 
 class TestRenderRules:
-    def test_template_catalog(self):
-        assert set(TEMPLATES) == {"relation-out", "relation-in",
-                                  "entity-out", "entity-in", "name"}
-
-    def test_unknown_template(self):
-        with pytest.raises(UnknownTemplateError):
-            render_sparql("triples-by-color", mid="m.0")
-
-    @pytest.mark.parametrize("template_id", sorted(TEMPLATES))
-    def test_missing_mid(self, template_id):
-        with pytest.raises(MissingBindingError):
-            render_sparql(template_id, relation="location.country.capital")
-
-    @pytest.mark.parametrize("template_id", ["entity-out", "entity-in"])
-    def test_missing_relation(self, template_id):
-        with pytest.raises(MissingBindingError):
-            render_sparql(template_id, mid="m.05qtj")
-
     def test_mid_containing_the_word_relation_is_not_corrupted(self):
-        text = render_sparql("entity-out", mid="m.relation_x",
-                             relation="a.b.c")
+        text = entities_query("m.relation_x", "a.b.c", OUT)
         assert "ns:m.relation_x ns:a.b.c ?tailEntity ." in text
 
     def test_templates_have_no_trailing_newline(self):
-        for body in TEMPLATES.values():
+        for body in (relations_query("m.0a", OUT), relations_query("m.0a", IN),
+                     entities_query("m.0a", "a.b.c", OUT),
+                     entities_query("m.0a", "a.b.c", IN),
+                     label_query("m.0a")):
             assert not body.endswith("\n")
-
-    def test_rendering_is_pure(self):
-        before = dict(TEMPLATES)
-        render_sparql("name", mid="m.0abc")
-        assert TEMPLATES == before

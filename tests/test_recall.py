@@ -202,7 +202,7 @@ class FakeSession:
         self.requests = []
 
     def post(self, url, *, json, timeout):
-        self.requests.append({"url": url, "json": json})
+        self.requests.append({"url": url, "json": json, "timeout": timeout})
         outcome = self.outcomes.pop(0)
         if isinstance(outcome, Exception):
             raise outcome
@@ -227,6 +227,7 @@ class TestRemoteScorer:
         scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
                                        session=session, sleep=lambda _: None)
         assert scorer.score("question", "label") == pytest.approx(0.0)
+        assert session.requests[0]["timeout"] == 30.0
         session2 = FakeSession([embedding([1.0, 1.0]), embedding([1.0, 1.0])])
         scorer2 = RemoteEmbeddingScorer("http://embed.invalid/v1",
                                         session=session2, sleep=lambda _: None)

@@ -71,6 +71,7 @@ class TestTransport:
         assert sent["url"] == ENDPOINT
         assert sent["headers"]["Content-Type"] == "application/sparql-query"
         assert sent["headers"]["Accept"] == "application/sparql-results+json"
+        assert sent["timeout"] == 30.0
         body = sent["data"].decode("utf-8")
         assert "ns:m.05qtj ?relation ?x ." in body
 

@@ -8,8 +8,6 @@ from graphquest.planner.state import (
     Question,
     ReasoningPath,
     StateError,
-    SubObjectiveStatus,
-    SubObjectives,
     Subgraph,
     Verdict,
 )
@@ -30,16 +28,6 @@ class TestQuestion:
     def test_no_topics_rejected(self):
         with pytest.raises(StateError):
             Question("Who?", ())
-
-
-class TestSubObjectives:
-    def test_empty_rejected(self):
-        with pytest.raises(StateError):
-            SubObjectives(())
-
-    def test_status_starts_all_unknown_same_length(self):
-        status = SubObjectiveStatus.initial(3)
-        assert status.entries == ["unknown", "unknown", "unknown"]
 
 
 class TestPathSteps:

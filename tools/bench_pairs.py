@@ -16,6 +16,11 @@ BENCHMARK.json bound (a fraction of the parent's median) is marked
 REGRESSION; one whose parent quartiles lie further apart than that bound
 is marked unresolved, because such runs cannot show a move that size,
 unless every change run reads better than every parent run.
+
+The last line of output is one JSON object: the workload, seed and pair
+count, every run's run.py result (its metrics, `failed` and `attempted`)
+as {"parent": ..., "change": ...} per pair, and the summary rows. Save it
+to keep a before/after record, e.g. `... | tail -n 1 > BENCH.json`.
 """
 
 from __future__ import annotations
@@ -117,7 +122,8 @@ def main(argv=None) -> int:
         runs.append((result["parent"], result["change"]))
     print(f"\n{args.workload} seed={args.seed} pairs={args.pairs}: "
           f"median [q1, q3] per side")
-    for row in summarize(runs, metrics):
+    rows = summarize(runs, metrics)
+    for row in rows:
         p_q1, p_med, p_q3 = row["parent"]
         c_q1, c_med, c_q3 = row["change"]
         print(f"{row['metric']:22} parent {p_med:10.5g} [{p_q1:.5g}, "
@@ -127,6 +133,12 @@ def main(argv=None) -> int:
               f"{'  gain' if row['gain'] else ''}"
               f"{'  REGRESSION' if row['regression'] else ''}"
               f"{'  unresolved' if row['unresolved'] else ''}")
+    print(json.dumps({
+        "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+        "runs": [{"parent": parent, "change": change}
+                 for parent, change in runs],
+        "summary": rows,
+    }))
     return 0
 
 
