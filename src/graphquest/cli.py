@@ -15,16 +15,17 @@ from .config import (
     AppConfig,
     ConfigError,
     build_app_config,
-    build_backends,
+    build_planner,
     load_config_file,
 )
-from .harness.datasets import FLAVORS, load_dataset
+from .harness.datasets import FLAVORS, DatasetError, load_dataset
 from .harness.evaluate import ablation_matrix, run_eval, summary_rows
+from .kg.types import KGError
 from .llm.accounting import usage_total
 from .llm.types import LLMError
 from .planner.engine import Planner, PlannerRunError
 from .planner.state import Question
-from .trace import RunTrace
+from .trace import RunTrace, TraceError
 
 logger = logging.getLogger(__name__)
 
@@ -163,12 +164,10 @@ def _parse_topics(specs: list[str]) -> tuple[tuple[str, str], ...]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     app = _assemble(args)
-    backends = build_backends(app)
+    planner = build_planner(app)
     question = Question(args.question, _parse_topics(args.topic))
     run_dir = _make_run_dir(app.output_dir)
     trace_path = run_dir / "trace.jsonl"
-    planner = Planner(backends.kg, backends.llm, app.planner,
-                      scorer=backends.scorer)
     try:
         result = planner.run(question)
     except PlannerRunError as exc:
@@ -199,20 +198,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
     app = _assemble(args)
     variants = [(spec, _assemble(args, _ablation_keys(spec)).planner)
                 for spec in args.ablate]
-    backends = build_backends(app)
+    planner = build_planner(app)
     records = load_dataset(args.dataset, args.flavor)
     if not records:
         print("dataset has no usable records", file=sys.stderr)
         return 1
     run_dir = _make_run_dir(app.output_dir)
     if variants:
-        rows = ablation_matrix(records, [("full", app.planner), *variants],
-                               backends, parallelism=args.parallel,
+        # every variant shares the one loaded graph, model and scorer
+        planners = [("full", planner)] + [
+            (spec, Planner(planner.kg, planner.llm, config,
+                           scorer=planner.scorer))
+            for spec, config in variants]
+        rows = ablation_matrix(records, planners, parallelism=args.parallel,
                                out_dir=run_dir)
         reports = [report for _, report in rows]
     else:
-        reports = [run_eval(records, app.planner, backends,
-                            parallelism=args.parallel, out_dir=run_dir)]
+        reports = [run_eval(records, planner, parallelism=args.parallel,
+                            out_dir=run_dir)]
     table = summary_rows(reports)
     widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     for row in table:
@@ -284,6 +287,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (ConfigError, LLMError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except (KGError, DatasetError, TraceError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"file not found: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Flat key=value configuration and backend assembly.
+"""Flat key=value configuration and planner assembly.
 
 Config files use dotted keys, one per line (``planner.max_depth = 4``);
 a ``#`` at the start of a line or after whitespace starts a comment.
@@ -22,7 +22,7 @@ from .kg.sparql_client import SparqlKG
 from .llm.http_client import ChatCompletionsBackend
 from .llm.scripted import ScriptedBackend
 from .llm.types import GenerationConfig
-from .planner.engine import Backends
+from .planner.engine import Planner
 from .planner.state import AblationFlags, PlannerConfig, StateError
 from .recall import (
     RecallConfig,
@@ -182,7 +182,8 @@ def _guess_format(path: str) -> str:
     return "tab-separated"
 
 
-def build_backends(app: AppConfig) -> Backends:
+def build_planner(app: AppConfig) -> Planner:
+    """A planner over the configured graph, model and recall scorer."""
     if app.kg_mode == "memory":
         kg = InMemoryKG()
         fmt = app.kg_format or _guess_format(app.kg_path)
@@ -198,4 +199,4 @@ def build_backends(app: AppConfig) -> Backends:
         scorer = RemoteEmbeddingScorer(app.recall_endpoint)
     else:
         scorer = TrigramScorer()
-    return Backends(kg=kg, llm=llm, scorer=scorer)
+    return Planner(kg, llm, app.planner, scorer=scorer)

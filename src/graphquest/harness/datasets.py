@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 logger = logging.getLogger(__name__)
 
@@ -25,17 +25,6 @@ class DatasetRecord:
     question: str
     topic_entities: tuple[tuple[str, str], ...]
     answers: tuple[str, ...] = ()
-    tag: str | None = None
-
-
-@dataclass
-class _Skips:
-    count: int = 0
-    ids: list[str] = field(default_factory=list)
-
-    def note(self, record_id: str) -> None:
-        self.count += 1
-        self.ids.append(record_id)
 
 
 def load_dataset(path: str, flavor: str = "normalized") -> list[DatasetRecord]:
@@ -44,7 +33,10 @@ def load_dataset(path: str, flavor: str = "normalized") -> list[DatasetRecord]:
             f"unknown dataset flavor {flavor!r}; expected one of {FLAVORS}"
         )
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:
+            raise DatasetError(f"{path}: not JSON ({exc})") from None
     if not isinstance(payload, list):
         raise DatasetError(f"{path}: expected a top-level JSON list")
     convert = {
@@ -54,43 +46,24 @@ def load_dataset(path: str, flavor: str = "normalized") -> list[DatasetRecord]:
         "grailqa": _from_grailqa,
     }[flavor]
     records: list[DatasetRecord] = []
-    skips = _Skips()
+    skipped: list[str] = []
     for index, raw in enumerate(payload):
         try:
             record = convert(raw, index)
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise DatasetError(
                 f"{path}: record {index} is not valid {flavor}: {exc!r}"
             ) from exc
         if not record.topic_entities:
-            skips.note(record.id)
+            skipped.append(record.id)
             continue
         records.append(record)
-    if skips.count:
+    if skipped:
         logger.warning(
             "skipped %d record(s) without topic entities: %s",
-            skips.count, ", ".join(skips.ids[:10]),
+            len(skipped), ", ".join(skipped[:10]),
         )
     return records
-
-
-def save_dataset(records: list[DatasetRecord], path: str) -> None:
-    """Write records in the normalized flavor."""
-    payload = []
-    for record in records:
-        entry: dict = {
-            "id": record.id,
-            "question": record.question,
-            "topic_entities": [[eid, label]
-                               for eid, label in record.topic_entities],
-            "answers": list(record.answers),
-        }
-        if record.tag is not None:
-            entry["tag"] = record.tag
-        payload.append(entry)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
 
 
 # -- flavor converters ----------------------------------------------------
@@ -133,7 +106,6 @@ def _from_normalized(raw: dict, index: int) -> DatasetRecord:
         question=str(raw["question"]),
         topic_entities=topics,
         answers=_as_answer_strings(raw.get("answers", [])),
-        tag=raw.get("tag"),
     )
 
 
@@ -146,7 +118,6 @@ def _from_cwq(raw: dict, index: int) -> DatasetRecord:
         question=str(raw["question"]),
         topic_entities=topics,
         answers=answers,
-        tag=raw.get("compositionality_type"),
     )
 
 
@@ -191,5 +162,4 @@ def _from_grailqa(raw: dict, index: int) -> DatasetRecord:
         question=str(raw["question"]),
         topic_entities=tuple(dict(topics).items()),
         answers=_as_answer_strings(raw.get("answer", [])),
-        tag=raw.get("level"),
     )

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..llm.accounting import usage_total
-from ..planner.engine import Backends, Planner, PlannerRunError
-from ..planner.state import PlannerConfig, Question
+from ..planner.engine import Planner, PlannerRunError
+from ..planner.state import Question
 from ..trace import RunTrace
 from .datasets import DatasetRecord
 from .metrics import hits_at_1
@@ -126,8 +126,8 @@ def _run_record(record: DatasetRecord,
     return result, trace
 
 
-def run_eval(records: list[DatasetRecord], config: PlannerConfig,
-             backends: Backends, *, parallelism: int = 1,
+def run_eval(records: list[DatasetRecord], planner: Planner, *,
+             parallelism: int = 1,
              out_dir: str | Path | None = None,
              name: str = "full") -> EvalReport:
     """Evaluate every record; result order always follows input order."""
@@ -140,17 +140,12 @@ def run_eval(records: list[DatasetRecord], config: PlannerConfig,
         trace_dir = Path(out_dir) / "traces"
         trace_dir.mkdir(parents=True, exist_ok=True)
     # planners are stateless, so the workers share one
-    planner = Planner(backends.kg, backends.llm, config,
-                      scorer=backends.scorer)
-
-    def worker(record: DatasetRecord) -> tuple[QuestionResult, RunTrace]:
-        return _run_record(record, planner)
-
     if parallelism == 1:
-        outcomes = [worker(record) for record in records]
+        outcomes = [_run_record(record, planner) for record in records]
     else:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(worker, records))
+            outcomes = list(pool.map(
+                lambda record: _run_record(record, planner), records))
     results = []
     for record, (result, trace) in zip(records, outcomes):
         results.append(result)
@@ -164,20 +159,19 @@ def run_eval(records: list[DatasetRecord], config: PlannerConfig,
 
 
 def ablation_matrix(records: list[DatasetRecord],
-                    variants: list[tuple[str, PlannerConfig]],
-                    backends: Backends, *,
+                    variants: list[tuple[str, Planner]], *,
                     parallelism: int = 1,
                     out_dir: str | Path | None = None
                     ) -> list[tuple[str, EvalReport]]:
-    """Run the same records once per (name, config) variant."""
+    """Run the same records once per (name, planner) variant."""
     if not variants:
         raise HarnessError("no variants to run")
     rows: list[tuple[str, EvalReport]] = []
-    for variant_name, config in variants:
+    for variant_name, planner in variants:
         variant_dir = None
         if out_dir is not None:
             variant_dir = Path(out_dir) / _trace_filename(variant_name)
-        report = run_eval(records, config, backends,
+        report = run_eval(records, planner,
                           parallelism=parallelism, out_dir=variant_dir,
                           name=variant_name)
         rows.append((variant_name, report))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import re
+import sys
 from collections import defaultdict
 from typing import Iterable, Iterator
 
@@ -34,6 +35,10 @@ _NT_LINE = re.compile(
     r'\s*\.$'
 )
 _LITERAL = re.compile(r'^"((?:[^"\\]|\\.)*)"')
+# a backslash escape in a literal: \uXXXX, \UXXXXXXXX or one character
+_ESCAPE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
+_ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+           '"': '"', "'": "'", "\\": "\\"}
 
 FORMATS = ("ntriples-subset", "tab-separated")
 
@@ -45,8 +50,18 @@ class TripleLoadError(KGError):
         self.line_number = line_number
 
 
+def _unescape(match: re.Match) -> str:
+    escape = match.group(1)
+    if escape in _ECHARS:
+        return _ECHARS[escape]
+    if len(escape) > 1 and int(escape[1:], 16) <= sys.maxunicode:
+        return chr(int(escape[1:], 16))
+    raise ValueError(f"unsupported escape \\{escape} in literal")
+
+
 def _unescape_literal(raw: str) -> str:
-    return raw.encode("utf-8").decode("unicode_escape") if "\\" in raw else raw
+    """Decode the N-Triples escapes; any other escape is a ValueError."""
+    return _ESCAPE.sub(_unescape, raw) if "\\" in raw else raw
 
 
 class InMemoryKG:
@@ -134,7 +149,10 @@ class InMemoryKG:
             literal = _LITERAL.match(raw_obj)
             if literal is None:
                 raise TripleLoadError(path, number, "malformed literal")
-            obj = _unescape_literal(literal.group(1))
+            try:
+                obj = _unescape_literal(literal.group(1))
+            except ValueError as exc:
+                raise TripleLoadError(path, number, str(exc)) from None
         return subject, relation, obj
 
     # -- queries ---------------------------------------------------------

@@ -87,16 +87,15 @@ class SparqlKG:
 
     @staticmethod
     def _parse(payload: dict, variable: str) -> list[str]:
-        try:
-            bindings = payload["results"]["bindings"]
-        except (KeyError, TypeError):
-            raise KGError("malformed SPARQL results payload") from None
         values = set()
-        for binding in bindings:
-            entry = binding.get(variable)
-            if entry is None:
-                continue
-            value = entry.get("value", "").removeprefix(FREEBASE_NS)
-            if value:
-                values.add(value)
+        try:
+            for binding in payload["results"]["bindings"]:
+                entry = binding.get(variable)
+                if entry is None:
+                    continue
+                value = entry.get("value", "").removeprefix(FREEBASE_NS)
+                if value:
+                    values.add(value)
+        except (KeyError, TypeError, AttributeError):
+            raise KGError("malformed SPARQL results payload") from None
         return sorted(values)

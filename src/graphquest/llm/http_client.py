@@ -54,7 +54,6 @@ class ChatCompletionsBackend:
         key = _api_key_from_env()
         if key:
             headers["Authorization"] = f"Bearer {key}"
-        started = time.perf_counter()
         payload = post_json(
             self.session, self.url, sleep=self._sleep,
             error=lambda attempts, last: TransportError(
@@ -62,21 +61,19 @@ class ChatCompletionsBackend:
                 f"attempts: {last}"),
             json=body, headers=headers, timeout=TIMEOUT_SECONDS,
         )
-        latency = time.perf_counter() - started
         try:
             text = payload["choices"][0]["message"]["content"] or ""
-        except (KeyError, IndexError, TypeError):
+            if not isinstance(text, str):
+                raise TypeError("content is not text")
+            reported = payload.get("usage") or {}
+            input_tokens = reported.get("prompt_tokens")
+            output_tokens = reported.get("completion_tokens")
+            usage = Usage(
+                approximate_tokens(prompt) if input_tokens is None
+                else int(input_tokens),
+                approximate_tokens(text) if output_tokens is None
+                else int(output_tokens))
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError):
             raise TransportError(
                 f"malformed chat response from {self.url}") from None
-        usage = payload.get("usage") or {}
-        input_tokens = usage.get("prompt_tokens")
-        output_tokens = usage.get("completion_tokens")
-        if input_tokens is None:
-            input_tokens = approximate_tokens(prompt)
-        if output_tokens is None:
-            output_tokens = approximate_tokens(text)
-        return Completion(
-            text=text,
-            usage=Usage(int(input_tokens), int(output_tokens)),
-            latency_seconds=latency,
-        )
+        return Completion(text=text, usage=usage)

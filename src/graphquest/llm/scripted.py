@@ -92,7 +92,7 @@ class ScriptedBackend:
         text = self._respond(prompt)
         usage = Usage(input_tokens=approximate_tokens(prompt),
                       output_tokens=approximate_tokens(text))
-        return Completion(text=text, usage=usage, latency_seconds=0.0)
+        return Completion(text=text, usage=usage)
 
     def _respond(self, prompt: str) -> str:
         for rule in self.rules:

@@ -48,7 +48,6 @@ class Usage:
 class Completion:
     text: str
     usage: Usage = field(default_factory=Usage)
-    latency_seconds: float = 0.0
 
 
 class CompletionBackend(Protocol):

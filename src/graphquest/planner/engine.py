@@ -87,13 +87,6 @@ class PendingExpansion:
 
 
 @dataclass
-class Backends:
-    kg: KGBackend
-    llm: CompletionBackend
-    scorer: Scorer | None = None
-
-
-@dataclass
 class _Run:
     """The working state of one question, created afresh by `Planner.run`.
 

@@ -109,6 +109,9 @@ class RemoteEmbeddingScorer:
             raise RecallError("cannot score empty text")
         left, left_norm = self._embed(q)
         right, right_norm = self._embed(c)
+        if len(left) != len(right):
+            raise RecallError(f"embedding dimensions differ: {len(left)} "
+                              f"and {len(right)}")
         dot = sum(a * b for a, b in zip(left, right))
         norm = left_norm * right_norm
         if norm == 0.0:

@@ -24,6 +24,10 @@ EVENT_KINDS = frozenset({
 })
 
 
+# the type each event field must have in a saved trace line
+_FIELD_TYPES = {"seq": int, "kind": str, "iteration": int, "payload": dict}
+
+
 class TraceError(ValueError):
     pass
 
@@ -56,17 +60,21 @@ class TraceEvent:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceError(f"bad trace line: {exc}") from exc
+        if not isinstance(record, dict):
+            raise TraceError("bad trace line: not a JSON object")
+        for name, kind in _FIELD_TYPES.items():
+            if not isinstance(record.get(name), kind):
+                raise TraceError(f"bad trace line: {name!r} is missing or "
+                                 f"not {kind.__name__}")
         usage = None
         if "usage" in record:
-            usage = Usage(int(record["usage"]["input_tokens"]),
-                          int(record["usage"]["output_tokens"]))
-        return cls(
-            seq=int(record["seq"]),
-            kind=str(record["kind"]),
-            iteration=int(record["iteration"]),
-            payload=dict(record["payload"]),
-            usage=usage,
-        )
+            try:
+                usage = Usage(int(record["usage"]["input_tokens"]),
+                              int(record["usage"]["output_tokens"]))
+            except (KeyError, TypeError, ValueError):
+                raise TraceError("bad trace line: malformed 'usage'") from None
+        return cls(**{name: record[name] for name in _FIELD_TYPES},
+                   usage=usage)
 
 
 @dataclass
@@ -106,8 +114,12 @@ class RunTrace:
     def load(cls, path: str) -> "RunTrace":
         events = []
         with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, start=1):
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     events.append(TraceEvent.from_json(line))
+                except TraceError as exc:
+                    raise TraceError(f"{path}:{number}: {exc}") from None
         return cls(events=events)

@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from graphquest.config import build_app_config, build_backends
+from graphquest.config import build_app_config, build_planner
 from graphquest.harness.datasets import load_dataset
 from graphquest.harness.evaluate import SUMMARY_COLUMNS, run_eval, \
     summary_rows
@@ -37,7 +37,7 @@ from graphquest.llm.parsing import (
     parse_json_object,
     parse_list,
 )
-from graphquest.planner.engine import Backends, Planner
+from graphquest.planner.engine import Planner
 from graphquest.planner.state import AblationFlags, PlannerConfig, Question
 from graphquest.recall import top_k
 
@@ -389,8 +389,7 @@ def test_criterion_7_accounting_self_consistency(capsys, tmp_path,
                                                  capitals_kg, capitals_llm):
     with gate(capsys, "criterion-7 accounting self-consistency"):
         records = load_dataset(str(FIXTURES / "capitals_dataset.json"))
-        backends = Backends(kg=capitals_kg, llm=capitals_llm)
-        report = run_eval(records, PlannerConfig(), backends,
+        report = run_eval(records, Planner(capitals_kg, capitals_llm),
                           out_dir=tmp_path, name="full")
 
         totals = {"calls": 0, "input_tokens": 0, "output_tokens": 0,
@@ -512,7 +511,7 @@ def test_criterion_9_live_endpoint_smoke(capsys, tmp_path):
             "llm.base_url": base_url,
             "llm.model": model,
         })
-        report = run_eval(records, app.planner, build_backends(app),
+        report = run_eval(records, build_planner(app),
                           out_dir=tmp_path, name="full")
         failures = [r.error for r in report.results if r.error]
         assert not failures, failures

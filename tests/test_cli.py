@@ -238,6 +238,44 @@ class TestErrorExits:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("graph, dataset, message", [
+        pytest.param("m.0a\tonly-two-columns\n", None,
+                     "bad.txt:1: expected 3 tab-separated columns",
+                     id="malformed-triples"),
+        pytest.param(None, "not json", "bad.txt: not JSON",
+                     id="non-json-dataset"),
+    ])
+    def test_bad_eval_input_is_exit_2(self, tmp_path, capsys, graph,
+                                      dataset, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(graph or dataset, encoding="utf-8")
+        records = bad if dataset else FIXTURES / "capitals_dataset.json"
+        code = main(["eval", str(records),
+                     "--kg", str(bad if graph else FIXTURES / "capitals.tsv"),
+                     "--script", str(FIXTURES / "capitals_script.json"),
+                     "--out", str(tmp_path / "evals")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert message in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "evals").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        pytest.param("{not json", "trace.jsonl:1: bad trace line",
+                     id="non-json-line"),
+        pytest.param('{"seq": 0}', "trace.jsonl:1: bad trace line: 'kind'",
+                     id="missing-kind"),
+    ])
+    def test_bad_trace_is_exit_2(self, tmp_path, capsys, line, message):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        assert main(["inspect-trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert message in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("extra, message", [
         pytest.param(["--depth", "0"], "max_depth must be >= 1",
                      id="depth-0"),

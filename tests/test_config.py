@@ -10,7 +10,7 @@ from graphquest.config import (
     AppConfig,
     ConfigError,
     build_app_config,
-    build_backends,
+    build_planner,
     load_config_file,
 )
 from graphquest.kg.memory_store import InMemoryKG
@@ -137,11 +137,12 @@ class TestBackendAssembly:
             "llm.mode": "scripted",
             "llm.script": str(fixtures_dir / "capitals_script.json"),
         })
-        backends = build_backends(app)
-        assert isinstance(backends.kg, InMemoryKG)
-        assert len(backends.kg) == 8
-        assert isinstance(backends.llm, ScriptedBackend)
-        assert isinstance(backends.scorer, TrigramScorer)
+        planner = build_planner(app)
+        assert isinstance(planner.kg, InMemoryKG)
+        assert len(planner.kg) == 8
+        assert isinstance(planner.llm, ScriptedBackend)
+        assert isinstance(planner.scorer, TrigramScorer)
+        assert planner.config is app.planner
 
     def test_format_guessed_from_suffix(self, tmp_path, fixtures_dir):
         nt = tmp_path / "mini.nt"
@@ -156,8 +157,8 @@ class TestBackendAssembly:
             "llm.mode": "scripted",
             "llm.script": str(fixtures_dir / "capitals_script.json"),
         })
-        backends = build_backends(app)
-        assert len(backends.kg) == 1
+        planner = build_planner(app)
+        assert len(planner.kg) == 1
 
     def test_sparql_and_http_modes_assemble_lazily(self):
         from graphquest.kg.sparql_client import SparqlKG
@@ -166,9 +167,9 @@ class TestBackendAssembly:
             "kg.mode": "sparql", "kg.endpoint": "http://kg.invalid/sparql",
             "llm.mode": "http", "llm.base_url": "http://llm.invalid/v1",
         })
-        backends = build_backends(app)  # no network traffic at build time
-        assert isinstance(backends.kg, SparqlKG)
-        assert isinstance(backends.llm, ChatCompletionsBackend)
+        planner = build_planner(app)  # no network traffic at build time
+        assert isinstance(planner.kg, SparqlKG)
+        assert isinstance(planner.llm, ChatCompletionsBackend)
 
 
 class TestAppConfig:

@@ -5,10 +5,8 @@ import pytest
 
 from graphquest.harness.datasets import (
     DatasetError,
-    DatasetRecord,
     FLAVORS,
     load_dataset,
-    save_dataset,
 )
 
 
@@ -25,20 +23,6 @@ class TestNormalized:
         assert records[0].topic_entities == (("m.fr", "France"),)
         assert records[0].answers == ("Paris",)
 
-    def test_round_trip(self, tmp_path, fixtures_dir):
-        records = load_dataset(str(fixtures_dir / "capitals_dataset.json"))
-        out = tmp_path / "again.json"
-        save_dataset(records, str(out))
-        again = load_dataset(str(out))
-        assert again == records
-
-    def test_tag_survives_round_trip(self, tmp_path):
-        record = DatasetRecord("r1", "Why?", (("m.0a", "A"),), ("yes",),
-                               tag="comparative")
-        out = tmp_path / "tagged.json"
-        save_dataset([record], str(out))
-        assert load_dataset(str(out))[0].tag == "comparative"
-
 
 class TestCwq:
     def test_shape(self, tmp_path):
@@ -54,7 +38,6 @@ class TestCwq:
         assert records[0].id == "WebQTrn-1_abc"
         assert records[0].topic_entities == (("m.05qtj", "Panama"),)
         assert records[0].answers == ("Juan Carlos Varela", "Varela")
-        assert records[0].tag == "composition"
 
 
 class TestWebqsp:
@@ -101,7 +84,6 @@ class TestGrailqa:
         assert records[0].id == "3201"
         assert records[0].topic_entities == (("m.0f2v0", "Vienna"),)
         assert set(records[0].answers) == {"m.0dnh2", "Danube"}
-        assert records[0].tag == "i.i.d."
 
 
 class TestValidation:
@@ -116,6 +98,12 @@ class TestValidation:
         with pytest.raises(DatasetError):
             load_dataset(path)
 
+    def test_non_json_file_names_the_file(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("not json", encoding="utf-8")
+        with pytest.raises(DatasetError, match="x.json: not JSON"):
+            load_dataset(str(path))
+
     def test_bad_record_reports_index(self, tmp_path):
         path = write_json(tmp_path / "x.json", [
             {"id": "ok", "question": "Q?",
@@ -125,6 +113,14 @@ class TestValidation:
         with pytest.raises(DatasetError) as info:
             load_dataset(path)
         assert "record 1" in str(info.value)
+
+    def test_topic_entity_of_three_items_reports_index(self, tmp_path):
+        path = write_json(tmp_path / "x.json", [
+            {"id": "odd", "question": "Q?",
+             "topic_entities": [["m.0a", "A", "extra"]]},
+        ])
+        with pytest.raises(DatasetError, match="record 0"):
+            load_dataset(path)
 
     def test_topicless_records_skipped_with_warning(self, tmp_path, caplog):
         path = write_json(tmp_path / "x.json", [

@@ -16,7 +16,7 @@ from graphquest.harness.evaluate import (
 )
 from graphquest.harness.metrics import MetricsError, hits_at_1, \
     normalize_answer
-from graphquest.planner.engine import Backends
+from graphquest.planner.engine import Planner
 from graphquest.planner.state import AblationFlags, PlannerConfig
 
 from oracles import oracle_hits, oracle_normalize, resummed_costs
@@ -54,14 +54,13 @@ def capitals_records(fixtures_dir):
 
 
 @pytest.fixture
-def capitals_backends(capitals_kg, capitals_llm):
-    return Backends(kg=capitals_kg, llm=capitals_llm)
+def capitals_planner(capitals_kg, capitals_llm):
+    return Planner(capitals_kg, capitals_llm)
 
 
 class TestRunEval:
-    def test_scores_and_order(self, capitals_records, capitals_backends):
-        report = run_eval(capitals_records, PlannerConfig(),
-                          capitals_backends)
+    def test_scores_and_order(self, capitals_records, capitals_planner):
+        report = run_eval(capitals_records, capitals_planner)
         assert [r.id for r in report.results] == ["cap-fr", "cap-jp",
                                                   "cap-it", "cap-es"]
         assert [r.correct for r in report.results] == [True, True, True,
@@ -72,9 +71,8 @@ class TestRunEval:
         assert spain.predicted == "Barcelona"
         assert spain.error is None
 
-    def test_per_question_costs(self, capitals_records, capitals_backends):
-        report = run_eval(capitals_records, PlannerConfig(),
-                          capitals_backends)
+    def test_per_question_costs(self, capitals_records, capitals_planner):
+        report = run_eval(capitals_records, capitals_planner)
         for result in report.results:
             # single-hop scripted runs: decompose, relation, entity,
             # memory, evaluate
@@ -85,20 +83,17 @@ class TestRunEval:
             assert result.seconds > 0
 
     def test_parallel_equals_serial(self, capitals_records,
-                                    capitals_backends):
-        serial = run_eval(capitals_records, PlannerConfig(),
-                          capitals_backends, parallelism=1)
-        threaded = run_eval(capitals_records, PlannerConfig(),
-                            capitals_backends, parallelism=3)
+                                    capitals_planner):
+        serial = run_eval(capitals_records, capitals_planner, parallelism=1)
+        threaded = run_eval(capitals_records, capitals_planner, parallelism=3)
         strip = lambda r: dataclasses.replace(r, seconds=0.0)  # noqa: E731
         assert [strip(r) for r in serial.results] == \
             [strip(r) for r in threaded.results]
 
     def test_artifacts_written(self, tmp_path, capitals_records,
-                               capitals_backends):
+                               capitals_planner):
         out = tmp_path / "eval"
-        report = run_eval(capitals_records, PlannerConfig(),
-                          capitals_backends, out_dir=out)
+        report = run_eval(capitals_records, capitals_planner, out_dir=out)
         saved = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert saved["name"] == "full"
         assert saved["aggregates"]["hits_at_1"] == 0.75
@@ -111,10 +106,9 @@ class TestRunEval:
 
     def test_report_matches_trace_resummation(self, tmp_path,
                                               capitals_records,
-                                              capitals_backends):
+                                              capitals_planner):
         out = tmp_path / "eval"
-        report = run_eval(capitals_records, PlannerConfig(),
-                          capitals_backends, out_dir=out)
+        report = run_eval(capitals_records, capitals_planner, out_dir=out)
         for result in report.results:
             costs = resummed_costs(out / "traces" / f"{result.id}.jsonl")
             assert result.llm_calls == costs["calls"]
@@ -126,19 +120,18 @@ class TestRunEval:
         assert agg["total_llm_calls"] == 20
         assert agg["mean_llm_calls"] == 5.0
 
-    def test_no_records_rejected(self, capitals_backends):
+    def test_no_records_rejected(self, capitals_planner):
         with pytest.raises(HarnessError):
-            run_eval([], PlannerConfig(), capitals_backends)
+            run_eval([], capitals_planner)
         with pytest.raises(HarnessError):
             run_eval([DatasetRecord("x", "Q?", (("m.0a", "A"),))],
-                     PlannerConfig(), capitals_backends, parallelism=0)
+                     capitals_planner, parallelism=0)
 
     def test_goldless_record_counts_as_incorrect(self, capitals_kg,
                                                  capitals_llm):
         record = DatasetRecord("no-gold", "What is the capital of France?",
                                (("m.fr", "France"),), answers=())
-        report = run_eval([record], PlannerConfig(),
-                          Backends(kg=capitals_kg, llm=capitals_llm))
+        report = run_eval([record], Planner(capitals_kg, capitals_llm))
         assert report.results[0].correct is False
         assert report.results[0].error == "no gold answers"
         assert report.results[0].predicted == "Paris"
@@ -146,8 +139,8 @@ class TestRunEval:
     def test_backend_failure_recorded_not_raised(self, capitals_records,
                                                  capitals_kg):
         from graphquest.llm.scripted import ScriptedBackend
-        report = run_eval(capitals_records, PlannerConfig(),
-                          Backends(kg=capitals_kg, llm=ScriptedBackend([])))
+        report = run_eval(capitals_records,
+                          Planner(capitals_kg, ScriptedBackend([])))
         for result in report.results:
             assert result.correct is False
             assert "no scripted rule" in result.error
@@ -185,11 +178,15 @@ class TestAblationMatrix:
         ("shallow", PlannerConfig(max_depth=1)),
     ]
 
+    @pytest.fixture
+    def planners(self, capitals_kg, capitals_llm):
+        return [(name, Planner(capitals_kg, capitals_llm, config))
+                for name, config in self.VARIANTS]
+
     def test_one_report_per_variant(self, tmp_path, capitals_records,
-                                    capitals_backends):
+                                    planners):
         out = tmp_path / "matrix"
-        rows = ablation_matrix(capitals_records, self.VARIANTS,
-                               capitals_backends, out_dir=out)
+        rows = ablation_matrix(capitals_records, planners, out_dir=out)
         assert [name for name, _ in rows] == ["full", "no_reflection",
                                               "shallow"]
         # capitals runs finish in one hop, so all variants score alike
@@ -204,10 +201,9 @@ class TestAblationMatrix:
         assert [line.split("\t")[0] for line in lines[1:]] == \
             ["full", "no_reflection", "shallow"]
 
-    def test_empty_variant_list_rejected(self, capitals_records,
-                                         capitals_backends):
+    def test_empty_variant_list_rejected(self, capitals_records):
         with pytest.raises(HarnessError):
-            ablation_matrix(capitals_records, [], capitals_backends)
+            ablation_matrix(capitals_records, [])
 
 
 class TestSummaryRows:

@@ -116,6 +116,18 @@ class TestResponses:
         with pytest.raises(TransportError):
             backend.complete("p", CONFIG)
 
+    @pytest.mark.parametrize("payload", [
+        pytest.param({**chat_payload("ok"), "usage": 5},
+                     id="usage-not-object"),
+        pytest.param(chat_payload(5), id="content-not-text"),
+        pytest.param(chat_payload("ok", {"prompt_tokens": "many"}),
+                     id="tokens-not-a-number"),
+    ])
+    def test_malformed_fields_raise_transport_error(self, payload):
+        backend, _, _ = make_backend([FakeResponse(200, payload)])
+        with pytest.raises(TransportError, match="malformed chat response"):
+            backend.complete("p", CONFIG)
+
 
 class TestRetries:
     def test_retryable_then_success(self):

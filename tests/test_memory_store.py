@@ -49,6 +49,37 @@ class TestLoading:
         assert str(path) in str(info.value)
         assert len(kg) == 0  # all-or-nothing
 
+    def test_ntriples_literal_escapes(self, tmp_path):
+        labels = {
+            r'"Café \"Noir\""': 'Café "Noir"',
+            r'"a\tb\bc\nd\re\ff"': "a\tb\bc\nd\re\ff",
+            r'"it\'s a \\ sign"': "it's a \\ sign",
+            r'"\u00e9t\u00E9 \U0001F600"': "\u00e9t\u00e9 \U0001F600",
+        }
+        path = tmp_path / "escapes.nt"
+        path.write_text("".join(
+            f"<http://rdf.freebase.com/ns/m.{i}> "
+            f"<http://rdf.freebase.com/ns/type.object.name> {literal} .\n"
+            for i, literal in enumerate(labels)), encoding="utf-8")
+        kg = InMemoryKG()
+        kg.load_triples(str(path), format="ntriples-subset")
+        assert [kg.resolve_label(f"m.{i}").label
+                for i in range(len(labels))] == list(labels.values())
+
+    @pytest.mark.parametrize("literal", [r'"bad \x"', r'"bad \u12"',
+                                         r'"bad \a"', r'"bad \UFFFFFFFF"'])
+    def test_unknown_literal_escape_names_the_line(self, tmp_path, literal):
+        path = tmp_path / "bad.nt"
+        path.write_text(
+            "# header\n"
+            "<http://rdf.freebase.com/ns/m.0a> "
+            f"<http://rdf.freebase.com/ns/type.object.name> {literal} .\n",
+            encoding="utf-8")
+        with pytest.raises(TripleLoadError) as info:
+            InMemoryKG().load_triples(str(path), format="ntriples-subset")
+        assert info.value.line_number == 2
+        assert "escape" in str(info.value)
+
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("a,b,c\n", encoding="utf-8")

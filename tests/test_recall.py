@@ -267,6 +267,13 @@ class TestRemoteScorer:
         with pytest.raises(RecallError):
             scorer.score("q", "c")
 
+    def test_dimension_mismatch_is_an_error(self):
+        session = FakeSession([embedding([1.0, 2.0, 3.0]), embedding([1.0])])
+        scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
+                                       session=session, sleep=lambda _: None)
+        with pytest.raises(RecallError, match="3 and 1"):
+            scorer.score("q", "c")
+
     def test_client_error_fails_fast(self):
         session = FakeSession([FakeResponse(401)])
         sleeps = []

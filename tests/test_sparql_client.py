@@ -106,6 +106,18 @@ class TestTransport:
         with pytest.raises(KGError):
             client.search_relations("m.0x", Direction.OUTGOING)
 
+    @pytest.mark.parametrize("bindings", [
+        pytest.param(["x"], id="binding-not-object"),
+        pytest.param(5, id="bindings-not-list"),
+        pytest.param([{"relation": "x"}], id="entry-not-object"),
+        pytest.param([{"relation": {"value": 7}}], id="value-not-text"),
+    ])
+    def test_malformed_bindings_raise_kg_error(self, bindings):
+        payload = {"results": {"bindings": bindings}}
+        client, _, _ = make_client([FakeResponse(200, payload)])
+        with pytest.raises(KGError, match="malformed SPARQL results"):
+            client.search_relations("m.0x", Direction.OUTGOING)
+
 
 class TestCache:
     def test_identical_query_hits_cache(self):

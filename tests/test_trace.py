@@ -87,6 +87,31 @@ class TestSerialization:
         with pytest.raises(TraceError):
             TraceEvent.from_json("{not json")
 
+    @pytest.mark.parametrize("line", [
+        pytest.param('[1, 2]', id="not-an-object"),
+        pytest.param('{"seq": 0}', id="missing-kind"),
+        pytest.param('{"seq": "0", "kind": "final", "iteration": 0, '
+                     '"payload": {}}', id="seq-not-int"),
+        pytest.param('{"seq": 0, "kind": 5, "iteration": 0, "payload": {}}',
+                     id="kind-not-text"),
+        pytest.param('{"seq": 0, "kind": "final", "iteration": null, '
+                     '"payload": {}}', id="iteration-null"),
+        pytest.param('{"seq": 0, "kind": "final", "iteration": 0, '
+                     '"payload": []}', id="payload-not-object"),
+        pytest.param('{"seq": 0, "kind": "final", "iteration": 0, '
+                     '"payload": {}, "usage": 3}', id="usage-not-object"),
+    ])
+    def test_malformed_record_raises(self, line):
+        with pytest.raises(TraceError):
+            TraceEvent.from_json(line)
+
+    def test_load_names_file_and_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(TraceEvent(0, "final", 0, {}).to_json()
+                        + '\n{"seq": 1}\n', encoding="utf-8")
+        with pytest.raises(TraceError, match=f"{path}:2: .*'kind'"):
+            RunTrace.load(str(path))
+
 
 class TestUsageTotals:
     def test_only_llm_calls_count(self):
