@@ -20,6 +20,11 @@ class Direction(enum.Enum):
     OUTGOING = "outgoing"
     INCOMING = "incoming"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with `==`; Enum's own `__hash__` is Python code, and the
+    # planner hashes a direction with every relation edge it records.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Triplet:

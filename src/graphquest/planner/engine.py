@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable
 
-from ..kg.types import Direction, KGBackend, Triplet
+from ..kg.types import Direction, KGBackend
 from ..llm.parsing import (
     ParseError,
     extract_json_object,
@@ -101,6 +101,8 @@ class _Run:
     frontier: Frontier = field(init=False)
     objectives: tuple[str, ...] = field(init=False)
     memory: Memory = field(init=False)
+    # `memory.paths` as the prompts show them, rendered when they change
+    paths_text: str = ""
 
     def __post_init__(self) -> None:
         topics = self.question.topic_entities
@@ -310,7 +312,7 @@ class Planner:
                 labeled = [(cid, self._label(run, cid)) for cid in found]
                 for cid, clabel in labeled:
                     subgraph.triples.add(
-                        Triplet(*_oriented(tail, relation, cid, direction)))
+                        _oriented(tail, relation, cid, direction))
                     frontier.candidate_pool.setdefault(cid, clabel)
                 if len(labeled) > self.config.recall.threshold:
                     kept = top_k(run.question.text, labeled,
@@ -392,6 +394,7 @@ class Planner:
             memory.paths = [p for p in memory.paths
                             if (p.origin, p.steps) not in prefixes]
             memory.paths.extend(new_paths)
+            run.paths_text = self._render_paths(run)
         warning = None
         if self.config.ablations.no_memory:
             memory.status = ["unknown"] * len(objectives)
@@ -401,7 +404,7 @@ class Planner:
                 question=run.question.text,
                 sub_objectives=json.dumps(objectives, ensure_ascii=False),
                 memory=self._render_status(memory.status),
-                triplets=self._render_paths(run),
+                triplets=run.paths_text,
             )
             data, warning = self._ask(run, prompt, "memory_update",
                                       extract_json_object)
@@ -426,7 +429,7 @@ class Planner:
             "answer",
             question=run.question.text,
             memory=self._render_status(run.memory.status),
-            triplets=self._render_paths(run),
+            triplets=run.paths_text,
         )
         stage = "forced_answer" if forced else "evaluate"
         data, warning = self._ask(run, prompt, stage, _decode_answer)
@@ -470,7 +473,7 @@ class Planner:
             entities=json.dumps([label for _, label in frontier.tail_entities],
                                 ensure_ascii=False),
             memory=self._render_status(memory.status),
-            triplets=self._render_paths(run),
+            triplets=run.paths_text,
         )
         data, warning = self._ask(run, prompt, "reflection",
                                   _decode_reflection)
@@ -589,13 +592,14 @@ class Planner:
         )
 
     def _render_paths(self, run: _Run) -> str:
+        # every path entity is a topic or was labelled when first found
+        labels = run.labels
         lines: list[str] = []
         seen: set[str] = set()
         for path in run.memory.paths:
             for step in path.steps:
-                line = (f"{self._label(run, step.subject)}, "
-                        f"{step.relation}, "
-                        f"{self._label(run, step.object)}")
+                line = (f"{labels[step.subject]}, {step.relation}, "
+                        f"{labels[step.object]}")
                 if line not in seen:
                     seen.add(line)
                     lines.append(line)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..kg.types import Direction, Triplet
+from ..kg.types import Direction
 from ..llm.types import GenerationConfig
 from ..recall import RecallConfig
 
@@ -93,7 +93,8 @@ class Subgraph:
     """Everything retrieved so far, plus which pairs were expanded."""
 
     relation_edges: set[tuple[str, str, Direction]] = field(default_factory=set)
-    triples: set[Triplet] = field(default_factory=set)
+    # (subject, relation, object) of every edge retrieved
+    triples: set[tuple[str, str, str]] = field(default_factory=set)
     expanded: set[tuple[str, str, Direction]] = field(default_factory=set)
 
     def size_summary(self) -> dict[str, int]:

@@ -1,6 +1,6 @@
 import pytest
 
-from graphquest.kg.types import Direction, Triplet
+from graphquest.kg.types import Direction
 from graphquest.planner.state import (
     AblationFlags,
     PathStep,
@@ -112,7 +112,7 @@ class TestSubgraph:
     def test_size_summary(self):
         sub = Subgraph()
         sub.relation_edges.add(("m.0a", "r.one", OUT))
-        sub.triples.add(Triplet("m.0a", "r.one", "m.0b"))
+        sub.triples.add(("m.0a", "r.one", "m.0b"))
         sub.expanded.add(("m.0a", "r.one", OUT))
         assert sub.size_summary() == {"relation_edges": 1, "triples": 1,
                                       "expanded": 1}
