@@ -243,6 +243,14 @@ def _clip(text: str, limit: int = 70) -> str:
 
 
 def _summarize(event) -> str:
+    """One line on the event; its raw payload if a field is mistyped."""
+    try:
+        return _describe(event)
+    except (TypeError, AttributeError):
+        return _clip(event.payload)
+
+
+def _describe(event) -> str:
     p = event.payload
     if event.kind == "llm_call":
         cost = ""
@@ -259,11 +267,19 @@ def _summarize(event) -> str:
             return (f"entities via {p.get('relation')} "
                     f"({p.get('direction')}) from {p.get('entity')}: "
                     f"{p.get('count')}")
-        return f"label {p.get('entity')} -> {p.get('label')}"
+        if op == "labels":
+            # an unnamed entity's label is its id
+            named = [f"{eid} -> {_clip(label, 40)}"
+                     for eid, label in p.get("labels").items()]
+            unnamed = [f"{eid} -> {eid} (fallback)"
+                       for eid in p.get("fallback", ())]
+            return "labels " + ", ".join(named + unnamed)
+        return _clip(p)
     if event.kind == "selection":
         return f"{p.get('stage')}: {_clip(p.get('selected', p))}"
     if event.kind == "memory_update":
-        return (f"paths={p.get('paths')} pool={len(p.get('candidate_pool', []))} "
+        return (f"paths={p.get('paths')} "
+                f"pool+{len(p.get('candidate_pool', ()))} "
                 f"status={_clip(p.get('status'))}")
     if event.kind == "verdict":
         mark = "sufficient" if p.get("sufficient") else "insufficient"

@@ -66,6 +66,9 @@ class TraceEvent:
             if not isinstance(record.get(name), kind):
                 raise TraceError(f"bad trace line: {name!r} is missing or "
                                  f"not {kind.__name__}")
+        if record["kind"] not in EVENT_KINDS:
+            raise TraceError(
+                f"bad trace line: unknown kind {record['kind']!r}")
         usage = None
         if "usage" in record:
             try:

@@ -6,13 +6,14 @@ import pytest
 from graphquest.cli import (
     _ablation_keys,
     _assemble,
+    _clip,
     _parse_topics,
     build_parser,
     main,
 )
 from graphquest.config import ConfigError
 from graphquest.planner.state import AblationFlags
-from graphquest.trace import RunTrace
+from graphquest.trace import RunTrace, TraceEvent
 
 from conftest import FIXTURES, PANAMA_QUESTION
 
@@ -207,6 +208,39 @@ class TestInspectCommand:
         assert lines[-1].startswith("-- 53 events, 18 llm calls")
         assert "answer='Juan Carlos Varela'" in out
 
+    @pytest.mark.parametrize("kind, payload", [
+        pytest.param("memory_update", {"candidate_pool": 5},
+                     id="pool-not-a-list"),
+        pytest.param("kg_query", {"op": "labels", "labels": ["m.0a"]},
+                     id="labels-not-an-object"),
+        pytest.param("kg_query", {"op": "labels", "labels": {"m.0a": "A"},
+                                  "fallback": 5},
+                     id="fallback-not-a-list"),
+    ])
+    def test_wrong_typed_payload_prints_it_raw(self, tmp_path, capsys, kind,
+                                               payload):
+        line = TraceEvent(0, kind, 0, payload).to_json()
+        path = tmp_path / "trace.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        assert main(["inspect-trace", str(path)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        # the payload as loaded, keys sorted as the file stores them
+        assert first.endswith(_clip(TraceEvent.from_json(line).payload))
+
+    def test_labels_and_pool_delta(self, tmp_path, capsys):
+        trace = RunTrace()
+        trace.record("kg_query", 1, {
+            "op": "labels", "labels": {"m.0a": "Panama"},
+            "fallback": ["m.0b"]})
+        trace.record("memory_update", 1, {
+            "paths": 2, "candidate_pool": ["m.0a", "m.0b"], "status": []})
+        path = tmp_path / "trace.jsonl"
+        trace.save(str(path))
+        assert main(["inspect-trace", str(path)]) == 0
+        labels, update = capsys.readouterr().out.splitlines()[:2]
+        assert labels.endswith("labels m.0a -> Panama, m.0b -> m.0b (fallback)")
+        assert "pool+2" in update
+
 
 class TestErrorExits:
     def test_missing_file_is_exit_2(self, tmp_path, capsys):
@@ -266,6 +300,10 @@ class TestErrorExits:
                      id="non-json-line"),
         pytest.param('{"seq": 0}', "trace.jsonl:1: bad trace line: 'kind'",
                      id="missing-kind"),
+        pytest.param('{"seq": 0, "kind": "nonsense", "iteration": 0, '
+                     '"payload": {}}',
+                     "trace.jsonl:1: bad trace line: unknown kind 'nonsense'",
+                     id="unknown-kind"),
     ])
     def test_bad_trace_is_exit_2(self, tmp_path, capsys, line, message):
         path = tmp_path / "trace.jsonl"

@@ -100,6 +100,8 @@ class TestSerialization:
                      '"payload": []}', id="payload-not-object"),
         pytest.param('{"seq": 0, "kind": "final", "iteration": 0, '
                      '"payload": {}, "usage": 3}', id="usage-not-object"),
+        pytest.param('{"seq": 0, "kind": "nonsense", "iteration": 0, '
+                     '"payload": {}}', id="unknown-kind"),
     ])
     def test_malformed_record_raises(self, line):
         with pytest.raises(TraceError):
