@@ -15,6 +15,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from typing import Any, Callable
 
 from ..kg.types import Direction, KGBackend
@@ -103,6 +104,8 @@ class _Run:
     memory: Memory = field(init=False)
     # `memory.paths` as the prompts show them, rendered when they change
     paths_text: str = ""
+    # how many `frontier.candidate_pool` entries a memory_update has listed
+    pool_listed: int = 0
 
     def __post_init__(self) -> None:
         topics = self.question.topic_entities
@@ -174,6 +177,7 @@ class Planner:
                 # keep only what the current iteration discovers
                 run.memory.subgraph = Subgraph()
                 frontier.candidate_pool = dict(frontier.tail_entities)
+                run.pool_listed = 0
             pending = self.explore_relations(run)
             self.update_memory(run, self.explore_entities(run, pending))
             verdict = self.evaluate(run)
@@ -309,7 +313,9 @@ class Planner:
                     "direction": direction.value, "count": len(found),
                 })
                 subgraph.expanded.add(pair)
-                labeled = [(cid, self._label(run, cid)) for cid in found]
+                self._resolve_labels(run, found)
+                labels = run.labels
+                labeled = [(cid, labels[cid]) for cid in found]
                 for cid, clabel in labeled:
                     subgraph.triples.add(
                         _oriented(tail, relation, cid, direction))
@@ -413,11 +419,16 @@ class Planner:
                     index = self._status_index(key)
                     if index is not None and 1 <= index <= len(objectives):
                         memory.status[index - 1] = str(value)
+        # the pool only grows between resets, so its newest entries are
+        # the ones that joined since the previous memory_update
+        pool = run.frontier.candidate_pool
+        joined = sorted(islice(pool, run.pool_listed, None))
+        run.pool_listed = len(pool)
         run.record("memory_update", {
             "status": list(memory.status),
             "paths": len(memory.paths),
             "tail_entities": [eid for eid, _ in run.frontier.tail_entities],
-            "candidate_pool": sorted(run.frontier.candidate_pool),
+            "candidate_pool": joined,
             "subgraph": memory.subgraph.size_summary(),
             **_present(warning=warning),
         })
@@ -536,7 +547,6 @@ class Planner:
             "add": bool(chosen),
             "reason": reason,
             "backtrack": chosen,
-            "candidate_pool": sorted(pool),
             "tails": sorted(current),
             **_present(dropped=dropped, warning=warning),
         })
@@ -574,15 +584,31 @@ class Planner:
         """The entity's label; a first sight is resolved and traced."""
         label = run.labels.get(entity)
         if label is None:
-            resolved = self.kg.resolve_label(entity)
-            run.record("kg_query", {
-                "op": "label",
-                "entity": entity,
-                "label": resolved.label,
-                "fallback": resolved.is_fallback,
-            })
-            label = run.labels[entity] = resolved.label
+            self._resolve_labels(run, (entity,))
+            label = run.labels[entity]
         return label
+
+    def _resolve_labels(self, run: _Run, entities) -> None:
+        """Resolve the entities not seen yet and trace them as one event:
+        `labels` maps each named one to its name, and `fallback` lists
+        the unnamed ones, whose label is their id."""
+        labels = run.labels
+        named: dict[str, str] | None = None
+        for entity in entities:
+            if entity in labels:
+                continue
+            resolved = self.kg.resolve_label(entity)
+            labels[entity] = resolved.label
+            if named is None:
+                # most expansions find nothing new: allocate on first sight
+                named, fallback = {}, []
+            if resolved.is_fallback:
+                fallback.append(entity)
+            else:
+                named[entity] = resolved.label
+        if named is not None:
+            run.record("kg_query", {"op": "labels", "labels": named,
+                                    **_present(fallback=fallback)})
 
     def _render_status(self, status: list[str]) -> str:
         return json.dumps(

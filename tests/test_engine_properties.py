@@ -60,10 +60,26 @@ def check_invariants(result, config):
         for key in ("warning", "dropped", "cycles"):
             if key in event.payload:
                 assert event.payload[key], (event.kind, key)
+    pool = result.frontier.candidate_pool
+    no_memory = config.ablations.no_memory
+    resolved: set[str] = set()
     for event in result.trace.iter_kind("kg_query"):
-        if event.payload.get("fallback"):
+        if event.payload["op"] != "labels":
+            continue
+        named, unnamed = event.payload["labels"], event.payload.get(
+            "fallback", [])
+        assert named or unnamed
+        for eid in unnamed:
             # an unnamed entity is shown by its id
-            assert event.payload["label"] == event.payload["entity"]
+            assert eid not in named
+            if not no_memory:
+                assert eid in pool
+            assert pool.get(eid, eid) == eid
+        # each entity is resolved and traced once per run
+        ids = [*named, *unnamed]
+        assert len(set(ids)) == len(ids)
+        assert resolved.isdisjoint(ids)
+        resolved.update(ids)
     for event in result.trace.iter_kind("llm_call"):
         assert event.usage is not None
         assert event.usage.input_tokens == \
@@ -83,17 +99,29 @@ def check_invariants(result, config):
             # answer present exactly when the verdict claims sufficiency
             assert (event.payload["answer"] is not None) == \
                 event.payload["sufficient"]
-    for event in result.trace.iter_kind("reflection"):
-        # add is true exactly when some entity is re-opened
-        assert event.payload["add"] is bool(event.payload["backtrack"])
-        if event.payload["add"]:
-            assert set(event.payload["backtrack"]) <= \
-                set(event.payload["candidate_pool"])
-    if not config.ablations.no_memory:
-        pools = [e.payload["candidate_pool"]
-                 for e in result.trace.iter_kind("memory_update")]
-        for earlier, later in zip(pools, pools[1:]):
-            assert set(earlier) <= set(later)
+    # each memory_update lists the ids that joined the pool since the
+    # previous one; without memory the pool restarts every iteration, so
+    # each lists the whole pool
+    deltas: list[list[str]] = []
+    for event in events:
+        payload = event.payload
+        if event.kind == "memory_update":
+            delta = payload["candidate_pool"]
+            assert delta == sorted(set(delta))
+            deltas.append(delta)
+        elif event.kind == "reflection":
+            assert "candidate_pool" not in payload
+            # add is true exactly when some entity is re-opened
+            assert payload["add"] is bool(payload["backtrack"])
+            seen = deltas[-1:] if no_memory else deltas
+            assert set(payload["backtrack"]) <= \
+                {eid for delta in seen for eid in delta}
+    if no_memory:
+        assert deltas[-1] == sorted(pool)
+    else:
+        joined = [eid for delta in deltas for eid in delta]
+        assert len(joined) == len(set(joined))  # the deltas are disjoint
+        assert set(joined) == set(pool)
     verdict = result.verdict
     if not verdict.forced:
         assert verdict.sufficient and verdict.answer
@@ -236,6 +264,40 @@ class TestRandomizedTrajectories:
         direct_usage, direct_calls = usage_total(result.trace)
         loaded_usage, loaded_calls = usage_total(loaded)
         assert (direct_usage, direct_calls) == (loaded_usage, loaded_calls)
+
+
+class MissCountingPlanner(Planner):
+    """Counts the `_label` calls that meet an entity not labelled yet."""
+
+    misses = 0
+
+    def _label(self, run, entity):
+        self.misses += entity not in run.labels
+        return super()._label(run, entity)
+
+
+class TestLabelEvents:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_labels_event_per_expansion_at_most(self, seed):
+        rng = random.Random(5000 + seed)
+        triples, labels = random_graph(rng)
+        entities = sorted(labels)
+        # every fourth entity has no name, so fallbacks occur
+        kg = make_kg(triples, {eid: labels[eid]
+                               for index, eid in enumerate(entities)
+                               if index % 4 != 3})
+        topics = tuple((eid, labels[eid]) for eid in entities[:2])
+        question = Question(f"How does {labels[entities[0]]} relate to "
+                            f"{labels[entities[1]]}?", topics)
+        config = PlannerConfig(max_depth=3)
+        planner = MissCountingPlanner(kg, PromptAwareResponder(seed), config)
+        result = planner.run(question)
+        check_invariants(result, config)  # no id in two labels events
+        queries = [e.payload for e in result.trace.iter_kind("kg_query")]
+        ops = [payload["op"] for payload in queries]
+        assert "label" not in ops
+        assert 0 < ops.count("labels") <= \
+            ops.count("entities") + planner.misses
 
 
 class TestCycleGuard:

@@ -30,19 +30,19 @@ from test_engine_properties import make_kg
 # group -> (event count, sha256 of the stable lines joined by newlines)
 GOLDEN = {
     "panama-default": (
-        53, "a7e75002e3ccdf0f2321ee28cdb23398fa8731277bea7df4b6a9c7f21ad6ba56"),
+        53, "3acf6af3b9443705841d9ee9637b8377ad491f0b2472a5e563f0da5a04af0020"),
     "panama-no_guidance": (
-        52, "f7b7f153f73e6509d03733727aed2feda7f228d4e508226aaabea4ad6bb81f9f"),
+        52, "252802c7d87a197f0c3c17b7977fa3b863d6f0f511d084013ec428904340c5ce"),
     "panama-no_memory": (
-        53, "616b6b69cbdb979038a8b015b99ed98ba704b5aabc7b471fb1b89237c6c8ba50"),
+        53, "bb1a506f3e01fcbcd17e9aa64b189a0aef601cd148a669f2e4563bc939216c94"),
     "panama-no_reflection": (
-        50, "4001a74b0f82a98093177131c796d538bd27d2bc8a404dac6c2b88512428b094"),
+        50, "747fdd838809589b1a1fb00798c5f8ba6ee9cad64e91195ab292717632640db4"),
     "panama-fixed_breadth=1": (
-        53, "a7e75002e3ccdf0f2321ee28cdb23398fa8731277bea7df4b6a9c7f21ad6ba56"),
+        53, "3acf6af3b9443705841d9ee9637b8377ad491f0b2472a5e563f0da5a04af0020"),
     "capitals": (
-        60, "1f9615a1529ed8bb857138c2f43e7cc0cdfb03d684ad6c81c28da28cf916bae0"),
+        60, "a9a14b2948601c6483b8431daf8dca18a2644e7c6527b3472132f50523ecd289"),
     "random-graph": (
-        29488, "e8fb4af5b46e6889177990799ed3d6c34da60e06622de2742b4eedd9241575ff"),
+        29046, "7e01516637b09ceb65997bbcad0b73fce17a398d08239c36fcdba71aa3826f1f"),
 }
 
 PANAMA_FLAGS = {
