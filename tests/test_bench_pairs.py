@@ -90,8 +90,28 @@ def test_unresolved_when_parent_spread_exceeds_the_bound():
     assert not rows["question_s_p50"]["unresolved"]
 
 
-def run_main(tmp_path, monkeypatch, seed=1):
-    """main() on two fake checkouts: the change's p50 is 50% worse."""
+def test_failed_share_is_each_sides_median_of_failed_over_attempted():
+    def run(failed, attempted):
+        return {"failed": failed, "attempted": attempted, **result(1.0, 1.0)}
+
+    runs = [(run(0, 10), run(1, 10)), (run(0, 10), run(0, 10)),
+            (run(1, 10), run(2, 10))]
+    row = bench_pairs.failure_row(runs)
+    assert row["metric"] == "failed_share"
+    assert row["parent"][1] == 0.0
+    assert row["change"][1] == 0.1
+    assert row["wins"] == 0
+    assert row["regression"]
+    assert not row["gain"] and not row["unresolved"]
+    # the same share on both sides is no regression
+    row = bench_pairs.failure_row([(run(1, 10), run(2, 20))] * 3)
+    assert row["change"][1] == row["parent"][1] == 0.1
+    assert not row["regression"]
+
+
+def run_main(tmp_path, monkeypatch, seed=1, failed=(0, 0)):
+    """main() on two fake checkouts: the change's p50 is 50% worse, and
+    the parent and the change fail `failed` of 5 questions."""
     parent, change = tmp_path / "parent", tmp_path / "change"
     for side in (parent, change):
         side.mkdir()
@@ -101,9 +121,11 @@ def run_main(tmp_path, monkeypatch, seed=1):
                        for name, entry in SPEC.items()],
     }))
     values = {parent: result(1.0, 10.0), change: result(1.5, 10.0)}
+    failures = {parent: failed[0], change: failed[1]}
 
     def fake_run(checkout, workload, seed, seconds):
-        return {"failed": 0, "attempted": 5, **values[checkout]}
+        return {"failed": failures[checkout], "attempted": 5,
+                **values[checkout]}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     return bench_pairs.main([str(parent), str(change), "--workload", "w",
@@ -114,9 +136,19 @@ def test_main_marks_regressions(tmp_path, monkeypatch, capsys):
     assert run_main(tmp_path, monkeypatch) == 0
     lines = {line.split()[0]: line
              for line in capsys.readouterr().out.splitlines()
-             if line.startswith("question")}
+             if line.startswith(("question", "failed_share"))}
     assert "REGRESSION" in lines["question_s_p50"]
     assert "REGRESSION" not in lines["questions_per_s"]
+    assert "REGRESSION" not in lines["failed_share"]
+
+
+def test_main_marks_a_higher_failed_share(tmp_path, monkeypatch, capsys):
+    assert run_main(tmp_path, monkeypatch, failed=(0, 1)) == 0
+    out = capsys.readouterr().out.splitlines()
+    line = next(line for line in out if line.startswith("failed_share"))
+    assert "REGRESSION" in line
+    rows = {row["metric"]: row for row in json.loads(out[-1])["summary"]}
+    assert rows["failed_share"]["change"] == [0.2, 0.2, 0.2]
 
 
 def test_main_ends_with_one_json_line(tmp_path, monkeypatch, capsys):

@@ -15,7 +15,9 @@ metric whose change median is worse than the parent's by more than its
 BENCHMARK.json bound (a fraction of the parent's median) is marked
 REGRESSION; one whose parent quartiles lie further apart than that bound
 is marked unresolved, because such runs cannot show a move that size,
-unless every change run reads better than every parent run.
+unless every change run reads better than every parent run. A last row,
+failed_share, gives each side's median of failed/attempted questions and
+is marked REGRESSION when the change's median is higher.
 
 The last line of output is one JSON object: the workload, seed and pair
 count, every run's run.py result (its metrics, `failed` and `attempted`)
@@ -93,6 +95,26 @@ def summarize(runs: list[tuple[dict, dict]],
     return rows
 
 
+def failure_row(runs: list[tuple[dict, dict]]) -> dict:
+    """The failed/attempted share of each side, in the shape of a
+    `summarize` row; any rise in the change's median is a regression."""
+    parent = [p["failed"] / p["attempted"] for p, _ in runs]
+    change = [c["failed"] / c["attempted"] for _, c in runs]
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_q1, c_med, c_q3 = quartiles(change)
+    return {
+        "metric": "failed_share",
+        "unit": "ratio",
+        "parent": (p_q1, p_med, p_q3),
+        "change": (c_q1, c_med, c_q3),
+        "delta": (c_med - p_med) / p_med if p_med else 0.0,
+        "wins": sum(c < p for p, c in zip(parent, change)),
+        "gain": False,
+        "regression": c_med > p_med,
+        "unresolved": False,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -122,7 +144,7 @@ def main(argv=None) -> int:
         runs.append((result["parent"], result["change"]))
     print(f"\n{args.workload} seed={args.seed} pairs={args.pairs}: "
           f"median [q1, q3] per side")
-    rows = summarize(runs, metrics)
+    rows = summarize(runs, metrics) + [failure_row(runs)]
     for row in rows:
         p_q1, p_med, p_q3 = row["parent"]
         c_q1, c_med, c_q3 = row["change"]
