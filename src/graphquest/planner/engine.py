@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from ..kg.types import Direction, KGBackend
 from ..llm.parsing import (
@@ -588,7 +588,7 @@ class Planner:
             label = run.labels[entity]
         return label
 
-    def _resolve_labels(self, run: _Run, entities) -> None:
+    def _resolve_labels(self, run: _Run, entities: Iterable[str]) -> None:
         """Resolve the entities not seen yet and trace them as one event:
         `labels` maps each named one to its name, and `fallback` lists
         the unnamed ones, whose label is their id."""

@@ -238,7 +238,8 @@ class TestInspectCommand:
         trace.save(str(path))
         assert main(["inspect-trace", str(path)]) == 0
         labels, update = capsys.readouterr().out.splitlines()[:2]
-        assert labels.endswith("labels m.0a -> Panama, m.0b -> m.0b (fallback)")
+        assert labels.endswith(
+            "labels m.0a -> Panama, m.0b -> m.0b (fallback)")
         assert "pool+2" in update
 
 
