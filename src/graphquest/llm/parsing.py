@@ -152,35 +152,52 @@ def _clean_item(item: str) -> str:
     return item.strip()
 
 
+def _fenced_json(text: str, open_ch: str, close_ch: str):
+    """The first span of a fenced response as strict JSON, else None.
+
+    A fence marker inside a JSON string is content, not markup, so this
+    is tried before the markers are stripped.
+    """
+    start = text.find(open_ch) if "```" in text else -1
+    span = _balanced_span(text, start, open_ch, close_ch) if start >= 0 else None
+    try:
+        return json.loads(span) if span is not None else None
+    except ValueError:
+        return None
+
+
 def parse_list(text: str) -> list[str]:
     """Extract the first bracketed list from the response as strings."""
-    cleaned = strip_code_fences(text)
-    start = cleaned.find("[")
-    if start == -1:
-        raise NoListFoundError()
-    span = _balanced_span(cleaned, start, "[", "]")
-    if span is None:
-        raise UnbalancedBracketsError()
-    decoded = _decode_span(span)
-    if isinstance(decoded, (list, tuple)):
-        items = [str(x).strip() for x in decoded]
-    else:
-        items = [_clean_item(piece) for piece in _split_items(span[1:-1])]
+    decoded = _fenced_json(text, "[", "]")
+    if not isinstance(decoded, list):
+        cleaned = strip_code_fences(text)
+        start = cleaned.find("[")
+        if start == -1:
+            raise NoListFoundError()
+        span = _balanced_span(cleaned, start, "[", "]")
+        if span is None:
+            raise UnbalancedBracketsError()
+        decoded = _decode_span(span)
+        if not isinstance(decoded, (list, tuple)):
+            decoded = [_clean_item(piece) for piece in _split_items(span[1:-1])]
+    items = (str(x).strip() for x in decoded)
     return [item for item in items if item]
 
 
 def extract_json_object(text: str) -> dict:
     """Extract the first balanced JSON object; no key requirements."""
-    cleaned = strip_code_fences(text)
-    start = cleaned.find("{")
-    if start == -1:
-        raise NoObjectFoundError()
-    span = _balanced_span(cleaned, start, "{", "}")
-    if span is None:
-        raise MalformedJsonError("object span is never closed")
-    decoded = _decode_span(span)
+    decoded = _fenced_json(text, "{", "}")
     if not isinstance(decoded, dict):
-        raise MalformedJsonError("span did not decode to an object")
+        cleaned = strip_code_fences(text)
+        start = cleaned.find("{")
+        if start == -1:
+            raise NoObjectFoundError()
+        span = _balanced_span(cleaned, start, "{", "}")
+        if span is None:
+            raise MalformedJsonError("object span is never closed")
+        decoded = _decode_span(span)
+        if not isinstance(decoded, dict):
+            raise MalformedJsonError("span did not decode to an object")
     return {str(key): value for key, value in decoded.items()}
 
 

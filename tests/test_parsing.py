@@ -35,6 +35,9 @@ class TestParseList:
         ('[["inner"], "outer"]', ["['inner']", "outer"]),
         ('["don\'t stop"]', ["don't stop"]),
         ('[first] and later [second]', ["first"]),
+        # a fence marker inside a JSON string is content, not markup
+        ('["```"]', ["```"]),
+        ('```json\n["a ```b``` c", "d"]\n```', ["a ```b``` c", "d"]),
     ])
     def test_examples(self, text, expected):
         assert parse_list(text) == expected
@@ -61,6 +64,7 @@ class TestExtractObject:
         ('{"a": {"nested": "obj"}}', {"a": {"nested": "obj"}}),
         ('{"a": "x",}', {"a": "x"}),
         ('{"a": "brace } in quotes"}', {"a": "brace } in quotes"}),
+        ('```json\n{"A": "run ```x```"}\n```', {"A": "run ```x```"}),
     ])
     def test_examples(self, text, expected):
         assert extract_json_object(text) == expected
