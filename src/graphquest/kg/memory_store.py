@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import re
 import sys
-from collections import defaultdict
+from sys import intern
 from typing import Iterable, Iterator
 
 from .types import (
@@ -65,13 +65,20 @@ def _unescape_literal(raw: str) -> str:
 
 
 class InMemoryKG:
-    """Triple store over plain dicts; all query results are sorted."""
+    """Triple store over plain dicts; all query results are sorted.
+
+    Every id and relation is interned, so a repeated one is stored once.
+    Per entity, `_out` holds one flat list that alternates relation and
+    object and `_in` one that alternates relation and subject, both in
+    insertion order. `_names` and `_aliases` keep each entity's first
+    sorted label only.
+    """
 
     def __init__(self, triples: Iterable[tuple[str, str, str]] = ()):
-        self._by_subject: dict[str, list[Triplet]] = defaultdict(list)
-        self._by_object: dict[str, list[Triplet]] = defaultdict(list)
-        self._names: dict[str, list[str]] = defaultdict(list)
-        self._aliases: dict[str, list[str]] = defaultdict(list)
+        self._out: dict[str, list[str]] = {}
+        self._in: dict[str, list[str]] = {}
+        self._names: dict[str, str] = {}
+        self._aliases: dict[str, str] = {}
         self._size = 0
         for subject, relation, obj in triples:
             self.add(subject, relation, obj)
@@ -82,107 +89,138 @@ class InMemoryKG:
     def add(self, subject: str, relation: str, obj: str) -> None:
         """Insert one triple; name/alias predicates feed the label table."""
         if relation == NAME_PREDICATE:
-            self._names[subject].append(obj)
+            _keep_first(self._names, subject, obj)
             return
         if relation in ALIAS_PREDICATES:
-            self._aliases[subject].append(obj)
+            _keep_first(self._aliases, subject, obj)
             return
-        triple = Triplet(subject, relation, obj)
-        self._by_subject[subject].append(triple)
-        self._by_object[obj].append(triple)
+        subject, relation, obj = intern(subject), intern(relation), intern(obj)
+        _append(self._out, subject, relation, obj)
+        _append(self._in, obj, relation, subject)
         self._size += 1
 
     def triples(self) -> Iterator[Triplet]:
-        for bucket in self._by_subject.values():
-            yield from bucket
+        for subject, flat in self._out.items():
+            pairs = iter(flat)
+            for relation, obj in zip(pairs, pairs):
+                yield Triplet(subject, relation, obj)
 
     # -- loading ---------------------------------------------------------
 
     def load_triples(self, path: str, format: str = "tab-separated") -> int:
         """Load a triple file; returns the number of data lines parsed.
 
-        Parsing is all-or-nothing: a malformed line raises TripleLoadError
-        (with its line number) and leaves the store unchanged.
+        Parsing is all-or-nothing: lines go into a staging store that
+        replaces an empty store and is merged into any other, so a
+        malformed line raises TripleLoadError (with its line number) and
+        leaves the store unchanged.
         """
         if format not in FORMATS:
             raise KGError(
                 f"unknown triple format {format!r}; expected one of {FORMATS}"
             )
-        parsed: list[tuple[str, str, str]] = []
+        parse = _parse_tsv if format == "tab-separated" else _parse_nt
+        staged = InMemoryKG()
+        add = staged.add
+        count = 0
         with open(path, "r", encoding="utf-8") as handle:
             for number, raw in enumerate(handle, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                if format == "tab-separated":
-                    parsed.append(self._parse_tsv(path, number, line))
+                add(*parse(path, number, line))
+                count += 1
+        self._merge(staged)
+        logger.debug("loaded %d triples from %s", count, path)
+        return count
+
+    def _merge(self, staged: InMemoryKG) -> None:
+        if not (self._out or self._names or self._aliases):
+            vars(self).update(vars(staged))
+            return
+        for mine, theirs in ((self._out, staged._out),
+                             (self._in, staged._in)):
+            for entity, flat in theirs.items():
+                if entity in mine:
+                    mine[entity] += flat
                 else:
-                    parsed.append(self._parse_nt(path, number, line))
-        for subject, relation, obj in parsed:
-            self.add(subject, relation, obj)
-        logger.debug("loaded %d triples from %s", len(parsed), path)
-        return len(parsed)
-
-    @staticmethod
-    def _parse_tsv(path: str, number: int, line: str) -> tuple[str, str, str]:
-        columns = line.split("\t")
-        if len(columns) < 3:
-            raise TripleLoadError(
-                path, number, f"expected 3 tab-separated columns, got {len(columns)}"
-            )
-        subject, relation, obj = (c.strip() for c in columns[:3])
-        if not subject or not relation or not obj:
-            raise TripleLoadError(path, number, "empty column")
-        return subject, relation, obj
-
-    @staticmethod
-    def _parse_nt(path: str, number: int, line: str) -> tuple[str, str, str]:
-        match = _NT_LINE.match(line)
-        if match is None:
-            raise TripleLoadError(path, number, "not a recognized triple line")
-        subject = match.group(1).removeprefix(FREEBASE_NS)
-        relation = match.group(2).removeprefix(FREEBASE_NS)
-        raw_obj = match.group(3)
-        if raw_obj.startswith("<"):
-            obj = raw_obj[1:-1].removeprefix(FREEBASE_NS)
-        else:
-            literal = _LITERAL.match(raw_obj)
-            if literal is None:
-                raise TripleLoadError(path, number, "malformed literal")
-            try:
-                obj = _unescape_literal(literal.group(1))
-            except ValueError as exc:
-                raise TripleLoadError(path, number, str(exc)) from None
-        return subject, relation, obj
+                    mine[entity] = flat
+        for mine, theirs in ((self._names, staged._names),
+                             (self._aliases, staged._aliases)):
+            for entity, label in theirs.items():
+                _keep_first(mine, entity, label)
+        self._size += staged._size
 
     # -- queries ---------------------------------------------------------
 
     def search_relations(self, entity: str, direction: Direction) -> list[str]:
-        if direction is Direction.OUTGOING:
-            bucket = self._by_subject.get(entity, [])
-        else:
-            bucket = self._by_object.get(entity, [])
-        return sorted({t.relation for t in bucket})
+        flat = self._edges(direction).get(entity)
+        return sorted(set(flat[::2])) if flat else []
 
     def search_entities(self, entity: str, relation: str,
                         direction: Direction) -> list[str]:
-        if direction is Direction.OUTGOING:
-            found = {
-                t.object for t in self._by_subject.get(entity, [])
-                if t.relation == relation
-            }
-        else:
-            found = {
-                t.subject for t in self._by_object.get(entity, [])
-                if t.relation == relation
-            }
-        return sorted(found)
+        flat = self._edges(direction).get(entity)
+        if not flat:
+            return []
+        pairs = iter(flat)
+        return sorted({other for rel, other in zip(pairs, pairs)
+                       if rel == relation})
 
     def resolve_label(self, entity: str) -> EntityLabel:
-        names = self._names.get(entity)
-        if names:
-            return EntityLabel(entity, sorted(names)[0])
-        aliases = self._aliases.get(entity)
-        if aliases:
-            return EntityLabel(entity, sorted(aliases)[0])
-        return EntityLabel(entity, entity, is_fallback=True)
+        label = self._names.get(entity) or self._aliases.get(entity)
+        if label is None:
+            return EntityLabel(entity, entity, is_fallback=True)
+        return EntityLabel(entity, label)
+
+    def _edges(self, direction: Direction) -> dict[str, list[str]]:
+        return self._out if direction is Direction.OUTGOING else self._in
+
+
+def _append(index: dict[str, list[str]], entity: str, relation: str,
+            other: str) -> None:
+    flat = index.get(entity)
+    if flat is None:
+        index[entity] = [relation, other]
+    else:
+        flat += relation, other
+
+
+def _keep_first(labels: dict[str, str], entity: str, label: str) -> None:
+    """Keep the first sorted label; a blank one never becomes a label."""
+    if label.strip():
+        current = labels.get(entity)
+        if current is None or label < current:
+            labels[intern(entity)] = label
+
+
+def _parse_tsv(path: str, number: int, line: str) -> tuple[str, str, str]:
+    columns = line.split("\t")
+    if len(columns) < 3:
+        raise TripleLoadError(
+            path, number, f"expected 3 tab-separated columns, got {len(columns)}"
+        )
+    subject, relation, obj = (columns[0].strip(), columns[1].strip(),
+                              columns[2].strip())
+    if not subject or not relation or not obj:
+        raise TripleLoadError(path, number, "empty column")
+    return subject, relation, obj
+
+
+def _parse_nt(path: str, number: int, line: str) -> tuple[str, str, str]:
+    match = _NT_LINE.match(line)
+    if match is None:
+        raise TripleLoadError(path, number, "not a recognized triple line")
+    subject = match.group(1).removeprefix(FREEBASE_NS)
+    relation = match.group(2).removeprefix(FREEBASE_NS)
+    raw_obj = match.group(3)
+    if raw_obj.startswith("<"):
+        obj = raw_obj[1:-1].removeprefix(FREEBASE_NS)
+    else:
+        literal = _LITERAL.match(raw_obj)
+        if literal is None:
+            raise TripleLoadError(path, number, "malformed literal")
+        try:
+            obj = _unescape_literal(literal.group(1))
+        except ValueError as exc:
+            raise TripleLoadError(path, number, str(exc)) from None
+    return subject, relation, obj

@@ -136,3 +136,55 @@ def random_graph(rng: random.Random, max_entities: int = 30,
         triples.add((subject, rng.choice(relations), obj))
     labels = {eid: f"Thing {i:03d}" for i, eid in enumerate(entities)}
     return sorted(triples), labels
+
+
+def random_multigraph(rng: random.Random, max_entities: int = 16,
+                      max_relations: int = 5, max_rows: int = 140):
+    """Random store rows in insertion order: domain triples with repeats
+    and self-loops, plus several names and aliases per entity, some of
+    them blank or shared."""
+    entities = [f"m.e{i}" for i in range(rng.randint(3, max_entities))]
+    relations = [f"test.block_{i}.edge_{i}"
+                 for i in range(rng.randint(1, max_relations))]
+    words = ["", "  ", "Alpha", "alpha", "Beta", "Zulu", "Échelle", "Beta 2"]
+    label_predicates = ["type.object.name", "common.topic.alias",
+                        "http://www.w3.org/2002/07/owl#sameAs"]
+    rows = []
+    for _ in range(rng.randint(1, max_rows)):
+        roll = rng.random()
+        if roll < 0.1 and rows:
+            rows.append(rng.choice(rows))  # an exact repeat
+        elif roll < 0.35:
+            rows.append((rng.choice(entities), rng.choice(label_predicates),
+                         rng.choice(words)))
+        else:
+            subject = rng.choice(entities)
+            obj = subject if roll < 0.45 else rng.choice(entities)
+            rows.append((subject, rng.choice(relations), obj))
+    return rows
+
+
+def naive_label(rows, entity):
+    """(label, is_fallback) by the store's rules, from a scan of the rows."""
+    for predicates in (("type.object.name",),
+                       ("common.topic.alias",
+                        "http://www.w3.org/2002/07/owl#sameAs")):
+        texts = sorted(obj for subject, relation, obj in rows
+                       if subject == entity and relation in predicates
+                       and obj.strip() != "")
+        if texts:
+            return texts[0], False
+    return entity, True
+
+
+def naive_domain_triples(rows):
+    """Domain triples grouped by subject in order of first appearance."""
+    label_predicates = ("type.object.name", "common.topic.alias",
+                        "http://www.w3.org/2002/07/owl#sameAs")
+    domain = [row for row in rows if row[1] not in label_predicates]
+    subjects = []
+    for subject, _, _ in domain:
+        if subject not in subjects:
+            subjects.append(subject)
+    return [row for subject in subjects for row in domain
+            if row[0] == subject]

@@ -1,11 +1,56 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
+from graphquest.kg import memory_store
 from graphquest.kg.memory_store import InMemoryKG, TripleLoadError
-from graphquest.kg.types import Direction, KGError, Triplet
+from graphquest.kg.types import (
+    FREEBASE_NS,
+    Direction,
+    EntityLabel,
+    KGError,
+    Triplet,
+)
 
-from oracles import naive_search_entities, naive_search_relations, random_graph
+from oracles import (
+    naive_domain_triples,
+    naive_label,
+    naive_search_entities,
+    naive_search_relations,
+    random_graph,
+    random_multigraph,
+)
+
+LABEL_PREDICATES = {memory_store.NAME_PREDICATE, *memory_store.ALIAS_PREDICATES}
+
+
+def write_nt(path, rows):
+    """Rows as N-Triples: label rows get a literal, others an IRI object."""
+    lines = []
+    for subject, relation, obj in rows:
+        if relation in LABEL_PREDICATES:
+            tail = f'"{obj}"'
+        else:
+            tail = f"<{FREEBASE_NS}{obj}>"
+        if not relation.startswith("http"):
+            relation = FREEBASE_NS + relation
+        lines.append(f"<{FREEBASE_NS}{subject}> <{relation}> {tail} .\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    return str(path)
+
+
+def snapshot(kg, entities, relations):
+    """Every query answer the store gives over these ids."""
+    answers = [len(kg), list(kg.triples())]
+    for entity in entities:
+        answers.append(kg.resolve_label(entity))
+        for direction in Direction:
+            answers.append(kg.search_relations(entity, direction))
+            answers.extend(kg.search_entities(entity, relation, direction)
+                           for relation in relations)
+    return answers
 
 
 class TestLoading:
@@ -48,6 +93,74 @@ class TestLoading:
         assert info.value.line_number == 2
         assert str(path) in str(info.value)
         assert len(kg) == 0  # all-or-nothing
+
+    def test_failed_load_leaves_a_loaded_store_unchanged(self, tmp_path):
+        good = tmp_path / "good.tsv"
+        good.write_text("m.0a\ttest.block.edge\tm.0b\n"
+                        "m.0a\ttype.object.name\tMike\n"
+                        "m.0b\tcommon.topic.alias\tBee\n", encoding="utf-8")
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("m.0a\ttest.block.edge\tm.0c\n"
+                       "m.0b\ttest.block.other\tm.0a\n"
+                       "m.0a\ttype.object.name\tAlpha\n"
+                       "m.0b\ttype.object.name\tBeta\n"
+                       "m.0c\tcommon.topic.alias\tSea\n"
+                       "m.0d only-two-columns\n", encoding="utf-8")
+        kg = InMemoryKG()
+        kg.load_triples(str(good))
+        ids = ["m.0a", "m.0b", "m.0c", "m.0d"]
+        relations = ["test.block.edge", "test.block.other"]
+        before = snapshot(kg, ids, relations)
+        with pytest.raises(TripleLoadError) as info:
+            kg.load_triples(str(bad))
+        assert info.value.line_number == 6
+        assert snapshot(kg, ids, relations) == before
+        assert len(kg) == 1
+        assert kg.resolve_label("m.0a").label == "Mike"
+
+    def test_two_loads_merge_and_first_sorted_name_wins(self, tmp_path):
+        first = tmp_path / "first.tsv"
+        first.write_text("m.0a\ttest.block.edge\tm.0b\n"
+                         "m.0a\ttype.object.name\tZulu\n"
+                         "m.0b\ttype.object.name\tAlpha\n"
+                         "m.0c\tcommon.topic.alias\tNick\n", encoding="utf-8")
+        second = tmp_path / "second.tsv"
+        second.write_text("m.0c\ttest.block.edge\tm.0a\n"
+                          "m.0a\ttest.block.edge\tm.0c\n"
+                          "m.0a\ttest.block.edge\tm.0b\n"
+                          "m.0a\ttype.object.name\tMike\n"
+                          "m.0b\ttype.object.name\tBravo\n"
+                          "m.0c\ttype.object.name\tCharlie\n",
+                          encoding="utf-8")
+        kg = InMemoryKG()
+        assert kg.load_triples(str(first)) == 4
+        assert kg.load_triples(str(second)) == 6
+        assert len(kg) == 4  # the repeated edge counts once per line
+        assert list(kg.triples()) == [
+            Triplet("m.0a", "test.block.edge", "m.0b"),
+            Triplet("m.0a", "test.block.edge", "m.0c"),
+            Triplet("m.0a", "test.block.edge", "m.0b"),
+            Triplet("m.0c", "test.block.edge", "m.0a"),
+        ]
+        assert kg.search_entities("m.0a", "test.block.edge",
+                                  Direction.OUTGOING) == ["m.0b", "m.0c"]
+        assert kg.search_entities("m.0a", "test.block.edge",
+                                  Direction.INCOMING) == ["m.0c"]
+        assert [kg.resolve_label(e).label for e in ("m.0a", "m.0b", "m.0c")] \
+            == ["Mike", "Alpha", "Charlie"]
+
+    def test_load_builds_no_triplet(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("load_triples built a Triplet")
+
+        monkeypatch.setattr(memory_store, "Triplet", refuse)
+        path = tmp_path / "g.tsv"
+        path.write_text("m.0a\ttest.block.edge\tm.0b\n"
+                        "m.0a\ttype.object.name\tAlpha\n", encoding="utf-8")
+        kg = InMemoryKG()
+        kg.load_triples(str(path))
+        kg.load_triples(str(path))
+        assert len(kg) == 2
 
     def test_ntriples_literal_escapes(self, tmp_path):
         labels = {
@@ -140,6 +253,36 @@ class TestQueries:
                                               direction.value)
         del labels
 
+    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("build", ["add", "two files"])
+    def test_matches_naive_scan_on_multigraphs(self, seed, build, tmp_path):
+        rows = random_multigraph(random.Random(seed))
+        if build == "add":
+            kg = InMemoryKG(rows)
+        else:
+            cut = random.Random(-seed).randint(0, len(rows))
+            kg = InMemoryKG()
+            for name, part in (("a.nt", rows[:cut]), ("b.nt", rows[cut:])):
+                kg.load_triples(write_nt(tmp_path / name, part),
+                                format="ntriples-subset")
+        domain = naive_domain_triples(rows)
+        assert len(kg) == len(domain)
+        assert [tuple(vars(t).values()) for t in kg.triples()] == domain
+        entities = sorted({row[0] for row in rows}
+                          | {obj for _, _, obj in domain} | {"m.absent"})
+        relations = sorted({r for _, r, _ in domain}) + ["test.absent"]
+        for entity in entities:
+            label, fallback = naive_label(rows, entity)
+            assert kg.resolve_label(entity) == EntityLabel(entity, label,
+                                                           fallback)
+            for direction in Direction:
+                assert kg.search_relations(entity, direction) == \
+                    naive_search_relations(domain, entity, direction.value)
+                for relation in relations:
+                    assert kg.search_entities(entity, relation, direction) \
+                        == naive_search_entities(domain, entity, relation,
+                                                 direction.value)
+
 
 class TestLabels:
     def test_name_rows_feed_the_label_table(self, panama_kg):
@@ -166,6 +309,21 @@ class TestLabels:
         kg.add("m.0x", "type.object.name", "Proper Name")
         assert kg.resolve_label("m.0x").label == "Proper Name"
 
+    def test_blank_names_never_become_labels(self, tmp_path):
+        path = write_nt(tmp_path / "blank.nt", [
+            ("m.0x", "type.object.name", ""),
+            ("m.0x", "common.topic.alias", "Nickname"),
+            ("m.0y", "type.object.name", "   "),
+            ("m.0y", "common.topic.alias", ""),
+        ])
+        kg = InMemoryKG()
+        assert kg.load_triples(path, format="ntriples-subset") == 4
+        assert kg.resolve_label("m.0x") == EntityLabel("m.0x", "Nickname")
+        assert kg.resolve_label("m.0y") == EntityLabel("m.0y", "m.0y",
+                                                       is_fallback=True)
+        kg.add("m.0z", "type.object.name", "\t")
+        assert kg.resolve_label("m.0z").is_fallback is True
+
     def test_unlabeled_entity_falls_back_to_its_id(self):
         kg = InMemoryKG()
         label = kg.resolve_label("m.0mystery")
@@ -180,3 +338,56 @@ class TestLabels:
         assert kg.search_relations("m.0x", Direction.OUTGOING) == \
             ["test.block.edge"]
         assert len(kg) == 1
+
+
+class TestFootprint:
+    ENTITIES = 2_000
+    DEGREE = 9  # with one name each: 20,000 lines
+
+    def write_graph(self, tmp_path):
+        lines = [f"m.e{i}\ttype.object.name\tThing number {i}\n"
+                 for i in range(self.ENTITIES)]
+        for k in range(1, self.DEGREE + 1):
+            lines.extend(
+                f"m.e{i}\ttest.block.edge_{(i + k) % 7}\t"
+                f"m.e{(i * 7 + k * 131) % self.ENTITIES}\n"
+                for i in range(self.ENTITIES))
+        path = tmp_path / "graph.tsv"
+        path.write_text("".join(lines), encoding="utf-8")
+        return str(path), len(lines)
+
+    def test_retained_bytes_per_line(self, tmp_path):
+        # On CPython 3.11 this graph kept about 320 B per line as Triplet
+        # objects in per-entity lists, and 70 as interned ids in flat ones.
+        path, lines = self.write_graph(tmp_path)
+        gc.collect()
+        already = tracemalloc.is_tracing()
+        if not already:
+            tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        kg = InMemoryKG()
+        kg.load_triples(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+        if not already:
+            tracemalloc.stop()
+        assert len(kg) == self.ENTITIES * self.DEGREE
+        assert retained / lines < 150
+
+    def test_a_repeated_id_is_stored_once(self, tmp_path):
+        path, _ = self.write_graph(tmp_path)
+        kg = InMemoryKG()
+        kg.load_triples(path)
+        kg.load_triples(path)
+        stored = [t.subject for t in kg.triples() if t.subject == "m.e7"]
+        stored += [t.object for t in kg.triples() if t.object == "m.e7"]
+        for relation in kg.search_relations("m.e7", Direction.INCOMING):
+            for subject in kg.search_entities("m.e7", relation,
+                                              Direction.INCOMING):
+                stored += kg.search_entities(subject, relation,
+                                             Direction.OUTGOING)
+        stored = [s for s in stored if s == "m.e7"]
+        assert len(stored) > 2 * self.DEGREE
+        assert len({id(s) for s in stored}) == 1
+        relations = [t.relation for t in kg.triples()
+                     if t.relation == "test.block.edge_3"]
+        assert len({id(r) for r in relations}) == 1
