@@ -67,85 +67,109 @@ def load_dataset(path: str, flavor: str = "normalized") -> list[DatasetRecord]:
 
 
 # -- flavor converters ----------------------------------------------------
+# A field of the wrong type is a TypeError, which load_dataset reports as
+# a DatasetError naming the record.
+
+
+def _text(value: object, field: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(
+            f"{field} must be a string, not {type(value).__name__}")
+    return value
+
+
+def _record_id(value: object) -> str:
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise TypeError(
+            f"id must be a string or an integer, not {type(value).__name__}")
+    return str(value)
+
+
+def _answer(value: object) -> str:
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError(f"answer {value!r} is not a string or number")
+    return str(value)
+
+
+def _topic(eid: object, label: object) -> tuple[str, str]:
+    return _text(eid, "topic entity id"), _text(label, "topic entity label")
+
+
+def _topic_map(raw: dict) -> tuple[tuple[str, str], ...]:
+    return tuple(_topic(eid, label)
+                 for eid, label in (raw.get("topic_entity") or {}).items())
 
 
 def _as_answer_strings(raw: object) -> tuple[str, ...]:
     """Flatten the assorted answer encodings to plain strings."""
-    answers: list[str] = []
     if raw is None:
         return ()
-    if isinstance(raw, (str, int, float)):
-        return (str(raw),)
+    if not isinstance(raw, list):
+        return (_answer(raw),)
+    answers: list[str] = []
     for entry in raw:
-        if isinstance(entry, str):
-            answers.append(entry)
-        elif isinstance(entry, dict):
-            for key in ("answer", "EntityName", "AnswerArgument",
-                        "entity_name", "answer_argument"):
-                value = entry.get(key)
-                if value:
-                    answers.append(str(value))
-            for alias in entry.get("aliases", ()) or ():
-                answers.append(str(alias))
-        else:
-            answers.append(str(entry))
-    seen: set[str] = set()
-    unique = []
-    for answer in answers:
-        if answer not in seen:
-            seen.add(answer)
-            unique.append(answer)
-    return tuple(unique)
+        if not isinstance(entry, dict):
+            answers.append(_answer(entry))
+            continue
+        for key in ("answer", "EntityName", "AnswerArgument",
+                    "entity_name", "answer_argument"):
+            value = entry.get(key)
+            if value:
+                answers.append(_answer(value))
+        aliases = entry.get("aliases") or []
+        if not isinstance(aliases, list):
+            raise TypeError(
+                f"aliases must be a list, not {type(aliases).__name__}")
+        answers.extend(_answer(alias) for alias in aliases)
+    return tuple(dict.fromkeys(answers))
 
 
 def _from_normalized(raw: dict, index: int) -> DatasetRecord:
-    topics = tuple((str(eid), str(label))
-                   for eid, label in raw.get("topic_entities", []))
+    topics = []
+    for pair in raw.get("topic_entities", []):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise TypeError(
+                f"topic entity {pair!r} is not an [id, label] pair")
+        topics.append(_topic(*pair))
     return DatasetRecord(
-        id=str(raw.get("id", index)),
-        question=str(raw["question"]),
-        topic_entities=topics,
+        id=_record_id(raw.get("id", index)),
+        question=_text(raw["question"], "question"),
+        topic_entities=tuple(topics),
         answers=_as_answer_strings(raw.get("answers", [])),
     )
 
 
 def _from_cwq(raw: dict, index: int) -> DatasetRecord:
-    topics = tuple((str(eid), str(label))
-                   for eid, label in (raw.get("topic_entity") or {}).items())
-    answers = _as_answer_strings(raw.get("answers") or raw.get("answer"))
     return DatasetRecord(
-        id=str(raw.get("ID", raw.get("id", index))),
-        question=str(raw["question"]),
-        topic_entities=topics,
-        answers=answers,
+        id=_record_id(raw.get("ID", raw.get("id", index))),
+        question=_text(raw["question"], "question"),
+        topic_entities=_topic_map(raw),
+        answers=_as_answer_strings(raw.get("answers") or raw.get("answer")),
     )
 
 
 def _from_webqsp(raw: dict, index: int) -> DatasetRecord:
     if "topic_entity" in raw:
         # pre-flattened variant with the cwq-style topic map
-        topics = tuple((str(eid), str(label))
-                       for eid, label in (raw.get("topic_entity") or {}).items())
-        answers = _as_answer_strings(raw.get("answers") or raw.get("answer"))
         return DatasetRecord(
-            id=str(raw.get("QuestionId", raw.get("id", index))),
-            question=str(raw.get("RawQuestion", raw.get("question"))),
-            topic_entities=topics,
-            answers=answers,
+            id=_record_id(raw.get("QuestionId", raw.get("id", index))),
+            question=_text(raw.get("RawQuestion", raw.get("question")),
+                           "question"),
+            topic_entities=_topic_map(raw),
+            answers=_as_answer_strings(raw.get("answers")
+                                       or raw.get("answer")),
         )
     topics = []
     answers: list[str] = []
     for parse in raw.get("Parses", []):
         mid = parse.get("TopicEntityMid")
         if mid:
-            topics.append((str(mid),
-                           str(parse.get("TopicEntityName") or mid)))
+            topics.append(_topic(mid, parse.get("TopicEntityName") or mid))
         answers.extend(_as_answer_strings(parse.get("Answers", [])))
-    unique_topics = tuple(dict(topics).items())
     return DatasetRecord(
-        id=str(raw.get("QuestionId", index)),
-        question=str(raw["RawQuestion"]),
-        topic_entities=unique_topics,
+        id=_record_id(raw.get("QuestionId", index)),
+        question=_text(raw["RawQuestion"], "question"),
+        topic_entities=tuple(dict(topics).items()),
         answers=tuple(dict.fromkeys(answers)),
     )
 
@@ -155,11 +179,11 @@ def _from_grailqa(raw: dict, index: int) -> DatasetRecord:
     graph = raw.get("graph_query") or {}
     for node in graph.get("nodes", []):
         if node.get("node_type") == "entity":
-            topics.append((str(node["id"]),
-                           str(node.get("friendly_name") or node["id"])))
+            topics.append(_topic(node["id"],
+                                 node.get("friendly_name") or node["id"]))
     return DatasetRecord(
-        id=str(raw.get("qid", index)),
-        question=str(raw["question"]),
+        id=_record_id(raw.get("qid", index)),
+        question=_text(raw["question"], "question"),
         topic_entities=tuple(dict(topics).items()),
         answers=_as_answer_strings(raw.get("answer", [])),
     )

@@ -159,7 +159,9 @@ def _fenced_json(text: str, open_ch: str, close_ch: str):
     is tried before the markers are stripped.
     """
     start = text.find(open_ch) if "```" in text else -1
-    span = _balanced_span(text, start, open_ch, close_ch) if start >= 0 else None
+    if start == -1:
+        return None
+    span = _balanced_span(text, start, open_ch, close_ch)
     try:
         return json.loads(span) if span is not None else None
     except ValueError:
@@ -179,7 +181,7 @@ def parse_list(text: str) -> list[str]:
             raise UnbalancedBracketsError()
         decoded = _decode_span(span)
         if not isinstance(decoded, (list, tuple)):
-            decoded = [_clean_item(piece) for piece in _split_items(span[1:-1])]
+            decoded = [_clean_item(p) for p in _split_items(span[1:-1])]
     items = (str(x).strip() for x in decoded)
     return [item for item in items if item]
 

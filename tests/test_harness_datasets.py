@@ -122,6 +122,85 @@ class TestValidation:
         with pytest.raises(DatasetError, match="record 0"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("question", None, "question must be a string"),
+        ("question", ["Q?"], "question must be a string"),
+        ("answers", [["A"]], "answer ['A'] is not a string or number"),
+        ("answers", [None], "answer None is not a string or number"),
+        ("answers", [True], "answer True is not a string or number"),
+        ("answers", {"answer": "A"}, "is not a string or number"),
+        ("topic_entities", [[None, "A"]], "topic entity id must be a string"),
+        ("topic_entities", [["m.0a", 7]],
+         "topic entity label must be a string"),
+        ("topic_entities", ["ab"], "is not an [id, label] pair"),
+        ("id", None, "id must be a string or an integer"),
+    ])
+    def test_wrong_field_type_names_the_record(self, tmp_path, field, value,
+                                               message):
+        record = {"id": "r1", "question": "Q?",
+                  "topic_entities": [["m.0a", "A"]], "answers": ["A"]}
+        record[field] = value
+        path = write_json(tmp_path / "x.json", [
+            {"id": "ok", "question": "Q?",
+             "topic_entities": [["m.0a", "A"]]},
+            record,
+        ])
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        assert "record 1" in str(info.value)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("flavor,record", [
+        ("cwq", {"ID": "c1", "question": None,
+                 "topic_entity": {"m.0a": "A"}}),
+        ("webqsp", {"QuestionId": "w1", "RawQuestion": None,
+                    "Parses": [{"TopicEntityMid": "m.0a"}]}),
+        ("webqsp", {"QuestionId": "w2", "topic_entity": {"m.0a": "A"}}),
+        ("webqsp", {"QuestionId": "w3", "question": 12,
+                    "topic_entity": {"m.0a": "A"}}),
+        ("grailqa", {"qid": 1, "question": {"text": "Q?"},
+                     "graph_query": {"nodes": []}}),
+    ])
+    def test_other_flavors_require_a_string_question(self, tmp_path, flavor,
+                                                     record):
+        path = write_json(tmp_path / "x.json", [record])
+        with pytest.raises(DatasetError,
+                           match="record 0 .*question must be a string"):
+            load_dataset(path, flavor=flavor)
+
+    @pytest.mark.parametrize("flavor,record,message", [
+        ("cwq", {"ID": "c1", "question": "Q?",
+                 "topic_entity": {"m.0a": None}},
+         "topic entity label must be a string"),
+        ("cwq", {"ID": "c1", "question": "Q?", "topic_entity": {"m.0a": "A"},
+                 "answers": [{"answer": ["A"]}]},
+         "answer ['A'] is not a string or number"),
+        ("cwq", {"ID": "c1", "question": "Q?", "topic_entity": {"m.0a": "A"},
+                 "answers": [{"answer": "A", "aliases": "Ay"}]},
+         "aliases must be a list"),
+        ("webqsp", {"QuestionId": "w1", "RawQuestion": "Q?",
+                    "Parses": [{"TopicEntityMid": 5}]},
+         "topic entity id must be a string"),
+        ("grailqa", {"qid": 1, "question": "Q?", "graph_query": {"nodes": [
+            {"node_type": "entity", "id": None}]}},
+         "topic entity id must be a string"),
+    ])
+    def test_other_flavors_reject_wrong_field_types(self, tmp_path, flavor,
+                                                    record, message):
+        path = write_json(tmp_path / "x.json", [record])
+        with pytest.raises(DatasetError, match="record 0") as info:
+            load_dataset(path, flavor=flavor)
+        assert message in str(info.value)
+
+    def test_numbers_stay_valid_ids_and_answers(self, tmp_path):
+        path = write_json(tmp_path / "x.json", [
+            {"id": 7, "question": "How many?",
+             "topic_entities": [["m.0a", "A"]], "answers": [3, 2.5, "three"]},
+        ])
+        record = load_dataset(path)[0]
+        assert record.id == "7"
+        assert record.answers == ("3", "2.5", "three")
+
     def test_topicless_records_skipped_with_warning(self, tmp_path, caplog):
         path = write_json(tmp_path / "x.json", [
             {"id": "keep", "question": "Q?",

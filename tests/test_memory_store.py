@@ -23,7 +23,8 @@ from oracles import (
     random_multigraph,
 )
 
-LABEL_PREDICATES = {memory_store.NAME_PREDICATE, *memory_store.ALIAS_PREDICATES}
+LABEL_PREDICATES = {memory_store.NAME_PREDICATE,
+                    *memory_store.ALIAS_PREDICATES}
 
 
 def write_nt(path, rows):
