@@ -57,9 +57,10 @@ class SparqlKG:
                             "tailEntity")
 
     def resolve_label(self, entity: str) -> EntityLabel:
-        values = self._cached(label_query(entity), "tailEntity")
-        if values:
-            return EntityLabel(entity, values[0])
+        # a blank name never becomes a label, as in the in-memory store
+        for value in self._cached(label_query(entity), "tailEntity"):
+            if value.strip():
+                return EntityLabel(entity, value)
         return EntityLabel(entity, entity, is_fallback=True)
 
     # -- transport -------------------------------------------------------

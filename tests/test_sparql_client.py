@@ -212,6 +212,20 @@ class TestLabels:
         assert label.label == "m.0mystery"
         assert label.is_fallback is True
 
+    def test_blank_values_never_become_labels(self):
+        payload = {"results": {"bindings": [
+            {"tailEntity": {"type": "literal", "value": "  "}},
+            {"tailEntity": {"type": "literal", "value": "Panama"}},
+        ]}}
+        blank = {"results": {"bindings": [
+            {"tailEntity": {"type": "literal", "value": " \t"}}]}}
+        client, _, _ = make_client([FakeResponse(200, payload),
+                                    FakeResponse(200, blank)])
+        assert client.resolve_label("m.05qtj").label == "Panama"
+        label = client.resolve_label("m.0blank")
+        assert label.label == "m.0blank"
+        assert label.is_fallback is True
+
     def test_payload_round_trips_as_json(self):
         # canned payloads in these tests mirror the concrete wire format
         payload = results_payload("tailEntity", ["m.0fsmy2"])
