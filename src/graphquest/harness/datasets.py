@@ -71,6 +71,11 @@ def load_dataset(path: str, flavor: str = "normalized") -> list[DatasetRecord]:
 # a DatasetError naming the record.
 
 
+def _absent(value: object) -> bool:
+    """An optional field left out: null or the empty string, nothing else."""
+    return value is None or value == ""
+
+
 def _text(value: object, field: str) -> str:
     if not isinstance(value, str):
         raise TypeError(
@@ -114,7 +119,7 @@ def _as_answer_strings(raw: object) -> tuple[str, ...]:
         for key in ("answer", "EntityName", "AnswerArgument",
                     "entity_name", "answer_argument"):
             value = entry.get(key)
-            if value:
+            if not _absent(value):
                 answers.append(_answer(value))
         aliases = entry.get("aliases") or []
         if not isinstance(aliases, list):
@@ -163,7 +168,7 @@ def _from_webqsp(raw: dict, index: int) -> DatasetRecord:
     answers: list[str] = []
     for parse in raw.get("Parses", []):
         mid = parse.get("TopicEntityMid")
-        if mid:
+        if not _absent(mid):
             topics.append(_topic(mid, parse.get("TopicEntityName") or mid))
         answers.extend(_as_answer_strings(parse.get("Answers", [])))
     return DatasetRecord(

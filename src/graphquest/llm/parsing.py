@@ -13,7 +13,9 @@ import ast
 import json
 import re
 
-_FENCE = re.compile(r"```[a-zA-Z0-9_-]*")
+# A fence opens its own line; a ``` later in a line is content (a JSON
+# string cannot hold a raw newline, so it never starts one).
+_FENCE = re.compile(r"^[ \t]*```[a-zA-Z0-9_-]*", re.MULTILINE)
 _TRAILING_COMMA = re.compile(r",\s*([}\]])")
 
 TRUE_WORDS = frozenset({"yes", "true", "y", "1"})
@@ -54,7 +56,7 @@ class MissingRequiredKeyError(ParseError):
 
 
 def strip_code_fences(text: str) -> str:
-    """Drop markdown fence markers, keeping whatever they wrapped."""
+    """Drop the fence markers that open a line, keeping whatever they wrapped."""
     return _FENCE.sub("", text)
 
 
@@ -152,54 +154,35 @@ def _clean_item(item: str) -> str:
     return item.strip()
 
 
-def _fenced_json(text: str, open_ch: str, close_ch: str):
-    """The first span of a fenced response as strict JSON, else None.
-
-    A fence marker inside a JSON string is content, not markup, so this
-    is tried before the markers are stripped.
-    """
-    start = text.find(open_ch) if "```" in text else -1
-    if start == -1:
-        return None
-    span = _balanced_span(text, start, open_ch, close_ch)
-    try:
-        return json.loads(span) if span is not None else None
-    except ValueError:
-        return None
-
-
 def parse_list(text: str) -> list[str]:
     """Extract the first bracketed list from the response as strings."""
-    decoded = _fenced_json(text, "[", "]")
-    if not isinstance(decoded, list):
-        cleaned = strip_code_fences(text)
-        start = cleaned.find("[")
-        if start == -1:
-            raise NoListFoundError()
-        span = _balanced_span(cleaned, start, "[", "]")
-        if span is None:
-            raise UnbalancedBracketsError()
-        decoded = _decode_span(span)
-        if not isinstance(decoded, (list, tuple)):
-            decoded = [_clean_item(p) for p in _split_items(span[1:-1])]
-    items = (str(x).strip() for x in decoded)
+    cleaned = strip_code_fences(text)
+    start = cleaned.find("[")
+    if start == -1:
+        raise NoListFoundError()
+    span = _balanced_span(cleaned, start, "[", "]")
+    if span is None:
+        raise UnbalancedBracketsError()
+    decoded = _decode_span(span)
+    if isinstance(decoded, (list, tuple)):
+        items = [str(x).strip() for x in decoded]
+    else:
+        items = [_clean_item(piece) for piece in _split_items(span[1:-1])]
     return [item for item in items if item]
 
 
 def extract_json_object(text: str) -> dict:
     """Extract the first balanced JSON object; no key requirements."""
-    decoded = _fenced_json(text, "{", "}")
+    cleaned = strip_code_fences(text)
+    start = cleaned.find("{")
+    if start == -1:
+        raise NoObjectFoundError()
+    span = _balanced_span(cleaned, start, "{", "}")
+    if span is None:
+        raise MalformedJsonError("object span is never closed")
+    decoded = _decode_span(span)
     if not isinstance(decoded, dict):
-        cleaned = strip_code_fences(text)
-        start = cleaned.find("{")
-        if start == -1:
-            raise NoObjectFoundError()
-        span = _balanced_span(cleaned, start, "{", "}")
-        if span is None:
-            raise MalformedJsonError("object span is never closed")
-        decoded = _decode_span(span)
-        if not isinstance(decoded, dict):
-            raise MalformedJsonError("span did not decode to an object")
+        raise MalformedJsonError("span did not decode to an object")
     return {str(key): value for key, value in decoded.items()}
 
 

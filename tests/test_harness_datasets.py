@@ -176,10 +176,23 @@ class TestValidation:
                  "answers": [{"answer": ["A"]}]},
          "answer ['A'] is not a string or number"),
         ("cwq", {"ID": "c1", "question": "Q?", "topic_entity": {"m.0a": "A"},
+                 "answers": [{"answer": False}]},
+         "answer False is not a string or number"),
+        ("cwq", {"ID": "c1", "question": "Q?", "topic_entity": {"m.0a": "A"},
+                 "answers": [{"answer": []}]},
+         "answer [] is not a string or number"),
+        ("webqsp", {"QuestionId": "w1", "RawQuestion": "Q?",
+                    "Parses": [{"TopicEntityMid": "m.0a",
+                                "Answers": [{"EntityName": {}}]}]},
+         "answer {} is not a string or number"),
+        ("cwq", {"ID": "c1", "question": "Q?", "topic_entity": {"m.0a": "A"},
                  "answers": [{"answer": "A", "aliases": "Ay"}]},
          "aliases must be a list"),
         ("webqsp", {"QuestionId": "w1", "RawQuestion": "Q?",
                     "Parses": [{"TopicEntityMid": 5}]},
+         "topic entity id must be a string"),
+        ("webqsp", {"QuestionId": "w1", "RawQuestion": "Q?",
+                    "Parses": [{"TopicEntityMid": 0}]},
          "topic entity id must be a string"),
         ("grailqa", {"qid": 1, "question": "Q?", "graph_query": {"nodes": [
             {"node_type": "entity", "id": None}]}},
@@ -200,6 +213,13 @@ class TestValidation:
         record = load_dataset(path)[0]
         assert record.id == "7"
         assert record.answers == ("3", "2.5", "three")
+
+    def test_a_zero_answer_is_kept(self, tmp_path):
+        path = write_json(tmp_path / "x.json", [
+            {"ID": "c1", "question": "How many?", "topic_entity": {"m.0a": "A"},
+             "answers": [{"answer": 0, "aliases": []}, {"answer": ""}]},
+        ])
+        assert load_dataset(path, flavor="cwq")[0].answers == ("0",)
 
     def test_topicless_records_skipped_with_warning(self, tmp_path, caplog):
         path = write_json(tmp_path / "x.json", [
