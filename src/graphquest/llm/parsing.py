@@ -99,18 +99,17 @@ def _balanced_span(text: str, start: int, open_ch: str, close_ch: str) -> str | 
 
 
 def _decode_span(span: str):
-    try:
-        return json.loads(span)
-    except (json.JSONDecodeError, ValueError):
-        pass
-    try:
-        return ast.literal_eval(span)
-    except (ValueError, SyntaxError, MemoryError, RecursionError):
-        pass
-    try:
-        return json.loads(_TRAILING_COMMA.sub(r"\1", span))
-    except (json.JSONDecodeError, ValueError):
-        return None
+    """The span as JSON, a Python literal, or JSON without trailing commas,
+    whichever decodes first; None if none does. Too deep a nesting or an
+    unhashable key or set member counts as undecodable."""
+    for decode in (json.loads, ast.literal_eval,
+                   lambda text: json.loads(_TRAILING_COMMA.sub(r"\1", text))):
+        try:
+            return decode(span)
+        except (ValueError, TypeError, SyntaxError, MemoryError,
+                RecursionError):
+            pass
+    return None
 
 
 def _split_items(inner: str) -> list[str]:

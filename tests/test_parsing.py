@@ -128,28 +128,54 @@ class TestStripFences:
         assert strip_code_fences("no fences") == "no fences"
 
 
+def check_parse_list_total(text):
+    try:
+        result = parse_list(text)
+    except ParseError:
+        return
+    assert isinstance(result, list)
+    assert all(isinstance(item, str) and item for item in result)
+
+
+def check_extract_object_total(text):
+    try:
+        result = extract_json_object(text)
+    except ParseError:
+        return
+    assert isinstance(result, dict)
+    assert all(isinstance(key, str) for key in result)
+
+
 class TestRobustness:
     """No input text may crash the parsers with anything but ParseError."""
 
     @given(st.text(max_size=300))
     @settings(max_examples=200, deadline=None)
     def test_parse_list_total(self, text):
-        try:
-            result = parse_list(text)
-        except ParseError:
-            return
-        assert isinstance(result, list)
-        assert all(isinstance(item, str) and item for item in result)
+        check_parse_list_total(text)
 
     @given(st.text(max_size=300))
     @settings(max_examples=200, deadline=None)
     def test_extract_object_total(self, text):
-        try:
-            result = extract_json_object(text)
-        except ParseError:
-            return
-        assert isinstance(result, dict)
-        assert all(isinstance(key, str) for key in result)
+        check_extract_object_total(text)
+
+    # spans nested past the interpreter's recursion limit, and literals
+    # Python cannot build (an unhashable key or set member)
+    @pytest.mark.parametrize("text", [
+        pytest.param("[" * 3000 + "]" * 3000, id="deep-list"),
+        pytest.param('{"a":' * 3000 + "1" + "}" * 3000, id="deep-object"),
+        pytest.param('[{"a": ' * 3000 + "1" + "}]" * 3000, id="deep-mixed"),
+        pytest.param("[{[1]: 2}]", id="list-key-in-list"),
+        pytest.param("{[1]: 2}", id="list-key"),
+        pytest.param("{{1}: 2}", id="set-key"),
+    ])
+    def test_hostile_spans_fail_as_parse_errors(self, text):
+        check_parse_list_total(text)
+        check_extract_object_total(text)
+
+    def test_too_deep_an_object_is_malformed(self):
+        with pytest.raises(MalformedJsonError):
+            extract_json_object('{"a":' * 3000 + "1" + "}" * 3000)
 
     @given(st.lists(st.text(min_size=1, max_size=20).filter(
         lambda s: s.strip()), max_size=8))
