@@ -310,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"file not found: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a directory, no permission: names the file
+        print(f"file error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

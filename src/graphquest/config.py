@@ -100,17 +100,19 @@ PARSERS = {
 
 def load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = _COMMENT.split(raw, 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(
-                    f"{path}:{number}: expected 'key = value', got {line!r}"
-                )
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for number, raw in enumerate(handle, start=1):
+                line = _COMMENT.split(raw, 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{number}: expected "
+                                      f"'key = value', got {line!r}")
+                key, value = line.split("=", 1)
+                values[key.strip()] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return values
 
 

@@ -112,8 +112,8 @@ class InMemoryKG:
 
         Parsing is all-or-nothing: lines go into a staging store that
         replaces an empty store and is merged into any other, so a
-        malformed line raises TripleLoadError (with its line number) and
-        leaves the store unchanged.
+        malformed line raises TripleLoadError (with its line number), and
+        a file that is not UTF-8 text a KGError, leaving the store unchanged.
         """
         if format not in FORMATS:
             raise KGError(
@@ -123,13 +123,16 @@ class InMemoryKG:
         staged = InMemoryKG()
         add = staged.add
         count = 0
-        with open(path, "r", encoding="utf-8") as handle:
-            for number, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                add(*parse(path, number, line))
-                count += 1
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                for number, raw in enumerate(handle, start=1):
+                    line = raw.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    add(*parse(path, number, line))
+                    count += 1
+        except UnicodeDecodeError as exc:
+            raise KGError(f"{path}: not UTF-8 text ({exc.reason})") from None
         self._merge(staged)
         logger.debug("loaded %d triples from %s", count, path)
         return count

@@ -116,13 +116,17 @@ class RunTrace:
     @classmethod
     def load(cls, path: str) -> "RunTrace":
         events = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    events.append(TraceEvent.from_json(line))
-                except TraceError as exc:
-                    raise TraceError(f"{path}:{number}: {exc}") from None
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                for number, line in enumerate(handle, start=1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        events.append(TraceEvent.from_json(line))
+                    except TraceError as exc:
+                        raise TraceError(f"{path}:{number}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise TraceError(
+                f"{path}: not UTF-8 text ({exc.reason})") from None
         return cls(events=events)

@@ -252,6 +252,30 @@ class TestErrorExits:
         assert code == 2
         assert "file not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target, prefix", [
+        ("--kg", "input error: "),
+        ("--config", "configuration error: "),
+        ("inspect-trace", "input error: "),
+    ])
+    @pytest.mark.parametrize("form", ["not-utf8", "directory"])
+    def test_unreadable_input_is_exit_2(self, tmp_path, capsys, target,
+                                        prefix, form):
+        bad = tmp_path / "bad.txt"
+        if form == "directory":
+            bad.mkdir()
+            prefix = "file error: "
+        else:
+            bad.write_bytes(b"m.0a\tcaf\xe9\tm.0b\n")
+        if target == "inspect-trace":
+            argv = ["inspect-trace", str(bad)]
+        else:
+            argv = panama_args(tmp_path, target, str(bad))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        assert str(bad) in err
+        assert len(err.splitlines()) == 1
+
     def test_malformed_script_is_exit_2(self, tmp_path, capsys):
         script = tmp_path / "rules.json"
         script.write_text('[{"match": "x", "response": "y"}]',
