@@ -31,13 +31,11 @@ from ..prompts import PromptLibrary
 from ..recall import Scorer, TrigramScorer, top_k
 from ..trace import RunTrace
 from .state import (
-    Frontier,
     Memory,
     PathStep,
     PlannerConfig,
     Question,
     ReasoningPath,
-    Subgraph,
     Verdict,
 )
 
@@ -62,14 +60,6 @@ def _join_warnings(*parts: str | None) -> str | None:
     return "; ".join(part for part in parts if part) or None
 
 
-def _oriented(tail: str, relation: str, other: str,
-              direction: Direction) -> tuple[str, str, str]:
-    """(subject, relation, object) of the edge from `tail` to `other`."""
-    if direction is Direction.OUTGOING:
-        return tail, relation, other
-    return other, relation, tail
-
-
 class PlannerRunError(Exception):
     """A backend failure aborted the run; carries the partial trace."""
 
@@ -78,44 +68,41 @@ class PlannerRunError(Exception):
         self.trace = trace
 
 
-@dataclass(frozen=True)
-class PendingExpansion:
-    """A path waiting to be extended over one (relation, direction)."""
-
-    path: ReasoningPath
-    relation: str
-    direction: Direction
-
-
 @dataclass
 class _Run:
     """The working state of one question, created afresh by `Planner.run`.
 
-    Every stage records its trace events at the frontier's current
-    iteration, which is 0 while the question is being decomposed.
+    Every stage records its trace events at the current `iteration`,
+    which is 0 while the question is being decomposed.
     """
 
     question: Question
     trace: RunTrace = field(default_factory=RunTrace)
+    iteration: int = 0
     # id -> label of every entity seen so far, topic entities included
     labels: dict[str, str] = field(init=False)
-    frontier: Frontier = field(init=False)
+    # (entity id, label) pairs still to be expanded this iteration
+    tail_entities: list[tuple[str, str]] = field(init=False)
+    # id -> label of every candidate seen so far, topic entities included
+    candidate_pool: dict[str, str] = field(init=False)
+    # the (entity, relation, direction) hops already searched
+    expanded: set[tuple[str, str, Direction]] = field(default_factory=set)
     objectives: tuple[str, ...] = field(init=False)
     memory: Memory = field(init=False)
     # `memory.paths` as the prompts show them, rendered when they change
     paths_text: str = ""
-    # how many `frontier.candidate_pool` entries a memory_update has listed
+    # how many `candidate_pool` entries a memory_update has listed
     pool_listed: int = 0
 
     def __post_init__(self) -> None:
         topics = self.question.topic_entities
         self.labels = dict(topics)
-        self.frontier = Frontier(iteration=0, tail_entities=list(topics),
-                                 candidate_pool=dict(topics))
+        self.tail_entities = list(topics)
+        self.candidate_pool = dict(topics)
 
     def record(self, kind: str, payload: dict,
                usage: Usage | None = None) -> None:
-        self.trace.record(kind, self.frontier.iteration, payload, usage)
+        self.trace.record(kind, self.iteration, payload, usage)
 
 
 @dataclass
@@ -123,7 +110,9 @@ class RunResult:
     verdict: Verdict
     trace: RunTrace
     memory: Memory
-    frontier: Frontier
+    # id -> label of every candidate seen (under no_memory, this
+    # iteration's only)
+    candidate_pool: dict[str, str]
     sub_objectives: tuple[str, ...]
     iterations: int
     elapsed_seconds: float
@@ -163,20 +152,18 @@ class Planner:
             raise PlannerRunError(f"run aborted: {exc}", run.trace) from exc
 
     def _run(self, run: _Run, started: float) -> RunResult:
-        frontier = run.frontier
         run.objectives = self.decompose(run)
         run.memory = Memory(
-            subgraph=Subgraph(),
             paths=[ReasoningPath(origin=eid)
                    for eid, _ in run.question.topic_entities],
             status=["unknown"] * len(run.objectives),
         )
         for depth in range(1, self.config.max_depth + 1):
-            frontier.iteration = depth
+            run.iteration = depth
             if self.config.ablations.no_memory:
                 # keep only what the current iteration discovers
-                run.memory.subgraph = Subgraph()
-                frontier.candidate_pool = dict(frontier.tail_entities)
+                run.expanded = set()
+                run.candidate_pool = dict(run.tail_entities)
                 run.pool_listed = 0
             pending = self.explore_relations(run)
             self.update_memory(run, self.explore_entities(run, pending))
@@ -184,8 +171,8 @@ class Planner:
             if verdict.sufficient:
                 break
             # reflection only re-opens entities not already on the frontier
-            frontier.tail_entities.extend(
-                (eid, self._label(run, eid)) for eid in self.reflect(run))
+            run.tail_entities.extend(
+                (eid, run.labels[eid]) for eid in self.reflect(run))
         exhausted = not verdict.sufficient
         if exhausted:
             verdict = self.evaluate(run, forced=True)
@@ -196,11 +183,11 @@ class Planner:
             "sufficient": verdict.sufficient,
             "forced": verdict.forced,
             "exhausted": exhausted,
-            "iterations": frontier.iteration,
+            "iterations": run.iteration,
             "elapsed_seconds": round(elapsed, 6),
         })
-        return RunResult(verdict, run.trace, run.memory, frontier,
-                         run.objectives, frontier.iteration, elapsed)
+        return RunResult(verdict, run.trace, run.memory, run.candidate_pool,
+                         run.objectives, run.iteration, elapsed)
 
     # -- stage: task decomposition --------------------------------------
 
@@ -224,14 +211,15 @@ class Planner:
 
     # -- stage: relation exploration ------------------------------------
 
-    def explore_relations(self, run: _Run) -> list[PendingExpansion]:
-        subgraph = run.memory.subgraph
-        pending: list[PendingExpansion] = []
+    def explore_relations(self, run: _Run
+                          ) -> list[tuple[ReasoningPath, str, Direction]]:
+        """The (path, relation, direction) hops the model chose."""
+        pending: list[tuple[ReasoningPath, str, Direction]] = []
         breadth = self.config.ablations.fixed_breadth
         ending_at: dict[str, list[ReasoningPath]] = {}
         for path in run.memory.paths:
             ending_at.setdefault(path.tail_entity(), []).append(path)
-        for eid, label in run.frontier.tail_entities:
+        for eid, label in run.tail_entities:
             tagged: list[tuple[str, Direction]] = []
             for direction in (Direction.OUTGOING, Direction.INCOMING):
                 relations = self.kg.search_relations(eid, direction)
@@ -242,10 +230,9 @@ class Planner:
                     "count": len(relations),
                 })
                 for relation in relations:
-                    subgraph.relation_edges.add((eid, relation, direction))
                     # pairs expanded in an earlier iteration are spent;
                     # re-offering them would just repeat the same hop
-                    if (eid, relation, direction) not in subgraph.expanded:
+                    if (eid, relation, direction) not in run.expanded:
                         tagged.append((relation, direction))
             offered = {relation for relation, _ in tagged}
             names = sorted(offered)
@@ -286,25 +273,24 @@ class Planner:
                     continue
                 for relation, direction in tagged:
                     if relation in chosen:
-                        pending.append(
-                            PendingExpansion(path, relation, direction))
+                        pending.append((path, relation, direction))
         return pending
 
     # -- stage: entity exploration --------------------------------------
 
-    def explore_entities(self, run: _Run, pending: list[PendingExpansion]
+    def explore_entities(self, run: _Run,
+                         pending: list[tuple[ReasoningPath, str, Direction]]
                          ) -> list[ReasoningPath]:
-        frontier = run.frontier
         if not pending:
-            frontier.tail_entities = []
+            run.tail_entities = []
             return []
-        subgraph = run.memory.subgraph
+        labels, pool = run.labels, run.candidate_pool
         results: dict[tuple, list[tuple[str, str]]] = {}
-        # the expansions that found something, each with its candidates
-        offers: list[tuple[PendingExpansion, list[tuple[str, str]]]] = []
-        for expansion in pending:
-            tail = expansion.path.tail_entity()
-            relation, direction = expansion.relation, expansion.direction
+        # the hops that found something, each with its candidates
+        offers: list[tuple[ReasoningPath, str, Direction,
+                           list[tuple[str, str]]]] = []
+        for path, relation, direction in pending:
+            tail = path.tail_entity()
             pair = (tail, relation, direction)
             if pair not in results:
                 found = self.kg.search_entities(tail, relation, direction)
@@ -312,14 +298,11 @@ class Planner:
                     "op": "entities", "entity": tail, "relation": relation,
                     "direction": direction.value, "count": len(found),
                 })
-                subgraph.expanded.add(pair)
+                run.expanded.add(pair)
                 self._resolve_labels(run, found)
-                labels = run.labels
                 labeled = [(cid, labels[cid]) for cid in found]
                 for cid, clabel in labeled:
-                    subgraph.triples.add(
-                        _oriented(tail, relation, cid, direction))
-                    frontier.candidate_pool.setdefault(cid, clabel)
+                    pool.setdefault(cid, clabel)
                 if len(labeled) > self.config.recall.threshold:
                     kept = top_k(run.question.text, labeled,
                                  self.config.recall.k, self.scorer)
@@ -331,22 +314,22 @@ class Planner:
                     labeled = [(c.entity, c.label) for c in kept]
                 results[pair] = labeled
             if results[pair]:
-                offers.append((expansion, results[pair]))
+                offers.append((path, relation, direction, results[pair]))
         if not offers:
-            frontier.tail_entities = []
+            run.tail_entities = []
             run.record("selection", {
                 "stage": "entities", "selected": [], "tails": [],
             })
             return []
         parts: list[str] = []
         known: set[str] = set()
-        for expansion, labeled in offers:
-            tail_label = self._label(run, expansion.path.tail_entity())
+        for path, relation, direction, labeled in offers:
+            tail_label = labels[path.tail_entity()]
             names = ", ".join(clabel for _, clabel in labeled)
-            if expansion.direction is Direction.OUTGOING:
-                parts.append(f"({tail_label}, {expansion.relation}, [{names}])")
+            if direction is Direction.OUTGOING:
+                parts.append(f"({tail_label}, {relation}, [{names}])")
             else:
-                parts.append(f"([{names}], {expansion.relation}, {tail_label})")
+                parts.append(f"([{names}], {relation}, {tail_label})")
             for cid, clabel in labeled:
                 known.add(cid)
                 known.add(clabel)
@@ -366,8 +349,7 @@ class Planner:
         # id -> label of each new tail, in first-reached order
         new_tails: dict[str, str] = {}
         cycles: set[str] = set()
-        for expansion, labeled in offers:
-            path = expansion.path
+        for path, relation, direction, labeled in offers:
             tail = path.tail_entity()
             for cid, clabel in labeled:
                 if clabel not in chosen and cid not in chosen:
@@ -375,12 +357,13 @@ class Planner:
                 if cid in path.entities():
                     cycles.add(clabel)
                     continue
-                edge = _oriented(tail, expansion.relation, cid,
-                                 expansion.direction)
-                new_paths.append(
-                    path.extended(PathStep(*edge, expansion.direction)))
+                # the step keeps the edge's KG orientation
+                step = (PathStep(tail, relation, cid, direction)
+                        if direction is Direction.OUTGOING
+                        else PathStep(cid, relation, tail, direction))
+                new_paths.append(path.extended(step))
                 new_tails.setdefault(cid, clabel)
-        frontier.tail_entities = list(new_tails.items())
+        run.tail_entities = list(new_tails.items())
         run.record("selection", {
             "stage": "entities",
             "selected": valid,
@@ -414,22 +397,21 @@ class Planner:
             )
             data, warning = self._ask(run, prompt, "memory_update",
                                       extract_json_object)
-            if data:
-                for key, value in data.items():
-                    index = self._status_index(key)
-                    if index is not None and 1 <= index <= len(objectives):
-                        memory.status[index - 1] = str(value)
+            for key, value in (data or {}).items():
+                match = _INDEX_RE.search(str(key))
+                index = int(match.group(1)) if match else 0
+                if 1 <= index <= len(objectives):
+                    memory.status[index - 1] = str(value)
         # the pool only grows between resets, so its newest entries are
         # the ones that joined since the previous memory_update
-        pool = run.frontier.candidate_pool
+        pool = run.candidate_pool
         joined = sorted(islice(pool, run.pool_listed, None))
         run.pool_listed = len(pool)
         run.record("memory_update", {
             "status": list(memory.status),
             "paths": len(memory.paths),
-            "tail_entities": [eid for eid, _ in run.frontier.tail_entities],
+            "tail_entities": [eid for eid, _ in run.tail_entities],
             "candidate_pool": joined,
-            "subgraph": memory.subgraph.size_summary(),
             **_present(warning=warning),
         })
 
@@ -471,7 +453,6 @@ class Planner:
 
     def reflect(self, run: _Run) -> list[str]:
         """The ids of the entities to re-open; empty to press on."""
-        frontier, memory = run.frontier, run.memory
         if self.config.ablations.no_reflection:
             run.record("reflection", {
                 "add": False, "reason": "reflection disabled", "backtrack": [],
@@ -481,9 +462,9 @@ class Planner:
         prompt = self.prompts.render(
             "reflection",
             question=run.question.text,
-            entities=json.dumps([label for _, label in frontier.tail_entities],
+            entities=json.dumps([label for _, label in run.tail_entities],
                                 ensure_ascii=False),
-            memory=self._render_status(memory.status),
+            memory=self._render_status(run.memory.status),
             triplets=run.paths_text,
         )
         data, warning = self._ask(run, prompt, "reflection",
@@ -502,19 +483,19 @@ class Planner:
                 **_present(warning=warning),
             })
             return []
-        pool = frontier.candidate_pool
+        pool = run.candidate_pool
         prompt2 = self.prompts.render(
             "backtrack_selection",
             question=run.question.text,
             reason=reason,
             candidates=json.dumps(sorted(set(pool.values())),
                                   ensure_ascii=False),
-            memory=self._render_status(memory.status),
+            memory=self._render_status(run.memory.status),
         )
         names, warning2 = self._ask(run, prompt2, "backtrack_selection",
                                     parse_list)
         warning = _join_warnings(warning, warning2)
-        current = {eid for eid, _ in frontier.tail_entities}
+        current = {eid for eid, _ in run.tail_entities}
         label_to_ids: dict[str, list[str]] = {}
         for eid, clabel in pool.items():
             label_to_ids.setdefault(clabel, []).append(eid)
@@ -580,14 +561,6 @@ class Planner:
             except ParseError as second:
                 return None, f"unparseable after retry ({second})"
 
-    def _label(self, run: _Run, entity: str) -> str:
-        """The entity's label; a first sight is resolved and traced."""
-        label = run.labels.get(entity)
-        if label is None:
-            self._resolve_labels(run, (entity,))
-            label = run.labels[entity]
-        return label
-
     def _resolve_labels(self, run: _Run, entities: Iterable[str]) -> None:
         """Resolve the entities not seen yet and trace them as one event:
         `labels` maps each named one to its name, and `fallback` lists
@@ -630,8 +603,3 @@ class Planner:
                     seen.add(line)
                     lines.append(line)
         return "\n".join(lines)
-
-    @staticmethod
-    def _status_index(key: str) -> int | None:
-        match = _INDEX_RE.search(str(key))
-        return int(match.group(1)) if match else None

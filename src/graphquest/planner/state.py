@@ -89,37 +89,10 @@ class ReasoningPath:
 
 
 @dataclass
-class Subgraph:
-    """Everything retrieved so far, plus which pairs were expanded."""
-
-    relation_edges: set[tuple[str, str, Direction]] = field(default_factory=set)
-    # (subject, relation, object) of every edge retrieved
-    triples: set[tuple[str, str, str]] = field(default_factory=set)
-    expanded: set[tuple[str, str, Direction]] = field(default_factory=set)
-
-    def size_summary(self) -> dict[str, int]:
-        return {
-            "relation_edges": len(self.relation_edges),
-            "triples": len(self.triples),
-            "expanded": len(self.expanded),
-        }
-
-
-@dataclass
 class Memory:
-    subgraph: Subgraph
     paths: list[ReasoningPath]
     # one progress note per sub-objective
     status: list[str]
-
-
-@dataclass
-class Frontier:
-    iteration: int
-    # (entity id, label) pairs still to be expanded this iteration
-    tail_entities: list[tuple[str, str]]
-    # id -> label over every candidate seen so far (topic entities included)
-    candidate_pool: dict[str, str]
 
 
 @dataclass(frozen=True)

@@ -132,10 +132,10 @@ class TestFullRun:
     def test_candidate_pool_accumulates_everything_seen(self, planner,
                                                         panama_question):
         result = planner.run(panama_question)
-        assert set(result.frontier.candidate_pool) == {
+        assert set(result.candidate_pool) == {
             NAKED, PRESIDENT, PANAMA, PANAMA_CITY, VARELA,
         }
-        assert result.frontier.candidate_pool[VARELA] == "Juan Carlos Varela"
+        assert result.candidate_pool[VARELA] == "Juan Carlos Varela"
 
     def test_memory_keeps_suspended_paths(self, planner, panama_question):
         result = planner.run(panama_question)

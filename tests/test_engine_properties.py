@@ -43,6 +43,10 @@ def make_kg(triples, labels):
     return kg
 
 
+MEMORY_UPDATE_KEYS = {"status", "paths", "tail_entities", "candidate_pool",
+                      "warning"}
+
+
 def check_invariants(result, config):
     """Assertions that hold for any run, no matter what the model said."""
     assert 1 <= result.iterations <= config.max_depth
@@ -60,7 +64,7 @@ def check_invariants(result, config):
         for key in ("warning", "dropped", "cycles"):
             if key in event.payload:
                 assert event.payload[key], (event.kind, key)
-    pool = result.frontier.candidate_pool
+    pool = result.candidate_pool
     no_memory = config.ablations.no_memory
     resolved: set[str] = set()
     for event in result.trace.iter_kind("kg_query"):
@@ -80,6 +84,16 @@ def check_invariants(result, config):
         assert len(set(ids)) == len(ids)
         assert resolved.isdisjoint(ids)
         resolved.update(ids)
+    # a spent hop is never searched again: once per run, or once per
+    # iteration when memory is reset every iteration
+    searched = [
+        (e.iteration if no_memory else None, e.payload["entity"],
+         e.payload["relation"], e.payload["direction"])
+        for e in result.trace.iter_kind("kg_query")
+        if e.payload["op"] == "entities"]
+    assert len(searched) == len(set(searched))
+    for event in result.trace.iter_kind("memory_update"):
+        assert set(event.payload) <= MEMORY_UPDATE_KEYS
     for event in result.trace.iter_kind("llm_call"):
         assert event.usage is not None
         assert event.usage.input_tokens == \
@@ -266,16 +280,6 @@ class TestRandomizedTrajectories:
         assert (direct_usage, direct_calls) == (loaded_usage, loaded_calls)
 
 
-class MissCountingPlanner(Planner):
-    """Counts the `_label` calls that meet an entity not labelled yet."""
-
-    misses = 0
-
-    def _label(self, run, entity):
-        self.misses += entity not in run.labels
-        return super()._label(run, entity)
-
-
 class TestLabelEvents:
     def test_one_labels_event_per_expansion_at_most(self):
         widest = 0  # the most ids one labels event resolved
@@ -291,19 +295,16 @@ class TestLabelEvents:
             question = Question(f"How does {labels[entities[0]]} relate "
                                 f"to {labels[entities[1]]}?", topics)
             config = PlannerConfig(max_depth=3)
-            planner = MissCountingPlanner(kg, PromptAwareResponder(seed),
-                                          config)
-            result = planner.run(question)
+            result = Planner(kg, PromptAwareResponder(seed),
+                             config).run(question)
             check_invariants(result, config)  # no id in two labels events
             queries = [e.payload for e in result.trace.iter_kind("kg_query")]
             ops = [payload["op"] for payload in queries]
             assert "label" not in ops
-            assert 0 < ops.count("labels") <= \
-                ops.count("entities") + planner.misses
-            # an expansion's labels event comes right after its query
-            stray = sum(op == "labels" and before != "entities"
-                        for before, op in zip(ops, ops[1:]))
-            assert stray <= planner.misses
+            assert 0 < ops.count("labels") <= ops.count("entities")
+            # every labels event comes right after its expansion's query
+            assert all(before == "entities"
+                       for before, op in zip(ops, ops[1:]) if op == "labels")
             widest = max([widest] + [
                 len(p["labels"]) + len(p.get("fallback", ()))
                 for p in queries if p["op"] == "labels"])
@@ -381,7 +382,7 @@ class TestRecallTrigger:
         assert prompt.count("Candidate ") == 24
         assert result.verdict.answer == "Relevant Answer Thing"
         # the pool keeps every retrieved candidate, not just the kept ones
-        assert len(result.frontier.candidate_pool) == 36
+        assert len(result.candidate_pool) == 36
 
     def test_under_threshold_set_is_untouched(self):
         kg = self.wide_kg(30)  # exactly at the threshold: no ranking
@@ -541,6 +542,18 @@ class TestParseRecovery:
         for event in result.trace.iter_kind("reflection"):
             assert event.payload["add"] is False
             assert "unparseable" in event.payload["warning"]
+
+    def test_a_reply_nested_too_deep_is_retried_not_fatal(self):
+        rules = dict(SOLO_RULES)
+        rules[MEMORY_ANCHOR] = '{"#1":' * 3000 + '"x"' + "}" * 3000
+        backend = FlipFlopBackend(rules, set())
+        result = Planner(solo_kg(), backend).run(solo_question())
+        stages = [e.payload["stage"]
+                  for e in result.trace.iter_kind("llm_call")]
+        assert stages.count("memory_update_retry") == 1
+        update = next(result.trace.iter_kind("memory_update"))
+        assert "unparseable after retry" in update.payload["warning"]
+        assert result.verdict.answer == "Target"
 
     def test_unrecognized_add_value_is_treated_as_no(self):
         rules = dict(SOLO_RULES)

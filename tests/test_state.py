@@ -8,7 +8,6 @@ from graphquest.planner.state import (
     Question,
     ReasoningPath,
     StateError,
-    Subgraph,
     Verdict,
 )
 
@@ -106,16 +105,6 @@ class TestVerdict:
         # after exhaustion the best guess is recorded without sufficiency
         Verdict(False, "Panama", "best effort", forced=True)
         Verdict(False, None, "nothing found", forced=True)
-
-
-class TestSubgraph:
-    def test_size_summary(self):
-        sub = Subgraph()
-        sub.relation_edges.add(("m.0a", "r.one", OUT))
-        sub.triples.add(("m.0a", "r.one", "m.0b"))
-        sub.expanded.add(("m.0a", "r.one", OUT))
-        assert sub.size_summary() == {"relation_edges": 1, "triples": 1,
-                                      "expanded": 1}
 
 
 class TestConfigs:

@@ -30,19 +30,19 @@ from test_engine_properties import make_kg
 # group -> (event count, sha256 of the stable lines joined by newlines)
 GOLDEN = {
     "panama-default": (
-        53, "3acf6af3b9443705841d9ee9637b8377ad491f0b2472a5e563f0da5a04af0020"),
+        53, "76713407ada71fa7b388d11f6a14021fe9f761da5fe4b73c5be9fc7a610bb644"),
     "panama-no_guidance": (
-        52, "252802c7d87a197f0c3c17b7977fa3b863d6f0f511d084013ec428904340c5ce"),
+        52, "bc0c1518d65bb05bc5d319cc91a7a32306d3355331bbce557eaee1e937cf1122"),
     "panama-no_memory": (
-        53, "bb1a506f3e01fcbcd17e9aa64b189a0aef601cd148a669f2e4563bc939216c94"),
+        53, "80163629598a0f60e57dfce8b3427730f776a3e761d79208f8b75ae1a9ec3026"),
     "panama-no_reflection": (
-        50, "747fdd838809589b1a1fb00798c5f8ba6ee9cad64e91195ab292717632640db4"),
+        50, "efe96140295909222a54530d56409c9f5302eaa427828a4e318a8cae1a90cfc2"),
     "panama-fixed_breadth=1": (
-        53, "3acf6af3b9443705841d9ee9637b8377ad491f0b2472a5e563f0da5a04af0020"),
+        53, "76713407ada71fa7b388d11f6a14021fe9f761da5fe4b73c5be9fc7a610bb644"),
     "capitals": (
-        60, "a9a14b2948601c6483b8431daf8dca18a2644e7c6527b3472132f50523ecd289"),
+        60, "5dd4eb5ba4f9b36f4f0b2b430ad0b72dbb5a5a2e6b48f051fca02e64f2f80965"),
     "random-graph": (
-        29046, "7e01516637b09ceb65997bbcad0b73fce17a398d08239c36fcdba71aa3826f1f"),
+        29046, "4dd45ad2c6091658e3cc0cfa7b01af017379e1054c4c638eb982b391e250031b"),
 }
 
 PANAMA_FLAGS = {
