@@ -8,7 +8,7 @@ from typing import Callable
 
 import requests
 
-from ..retry import post_json
+from ..retry import Sessions, post_json
 from .queries import entities_query, label_query, relations_query
 from .types import FREEBASE_NS, Direction, EntityLabel, KGError
 
@@ -34,14 +34,18 @@ class SparqlKG:
 
     The cache is keyed on the rendered query text, so repeated expansions
     of the same entity cost one round trip per process. A session and a
-    sleep function can be injected for testing.
+    sleep function can be injected for testing. Safe to call from several
+    threads at once; the planner overlaps a batch of its queries on the
+    `fanout` pool.
     """
+
+    waits_on_network = True
 
     def __init__(self, endpoint_url: str, *,
                  session: requests.Session | None = None,
                  sleep: Callable[[float], None] = time.sleep):
         self.endpoint_url = endpoint_url
-        self.session = session or requests.Session()
+        self._sessions = Sessions(session)
         self._sleep = sleep
         self._cache: dict[str, list[str]] = {}
         self._lock = threading.Lock()
@@ -77,7 +81,7 @@ class SparqlKG:
 
     def _execute(self, query: str, variable: str) -> list[str]:
         payload = post_json(
-            self.session, self.endpoint_url, sleep=self._sleep,
+            self._sessions.get(), self.endpoint_url, sleep=self._sleep,
             error=lambda attempts, last: BackendUnreachableError(
                 self.endpoint_url, attempts, last),
             data=query.encode("utf-8"),

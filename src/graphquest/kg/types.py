@@ -42,7 +42,12 @@ class EntityLabel:
 
 
 class KGBackend(Protocol):
-    """What the planner needs from any knowledge-graph backend."""
+    """What the planner needs from any knowledge-graph backend.
+
+    Each search returns distinct values. A backend whose calls wait on
+    the network sets `waits_on_network = True` and must then be safe to
+    call from several threads at once (see `graphquest.fanout`).
+    """
 
     def search_relations(self, entity: str,
                          direction: Direction) -> list[str]:

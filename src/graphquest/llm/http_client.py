@@ -8,7 +8,7 @@ from typing import Callable
 
 import requests
 
-from ..retry import post_json
+from ..retry import Sessions, post_json
 from .types import (
     Completion,
     GenerationConfig,
@@ -38,7 +38,7 @@ class ChatCompletionsBackend:
         if not base.endswith("/chat/completions"):
             base = base + "/chat/completions"
         self.url = base
-        self.session = session or requests.Session()
+        self._sessions = Sessions(session)
         self._sleep = sleep
 
     def complete(self, prompt: str, config: GenerationConfig) -> Completion:
@@ -55,7 +55,7 @@ class ChatCompletionsBackend:
         if key:
             headers["Authorization"] = f"Bearer {key}"
         payload = post_json(
-            self.session, self.url, sleep=self._sleep,
+            self._sessions.get(), self.url, sleep=self._sleep,
             error=lambda attempts, last: TransportError(
                 f"chat endpoint {self.url} failed after {attempts} "
                 f"attempts: {last}"),

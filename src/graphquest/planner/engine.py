@@ -16,8 +16,9 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
+from .. import fanout
 from ..kg.types import Direction, KGBackend
 from ..llm.parsing import (
     ParseError,
@@ -45,6 +46,11 @@ logger = logging.getLogger(__name__)
 INSUFFICIENT_ANSWERS = frozenset({"", "unknown", "insufficient"})
 
 _INDEX_RE = re.compile(r"(\d+)")
+
+_DIRECTIONS = (Direction.OUTGOING, Direction.INCOMING)
+
+# (tail entity, relation, direction): one edge search from the frontier
+Hop = tuple[str, str, Direction]
 
 _decode_answer = partial(parse_json_object, required_keys={"A", "R"})
 _decode_reflection = partial(parse_json_object,
@@ -83,10 +89,11 @@ class _Run:
     labels: dict[str, str] = field(init=False)
     # (entity id, label) pairs still to be expanded this iteration
     tail_entities: list[tuple[str, str]] = field(init=False)
-    # id -> label of every candidate seen so far, topic entities included
+    # id -> label of every candidate seen so far, topic entities included:
+    # `labels` itself, unless no_memory gives each iteration its own
     candidate_pool: dict[str, str] = field(init=False)
-    # the (entity, relation, direction) hops already searched
-    expanded: set[tuple[str, str, Direction]] = field(default_factory=set)
+    # the hops already searched
+    expanded: set[Hop] = field(default_factory=set)
     objectives: tuple[str, ...] = field(init=False)
     memory: Memory = field(init=False)
     # `memory.paths` as the prompts show them, rendered when they change
@@ -96,9 +103,8 @@ class _Run:
 
     def __post_init__(self) -> None:
         topics = self.question.topic_entities
-        self.labels = dict(topics)
+        self.labels = self.candidate_pool = dict(topics)
         self.tail_entities = list(topics)
-        self.candidate_pool = dict(topics)
 
     def record(self, kind: str, payload: dict,
                usage: Usage | None = None) -> None:
@@ -211,18 +217,23 @@ class Planner:
 
     # -- stage: relation exploration ------------------------------------
 
-    def explore_relations(self, run: _Run
-                          ) -> list[tuple[ReasoningPath, str, Direction]]:
-        """The (path, relation, direction) hops the model chose."""
-        pending: list[tuple[ReasoningPath, str, Direction]] = []
+    def explore_relations(self, run: _Run) -> list[tuple[ReasoningPath, Hop]]:
+        """Each path to extend, with a hop the model chose from its tail."""
+        pending: list[tuple[ReasoningPath, Hop]] = []
         breadth = self.config.ablations.fixed_breadth
         ending_at: dict[str, list[ReasoningPath]] = {}
         for path in run.memory.paths:
             ending_at.setdefault(path.tail_entity(), []).append(path)
-        for eid, label in run.tail_entities:
+        tails = run.tail_entities
+        searches = [(eid, direction)
+                    for eid, _ in tails for direction in _DIRECTIONS]
+        searched = fanout.results(
+            self.kg, lambda search: self.kg.search_relations(*search),
+            searches)
+        for eid, label in tails:
             tagged: list[tuple[str, Direction]] = []
-            for direction in (Direction.OUTGOING, Direction.INCOMING):
-                relations = self.kg.search_relations(eid, direction)
+            for direction in _DIRECTIONS:
+                relations = next(searched)
                 run.record("kg_query", {
                     "op": "relations",
                     "entity": eid,
@@ -266,55 +277,53 @@ class Planner:
             })
             if not chosen:
                 continue
+            hops = [(eid, relation, direction)
+                    for relation, direction in tagged if relation in chosen]
             # reached by backtracking with no live path ending here
             extendable = ending_at.get(eid) or [ReasoningPath(origin=eid)]
             for path in extendable:
-                if len(path.steps) >= self.config.max_depth:
-                    continue
-                for relation, direction in tagged:
-                    if relation in chosen:
-                        pending.append((path, relation, direction))
+                if len(path.steps) < self.config.max_depth:
+                    pending.extend((path, hop) for hop in hops)
         return pending
 
     # -- stage: entity exploration --------------------------------------
 
     def explore_entities(self, run: _Run,
-                         pending: list[tuple[ReasoningPath, str, Direction]]
+                         pending: list[tuple[ReasoningPath, Hop]]
                          ) -> list[ReasoningPath]:
         if not pending:
             run.tail_entities = []
             return []
         labels, pool = run.labels, run.candidate_pool
-        results: dict[tuple, list[tuple[str, str]]] = {}
-        # the hops that found something, each with its candidates
-        offers: list[tuple[ReasoningPath, str, Direction,
-                           list[tuple[str, str]]]] = []
-        for path, relation, direction in pending:
-            tail = path.tail_entity()
-            pair = (tail, relation, direction)
-            if pair not in results:
-                found = self.kg.search_entities(tail, relation, direction)
-                run.record("kg_query", {
-                    "op": "entities", "entity": tail, "relation": relation,
-                    "direction": direction.value, "count": len(found),
-                })
-                run.expanded.add(pair)
-                self._resolve_labels(run, found)
-                labeled = [(cid, labels[cid]) for cid in found]
+        # each distinct hop, in first-offered order -> its candidates
+        hops = dict.fromkeys(hop for _, hop in pending)
+        found_by_hop = fanout.results(
+            self.kg, lambda hop: self.kg.search_entities(*hop), hops)
+        for hop, found in zip(hops, found_by_hop):
+            tail, relation, direction = hop
+            run.record("kg_query", {
+                "op": "entities", "entity": tail, "relation": relation,
+                "direction": direction.value, "count": len(found),
+            })
+            run.expanded.add(hop)
+            self._resolve_labels(run, found)
+            labeled = [(cid, labels[cid]) for cid in found]
+            if pool is not labels:
                 for cid, clabel in labeled:
                     pool.setdefault(cid, clabel)
-                if len(labeled) > self.config.recall.threshold:
-                    kept = top_k(run.question.text, labeled,
-                                 self.config.recall.k, self.scorer)
-                    run.record("selection", {
-                        "stage": "recall", "entity": tail,
-                        "relation": relation, "direction": direction.value,
-                        "before": len(labeled), "after": len(kept),
-                    })
-                    labeled = [(c.entity, c.label) for c in kept]
-                results[pair] = labeled
-            if results[pair]:
-                offers.append((path, relation, direction, results[pair]))
+            if len(labeled) > self.config.recall.threshold:
+                kept = top_k(run.question.text, labeled,
+                             self.config.recall.k, self.scorer)
+                run.record("selection", {
+                    "stage": "recall", "entity": tail,
+                    "relation": relation, "direction": direction.value,
+                    "before": len(labeled), "after": len(kept),
+                })
+                labeled = [(c.entity, c.label) for c in kept]
+            hops[hop] = labeled
+        # the hops that found something, each with its candidates
+        offers = [(path, hop, labeled) for path, hop in pending
+                  if (labeled := hops[hop])]
         if not offers:
             run.tail_entities = []
             run.record("selection", {
@@ -323,8 +332,8 @@ class Planner:
             return []
         parts: list[str] = []
         known: set[str] = set()
-        for path, relation, direction, labeled in offers:
-            tail_label = labels[path.tail_entity()]
+        for _, (tail, relation, direction), labeled in offers:
+            tail_label = labels[tail]
             names = ", ".join(clabel for _, clabel in labeled)
             if direction is Direction.OUTGOING:
                 parts.append(f"({tail_label}, {relation}, [{names}])")
@@ -349,8 +358,7 @@ class Planner:
         # id -> label of each new tail, in first-reached order
         new_tails: dict[str, str] = {}
         cycles: set[str] = set()
-        for path, relation, direction, labeled in offers:
-            tail = path.tail_entity()
+        for path, (tail, relation, direction), labeled in offers:
             for cid, clabel in labeled:
                 if clabel not in chosen and cid not in chosen:
                     continue
@@ -561,27 +569,25 @@ class Planner:
             except ParseError as second:
                 return None, f"unparseable after retry ({second})"
 
-    def _resolve_labels(self, run: _Run, entities: Iterable[str]) -> None:
+    def _resolve_labels(self, run: _Run, entities: list[str]) -> None:
         """Resolve the entities not seen yet and trace them as one event:
         `labels` maps each named one to its name, and `fallback` lists
         the unnamed ones, whose label is their id."""
         labels = run.labels
-        named: dict[str, str] | None = None
-        for entity in entities:
-            if entity in labels:
-                continue
-            resolved = self.kg.resolve_label(entity)
+        unseen = [entity for entity in entities if entity not in labels]
+        if not unseen:
+            return
+        named: dict[str, str] = {}
+        fallback: list[str] = []
+        resolved_all = fanout.results(self.kg, self.kg.resolve_label, unseen)
+        for entity, resolved in zip(unseen, resolved_all):
             labels[entity] = resolved.label
-            if named is None:
-                # most expansions find nothing new: allocate on first sight
-                named, fallback = {}, []
             if resolved.is_fallback:
                 fallback.append(entity)
             else:
                 named[entity] = resolved.label
-        if named is not None:
-            run.record("kg_query", {"op": "labels", "labels": named,
-                                    **_present(fallback=fallback)})
+        run.record("kg_query", {"op": "labels", "labels": named,
+                                **_present(fallback=fallback)})
 
     def _render_status(self, status: list[str]) -> str:
         return json.dumps(

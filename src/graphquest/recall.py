@@ -12,11 +12,13 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Protocol, Sequence
 
 import requests
 
-from .retry import post_json
+from . import fanout
+from .retry import Sessions, post_json
 
 # seconds RemoteEmbeddingScorer waits for each embedding request
 TIMEOUT_SECONDS = 30.0
@@ -88,15 +90,18 @@ class RemoteEmbeddingScorer:
 
     POSTs {"input": [text]} and expects {"data": [{"embedding": [...]}]}.
     Embeddings are cached per text, so each distinct string costs one
-    request per process.
+    request per process. `top_k` scores a batch of labels on the
+    `fanout` pool.
     """
+
+    waits_on_network = True
 
     def __init__(self, endpoint_url: str, *,
                  session: requests.Session | None = None,
                  model: str | None = None,
                  sleep: Callable[[float], None] = time.sleep):
         self.endpoint_url = endpoint_url
-        self.session = session or requests.Session()
+        self._sessions = Sessions(session)
         self.model = model
         self._sleep = sleep
         # text -> (embedding, its norm)
@@ -126,7 +131,7 @@ class RemoteEmbeddingScorer:
         if self.model:
             body["model"] = self.model
         payload = post_json(
-            self.session, self.endpoint_url, sleep=self._sleep,
+            self._sessions.get(), self.endpoint_url, sleep=self._sleep,
             error=lambda attempts, last: RecallError(
                 f"embedding endpoint {self.endpoint_url} failed after "
                 f"{attempts} attempts: {last}"),
@@ -151,9 +156,20 @@ def top_k(question: str, candidates: Sequence[tuple[str, str]], k: int,
     if k < 1:
         raise RecallError(f"k must be >= 1, got {k}")
     active = scorer or TrigramScorer()
-    scored = [
-        ScoredCandidate(entity, label, active.score(question, label))
-        for entity, label in candidates
-    ]
+    if fanout.waits_on_network(active) and candidates:
+        # The first score fetches the question's embedding, so the other
+        # labels, each asked for once, overlap without repeating it.
+        labels = list(dict.fromkeys(label for _, label in candidates))
+        first = active.score(question, labels[0])
+        score = functools.partial(active.score, question)
+        rest = fanout.results(active, score, labels[1:])
+        scores = dict(zip(labels, chain((first,), rest)))
+        scored = [ScoredCandidate(entity, label, scores[label])
+                  for entity, label in candidates]
+    else:
+        scored = [
+            ScoredCandidate(entity, label, active.score(question, label))
+            for entity, label in candidates
+        ]
     scored.sort(key=lambda c: (-c.score, c.label, c.entity))
     return scored[:k]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import threading
 from typing import Any, Callable
 
 import requests
@@ -12,6 +13,27 @@ logger = logging.getLogger(__name__)
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 MAX_ATTEMPTS = 3
 BACKOFF_SECONDS = 1.0
+
+
+class Sessions:
+    """The session each request goes out on.
+
+    An injected session is used as-is by every thread. Without one, each
+    thread gets its own `requests.Session` on first use, because
+    requests does not promise that one session is safe across threads.
+    """
+
+    def __init__(self, injected: requests.Session | None = None):
+        self._injected = injected
+        self._local = threading.local()
+
+    def get(self) -> requests.Session:
+        if self._injected is not None:
+            return self._injected
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
 
 def post_json(session: requests.Session, url: str, *,

@@ -109,18 +109,18 @@ def test_failed_share_is_each_sides_median_of_failed_over_attempted():
     assert not row["regression"]
 
 
-def run_main(tmp_path, monkeypatch, seed=1, failed=(0, 0)):
-    """main() on two fake checkouts: the change's p50 is 50% worse, and
-    the parent and the change fail `failed` of 5 questions."""
+def run_main(tmp_path, monkeypatch, seed=1, failed=(0, 0), change_p50=1.5):
+    """main() on two fake checkouts: the parent's p50 is 1.0 and the
+    change's `change_p50`, and they fail `failed` of 5 questions."""
     parent, change = tmp_path / "parent", tmp_path / "change"
     for side in (parent, change):
-        side.mkdir()
+        side.mkdir(parents=True)
     (parent / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 1,
         "end_to_end": [{"name": name, **entry}
                        for name, entry in SPEC.items()],
     }))
-    values = {parent: result(1.0, 10.0), change: result(1.5, 10.0)}
+    values = {parent: result(1.0, 10.0), change: result(change_p50, 10.0)}
     failures = {parent: failed[0], change: failed[1]}
 
     def fake_run(checkout, workload, seed, seconds):
@@ -133,7 +133,7 @@ def run_main(tmp_path, monkeypatch, seed=1, failed=(0, 0)):
 
 
 def test_main_marks_regressions(tmp_path, monkeypatch, capsys):
-    assert run_main(tmp_path, monkeypatch) == 0
+    assert run_main(tmp_path, monkeypatch) == 1
     lines = {line.split()[0]: line
              for line in capsys.readouterr().out.splitlines()
              if line.startswith(("question", "failed_share"))}
@@ -143,7 +143,7 @@ def test_main_marks_regressions(tmp_path, monkeypatch, capsys):
 
 
 def test_main_marks_a_higher_failed_share(tmp_path, monkeypatch, capsys):
-    assert run_main(tmp_path, monkeypatch, failed=(0, 1)) == 0
+    assert run_main(tmp_path, monkeypatch, failed=(0, 1)) == 1
     out = capsys.readouterr().out.splitlines()
     line = next(line for line in out if line.startswith("failed_share"))
     assert "REGRESSION" in line
@@ -152,7 +152,7 @@ def test_main_marks_a_higher_failed_share(tmp_path, monkeypatch, capsys):
 
 
 def test_main_ends_with_one_json_line(tmp_path, monkeypatch, capsys):
-    assert run_main(tmp_path, monkeypatch, seed=3) == 0
+    assert run_main(tmp_path, monkeypatch, seed=3) == 1
     record = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert (record["workload"], record["seed"], record["pairs"]) == \
         ("w", 3, 2)
@@ -165,3 +165,12 @@ def test_main_ends_with_one_json_line(tmp_path, monkeypatch, capsys):
     assert rows["question_s_p50"]["parent"] == [1.0, 1.0, 1.0]
     assert rows["question_s_p50"]["regression"]
     assert not rows["questions_per_s"]["regression"]
+
+
+def test_main_exits_1_only_on_a_regression(tmp_path, monkeypatch, capsys):
+    assert run_main(tmp_path / "same", monkeypatch, change_p50=1.0) == 0
+    # a higher failed_share alone is a regression
+    assert run_main(tmp_path / "failing", monkeypatch, failed=(0, 1),
+                    change_p50=1.0) == 1
+    out = capsys.readouterr().out
+    assert out.count("REGRESSION") == 1

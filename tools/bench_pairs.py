@@ -17,7 +17,8 @@ REGRESSION; one whose parent quartiles lie further apart than that bound
 is marked unresolved, because such runs cannot show a move that size,
 unless every change run reads better than every parent run. A last row,
 failed_share, gives each side's median of failed/attempted questions and
-is marked REGRESSION when the change's median is higher.
+is marked REGRESSION when the change's median is higher. The script
+exits 1 when any row is marked REGRESSION, and 0 otherwise.
 
 The last line of output is one JSON object: the workload, seed and pair
 count, every run's run.py result (its metrics, `failed` and `attempted`)
@@ -161,7 +162,7 @@ def main(argv=None) -> int:
                  for parent, change in runs],
         "summary": rows,
     }))
-    return 0
+    return 1 if any(row["regression"] for row in rows) else 0
 
 
 if __name__ == "__main__":
