@@ -4,7 +4,7 @@ A stage that needs several answers from one backend, none of which
 depends on another, asks for them through `results`. A backend whose
 calls wait on the network says so with the class attribute
 `waits_on_network = True` (`SparqlKG` and `RemoteEmbeddingScorer`); a
-batch of its calls then runs on one process-wide pool of WORKERS
+batch of its calls then runs on the calling thread's own pool of WORKERS
 threads, so their round trips overlap. Every other backend is called
 inline, one item at a time, as a plain loop would call it. Either way
 the results come back in input order, so a caller records its trace
@@ -21,13 +21,17 @@ from typing import Callable, Collection, Iterator, TypeVar
 Item = TypeVar("Item")
 Result = TypeVar("Result")
 
-# Shared by every planner in the process. On perfbench's remote-latency
+# Requests in flight per calling thread. On perfbench's remote-latency
 # workload (2-vCPU VM) 16 workers were no faster than 8: its label
 # batches average 7 ids.
 WORKERS = 8
 
-_executor: ThreadPoolExecutor | None = None
-_executor_lock = threading.Lock()
+# One pool per calling thread, not one for the process: each of the N
+# threads of `run_eval(parallelism=N)` gets up to WORKERS requests in
+# flight for its own batch. One shared pool would cap all N threads'
+# batches at WORKERS together, fewer than the N requests they had in
+# flight one call at a time.
+_local = threading.local()
 
 
 def waits_on_network(backend: object) -> bool:
@@ -39,8 +43,8 @@ def results(backend: object, call: Callable[[Item], Result],
     """`call(item)` for each item, yielded in input order.
 
     `backend` is the object `call` talks to; only its marker is read.
-    A batch of one item runs inline too. On the pool, once an item
-    fails, the items not yet started are cancelled.
+    A batch of one item runs inline too. On the calling thread's pool,
+    once an item fails, the items not yet started are cancelled.
     """
     if len(items) < 2 or not waits_on_network(backend):
         return map(call, items)
@@ -58,10 +62,11 @@ def _in_order(futures: list[Future]) -> Iterator:
 
 
 def _pool() -> ThreadPoolExecutor:
-    # created on first use, so importing the package starts no thread
-    global _executor
-    with _executor_lock:
-        if _executor is None:
-            _executor = ThreadPoolExecutor(
-                WORKERS, thread_name_prefix="graphquest-io")
-        return _executor
+    # Created on a thread's first batch, so importing the package starts
+    # no thread. When the calling thread ends, its pool is collected and
+    # the pool's idle workers exit.
+    pool = getattr(_local, "pool", None)
+    if pool is None:
+        pool = _local.pool = ThreadPoolExecutor(
+            WORKERS, thread_name_prefix="graphquest-io")
+    return pool

@@ -200,10 +200,14 @@ def test_top_k_ranks_as_inline_and_asks_once_per_label():
     rng = random.Random(5)
     words = ["river", "city", "canal", "isthmus", "bay", "coast", "strait",
              "harbour", "gulf", "lake", "delta", "cape"]
-    candidates = [(f"m.c{i}", f"{rng.choice(words)} {rng.choice(words)}")
+    # some labels repeat, and some repeat another only up to whitespace,
+    # which the scorer strips before it looks up its cache
+    candidates = [(f"m.c{i}", rng.choice(["", " ", "  "])
+                   + f"{rng.choice(words)} {rng.choice(words)}"
+                   + rng.choice(["", " "]))
                   for i in range(60)]
-    distinct = len({label for _, label in candidates})
-    assert distinct < len(candidates)  # some labels repeat
+    distinct = len({label.strip() for _, label in candidates})
+    assert distinct < len({label for _, label in candidates})
     question = "Which canal city lies on the isthmus?"
     inline_scorer, inline_endpoint = embedding_scorer(pooled=False)
     pooled_scorer, pooled_endpoint = embedding_scorer(seed=3)
@@ -271,6 +275,58 @@ def test_a_failure_cancels_the_items_not_started():
     time.sleep(0.1)
     # only the items already running when item 0 failed were served
     assert len(ran) <= 2 * fanout.WORKERS
+
+
+def test_each_calling_thread_gets_its_own_workers():
+    """Two callers' batches of 2 * WORKERS items: each caller has WORKERS
+    items running at once, so all 2 * WORKERS meet at the barrier. One
+    pool shared by both callers would leave the barrier short and break
+    it; a caller with more than WORKERS workers fails the peak check."""
+    meet = threading.Barrier(2 * fanout.WORKERS, timeout=10)
+    lock = threading.Lock()
+    running = {0: 0, 1: 0}
+    peak = {0: 0, 1: 0}
+    workers: set[threading.Thread] = set()
+
+    def batch(caller):
+        def call(item):
+            with lock:
+                workers.add(threading.current_thread())
+                running[caller] += 1
+                peak[caller] = max(peak[caller], running[caller])
+            meet.wait()
+            with lock:
+                running[caller] -= 1
+            return caller, item
+
+        assert list(fanout.results(WaitingBackend(), call,
+                                   range(2 * fanout.WORKERS))) == \
+            [(caller, item) for item in range(2 * fanout.WORKERS)]
+
+    failures = []
+
+    def caller_thread(caller):
+        try:
+            batch(caller)
+        except Exception as exc:  # reported by the assert below
+            failures.append(exc)
+
+    callers = [threading.Thread(target=caller_thread, args=(caller,))
+               for caller in (0, 1)]
+    for thread in callers:
+        thread.start()
+    for thread in callers:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in callers)
+    assert not failures, failures
+    assert peak == {0: fanout.WORKERS, 1: fanout.WORKERS}
+    assert len(workers) == 2 * fanout.WORKERS
+    # once its caller has ended, a pool's workers exit
+    deadline = time.monotonic() + 10
+    while any(worker.is_alive() for worker in workers) and \
+            time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not any(worker.is_alive() for worker in workers)
 
 
 # -- backends that stay inline ------------------------------------------------

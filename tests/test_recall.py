@@ -168,6 +168,23 @@ class TestTopK:
         top_k("Which of two hundred candidates is closest?", candidates, 5)
         assert len(built) <= 201  # one per label, at most one question
 
+    def test_a_waiting_scorer_gets_each_stripped_label_once(self):
+        asked = []
+
+        class Waiting:
+            waits_on_network = True
+
+            def score(self, question, label):
+                asked.append(label)
+                return TrigramScorer().score(question, label)
+
+        candidates = [("m.1", "Panama City"), ("m.2", " Panama City "),
+                      ("m.3", "Panama City"), ("m.4", "Colón")]
+        kept = top_k(QUESTION, candidates, 4, Waiting())
+        assert sorted(asked) == ["Colón", "Panama City"]
+        assert kept == top_k(QUESTION, candidates, 4)
+        assert top_k(QUESTION, [], 4, Waiting()) == []
+
     def test_k_larger_than_pool_keeps_everything(self):
         assert len(top_k(QUESTION, self.CANDIDATES, 100)) == \
             len(self.CANDIDATES)
