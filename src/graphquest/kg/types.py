@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 FREEBASE_NS = "http://rdf.freebase.com/ns/"
 OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
@@ -33,8 +33,9 @@ class Triplet:
     object: str
 
 
-@dataclass(frozen=True)
-class EntityLabel:
+class EntityLabel(NamedTuple):
+    # A tuple, not a frozen dataclass: the store builds one per label
+    # lookup, and a tuple is about half the cost to construct.
     entity: str
     label: str
     # True when no human-readable name was found and `label` is the raw id.

@@ -8,11 +8,12 @@ over lowercase character-trigram multisets.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Protocol, Sequence
 
 import requests
@@ -81,10 +82,17 @@ class TrigramScorer:
         if q == c:
             return 1.0
         left, left_norm = _question_trigrams(q)
-        right, right_norm = _trigrams(c)
-        if not left or not right:
+        grams = [c[i:i + 3] for i in range(len(c) - 2)]
+        if not left or not grams:
             return 0.0
-        dot = sum(left.get(g, 0) * n for g, n in right.items())
+        dot = sum(map(left.get, grams, repeat(0)))
+        # The norm is the root of the sum of squared counts: with every
+        # trigram distinct that sum is the trigram count, so only a label
+        # that repeats one builds its counts.
+        if len(set(grams)) == len(grams):
+            right_norm = math.sqrt(len(grams))
+        else:
+            right_norm = _trigrams(c)[1]
         return dot / (left_norm * right_norm)
 
 
@@ -170,16 +178,18 @@ def top_k(question: str, candidates: Sequence[tuple[str, str]], k: int,
         score = functools.partial(active.score, question)
         first = score(texts[0])
         rest = fanout.results(active, score, texts[1:])
-        scores = dict(zip(texts, chain((first,), rest)))
-        scored = [ScoredCandidate(entity, label, scores[text])
-                  for (entity, label), text in zip(candidates, stripped)]
+        by_text = dict(zip(texts, chain((first,), rest)))
+        scores = [by_text[text] for text in stripped]
     else:
         # An in-process scorer is cheaper to call than the dedupe above:
         # on perfbench's hub-fanout, whose labels are all distinct, that
         # path made questions 4% slower.
-        scored = [
-            ScoredCandidate(entity, label, active.score(question, label))
-            for entity, label in candidates
-        ]
-    scored.sort(key=lambda c: (-c.score, c.label, c.entity))
-    return scored[:k]
+        scores = [active.score(question, label) for _, label in candidates]
+    # Only the k kept become ScoredCandidates; negating a float is exact,
+    # so each keeps its score bit for bit.
+    best = heapq.nsmallest(k, [
+        (-score, label, entity)
+        for (entity, label), score in zip(candidates, scores)
+    ])
+    return [ScoredCandidate(entity, label, -negated)
+            for negated, label, entity in best]

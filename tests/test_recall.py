@@ -55,6 +55,19 @@ _BODY = st.text(alphabet=_FOLDING, min_size=1, max_size=12) | \
     st.text(min_size=1, max_size=40)
 _TEXTS = st.builds(lambda head, body, tail: head + body + tail,
                    _PAD, _BODY, _PAD).filter(lambda s: s.strip())
+# The oracle takes norms with `** 0.5`, which need not agree with
+# `math.sqrt` bit for bit (on glibc, `2921 ** 0.5` differs); texts this
+# short keep every sum of squared trigram counts below 2,000, where the
+# two agree.
+_SHORT_TEXTS = st.builds(
+    lambda head, body, tail: head + body + tail, _PAD,
+    st.text(alphabet=_FOLDING, min_size=1, max_size=12)
+    | st.text(min_size=1, max_size=20), _PAD).filter(lambda s: s.strip())
+# few ids and labels, so that both repeat; "zzzzzz" shares no trigram
+# with any of the fixed labels, so every score ties at zero
+_IDS = st.sampled_from(["m.1", "m.2", "m.3"]) | st.text(max_size=4)
+_LABELS = st.sampled_from(["aaa", "bbb", "Panama City", " panama city"]) \
+    | _SHORT_TEXTS
 
 
 class TestTrigramScorer:
@@ -102,6 +115,11 @@ class TestTrigramScorer:
     @example("ab", ["AB", "abc", "b"])
     @example("İstanbul", ["i̇stanbul", "istanbul", "ISTANBUL"])
     @example("Straße", ["STRASSE", "strasse", "STRAẞE"])
+    # labels that repeat a trigram the question shares, so the norm from
+    # the label's counts is checked on every run, not only when a draw
+    # happens to repeat one
+    @example("aaab abcabc ababa ßßß",
+             ["aaaaaa", "abcabcabc", " Ababab ", "ßßßß"])
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_frozen_formula(self, question, labels):
         scorer = TrigramScorer()
@@ -164,9 +182,28 @@ class TestTopK:
             return trigrams(text)
 
         monkeypatch.setattr(recall, "_trigrams", counting)
+        recall._question_trigrams.cache_clear()
         candidates = [(f"m.{i}", f"Candidate label {i}") for i in range(200)]
         top_k("Which of two hundred candidates is closest?", candidates, 5)
+        # every label asks for the question's profile; only the first
+        # builds it
+        info = recall._question_trigrams.cache_info()
+        assert (info.misses, info.hits) == (1, 199)
         assert len(built) <= 201  # one per label, at most one question
+
+    @given(st.sampled_from([QUESTION, "zzzzzz"]) | _SHORT_TEXTS,
+           st.lists(st.tuples(_IDS, _LABELS), min_size=1, max_size=12))
+    @example("zzzzzz", [("m.2", "bbb"), ("m.1", "bbb"), ("m.3", "aaa"),
+                        ("m.1", "bbb"), ("m.1", "aaa")])
+    @example(QUESTION, [("m.1", "Panama City"), ("m.1", " panama city"),
+                        ("m.2", "Panama City"), ("m.2", "abcabcabc")])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle_for_every_k(self, question, candidates):
+        for k in range(1, len(candidates) + 3):
+            kept = top_k(question, candidates, k)
+            expected = oracle_top_k(question, candidates, k)
+            assert [(c.entity, c.label, c.score.hex()) for c in kept] == \
+                [(e, l, score.hex()) for e, l, score in expected]
 
     def test_a_waiting_scorer_gets_each_stripped_label_once(self):
         asked = []
