@@ -24,7 +24,7 @@ from .kg.types import KGError
 from .llm.accounting import usage_total
 from .llm.types import LLMError
 from .planner.engine import Planner, PlannerRunError
-from .planner.state import Question
+from .planner.state import Question, StateError
 from .trace import RunTrace, TraceError
 
 logger = logging.getLogger(__name__)
@@ -278,9 +278,10 @@ def _describe(event) -> str:
     if event.kind == "selection":
         return f"{p.get('stage')}: {_clip(p.get('selected', p))}"
     if event.kind == "memory_update":
-        return (f"paths={p.get('paths')} "
-                f"pool+{len(p.get('candidate_pool', ()))} "
-                f"status={_clip(p.get('status'))}")
+        # only a no_memory run lists its pool, whole
+        listed = p.get("candidate_pool")
+        pool = "" if listed is None else f"pool={len(listed)} "
+        return f"paths={p.get('paths')} {pool}status={_clip(p.get('status'))}"
     if event.kind == "verdict":
         mark = "sufficient" if p.get("sufficient") else "insufficient"
         forced = " (forced)" if p.get("forced") else ""
@@ -304,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, LLMError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (KGError, DatasetError, TraceError) as exc:
+    except (KGError, DatasetError, StateError, TraceError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -50,6 +50,8 @@ def load_dataset(path: str, flavor: str = "normalized") -> list[DatasetRecord]:
     for index, raw in enumerate(payload):
         try:
             record = convert(raw, index)
+            if not record.question.strip():
+                raise ValueError("question is blank")
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise DatasetError(
                 f"{path}: record {index} is not valid {flavor}: {exc!r}"

@@ -15,7 +15,6 @@ import re
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 from typing import Any, Callable
 
 from .. import fanout
@@ -98,8 +97,6 @@ class _Run:
     memory: Memory = field(init=False)
     # `memory.paths` as the prompts show them, rendered when they change
     paths_text: str = ""
-    # how many `candidate_pool` entries a memory_update has listed
-    pool_listed: int = 0
 
     def __post_init__(self) -> None:
         topics = self.question.topic_entities
@@ -170,7 +167,6 @@ class Planner:
                 # keep only what the current iteration discovers
                 run.expanded = set()
                 run.candidate_pool = dict(run.tail_entities)
-                run.pool_listed = 0
             pending = self.explore_relations(run)
             self.update_memory(run, self.explore_entities(run, pending))
             verdict = self.evaluate(run)
@@ -326,9 +322,7 @@ class Planner:
                   if (labeled := hops[hop])]
         if not offers:
             run.tail_entities = []
-            run.record("selection", {
-                "stage": "entities", "selected": [], "tails": [],
-            })
+            run.record("selection", {"stage": "entities", "selected": []})
             return []
         parts: list[str] = []
         known: set[str] = set()
@@ -375,7 +369,6 @@ class Planner:
         run.record("selection", {
             "stage": "entities",
             "selected": valid,
-            "tails": list(new_tails),
             **_present(dropped=dropped, cycles=sorted(cycles),
                        warning=warning),
         })
@@ -393,8 +386,13 @@ class Planner:
             memory.paths.extend(new_paths)
             run.paths_text = self._render_paths(run)
         warning = None
+        # With memory on, the pool is the topics plus every id a labels
+        # event names. Without, it restarts each iteration and re-admits
+        # ids no labels event names again, so the trace lists it whole.
+        listed: dict[str, list[str]] = {}
         if self.config.ablations.no_memory:
             memory.status = ["unknown"] * len(objectives)
+            listed = {"candidate_pool": sorted(run.candidate_pool)}
         else:
             prompt = self.prompts.render(
                 "memory_update",
@@ -410,16 +408,11 @@ class Planner:
                 index = int(match.group(1)) if match else 0
                 if 1 <= index <= len(objectives):
                     memory.status[index - 1] = str(value)
-        # the pool only grows between resets, so its newest entries are
-        # the ones that joined since the previous memory_update
-        pool = run.candidate_pool
-        joined = sorted(islice(pool, run.pool_listed, None))
-        run.pool_listed = len(pool)
         run.record("memory_update", {
             "status": list(memory.status),
             "paths": len(memory.paths),
             "tail_entities": [eid for eid, _ in run.tail_entities],
-            "candidate_pool": joined,
+            **listed,
             **_present(warning=warning),
         })
 
@@ -536,7 +529,6 @@ class Planner:
             "add": bool(chosen),
             "reason": reason,
             "backtrack": chosen,
-            "tails": sorted(current),
             **_present(dropped=dropped, warning=warning),
         })
         return chosen

@@ -8,6 +8,7 @@ tautology.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 
@@ -74,8 +75,8 @@ def oracle_trigram_score(question, label):
     if not left or not right:
         return 0.0
     numerator = sum(count * right.get(g, 0) for g, count in left.items())
-    denominator = (sum(v * v for v in left.values()) ** 0.5) \
-        * (sum(v * v for v in right.values()) ** 0.5)
+    denominator = math.sqrt(sum(v * v for v in left.values())) \
+        * math.sqrt(sum(v * v for v in right.values()))
     return numerator / denominator if denominator else 0.0
 
 

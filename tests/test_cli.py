@@ -227,20 +227,24 @@ class TestInspectCommand:
         # the payload as loaded, keys sorted as the file stores them
         assert first.endswith(_clip(TraceEvent.from_json(line).payload))
 
-    def test_labels_and_pool_delta(self, tmp_path, capsys):
+    def test_labels_and_pool_count(self, tmp_path, capsys):
         trace = RunTrace()
         trace.record("kg_query", 1, {
             "op": "labels", "labels": {"m.0a": "Panama"},
             "fallback": ["m.0b"]})
-        trace.record("memory_update", 1, {
+        # with memory on the update lists no pool; under no_memory it
+        # lists the whole pool
+        trace.record("memory_update", 1, {"paths": 2, "status": []})
+        trace.record("memory_update", 2, {
             "paths": 2, "candidate_pool": ["m.0a", "m.0b"], "status": []})
         path = tmp_path / "trace.jsonl"
         trace.save(str(path))
         assert main(["inspect-trace", str(path)]) == 0
-        labels, update = capsys.readouterr().out.splitlines()[:2]
+        labels, update, listed = capsys.readouterr().out.splitlines()[:3]
         assert labels.endswith(
             "labels m.0a -> Panama, m.0b -> m.0b (fallback)")
-        assert "pool+2" in update
+        assert update.endswith("memory_update paths=2 status=[]")
+        assert listed.endswith("memory_update paths=2 pool=2 status=[]")
 
 
 class TestErrorExits:
@@ -319,6 +323,28 @@ class TestErrorExits:
         assert message in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "evals").exists()
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_blank_question_is_exit_2(self, tmp_path, capsys, command):
+        if command == "run":
+            argv = ["run", "--question", " ", "--topic", "m.0a=A",
+                    "--kg", str(FIXTURES / "panama.tsv"),
+                    "--script", str(FIXTURES / "panama_script.json")]
+        else:
+            dataset = tmp_path / "blank.json"
+            dataset.write_text('[{"id": "b1", "question": "   ", '
+                               '"topic_entities": [["m.0a", "A"]]}]',
+                               encoding="utf-8")
+            argv = ["eval", str(dataset),
+                    "--kg", str(FIXTURES / "capitals.tsv"),
+                    "--script", str(FIXTURES / "capitals_script.json")]
+        code = main([*argv, "--out", str(tmp_path / "runs")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert "question" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("line, message", [
         pytest.param("{not json", "trace.jsonl:1: bad trace line",

@@ -35,6 +35,16 @@ def planner(panama_kg, panama_llm):
     return Planner(panama_kg, panama_llm)
 
 
+def _pool_before(trace: RunTrace, seq: int) -> set[str]:
+    """The topics plus every id a labels event named before `seq`."""
+    pool = {NAKED, PRESIDENT}
+    for event in trace.iter_kind("kg_query"):
+        if event.seq < seq and event.payload["op"] == "labels":
+            pool.update(event.payload["labels"],
+                        event.payload.get("fallback", ()))
+    return pool
+
+
 def stages(trace: RunTrace) -> list[str]:
     return [e.payload["stage"] for e in trace.iter_kind("llm_call")]
 
@@ -121,13 +131,15 @@ class TestFullRun:
         assert second["add"] is True
         assert second["backtrack"] == [PRESIDENT]
         # the re-opened entity came from the accumulated candidate pool:
-        # it joined it in an earlier memory update
-        seq = reflections[1].seq
-        assert any(PRESIDENT in e.payload["candidate_pool"]
-                   for e in result.trace.iter_kind("memory_update")
-                   if e.seq < seq)
-        assert "candidate_pool" not in second
-        assert second["tails"] == [PANAMA_CITY]
+        # the topics plus the ids the labels events named before it
+        assert _pool_before(result.trace, reflections[1].seq) == {
+            NAKED, PRESIDENT, PANAMA, PANAMA_CITY,
+        }
+        assert "candidate_pool" not in second and "tails" not in second
+        # the tails it passed over are its iteration's memory_update's
+        update = next(e.payload for e in result.trace.iter_kind(
+            "memory_update") if e.iteration == reflections[1].iteration)
+        assert update["tail_entities"] == [PANAMA_CITY]
 
     def test_candidate_pool_accumulates_everything_seen(self, planner,
                                                         panama_question):
@@ -136,6 +148,12 @@ class TestFullRun:
             NAKED, PRESIDENT, PANAMA, PANAMA_CITY, VARELA,
         }
         assert result.candidate_pool[VARELA] == "Juan Carlos Varela"
+        # the trace lists no pool; the labels events name every id in it
+        # that is not a topic
+        assert _pool_before(result.trace, len(result.trace.events)) == \
+            set(result.candidate_pool)
+        assert all("candidate_pool" not in e.payload
+                   for e in result.trace.iter_kind("memory_update"))
 
     def test_memory_keeps_suspended_paths(self, planner, panama_question):
         result = planner.run(panama_question)
@@ -285,8 +303,14 @@ class TestAblations:
         assert result.verdict.forced is True
         assert result.iterations == 4
         # status is wiped every iteration instead of updated
-        for event in result.trace.iter_kind("memory_update"):
-            assert event.payload["status"] == ["unknown", "unknown"]
+        updates = [e.payload for e in result.trace.iter_kind("memory_update")]
+        for payload in updates:
+            assert payload["status"] == ["unknown", "unknown"]
+        # each update lists its iteration's whole pool, sorted, even empty
+        assert [payload["candidate_pool"] for payload in updates] == [
+            [PRESIDENT, PANAMA, NAKED], [PANAMA, PANAMA_CITY],
+            [PANAMA_CITY], [],
+        ]
         assert "memory_update" not in stages(result.trace)
         # the pool shrinks to the current frontier, so the recovery target
         # is gone when reflection asks for it

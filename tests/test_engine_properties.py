@@ -66,7 +66,11 @@ def check_invariants(result, config):
                 assert event.payload[key], (event.kind, key)
     pool = result.candidate_pool
     no_memory = config.ablations.no_memory
-    resolved: set[str] = set()
+    # the topics: the entities searched in iteration 1
+    topics = {e.payload["entity"] for e in result.trace.iter_kind("kg_query")
+              if e.iteration == 1 and e.payload["op"] == "relations"}
+    # no labels event names a topic
+    resolved = set(topics)
     for event in result.trace.iter_kind("kg_query"):
         if event.payload["op"] != "labels":
             continue
@@ -113,29 +117,33 @@ def check_invariants(result, config):
             # answer present exactly when the verdict claims sufficiency
             assert (event.payload["answer"] is not None) == \
                 event.payload["sufficient"]
-    # each memory_update lists the ids that joined the pool since the
-    # previous one; without memory the pool restarts every iteration, so
-    # each lists the whole pool
-    deltas: list[list[str]] = []
+    # With memory on, the pool is the topics plus every id a labels event
+    # names, and no memory_update lists it. Without memory it restarts
+    # every iteration, so each memory_update lists it whole.
+    named = set(topics)
+    listed: list[str] = []
     for event in events:
         payload = event.payload
-        if event.kind == "memory_update":
-            delta = payload["candidate_pool"]
-            assert delta == sorted(set(delta))
-            deltas.append(delta)
+        if event.kind == "kg_query" and payload["op"] == "labels":
+            named.update(payload["labels"], payload.get("fallback", ()))
+        elif event.kind == "memory_update":
+            assert ("candidate_pool" in payload) is no_memory
+            listed = payload.get("candidate_pool", [])
+            assert listed == sorted(set(listed))
         elif event.kind == "reflection":
-            assert "candidate_pool" not in payload
+            # the iteration's tails are its memory_update's tail_entities
+            assert "candidate_pool" not in payload and "tails" not in payload
             # add is true exactly when some entity is re-opened
             assert payload["add"] is bool(payload["backtrack"])
-            seen = deltas[-1:] if no_memory else deltas
+            # a re-opened entity was in the pool before the reflection
             assert set(payload["backtrack"]) <= \
-                {eid for delta in seen for eid in delta}
+                (set(listed) if no_memory else named)
+        elif event.kind == "selection" and payload["stage"] == "entities":
+            assert "tails" not in payload
     if no_memory:
-        assert deltas[-1] == sorted(pool)
+        assert listed == sorted(pool)
     else:
-        joined = [eid for delta in deltas for eid in delta]
-        assert len(joined) == len(set(joined))  # the deltas are disjoint
-        assert set(joined) == set(pool)
+        assert named == set(pool)
     verdict = result.verdict
     if not verdict.forced:
         assert verdict.sufficient and verdict.answer

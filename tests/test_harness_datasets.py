@@ -151,6 +151,22 @@ class TestValidation:
         assert message in str(info.value)
 
     @pytest.mark.parametrize("flavor,record", [
+        ("normalized", {"id": "n1", "question": "   ",
+                        "topic_entities": [["m.0a", "A"]]}),
+        ("cwq", {"ID": "c1", "question": "", "topic_entity": {"m.0a": "A"}}),
+        ("webqsp", {"QuestionId": "w1", "RawQuestion": "\t\n",
+                    "Parses": [{"TopicEntityMid": "m.0a"}]}),
+        ("grailqa", {"qid": 1, "question": " ",
+                     "graph_query": {"nodes": []}}),
+    ])
+    def test_a_blank_question_names_the_record(self, tmp_path, flavor,
+                                               record):
+        path = write_json(tmp_path / "x.json", [record])
+        with pytest.raises(DatasetError,
+                           match="record 0 .*question is blank"):
+            load_dataset(path, flavor=flavor)
+
+    @pytest.mark.parametrize("flavor,record", [
         ("cwq", {"ID": "c1", "question": None,
                  "topic_entity": {"m.0a": "A"}}),
         ("webqsp", {"QuestionId": "w1", "RawQuestion": None,

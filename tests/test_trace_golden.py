@@ -30,19 +30,19 @@ from test_engine_properties import make_kg
 # group -> (event count, sha256 of the stable lines joined by newlines)
 GOLDEN = {
     "panama-default": (
-        53, "76713407ada71fa7b388d11f6a14021fe9f761da5fe4b73c5be9fc7a610bb644"),
+        53, "7becf4f5c97429e4995ca6d12ebcc8202366f43c001ba7c264377beb51cd7a7b"),
     "panama-no_guidance": (
-        52, "bc0c1518d65bb05bc5d319cc91a7a32306d3355331bbce557eaee1e937cf1122"),
+        52, "1c82d1c438a3e921e8190d16967f5e979cebca1cc88ca90b4b2ee91920e56fea"),
     "panama-no_memory": (
-        53, "80163629598a0f60e57dfce8b3427730f776a3e761d79208f8b75ae1a9ec3026"),
+        53, "037868d891696c01a88b18e80656acab4d62e59d4dcbffce3de4e3ad621d3043"),
     "panama-no_reflection": (
-        50, "efe96140295909222a54530d56409c9f5302eaa427828a4e318a8cae1a90cfc2"),
+        50, "cf033dc5730a5e133b108e4bde4557152e66072b68a54b6375515e13102aa90c"),
     "panama-fixed_breadth=1": (
-        53, "76713407ada71fa7b388d11f6a14021fe9f761da5fe4b73c5be9fc7a610bb644"),
+        53, "7becf4f5c97429e4995ca6d12ebcc8202366f43c001ba7c264377beb51cd7a7b"),
     "capitals": (
-        60, "5dd4eb5ba4f9b36f4f0b2b430ad0b72dbb5a5a2e6b48f051fca02e64f2f80965"),
+        60, "7a2b411e8c7130116e142cd49bff841eb2a2222d95cc5682d0bdf77c0db094d9"),
     "random-graph": (
-        29046, "4dd45ad2c6091658e3cc0cfa7b01af017379e1054c4c638eb982b391e250031b"),
+        29046, "afd50e66b92256b397a0c0425df2c57c9bca7808d21c91106cd253d57a1925eb"),
 }
 
 PANAMA_FLAGS = {
