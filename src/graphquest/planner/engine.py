@@ -167,8 +167,8 @@ class Planner:
                 # keep only what the current iteration discovers
                 run.expanded = set()
                 run.candidate_pool = dict(run.tail_entities)
-            pending = self.explore_relations(run)
-            self.update_memory(run, self.explore_entities(run, pending))
+            hops = self.explore_relations(run)
+            self.update_memory(run, self.explore_entities(run, hops))
             verdict = self.evaluate(run)
             if verdict.sufficient:
                 break
@@ -213,13 +213,10 @@ class Planner:
 
     # -- stage: relation exploration ------------------------------------
 
-    def explore_relations(self, run: _Run) -> list[tuple[ReasoningPath, Hop]]:
-        """Each path to extend, with a hop the model chose from its tail."""
-        pending: list[tuple[ReasoningPath, Hop]] = []
+    def explore_relations(self, run: _Run) -> list[Hop]:
+        """The hops the model chose from each tail, in frontier order."""
+        hops: list[Hop] = []
         breadth = self.config.ablations.fixed_breadth
-        ending_at: dict[str, list[ReasoningPath]] = {}
-        for path in run.memory.paths:
-            ending_at.setdefault(path.tail_entity(), []).append(path)
         tails = run.tail_entities
         searches = [(eid, direction)
                     for eid, _ in tails for direction in _DIRECTIONS]
@@ -271,30 +268,24 @@ class Planner:
                 "selected": chosen,
                 **_present(dropped=dropped, warning=warning),
             })
-            if not chosen:
-                continue
-            hops = [(eid, relation, direction)
-                    for relation, direction in tagged if relation in chosen]
-            # reached by backtracking with no live path ending here
-            extendable = ending_at.get(eid) or [ReasoningPath(origin=eid)]
-            for path in extendable:
-                if len(path.steps) < self.config.max_depth:
-                    pending.extend((path, hop) for hop in hops)
-        return pending
+            hops.extend((eid, relation, direction)
+                        for relation, direction in tagged
+                        if relation in chosen)
+        return hops
 
     # -- stage: entity exploration --------------------------------------
 
     def explore_entities(self, run: _Run,
-                         pending: list[tuple[ReasoningPath, Hop]]
-                         ) -> list[ReasoningPath]:
-        if not pending:
+                         hops: list[Hop]) -> list[ReasoningPath]:
+        """Offer each hop's candidates once; extend every path at its tail."""
+        if not hops:
             run.tail_entities = []
             return []
         labels, pool = run.labels, run.candidate_pool
-        # each distinct hop, in first-offered order -> its candidates
-        hops = dict.fromkeys(hop for _, hop in pending)
         found_by_hop = fanout.results(
             self.kg, lambda hop: self.kg.search_entities(*hop), hops)
+        # tail -> each hop from it that found something, with its candidates
+        offers: dict[str, list[tuple[Hop, list[tuple[str, str]]]]] = {}
         for hop, found in zip(hops, found_by_hop):
             tail, relation, direction = hop
             run.record("kg_query", {
@@ -316,26 +307,25 @@ class Planner:
                     "before": len(labeled), "after": len(kept),
                 })
                 labeled = [(c.entity, c.label) for c in kept]
-            hops[hop] = labeled
-        # the hops that found something, each with its candidates
-        offers = [(path, hop, labeled) for path, hop in pending
-                  if (labeled := hops[hop])]
+            if labeled:
+                offers.setdefault(tail, []).append((hop, labeled))
         if not offers:
             run.tail_entities = []
             run.record("selection", {"stage": "entities", "selected": []})
             return []
         parts: list[str] = []
         known: set[str] = set()
-        for _, (tail, relation, direction), labeled in offers:
+        for tail, tail_offers in offers.items():
             tail_label = labels[tail]
-            names = ", ".join(clabel for _, clabel in labeled)
-            if direction is Direction.OUTGOING:
-                parts.append(f"({tail_label}, {relation}, [{names}])")
-            else:
-                parts.append(f"([{names}], {relation}, {tail_label})")
-            for cid, clabel in labeled:
-                known.add(cid)
-                known.add(clabel)
+            for (_, relation, direction), labeled in tail_offers:
+                names = ", ".join(clabel for _, clabel in labeled)
+                if direction is Direction.OUTGOING:
+                    parts.append(f"({tail_label}, {relation}, [{names}])")
+                else:
+                    parts.append(f"([{names}], {relation}, {tail_label})")
+                for cid, clabel in labeled:
+                    known.add(cid)
+                    known.add(clabel)
         prompt = self.prompts.render(
             "entity_selection",
             question=run.question.text,
@@ -348,23 +338,29 @@ class Planner:
         valid = [name for name in selected if name in known][:breadth]
         dropped = [name for name in selected if name not in known]
         chosen = set(valid)
+        ending_at: dict[str, list[ReasoningPath]] = {}
+        for path in run.memory.paths:
+            ending_at.setdefault(path.tail_entity(), []).append(path)
         new_paths: list[ReasoningPath] = []
         # id -> label of each new tail, in first-reached order
         new_tails: dict[str, str] = {}
         cycles: set[str] = set()
-        for path, (tail, relation, direction), labeled in offers:
-            for cid, clabel in labeled:
-                if clabel not in chosen and cid not in chosen:
-                    continue
-                if cid in path.entities():
-                    cycles.add(clabel)
-                    continue
-                # the step keeps the edge's KG orientation
-                step = (PathStep(tail, relation, cid, direction)
-                        if direction is Direction.OUTGOING
-                        else PathStep(cid, relation, tail, direction))
-                new_paths.append(path.extended(step))
-                new_tails.setdefault(cid, clabel)
+        for tail, tail_offers in offers.items():
+            # reached by backtracking with no live path ending here
+            for path in ending_at.get(tail) or [ReasoningPath(origin=tail)]:
+                for (_, relation, direction), labeled in tail_offers:
+                    for cid, clabel in labeled:
+                        if clabel not in chosen and cid not in chosen:
+                            continue
+                        if cid in path.entities():
+                            cycles.add(clabel)
+                            continue
+                        # the step keeps the edge's KG orientation
+                        step = (PathStep(tail, relation, cid, direction)
+                                if direction is Direction.OUTGOING
+                                else PathStep(cid, relation, tail, direction))
+                        new_paths.append(path.extended(step))
+                        new_tails.setdefault(cid, clabel)
         run.tail_entities = list(new_tails.items())
         run.record("selection", {
             "stage": "entities",

@@ -16,7 +16,7 @@ class StateError(ValueError):
 @dataclass(frozen=True)
 class Question:
     text: str
-    # (entity id, human-readable label) pairs
+    # (entity id, human-readable label) pairs; a repeated id keeps the first
     topic_entities: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
@@ -24,6 +24,10 @@ class Question:
             raise StateError("question text is empty")
         if not self.topic_entities:
             raise StateError("question has no topic entities")
+        first: dict[str, str] = {}
+        for eid, label in self.topic_entities:
+            first.setdefault(eid, label)
+        object.__setattr__(self, "topic_entities", tuple(first.items()))
 
 
 @dataclass(frozen=True)

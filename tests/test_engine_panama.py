@@ -13,7 +13,7 @@ import pytest
 
 from graphquest.llm.scripted import ResponderRule, ScriptedBackend
 from graphquest.planner.engine import Planner, PlannerRunError
-from graphquest.planner.state import AblationFlags, PlannerConfig
+from graphquest.planner.state import AblationFlags, PlannerConfig, Question
 from graphquest.trace import RunTrace
 
 from adversaries import ANSWER_ANCHOR
@@ -213,6 +213,23 @@ class TestFullRun:
             serialized[-1] = final.to_json()
             lines.append(serialized)
         assert lines[0] == lines[1]
+
+
+    def test_each_hop_is_offered_once(self, planner, panama_question):
+        # in iteration 2 two paths end at Panama; its capital is one group
+        result = planner.run(panama_question)
+        prompt = next(e.payload["prompt"]
+                      for e in result.trace.iter_kind("llm_call")
+                      if e.iteration == 2
+                      and e.payload["stage"] == "entity_selection")
+        assert prompt.count(
+            f"(Panama, {CAPITAL}, [Panama City])") == 1
+
+    def test_repeated_topic_is_expanded_once(self, planner, panama_question):
+        topics = panama_question.topic_entities
+        repeated = Question(panama_question.text, topics + topics[:1])
+        assert _stable_lines(planner.run(repeated).trace) == \
+            _stable_lines(planner.run(panama_question).trace)
 
 
 class TestVerdicts:

@@ -7,6 +7,7 @@ the planner is exercised far off the happy path.
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -96,6 +97,22 @@ def check_invariants(result, config):
         for e in result.trace.iter_kind("kg_query")
         if e.payload["op"] == "entities"]
     assert len(searched) == len(set(searched))
+    # each hop that found something is one group of its iteration's
+    # entity prompt, however many paths end at its tail
+    for event in result.trace.iter_kind("llm_call"):
+        if event.payload["stage"].removesuffix("_retry") != \
+                "entity_selection":
+            continue
+        triplets = event.payload["prompt"].rsplit("\nTriplets: ", 1)[1]
+        groups = Counter(
+            (e.payload["relation"], e.payload["direction"])
+            for e in result.trace.iter_kind("kg_query")
+            if e.iteration == event.iteration
+            and e.payload["op"] == "entities" and e.payload["count"])
+        for (relation, direction), count in groups.items():
+            marker = (f", {relation}, [" if direction == "outgoing"
+                      else f"], {relation}, ")
+            assert triplets.count(marker) == count, (event.iteration, marker)
     for event in result.trace.iter_kind("memory_update"):
         assert set(event.payload) <= MEMORY_UPDATE_KEYS
     for event in result.trace.iter_kind("llm_call"):
@@ -286,6 +303,30 @@ class TestRandomizedTrajectories:
         direct_usage, direct_calls = usage_total(result.trace)
         loaded_usage, loaded_calls = usage_total(loaded)
         assert (direct_usage, direct_calls) == (loaded_usage, loaded_calls)
+
+
+class TestConvergingPaths:
+    def test_each_hop_is_offered_once(self):
+        # 12 entities and 480 triples: by the last iteration thousands of
+        # paths end at each tail, so offering a hop once per path would
+        # make the entity prompt megabytes long
+        triples, labels = random_graph(random.Random(1), max_entities=40,
+                                       max_relations=8, max_triples=800)
+        topic = sorted(labels)[0]
+        question = Question(f"What is {labels[topic]}?",
+                            ((topic, labels[topic]),))
+        responder = PromptAwareResponder(1, sufficiency_rate=0, add_rate=0.6,
+                                        hallucination_rate=0,
+                                        keep_fraction=0.7)
+        config = PlannerConfig(max_depth=4)
+        result = Planner(make_kg(triples, labels), responder,
+                         config).run(question)
+        check_invariants(result, config)
+        assert len(result.memory.paths) == 89_368
+        calls = list(result.trace.iter_kind("llm_call"))
+        assert len(calls) == 50
+        assert max(len(e.payload["prompt"]) for e in calls
+                   if e.payload["stage"] == "entity_selection") <= 16 * 1024
 
 
 class TestLabelEvents:

@@ -20,6 +20,11 @@ class TestQuestion:
         q = Question("Who wrote it?", (("m.0a", "The Book"),))
         assert q.topic_entities[0] == ("m.0a", "The Book")
 
+    def test_repeated_topic_keeps_its_first_pair(self):
+        q = Question("Who wrote it?", (("m.0a", "The Book"), ("m.0b", "B"),
+                                       ("m.0a", "Another Name")))
+        assert q.topic_entities == (("m.0a", "The Book"), ("m.0b", "B"))
+
     def test_blank_text_rejected(self):
         with pytest.raises(StateError):
             Question("   ", (("m.0a", "A"),))

@@ -30,19 +30,19 @@ from test_engine_properties import make_kg
 # group -> (event count, sha256 of the stable lines joined by newlines)
 GOLDEN = {
     "panama-default": (
-        53, "7becf4f5c97429e4995ca6d12ebcc8202366f43c001ba7c264377beb51cd7a7b"),
+        53, "a681ad7f4cc6668200838f4d7c1fe34f9a80b1269b8c28b149022a578de0693a"),
     "panama-no_guidance": (
-        52, "1c82d1c438a3e921e8190d16967f5e979cebca1cc88ca90b4b2ee91920e56fea"),
+        52, "62458f30a3aa6db4f53b5e93b939a52c6f91e4bd6863c99ff6c2f332decd7ddf"),
     "panama-no_memory": (
-        53, "037868d891696c01a88b18e80656acab4d62e59d4dcbffce3de4e3ad621d3043"),
+        53, "33d0536f1d4e1a7e2edbfa1a2914543aae15d7c1a1313dedae1e5efe82bc7095"),
     "panama-no_reflection": (
-        50, "cf033dc5730a5e133b108e4bde4557152e66072b68a54b6375515e13102aa90c"),
+        50, "ffcc46126f1e9bf1a18c9707e52e973b9675f2fde3e24a5bb52944187027249a"),
     "panama-fixed_breadth=1": (
-        53, "7becf4f5c97429e4995ca6d12ebcc8202366f43c001ba7c264377beb51cd7a7b"),
+        53, "a681ad7f4cc6668200838f4d7c1fe34f9a80b1269b8c28b149022a578de0693a"),
     "capitals": (
         60, "7a2b411e8c7130116e142cd49bff841eb2a2222d95cc5682d0bdf77c0db094d9"),
     "random-graph": (
-        29046, "afd50e66b92256b397a0c0425df2c57c9bca7808d21c91106cd253d57a1925eb"),
+        29046, "934a8447df3c66c675723a3fc01cc46b92489bedbb2715fbbdb0f94922079afc"),
 }
 
 PANAMA_FLAGS = {
