@@ -166,31 +166,33 @@ def _from_webqsp(raw: dict, index: int) -> DatasetRecord:
             answers=_as_answer_strings(raw.get("answers")
                                        or raw.get("answer")),
         )
-    topics = []
+    # a repeated topic id keeps its first label, as Question does
+    topics: dict[str, str] = {}
     answers: list[str] = []
     for parse in raw.get("Parses", []):
         mid = parse.get("TopicEntityMid")
         if not _absent(mid):
-            topics.append(_topic(mid, parse.get("TopicEntityName") or mid))
+            topics.setdefault(
+                *_topic(mid, parse.get("TopicEntityName") or mid))
         answers.extend(_as_answer_strings(parse.get("Answers", [])))
     return DatasetRecord(
         id=_record_id(raw.get("QuestionId", index)),
         question=_text(raw["RawQuestion"], "question"),
-        topic_entities=tuple(dict(topics).items()),
+        topic_entities=tuple(topics.items()),
         answers=tuple(dict.fromkeys(answers)),
     )
 
 
 def _from_grailqa(raw: dict, index: int) -> DatasetRecord:
-    topics = []
+    topics: dict[str, str] = {}
     graph = raw.get("graph_query") or {}
     for node in graph.get("nodes", []):
         if node.get("node_type") == "entity":
-            topics.append(_topic(node["id"],
-                                 node.get("friendly_name") or node["id"]))
+            topics.setdefault(*_topic(node["id"],
+                                      node.get("friendly_name") or node["id"]))
     return DatasetRecord(
         id=_record_id(raw.get("qid", index)),
         question=_text(raw["question"], "question"),
-        topic_entities=tuple(dict(topics).items()),
+        topic_entities=tuple(topics.items()),
         answers=_as_answer_strings(raw.get("answer", [])),
     )

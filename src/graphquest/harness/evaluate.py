@@ -88,6 +88,27 @@ def _trace_filename(record_id: str) -> str:
     return _SAFE_NAME.sub("_", record_id) or "record"
 
 
+def _trace_filenames(record_ids: list[str]) -> list[str]:
+    """One trace file name per record, in record order.
+
+    A name an earlier record already took (compared without case, as
+    some file systems compare them) gets the first free `-2`, `-3`, ...
+    suffix, so no trace overwrites another; unique names stay as they
+    are."""
+    names = [_trace_filename(record_id) for record_id in record_ids]
+    taken = {name.casefold() for name in names}
+    given: set[str] = set()
+    for index, name in enumerate(names):
+        if name.casefold() in given:
+            suffix = 2
+            while f"{name}-{suffix}".casefold() in taken:
+                suffix += 1
+            name = names[index] = f"{name}-{suffix}"
+            taken.add(name.casefold())
+        given.add(name.casefold())
+    return names
+
+
 def _run_record(record: DatasetRecord,
                 planner: Planner) -> tuple[QuestionResult, RunTrace]:
     question = Question(record.question, tuple(record.topic_entities))
@@ -146,11 +167,11 @@ def run_eval(records: list[DatasetRecord], planner: Planner, *,
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             outcomes = list(pool.map(
                 lambda record: _run_record(record, planner), records))
-    results = []
-    for record, (result, trace) in zip(records, outcomes):
-        results.append(result)
-        if trace_dir is not None:
-            trace.save(str(trace_dir / f"{_trace_filename(record.id)}.jsonl"))
+    results = [result for result, _ in outcomes]
+    if trace_dir is not None:
+        filenames = _trace_filenames([record.id for record in records])
+        for filename, (_, trace) in zip(filenames, outcomes):
+            trace.save(str(trace_dir / f"{filename}.jsonl"))
     report = EvalReport(name=name, results=results)
     if out_dir is not None:
         save_report(report, Path(out_dir) / "report.json")

@@ -1,10 +1,15 @@
 """Tolerant extraction of structured payloads from model output.
 
 Model responses wrap the payload in prose, code fences, or single-quoted
-pseudo-JSON. These parsers locate the first balanced bracketed span,
-then decode it with a JSON -> Python-literal -> manual-split fallback
-chain. All failures raise typed ParseError subclasses; no input aborts
-the process.
+pseudo-JSON. After the fence markers are dropped, the value at the first
+bracket is decoded as JSON in one pass, which is what well-formed replies
+need. Only when that fails do the parsers fall back to the tolerant
+chain: locate the first balanced bracketed span, then decode it as a
+Python literal, as JSON without trailing commas, or (lists only) by a
+manual split. Whenever the first pass decodes a value, the span chain
+would have decoded the same value, so the fallback changes no result.
+All failures raise typed ParseError subclasses; no input aborts the
+process.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import re
 # string cannot hold a raw newline, so it never starts one).
 _FENCE = re.compile(r"^[ \t]*```[a-zA-Z0-9_-]*", re.MULTILINE)
 _TRAILING_COMMA = re.compile(r",\s*([}\]])")
+_DECODER = json.JSONDecoder()
 
 TRUE_WORDS = frozenset({"yes", "true", "y", "1"})
 FALSE_WORDS = frozenset({"no", "false", "n", "0"})
@@ -98,11 +104,23 @@ def _balanced_span(text: str, start: int, open_ch: str, close_ch: str) -> str | 
     return None
 
 
+def _decode_json_at(text: str, start: int):
+    """The JSON value that begins at `start`, or None if there is none.
+
+    Valid JSON opens a string only where `_balanced_span` would, so a
+    value decoded here ends exactly where that span does."""
+    try:
+        return _DECODER.raw_decode(text, start)[0]
+    except (ValueError, RecursionError):
+        return None
+
+
 def _decode_span(span: str):
-    """The span as JSON, a Python literal, or JSON without trailing commas,
-    whichever decodes first; None if none does. Too deep a nesting or an
-    unhashable key or set member counts as undecodable."""
-    for decode in (json.loads, ast.literal_eval,
+    """The span as a Python literal or as JSON without trailing commas,
+    whichever decodes first; None if neither does. Too deep a nesting or
+    an unhashable key or set member counts as undecodable. Plain JSON is
+    not tried: `_decode_json_at` already failed on it."""
+    for decode in (ast.literal_eval,
                    lambda text: json.loads(_TRAILING_COMMA.sub(r"\1", text))):
         try:
             return decode(span)
@@ -128,7 +146,7 @@ def _split_items(inner: str) -> list[str]:
                 quote = None
             buffer.append(ch)
             continue
-        if ch == '"' or (ch == "'" and not buffer):
+        if ch == '"' or (ch == "'" and not "".join(buffer).strip()):
             quote = ch
             buffer.append(ch)
         elif ch in "[{(":
@@ -159,14 +177,16 @@ def parse_list(text: str) -> list[str]:
     start = cleaned.find("[")
     if start == -1:
         raise NoListFoundError()
-    span = _balanced_span(cleaned, start, "[", "]")
-    if span is None:
-        raise UnbalancedBracketsError()
-    decoded = _decode_span(span)
-    if isinstance(decoded, (list, tuple)):
-        items = [str(x).strip() for x in decoded]
-    else:
-        items = [_clean_item(piece) for piece in _split_items(span[1:-1])]
+    decoded = _decode_json_at(cleaned, start)
+    if decoded is None:
+        span = _balanced_span(cleaned, start, "[", "]")
+        if span is None:
+            raise UnbalancedBracketsError()
+        decoded = _decode_span(span)
+        if not isinstance(decoded, (list, tuple)):
+            decoded = [_clean_item(piece)
+                       for piece in _split_items(span[1:-1])]
+    items = (str(x).strip() for x in decoded)
     return [item for item in items if item]
 
 
@@ -176,10 +196,12 @@ def extract_json_object(text: str) -> dict:
     start = cleaned.find("{")
     if start == -1:
         raise NoObjectFoundError()
-    span = _balanced_span(cleaned, start, "{", "}")
-    if span is None:
-        raise MalformedJsonError("object span is never closed")
-    decoded = _decode_span(span)
+    decoded = _decode_json_at(cleaned, start)
+    if decoded is None:
+        span = _balanced_span(cleaned, start, "{", "}")
+        if span is None:
+            raise MalformedJsonError("object span is never closed")
+        decoded = _decode_span(span)
     if not isinstance(decoded, dict):
         raise MalformedJsonError("span did not decode to an object")
     return {str(key): value for key, value in decoded.items()}

@@ -1,12 +1,20 @@
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from graphquest.kg.memory_store import InMemoryKG
 from graphquest.llm.scripted import ScriptedBackend
 from graphquest.planner.state import Question
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# CI runners set CI; a failing property there prints the blob that
+# reproduces it with @reproduce_failure.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 PANAMA_QUESTION = ("Who is in control of the place where the movie "
                    "The Naked and the Dead takes place?")

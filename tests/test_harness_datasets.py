@@ -65,6 +65,21 @@ class TestWebqsp:
         assert records[0].topic_entities == (("m.05qtj", "Panama"),)
         assert records[0].answers == ("Panama City", "Ciudad de Panamá")
 
+    def test_repeated_topic_keeps_its_first_label(self, tmp_path):
+        # as Question and normalized records do
+        path = write_json(tmp_path / "webqsp.json", [{
+            "QuestionId": "WebQTest-7",
+            "RawQuestion": "who is it?",
+            "Parses": [
+                {"TopicEntityMid": "m.0a", "TopicEntityName": "First Name"},
+                {"TopicEntityMid": "m.0b", "TopicEntityName": "Other"},
+                {"TopicEntityMid": "m.0a", "TopicEntityName": "Second Name"},
+            ],
+        }])
+        records = load_dataset(path, flavor="webqsp")
+        assert records[0].topic_entities == (("m.0a", "First Name"),
+                                             ("m.0b", "Other"))
+
 
 class TestGrailqa:
     def test_shape(self, tmp_path):
@@ -84,6 +99,20 @@ class TestGrailqa:
         assert records[0].id == "3201"
         assert records[0].topic_entities == (("m.0f2v0", "Vienna"),)
         assert set(records[0].answers) == {"m.0dnh2", "Danube"}
+
+    def test_repeated_topic_keeps_its_first_label(self, tmp_path):
+        path = write_json(tmp_path / "grail.json", [{
+            "qid": 1,
+            "question": "which one?",
+            "graph_query": {"nodes": [
+                {"node_type": "entity", "id": "m.0a",
+                 "friendly_name": "First Name"},
+                {"node_type": "entity", "id": "m.0a",
+                 "friendly_name": "Second Name"},
+            ]},
+        }])
+        records = load_dataset(path, flavor="grailqa")
+        assert records[0].topic_entities == (("m.0a", "First Name"),)
 
 
 class TestValidation:

@@ -10,6 +10,7 @@ from graphquest.harness.evaluate import (
     HarnessError,
     QuestionResult,
     SUMMARY_COLUMNS,
+    _trace_filenames,
     ablation_matrix,
     run_eval,
     summary_rows,
@@ -103,6 +104,28 @@ class TestRunEval:
                           "cap-jp.jsonl"]
         summary = (out / "summary.tsv").read_text(encoding="utf-8")
         assert summary.splitlines()[0] == "\t".join(SUMMARY_COLUMNS)
+
+    def test_each_record_gets_its_own_trace_file(self, tmp_path,
+                                                 capitals_records,
+                                                 capitals_planner):
+        # ids equal after unsafe characters are replaced, an id given
+        # twice, and ids equal but for case
+        ids = ["a/b", "a_b", "X", "x", "x"]
+        records = [dataclasses.replace(record, id=record_id)
+                   for record, record_id in zip(capitals_records * 2, ids)]
+        out = tmp_path / "eval"
+        run_eval(records, capitals_planner, out_dir=out)
+        names = ["a_b", "a_b-2", "X", "x-2", "x-3"]
+        assert sorted(p.stem for p in (out / "traces").glob("*.jsonl")) \
+            == sorted(names)
+        for record, name in zip(records, names):
+            trace = (out / "traces" / f"{name}.jsonl").read_text(
+                encoding="utf-8")
+            assert json.dumps(record.question)[1:-1] in trace
+
+    def test_a_unique_name_is_never_renamed(self):
+        assert _trace_filenames(["a", "a", "a-2", "b"]) == \
+            ["a", "a-3", "a-2", "b"]
 
     def test_report_matches_trace_resummation(self, tmp_path,
                                               capitals_records,

@@ -1,7 +1,11 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphquest.llm import parsing
 from graphquest.llm.parsing import (
     MalformedJsonError,
     MissingRequiredKeyError,
@@ -38,6 +42,10 @@ class TestParseList:
         # a fence marker inside a JSON string is content, not markup
         ('["```"]', ["```"]),
         ('```json\n["a ```b``` c", "d"]\n```', ["a ```b``` c", "d"]),
+        # a quote after the whitespace that follows a comma opens a string;
+        # an apostrophe inside a bare word is content
+        ("[bare, 'x, y']", ["bare", "x, y"]),
+        ("[don't, stop]", ["don't", "stop"]),
     ])
     def test_examples(self, text, expected):
         assert parse_list(text) == expected
@@ -146,6 +154,18 @@ def check_extract_object_total(text):
     assert all(isinstance(key, str) for key in result)
 
 
+# spans nested past the interpreter's recursion limit, and literals
+# Python cannot build (an unhashable key or set member)
+HOSTILE_SPANS = [
+    pytest.param("[" * 3000 + "]" * 3000, id="deep-list"),
+    pytest.param('{"a":' * 3000 + "1" + "}" * 3000, id="deep-object"),
+    pytest.param('[{"a": ' * 3000 + "1" + "}]" * 3000, id="deep-mixed"),
+    pytest.param("[{[1]: 2}]", id="list-key-in-list"),
+    pytest.param("{[1]: 2}", id="list-key"),
+    pytest.param("{{1}: 2}", id="set-key"),
+]
+
+
 class TestRobustness:
     """No input text may crash the parsers with anything but ParseError."""
 
@@ -159,16 +179,7 @@ class TestRobustness:
     def test_extract_object_total(self, text):
         check_extract_object_total(text)
 
-    # spans nested past the interpreter's recursion limit, and literals
-    # Python cannot build (an unhashable key or set member)
-    @pytest.mark.parametrize("text", [
-        pytest.param("[" * 3000 + "]" * 3000, id="deep-list"),
-        pytest.param('{"a":' * 3000 + "1" + "}" * 3000, id="deep-object"),
-        pytest.param('[{"a": ' * 3000 + "1" + "}]" * 3000, id="deep-mixed"),
-        pytest.param("[{[1]: 2}]", id="list-key-in-list"),
-        pytest.param("{[1]: 2}", id="list-key"),
-        pytest.param("{{1}: 2}", id="set-key"),
-    ])
+    @pytest.mark.parametrize("text", HOSTILE_SPANS)
     def test_hostile_spans_fail_as_parse_errors(self, text):
         check_parse_list_total(text)
         check_extract_object_total(text)
@@ -177,11 +188,14 @@ class TestRobustness:
         with pytest.raises(MalformedJsonError):
             extract_json_object('{"a":' * 3000 + "1" + "}" * 3000)
 
+    def test_too_deep_an_unclosed_list_is_unbalanced(self):
+        with pytest.raises(UnbalancedBracketsError):
+            parse_list("[" * 3000)
+
     @given(st.lists(st.text(min_size=1, max_size=20).filter(
         lambda s: s.strip()), max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_json_lists_round_trip(self, items):
-        import json
         recovered = parse_list(json.dumps(items))
         assert recovered == [item.strip() for item in items if item.strip()]
 
@@ -190,3 +204,130 @@ class TestRobustness:
     @settings(max_examples=200, deadline=None)
     def test_normalize_bool_total(self, value):
         assert normalize_bool(value) in (True, False, None)
+
+
+# -- the JSON-first pass against the span chain it short-cuts -------------
+
+
+def _reference_decode(span):
+    try:
+        return json.loads(span)
+    except (ValueError, RecursionError):
+        return parsing._decode_span(span)
+
+
+def reference_parse_list(text):
+    """parse_list as the span chain alone decodes it: balanced span, then
+    JSON, a Python literal, JSON without trailing commas, manual split."""
+    cleaned = strip_code_fences(text)
+    start = cleaned.find("[")
+    if start == -1:
+        raise NoListFoundError()
+    span = parsing._balanced_span(cleaned, start, "[", "]")
+    if span is None:
+        raise UnbalancedBracketsError()
+    decoded = _reference_decode(span)
+    if isinstance(decoded, (list, tuple)):
+        items = [str(x).strip() for x in decoded]
+    else:
+        items = [parsing._clean_item(piece)
+                 for piece in parsing._split_items(span[1:-1])]
+    return [item for item in items if item]
+
+
+def reference_extract_json_object(text):
+    cleaned = strip_code_fences(text)
+    start = cleaned.find("{")
+    if start == -1:
+        raise NoObjectFoundError()
+    span = parsing._balanced_span(cleaned, start, "{", "}")
+    if span is None:
+        raise MalformedJsonError("object span is never closed")
+    decoded = _reference_decode(span)
+    if not isinstance(decoded, dict):
+        raise MalformedJsonError("span did not decode to an object")
+    return {str(key): value for key, value in decoded.items()}
+
+
+def outcome(parse, text):
+    try:
+        return "value", parse(text)
+    except ParseError as exc:
+        return "error", type(exc)
+
+
+# quotes, brackets, backslashes, apostrophes, fences and non-ASCII text
+_TRICKY = st.text(alphabet=st.sampled_from(
+    list("ab ,:'\"\\[]{}()\n`") + ["é", "中", "\u2028", "\U0001f600"]),
+    max_size=12)
+_SCALARS = (st.none() | st.booleans() | st.integers(-10**6, 10**6)
+            | st.floats(allow_nan=False, allow_infinity=False) | _TRICKY)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(_TRICKY, children, max_size=4)),
+    max_leaves=12)
+# each keeps valid JSON or breaks it the way model replies do
+_MANGLES = {
+    "none": lambda dumped: dumped,
+    "single-quoted": lambda dumped: dumped.replace('"', "'"),
+    "trailing-comma": lambda dumped: dumped[:-1] + "," + dumped[-1:],
+    "truncated": lambda dumped: dumped[:-1],
+    "raw-newline": lambda dumped: dumped.replace("\\n", "\n"),
+}
+
+
+@st.composite
+def replies(draw):
+    value = draw(st.lists(_VALUES, max_size=4)
+                 | st.dictionaries(_TRICKY, _VALUES, max_size=4))
+    dumped = json.dumps(value, indent=draw(st.sampled_from([None, 0, 2])),
+                        ensure_ascii=draw(st.booleans()))
+    dumped = _MANGLES[draw(st.sampled_from(sorted(_MANGLES)))](dumped)
+    if draw(st.booleans()):
+        dumped = f"```json\n{dumped}\n```"
+    return draw(_TRICKY) + dumped + draw(_TRICKY)
+
+
+class TestJsonFirstPass:
+    """The one-pass JSON decode gives what the span chain gives."""
+
+    @given(replies())
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_as_the_span_chain(self, text):
+        assert (outcome(parse_list, text)
+                == outcome(reference_parse_list, text))
+        assert (outcome(extract_json_object, text)
+                == outcome(reference_extract_json_object, text))
+
+    @pytest.mark.parametrize("text", HOSTILE_SPANS)
+    def test_hostile_spans_match_the_span_chain(self, text):
+        assert (outcome(parse_list, text)
+                == outcome(reference_parse_list, text))
+        assert (outcome(extract_json_object, text)
+                == outcome(reference_extract_json_object, text))
+
+    @pytest.mark.parametrize("text", [
+        '["a", "b"]',
+        'Sure: ["don\'t", "x, y"] done',
+        '```json\n["fenced", "list"]\n```',
+        '```json\n{"A": "yes", "R": "it\'s [fine]"}\n```',
+        '{"k": [1, {"n": null}], "s": "\\"quoted\\""}',
+    ] + [rule["response"]
+         for script in sorted(Path(__file__).parent.glob(
+             "fixtures/*_script.json"))
+         for rule in json.loads(script.read_text())["rules"]])
+    def test_json_at_the_first_bracket_skips_the_span_scan(
+            self, text, monkeypatch):
+        list_at, object_at = text.find("["), text.find("{")
+        if object_at == -1 or -1 < list_at < object_at:
+            parse, reference = parse_list, reference_parse_list
+        else:
+            parse, reference = (extract_json_object,
+                                reference_extract_json_object)
+        expected = reference(text)
+
+        def never(*args):
+            raise AssertionError("a JSON reply reached _balanced_span")
+        monkeypatch.setattr(parsing, "_balanced_span", never)
+        assert parse(text) == expected
