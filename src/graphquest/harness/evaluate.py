@@ -84,18 +84,15 @@ class EvalReport:
         }
 
 
-def _trace_filename(record_id: str) -> str:
-    return _SAFE_NAME.sub("_", record_id) or "record"
+def _unique_filenames(ids: list[str]) -> list[str]:
+    """One file name per id, in order: the id with each run of unsafe
+    characters replaced by `_`.
 
-
-def _trace_filenames(record_ids: list[str]) -> list[str]:
-    """One trace file name per record, in record order.
-
-    A name an earlier record already took (compared without case, as
-    some file systems compare them) gets the first free `-2`, `-3`, ...
-    suffix, so no trace overwrites another; unique names stay as they
+    A name an earlier id already took (compared without case, as some
+    file systems compare them) gets the first free `-2`, `-3`, ...
+    suffix, so no output overwrites another; unique names stay as they
     are."""
-    names = [_trace_filename(record_id) for record_id in record_ids]
+    names = [_SAFE_NAME.sub("_", name) or "record" for name in ids]
     taken = {name.casefold() for name in names}
     given: set[str] = set()
     for index, name in enumerate(names):
@@ -169,7 +166,7 @@ def run_eval(records: list[DatasetRecord], planner: Planner, *,
                 lambda record: _run_record(record, planner), records))
     results = [result for result, _ in outcomes]
     if trace_dir is not None:
-        filenames = _trace_filenames([record.id for record in records])
+        filenames = _unique_filenames([record.id for record in records])
         for filename, (_, trace) in zip(filenames, outcomes):
             trace.save(str(trace_dir / f"{filename}.jsonl"))
     report = EvalReport(name=name, results=results)
@@ -188,10 +185,11 @@ def ablation_matrix(records: list[DatasetRecord],
     if not variants:
         raise HarnessError("no variants to run")
     rows: list[tuple[str, EvalReport]] = []
-    for variant_name, planner in variants:
+    dir_names = _unique_filenames([name for name, _ in variants])
+    for (variant_name, planner), dir_name in zip(variants, dir_names):
         variant_dir = None
         if out_dir is not None:
-            variant_dir = Path(out_dir) / _trace_filename(variant_name)
+            variant_dir = Path(out_dir) / dir_name
         report = run_eval(records, planner,
                           parallelism=parallelism, out_dir=variant_dir,
                           name=variant_name)

@@ -10,7 +10,7 @@ from graphquest.harness.evaluate import (
     HarnessError,
     QuestionResult,
     SUMMARY_COLUMNS,
-    _trace_filenames,
+    _unique_filenames,
     ablation_matrix,
     run_eval,
     summary_rows,
@@ -124,7 +124,7 @@ class TestRunEval:
             assert json.dumps(record.question)[1:-1] in trace
 
     def test_a_unique_name_is_never_renamed(self):
-        assert _trace_filenames(["a", "a", "a-2", "b"]) == \
+        assert _unique_filenames(["a", "a", "a-2", "b"]) == \
             ["a", "a-3", "a-2", "b"]
 
     def test_report_matches_trace_resummation(self, tmp_path,
@@ -223,6 +223,23 @@ class TestAblationMatrix:
         assert lines[0] == "\t".join(SUMMARY_COLUMNS)
         assert [line.split("\t")[0] for line in lines[1:]] == \
             ["full", "no_reflection", "shallow"]
+
+    def test_each_variant_gets_its_own_directory(self, tmp_path,
+                                                 capitals_records,
+                                                 capitals_kg, capitals_llm):
+        # two specs of one variant that differ only in spacing
+        names = ["no_reflection,max_depth=1", "no_reflection, max_depth=1"]
+        config = PlannerConfig(max_depth=1,
+                               ablations=AblationFlags(no_reflection=True))
+        planners = [(name, Planner(capitals_kg, capitals_llm, config))
+                    for name in names]
+        out = tmp_path / "matrix"
+        ablation_matrix(capitals_records, planners, out_dir=out)
+        for name, dir_name in zip(names, ["no_reflection_max_depth_1",
+                                          "no_reflection_max_depth_1-2"]):
+            saved = json.loads((out / dir_name / "report.json").read_text(
+                encoding="utf-8"))
+            assert saved["name"] == name
 
     def test_empty_variant_list_rejected(self, capitals_records):
         with pytest.raises(HarnessError):

@@ -256,6 +256,12 @@ def outcome(parse, text):
         return "error", type(exc)
 
 
+def check_same_as_span_chain(text):
+    assert outcome(parse_list, text) == outcome(reference_parse_list, text)
+    assert (outcome(extract_json_object, text)
+            == outcome(reference_extract_json_object, text))
+
+
 # quotes, brackets, backslashes, apostrophes, fences and non-ASCII text
 _TRICKY = st.text(alphabet=st.sampled_from(
     list("ab ,:'\"\\[]{}()\n`") + ["é", "中", "\u2028", "\U0001f600"]),
@@ -295,17 +301,11 @@ class TestJsonFirstPass:
     @given(replies())
     @settings(max_examples=300, deadline=None)
     def test_same_outcome_as_the_span_chain(self, text):
-        assert (outcome(parse_list, text)
-                == outcome(reference_parse_list, text))
-        assert (outcome(extract_json_object, text)
-                == outcome(reference_extract_json_object, text))
+        check_same_as_span_chain(text)
 
     @pytest.mark.parametrize("text", HOSTILE_SPANS)
     def test_hostile_spans_match_the_span_chain(self, text):
-        assert (outcome(parse_list, text)
-                == outcome(reference_parse_list, text))
-        assert (outcome(extract_json_object, text)
-                == outcome(reference_extract_json_object, text))
+        check_same_as_span_chain(text)
 
     @pytest.mark.parametrize("text", [
         '["a", "b"]',
@@ -316,7 +316,7 @@ class TestJsonFirstPass:
     ] + [rule["response"]
          for script in sorted(Path(__file__).parent.glob(
              "fixtures/*_script.json"))
-         for rule in json.loads(script.read_text())["rules"]])
+         for rule in json.loads(script.read_text(encoding="utf-8"))["rules"]])
     def test_json_at_the_first_bracket_skips_the_span_scan(
             self, text, monkeypatch):
         list_at, object_at = text.find("["), text.find("{")
