@@ -18,7 +18,7 @@ from graphquest.kg.sparql_client import SparqlKG
 from graphquest.kg.types import Direction
 from graphquest.llm.http_client import ChatCompletionsBackend
 from graphquest.llm.scripted import ScriptedBackend
-from graphquest.llm.types import GenerationConfig
+from graphquest.llm.types import GenerationConfig, LLMError
 from graphquest.planner.engine import Planner, PlannerRunError
 from graphquest.planner.state import PlannerConfig, Question
 from graphquest.recall import (
@@ -128,6 +128,86 @@ class EmbeddingEndpoint(_Endpoint):
         for i in range(len(text) - 2):
             vector[zlib.crc32(text[i:i + 3].encode("utf-8")) % 16] += 1.0
         return Reply(200, {"data": [{"embedding": vector}]})
+
+
+class NotJson:
+    """A 200 whose body does not decode, as a proxy's error page."""
+
+    status_code = 200
+
+    def json(self):
+        raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
+
+def _refuse_connection():
+    raise requests.ConnectionError("connection refused")
+
+
+# chat fault kind -> a request's outcome; all but "429" fail every attempt
+CHAT_FAULTS = {
+    "400": lambda: Reply(400),
+    "500": lambda: Reply(500),
+    "not-json": NotJson,
+    "shape": lambda: Reply(200, {"choices": []}),
+    "connection": _refuse_connection,
+    "429": lambda: Reply(429),
+}
+
+
+class ChatEndpoint(_Endpoint):
+    """A chat-completions endpoint whose reply to a prompt depends only on
+    `replies` and the prompt, not on the order requests arrive in: each
+    prompt gets its own wide PromptAwareResponder. The first reply to
+    about one prompt in six loses its last character, which the planner
+    cannot parse, so it asks again.
+
+    `fail=(prompt, n, kind)` answers the n-th request that carries
+    `prompt` with the fault `kind` from CHAT_FAULTS, and so every retry
+    of that request, except that a "429" fails one attempt only.
+    """
+
+    def __init__(self, replies, seed=0, fail=None):
+        super().__init__(seed)
+        self.replies = replies
+        self.fail = fail
+        self.fired = False
+        # prompt -> the replies served for it
+        self.served: dict[str, int] = {}
+
+    def answer(self, kwargs):
+        prompt = kwargs["json"]["messages"][0]["content"]
+        with self.lock:
+            served = self.served.get(prompt, 0)
+            fault = None
+            if self.fail is not None and self.fail[:2] == (prompt,
+                                                           served + 1):
+                kind = self.fail[2]
+                if kind != "429" or not self.fired:
+                    fault, self.fired = kind, True
+            if fault is None:
+                self.served[prompt] = served + 1
+        if fault is not None:
+            return CHAT_FAULTS[fault]()
+        key = zlib.crc32(f"{self.replies}:{prompt}".encode("utf-8"))
+        completion = PromptAwareResponder(key, keep_fraction=0.7).complete(
+            prompt, None)
+        text = completion.text
+        if served == 0 and key % 6 == 0:
+            text = text[:-1]
+        return Reply(200, {
+            "choices": [{"message": {"content": text}}],
+            "usage": {"prompt_tokens": completion.usage.input_tokens,
+                      "completion_tokens": completion.usage.output_tokens},
+        })
+
+
+def chat_backend(replies, *, pooled=True, **endpoint_kwargs):
+    endpoint = ChatEndpoint(replies, **endpoint_kwargs)
+    client = ChatCompletionsBackend(URL, session=endpoint,
+                                    sleep=lambda seconds: None)
+    if not pooled:
+        client.waits_on_network = False
+    return client, endpoint
 
 
 def sparql_kg(kg, *, pooled=True, **endpoint_kwargs):
@@ -253,6 +333,65 @@ def test_failed_label_query_aborts_as_the_inline_run():
         assert outcomes[1] == outcomes[0], entity
         assert "HTTP 400" in outcomes[0][0]
         assert endpoint.threads - {threading.get_ident()}
+
+
+def test_chat_faults_abort_as_the_inline_run():
+    """Each kind of chat fault, at sampled requests of each sweep run,
+    aborts pooled and inline runs alike, with the clean trace up to the
+    failed call; a 429 that a retry answers leaves the trace as it was."""
+    targets: list[str] = []
+    for seed in SWEEP_SEEDS:
+        kg, question = sweep_case(seed)
+
+        def run(pooled, delays=0, fail=None):
+            llm, _ = chat_backend(seed, pooled=pooled, seed=delays,
+                                  fail=fail)
+            return Planner(kg, llm, SWEEP_CONFIG).run(question)
+
+        clean_trace = run(pooled=False).trace
+        clean = _stable_lines(clean_trace)
+        calls = [event for event in clean_trace.events
+                 if event.kind == "llm_call"]
+        rng = random.Random(seed)
+        for kind in CHAT_FAULTS:
+            index = rng.randrange(len(calls))
+            prompt = calls[index].payload["prompt"]
+            nth = sum(call.payload["prompt"] == prompt
+                      for call in calls[:index + 1])
+            stage = calls[index].payload["stage"]
+            # a relation prompt of a tail after the first of its iteration
+            if stage.startswith("relation_selection") and any(
+                    call.iteration == calls[index].iteration
+                    and call.payload["stage"] == "relation_selection"
+                    and call.payload["prompt"] != prompt
+                    for call in calls[:index]):
+                stage = "later_tail_" + stage
+            targets.append(stage)
+            outcomes = []
+            for pooled in (False, True):
+                fail = (prompt, nth, kind)
+                if kind == "429":
+                    lines = _stable_lines(run(pooled, seed, fail).trace)
+                    assert lines == clean, (seed, index)
+                    continue
+                with pytest.raises(PlannerRunError) as caught:
+                    run(pooled, seed, fail)
+                assert isinstance(caught.value.__cause__, LLMError)
+                outcomes.append((str(caught.value),
+                                 _stable_lines(caught.value.trace)))
+            if kind == "429":
+                continue
+            assert outcomes[1] == outcomes[0], (seed, kind, index)
+            message, lines = outcomes[0]
+            # every event before the failed call's, and nothing after it
+            assert lines[:-1] == clean[:calls[index].seq], (seed, kind, index)
+            final = caught.value.trace.events[-1]
+            assert final.kind == "final" and "error" in final.payload
+            assert final.payload["error"] in message
+    # the faults hit relation prompts of later tails, and retries after a
+    # garbled reply
+    assert "later_tail_relation_selection" in targets
+    assert any(stage.endswith("_retry") for stage in targets)
 
 
 class WaitingBackend:
