@@ -31,6 +31,14 @@ def _api_key_from_env() -> str | None:
 
 
 class ChatCompletionsBackend:
+    """Client of an OpenAI-compatible chat endpoint.
+
+    Safe to call from several threads at once; the planner overlaps each
+    iteration's relation-selection calls on the `fanout` pool.
+    """
+
+    waits_on_network = True
+
     def __init__(self, base_url: str, *,
                  session: requests.Session | None = None,
                  sleep: Callable[[float], None] = time.sleep):

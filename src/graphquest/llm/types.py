@@ -51,6 +51,15 @@ class Completion:
 
 
 class CompletionBackend(Protocol):
+    """What the planner needs from any language-model backend.
+
+    A backend whose calls wait on the network sets `waits_on_network =
+    True` and must then be safe to call from several threads at once:
+    the planner sends each iteration's relation-selection calls together
+    (see `graphquest.fanout`). Any other backend is called on the
+    caller's thread, one call at a time.
+    """
+
     def complete(self, prompt: str, config: GenerationConfig) -> Completion:
         ...
 

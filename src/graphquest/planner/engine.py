@@ -15,10 +15,10 @@ import re
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .. import fanout
-from ..kg.types import Direction, KGBackend
+from ..kg.types import Direction, EntityLabel, KGBackend
 from ..llm.parsing import (
     ParseError,
     extract_json_object,
@@ -26,7 +26,7 @@ from ..llm.parsing import (
     parse_json_object,
     parse_list,
 )
-from ..llm.types import CompletionBackend, Usage
+from ..llm.types import Completion, CompletionBackend, Usage
 from ..prompts import PromptLibrary
 from ..recall import Scorer, TrigramScorer, top_k
 from ..trace import RunTrace
@@ -106,6 +106,35 @@ class _Run:
     def record(self, kind: str, payload: dict,
                usage: Usage | None = None) -> None:
         self.trace.record(kind, self.iteration, payload, usage)
+
+
+@dataclass(slots=True)
+class _Asked:
+    """One question to the model and what it answered, gathered before
+    its events are recorded: the completions made (a retry's too) and
+    the decoded value, None when no reply decoded."""
+
+    prompt: str
+    stage: str
+    decode: Callable[[str], Any]
+    completions: list[tuple[str, Completion]] = field(default_factory=list)
+    value: Any = None
+    warning: str | None = None
+
+
+@dataclass(slots=True)
+class _Offer:
+    """One tail's relation selection, gathered before it is recorded."""
+
+    entity: str
+    # the relations found in each of _DIRECTIONS, as far as searched
+    found: list[list[str]] = field(default_factory=list)
+    # (relation, direction) of each found pair not expanded yet
+    tagged: list[tuple[str, Direction]] = field(default_factory=list)
+    offered: set[str] = field(default_factory=set)
+    # None when nothing is offered, or a search failed
+    asked: _Asked | None = None
+    error: Exception | None = None
 
 
 @dataclass
@@ -214,64 +243,112 @@ class Planner:
     # -- stage: relation exploration ------------------------------------
 
     def explore_relations(self, run: _Run) -> list[Hop]:
-        """The hops the model chose from each tail, in frontier order."""
+        """The hops the model chose from each tail, in frontier order.
+
+        Each tail's searches and model calls are gathered first, the
+        calls of a waiting model overlapping, and its events recorded
+        after, in frontier order. When a search or a model call fails,
+        the tails before it are recorded whole and the failing one up to
+        the failure, as a run made one call at a time records them.
+        """
+        offers: list[_Offer] = []
+        asked = fanout.results(self.llm, self._ask_offer,
+                               self._relation_offers(run, offers))
         hops: list[Hop] = []
-        breadth = self.config.ablations.fixed_breadth
+        for index in range(len(run.tail_entities)):
+            try:
+                offer = next(asked)
+            except Exception:
+                self._record_offer(run, offers[index])
+                raise
+            self._record_offer(run, offer)
+            hops.extend(self._choose_relations(run, offer))
+        return hops
+
+    def _relation_offers(self, run: _Run,
+                         offers: list[_Offer]) -> Iterator[_Offer]:
+        """Each tail's offer, appended to `offers` before its searches;
+        one whose search failed carries the error and is the last."""
         tails = run.tail_entities
         searches = [(eid, direction)
                     for eid, _ in tails for direction in _DIRECTIONS]
         searched = fanout.results(
             self.kg, lambda search: self.kg.search_relations(*search),
             searches)
+        sub_objectives = json.dumps(run.objectives, ensure_ascii=False)
         for eid, label in tails:
-            tagged: list[tuple[str, Direction]] = []
-            for direction in _DIRECTIONS:
-                relations = next(searched)
-                run.record("kg_query", {
-                    "op": "relations",
-                    "entity": eid,
-                    "direction": direction.value,
-                    "count": len(relations),
-                })
-                for relation in relations:
-                    # pairs expanded in an earlier iteration are spent;
-                    # re-offering them would just repeat the same hop
-                    if (eid, relation, direction) not in run.expanded:
-                        tagged.append((relation, direction))
-            offered = {relation for relation, _ in tagged}
-            names = sorted(offered)
-            if not names:
-                run.record("selection", {
-                    "stage": "relations", "entity": eid,
-                    "candidates": [], "selected": [],
-                })
-                continue
-            prompt = self.prompts.render(
-                "relation_selection",
-                question=run.question.text,
-                sub_objectives=json.dumps(run.objectives, ensure_ascii=False),
-                topic_entity=label,
-                relations="; ".join(names),
-            )
-            raw, warning = self._ask(run, prompt, "relation_selection",
+            offer = _Offer(eid)
+            offers.append(offer)
+            try:
+                for _ in _DIRECTIONS:
+                    offer.found.append(next(searched))
+            except Exception as exc:
+                offer.error = exc
+                yield offer
+                return
+            # pairs expanded in an earlier iteration are spent;
+            # re-offering them would just repeat the same hop
+            offer.tagged = [
+                (relation, direction)
+                for direction, relations in zip(_DIRECTIONS, offer.found)
+                for relation in relations
+                if (eid, relation, direction) not in run.expanded]
+            offer.offered = {relation for relation, _ in offer.tagged}
+            if offer.offered:
+                prompt = self.prompts.render(
+                    "relation_selection",
+                    question=run.question.text,
+                    sub_objectives=sub_objectives,
+                    topic_entity=label,
+                    relations="; ".join(sorted(offer.offered)),
+                )
+                offer.asked = _Asked(prompt, "relation_selection",
                                      parse_list)
-            raw = raw or []
-            # de-duplicate before the cap; a None breadth slices nothing
-            chosen = list(dict.fromkeys(
-                name for item in raw if (name := item.strip()) in offered
-            ))[:breadth]
-            dropped = [item for item in raw if item.strip() not in offered]
-            run.record("selection", {
-                "stage": "relations",
-                "entity": eid,
-                "candidates": names,
-                "selected": chosen,
-                **_present(dropped=dropped, warning=warning),
+            yield offer
+
+    def _ask_offer(self, offer: _Offer) -> _Offer:
+        if offer.error is not None:
+            raise offer.error
+        if offer.asked is not None:
+            self._gather_ask(offer.asked)
+        return offer
+
+    def _record_offer(self, run: _Run, offer: _Offer) -> None:
+        """The events of what was gathered for one tail."""
+        for direction, relations in zip(_DIRECTIONS, offer.found):
+            run.record("kg_query", {
+                "op": "relations",
+                "entity": offer.entity,
+                "direction": direction.value,
+                "count": len(relations),
             })
-            hops.extend((eid, relation, direction)
-                        for relation, direction in tagged
-                        if relation in chosen)
-        return hops
+        if offer.asked is not None:
+            self._record_calls(run, offer.asked)
+
+    def _choose_relations(self, run: _Run, offer: _Offer) -> list[Hop]:
+        eid, offered = offer.entity, offer.offered
+        if offer.asked is None:
+            run.record("selection", {
+                "stage": "relations", "entity": eid,
+                "candidates": [], "selected": [],
+            })
+            return []
+        raw = offer.asked.value or []
+        # de-duplicate before the cap; a None breadth slices nothing
+        chosen = list(dict.fromkeys(
+            name for item in raw if (name := item.strip()) in offered
+        ))[:self.config.ablations.fixed_breadth]
+        dropped = [item for item in raw if item.strip() not in offered]
+        run.record("selection", {
+            "stage": "relations",
+            "entity": eid,
+            "candidates": sorted(offered),
+            "selected": chosen,
+            **_present(dropped=dropped, warning=offer.asked.warning),
+        })
+        return [(eid, relation, direction)
+                for relation, direction in offer.tagged
+                if relation in chosen]
 
     # -- stage: entity exploration --------------------------------------
 
@@ -282,8 +359,21 @@ class Planner:
             run.tail_entities = []
             return []
         labels, pool = run.labels, run.candidate_pool
-        found_by_hop = fanout.results(
-            self.kg, lambda hop: self.kg.search_entities(*hop), hops)
+        # every hop's search, up to the first that fails, and then the
+        # labels of all the ids they found that have none yet, in one
+        # batch; the events follow hop by hop
+        found_by_hop: list[list[str]] = []
+        failed: Exception | None = None
+        try:
+            for found in fanout.results(
+                    self.kg, lambda hop: self.kg.search_entities(*hop),
+                    hops):
+                found_by_hop.append(found)
+        except Exception as exc:
+            failed = exc
+        unseen = dict.fromkeys(cid for found in found_by_hop
+                               for cid in found if cid not in labels)
+        resolved = fanout.results(self.kg, self.kg.resolve_label, unseen)
         # tail -> each hop from it that found something, with its candidates
         offers: dict[str, list[tuple[Hop, list[tuple[str, str]]]]] = {}
         for hop, found in zip(hops, found_by_hop):
@@ -293,7 +383,7 @@ class Planner:
                 "direction": direction.value, "count": len(found),
             })
             run.expanded.add(hop)
-            self._resolve_labels(run, found)
+            self._record_labels(run, found, resolved)
             labeled = [(cid, labels[cid]) for cid in found]
             if pool is not labels:
                 for cid, clabel in labeled:
@@ -309,6 +399,8 @@ class Planner:
                 labeled = [(c.entity, c.label) for c in kept]
             if labeled:
                 offers.setdefault(tail, []).append((hop, labeled))
+        if failed is not None:
+            raise failed
         if not offers:
             run.tail_entities = []
             run.record("selection", {"stage": "entities", "selected": []})
@@ -531,51 +623,69 @@ class Planner:
 
     # -- helpers ---------------------------------------------------------
 
-    def _complete(self, run: _Run, prompt: str, stage: str) -> str:
-        completion = self.llm.complete(prompt, self.config.generation)
-        run.record("llm_call", {
-            "stage": stage,
-            "prompt": prompt,
-            "response": completion.text,
-        }, usage=completion.usage)
-        return completion.text
-
     def _ask(self, run: _Run, prompt: str, stage: str,
              decode: Callable[[str], Any]) -> tuple[Any, str | None]:
+        """`_gather_ask`'s value and warning; its calls are recorded
+        even when one of them fails."""
+        asked = _Asked(prompt, stage, decode)
+        try:
+            self._gather_ask(asked)
+        finally:
+            self._record_calls(run, asked)
+        return asked.value, asked.warning
+
+    def _gather_ask(self, asked: _Asked) -> None:
         """Decode the model's reply, asking once more if it fails.
 
-        Returns the decoded value, or None when both replies fail, and a
-        warning whenever the first reply was unusable.
+        Sets the decoded value, or None when both replies fail, and a
+        warning whenever the first reply was unusable. Records nothing,
+        so it may run on any thread.
         """
-        text = self._complete(run, prompt, stage)
+        text = self._complete(asked, asked.stage)
         try:
-            return decode(text), None
+            asked.value = asked.decode(text)
         except ParseError as first:
-            text = self._complete(run, prompt, stage + "_retry")
+            text = self._complete(asked, asked.stage + "_retry")
             try:
-                return decode(text), f"first response unparseable ({first})"
+                asked.value = asked.decode(text)
+                asked.warning = f"first response unparseable ({first})"
             except ParseError as second:
-                return None, f"unparseable after retry ({second})"
+                asked.warning = f"unparseable after retry ({second})"
 
-    def _resolve_labels(self, run: _Run, entities: list[str]) -> None:
-        """Resolve the entities not seen yet and trace them as one event:
-        `labels` maps each named one to its name, and `fallback` lists
-        the unnamed ones, whose label is their id."""
+    def _complete(self, asked: _Asked, stage: str) -> str:
+        completion = self.llm.complete(asked.prompt, self.config.generation)
+        asked.completions.append((stage, completion))
+        return completion.text
+
+    def _record_calls(self, run: _Run, asked: _Asked) -> None:
+        for stage, completion in asked.completions:
+            run.record("llm_call", {
+                "stage": stage,
+                "prompt": asked.prompt,
+                "response": completion.text,
+            }, usage=completion.usage)
+
+    def _record_labels(self, run: _Run, entities: list[str],
+                       resolved: Iterator[EntityLabel]) -> None:
+        """Label the entities not seen yet with the next labels from
+        `resolved` and trace them as one event: `labels` maps each named
+        one to its name, and `fallback` lists the unnamed ones, whose
+        label is their id."""
         labels = run.labels
-        unseen = [entity for entity in entities if entity not in labels]
-        if not unseen:
-            return
         named: dict[str, str] = {}
         fallback: list[str] = []
-        resolved_all = fanout.results(self.kg, self.kg.resolve_label, unseen)
-        for entity, resolved in zip(unseen, resolved_all):
-            labels[entity] = resolved.label
-            if resolved.is_fallback:
+        for entity in entities:
+            if entity in labels:
+                continue
+            label = next(resolved)
+            labels[entity] = label.label
+            if label.is_fallback:
                 fallback.append(entity)
             else:
-                named[entity] = resolved.label
-        run.record("kg_query", {"op": "labels", "labels": named,
-                                **_present(fallback=fallback)})
+                named[entity] = label.label
+        if named or fallback:
+            run.record("kg_query", {"op": "labels", "labels": named,
+                                    **_present(fallback=fallback)})
 
     def _render_status(self, status: list[str]) -> str:
         return json.dumps(

@@ -15,7 +15,7 @@ import requests
 from graphquest import fanout
 from graphquest.kg.memory_store import InMemoryKG
 from graphquest.kg.sparql_client import SparqlKG
-from graphquest.kg.types import Direction
+from graphquest.kg.types import Direction, KGError
 from graphquest.llm.http_client import ChatCompletionsBackend
 from graphquest.llm.scripted import ScriptedBackend
 from graphquest.llm.types import GenerationConfig, LLMError
@@ -81,13 +81,16 @@ class _Endpoint:
 
 
 class GraphEndpoint(_Endpoint):
-    """Answers SparqlKG's queries from an InMemoryKG, and refuses the
-    label query of `fail_label` with an HTTP 400."""
+    """Answers SparqlKG's queries from an InMemoryKG, and refuses with an
+    HTTP 400 the label query of `fail_label` and the search `fail_search`:
+    (entity, direction) names a relation search, and (entity, relation,
+    direction) an entity search."""
 
-    def __init__(self, kg, seed=0, fail_label=None):
+    def __init__(self, kg, seed=0, fail_label=None, fail_search=None):
         super().__init__(seed)
         self.kg = kg
         self.fail_label = fail_label
+        self.fail_search = fail_search
         self.labels_asked: list[str] = []
 
     def answer(self, kwargs):
@@ -106,16 +109,20 @@ class GraphEndpoint(_Endpoint):
         if middle == "?relation":
             direction = (Direction.INCOMING if first == "?x"
                          else Direction.OUTGOING)
-            entity = last if first == "?x" else first
-            found = self.kg.search_relations(entity.removeprefix("ns:"),
-                                             direction)
+            entity = (last if first == "?x" else first).removeprefix("ns:")
+            if (entity, direction) == self.fail_search:
+                return Reply(400)
+            found = self.kg.search_relations(entity, direction)
             return bindings("relation", [NS + value for value in found])
         if first == "?tailEntity":
             entity, direction = last, Direction.INCOMING
         else:
             entity, direction = first, Direction.OUTGOING
-        found = self.kg.search_entities(entity.removeprefix("ns:"),
-                                        middle.removeprefix("ns:"), direction)
+        search = (entity.removeprefix("ns:"), middle.removeprefix("ns:"),
+                  direction)
+        if search == self.fail_search:
+            return Reply(400)
+        found = self.kg.search_entities(*search)
         return bindings("tailEntity", [NS + value for value in found])
 
 
@@ -173,6 +180,8 @@ class ChatEndpoint(_Endpoint):
         self.fired = False
         # prompt -> the replies served for it
         self.served: dict[str, int] = {}
+        # the prompts in the order their replies were made
+        self.answered: list[str] = []
 
     def answer(self, kwargs):
         prompt = kwargs["json"]["messages"][0]["content"]
@@ -188,6 +197,8 @@ class ChatEndpoint(_Endpoint):
                 self.served[prompt] = served + 1
         if fault is not None:
             return CHAT_FAULTS[fault]()
+        with self.lock:
+            self.answered.append(prompt)
         key = zlib.crc32(f"{self.replies}:{prompt}".encode("utf-8"))
         completion = PromptAwareResponder(key, keep_fraction=0.7).complete(
             prompt, None)
@@ -274,6 +285,37 @@ def test_random_graph_traces_are_unchanged_by_the_pool():
         recalls += sum(event.payload.get("stage") == "recall"
                        for event in pooled.trace.events)
     assert recalls  # the embedding batches ran too
+
+
+def test_relation_calls_landing_out_of_order_keep_the_inline_trace():
+    """Several tails per iteration get a relation prompt; their replies
+    land out of order, and the trace is the inline run's all the same."""
+    pool_threads: set[int] = set()
+    reordered = batched = 0
+    for seed in SWEEP_SEEDS:
+        kg, question = sweep_case(seed)
+        traces = []
+        for pooled in (False, True):
+            client, _ = sparql_kg(kg, pooled=pooled, seed=seed)
+            scorer, _ = embedding_scorer(pooled=pooled, seed=seed)
+            llm, chat = chat_backend(seed, pooled=pooled, seed=seed)
+            result = Planner(client, llm, SWEEP_CONFIG,
+                             scorer=scorer).run(question)
+            traces.append(_stable_lines(result.trace))
+        assert traces[1] == traces[0], seed
+        pool_threads |= chat.threads - {threading.get_ident()}
+        calls = [event for event in result.trace.events
+                 if event.kind == "llm_call"
+                 and event.payload["stage"] == "relation_selection"]
+        batched += len(calls) - len({event.iteration for event in calls})
+        # each relation prompt where it was first asked, and first answered
+        asked = dict.fromkeys(event.payload["prompt"] for event in calls)
+        replied = dict.fromkeys(prompt for prompt in chat.answered
+                                if prompt in asked)
+        reordered += list(replied) != list(asked)
+    assert batched >= 10  # relation prompts beyond one per iteration
+    assert pool_threads
+    assert reordered
 
 
 def test_top_k_ranks_as_inline_and_asks_once_per_label():
@@ -392,6 +434,136 @@ def test_chat_faults_abort_as_the_inline_run():
     # garbled reply
     assert "later_tail_relation_selection" in targets
     assert any(stage.endswith("_retry") for stage in targets)
+
+
+def search_of(event):
+    """The search a relations or entities kg_query event records."""
+    payload = event.payload
+    direction = Direction(payload["direction"])
+    if payload["op"] == "relations":
+        return payload["entity"], direction
+    return payload["entity"], payload["relation"], direction
+
+
+def aborts_alike(kg, question, config, replies, fail_search):
+    """The error and stable lines of the run whose search `fail_search`
+    fails, pooled and inline alike."""
+    outcomes = []
+    for pooled in (False, True):
+        client, _ = sparql_kg(kg, pooled=pooled, seed=7,
+                              fail_search=fail_search)
+        llm, _ = chat_backend(replies, pooled=pooled, seed=7)
+        with pytest.raises(PlannerRunError) as caught:
+            Planner(client, llm, config).run(question)
+        assert isinstance(caught.value.__cause__, KGError)
+        outcomes.append((str(caught.value),
+                         _stable_lines(caught.value.trace)))
+    assert outcomes[1] == outcomes[0], fail_search
+    assert "HTTP 400" in outcomes[0][0]
+    return outcomes[0][1]
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_failed_relation_search_mid_frontier_aborts_as_the_inline_run(
+        direction):
+    """The second tail's search fails: the first tail's events, its model
+    call's among them, are recorded before the error, pooled or not."""
+    kg, question = star_case()
+    config = PlannerConfig(max_depth=2)
+    llm, _ = chat_backend(1, pooled=False)
+    clean = Planner(kg, llm, config).run(question).trace
+    searches = [event for event in clean.events if event.iteration == 2
+                and event.payload.get("op") == "relations"]
+    tails = list(dict.fromkeys(event.payload["entity"]
+                               for event in searches))
+    assert len(tails) >= 3
+    failed = next(event for event in searches
+                  if search_of(event) == (tails[1], direction))
+    lines = aborts_alike(kg, question, config, 1, search_of(failed))
+    assert lines[:-1] == _stable_lines(clean)[:failed.seq]
+    assert any(event.kind == "llm_call" and event.iteration == 2
+               for event in clean.events[:failed.seq])
+
+
+def test_search_faults_abort_as_the_inline_run():
+    """A failed relation or entity search, sampled over the sweep runs,
+    leaves every event before its own, pooled or not."""
+    for seed in SWEEP_SEEDS:
+        kg, question = sweep_case(seed)
+        client, _ = sparql_kg(kg, pooled=False)
+        llm, _ = chat_backend(seed, pooled=False)
+        clean = Planner(client, llm, SWEEP_CONFIG).run(question).trace
+        firsts: dict[tuple, int] = {}
+        for event in clean.events:
+            if event.payload.get("op") in ("relations", "entities"):
+                # a repeated search is answered from the client's cache
+                firsts.setdefault(search_of(event), event.seq)
+        rng = random.Random(seed)
+        for search in rng.sample(sorted(firsts, key=firsts.get), 4):
+            lines = aborts_alike(kg, question, SWEEP_CONFIG, seed, search)
+            assert lines[:-1] == _stable_lines(clean)[:firsts[search]], \
+                (seed, search)
+
+
+def two_hop_star():
+    """A hub whose two relations reach three entities each, the last of
+    each three unnamed, so both hops of its expansion resolve labels."""
+    spokes = [f"m.s{i}" for i in range(3)]
+    moons = [f"m.m{i}" for i in range(3)]
+    triples = [("m.hub", "test.star.spoke", spoke) for spoke in spokes]
+    triples += [("m.hub", "test.star.moon", moon) for moon in moons]
+    names = {eid: f"Body {eid}" for eid in spokes[:2] + moons[:2]}
+    kg = make_kg(triples, {"m.hub": "Hub", **names})
+    return kg, Question("Which body circles the Hub?", (("m.hub", "Hub"),)), \
+        spokes + moons
+
+
+class GatheringEndpoint(GraphEndpoint):
+    """Holds each label query until the label queries of every id in
+    `expected` have arrived, or for at most ten seconds."""
+
+    def __init__(self, kg, expected, seed=0):
+        super().__init__(kg, seed)
+        self.expected = set(expected)
+        self.arrived: set[str] = set()
+        self.gathered = threading.Condition()
+        self.timed_out = False
+
+    def answer(self, kwargs):
+        label = _LABEL.search(kwargs["data"].decode("utf-8"))
+        if label is not None:
+            with self.gathered:
+                self.arrived.add(label.group(1))
+                self.gathered.notify_all()
+                if not self.gathered.wait_for(
+                        lambda: self.expected <= self.arrived, timeout=10):
+                    self.timed_out = True
+        return super().answer(kwargs)
+
+
+def test_one_expansion_resolves_the_labels_of_all_its_hops_together():
+    kg, question, bodies = two_hop_star()
+    # both relations, every candidate: one expansion, two hops, six ids
+    # (no more than the WORKERS a caller has in flight)
+    assert len(bodies) <= fanout.WORKERS
+    config = PlannerConfig(max_depth=1)
+
+    def responder():
+        return PromptAwareResponder(3, keep_fraction=1.0,
+                                    hallucination_rate=0.0)
+
+    inline = Planner(kg, responder(), config).run(question)
+    endpoint = GatheringEndpoint(kg, bodies, seed=3)
+    client = SparqlKG(URL, session=endpoint, sleep=lambda seconds: None)
+    pooled = Planner(client, responder(), config).run(question)
+    assert not endpoint.timed_out
+    assert endpoint.arrived == set(bodies)
+    assert _stable_lines(pooled.trace) == _stable_lines(inline.trace)
+    # still one labels event per hop, each naming two ids and one fallback
+    labels = [event.payload for event in pooled.trace.events
+              if event.payload.get("op") == "labels"]
+    assert [(len(payload["labels"]), payload["fallback"])
+            for payload in labels] == [(2, ["m.m2"]), (2, ["m.s2"])]
 
 
 class WaitingBackend:
