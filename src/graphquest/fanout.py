@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
+from types import GeneratorType
 from typing import Callable, Iterable, Iterator, TypeVar
 
 Item = TypeVar("Item")
@@ -58,6 +59,14 @@ def results(backend: object, call: Callable[[Item], Result],
         return map(call, items)
     pool = _pool()
     return _in_order([pool.submit(call, item) for item in items])
+
+
+def close(batch: Iterator) -> None:
+    """Give up the rest of a `results` batch. On the pool, the calls not
+    started are cancelled and those running still finish; an inline
+    batch makes no call until it is read, so nothing is left to stop."""
+    if isinstance(batch, GeneratorType):
+        batch.close()
 
 
 def _in_order(futures: list[Future]) -> Iterator:

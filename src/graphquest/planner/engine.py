@@ -283,6 +283,7 @@ class Planner:
                 for _ in _DIRECTIONS:
                     offer.found.append(next(searched))
             except Exception as exc:
+                # raised by `_ask_offer`, after the tails before this one
                 offer.error = exc
                 yield offer
                 return
@@ -376,29 +377,33 @@ class Planner:
         resolved = fanout.results(self.kg, self.kg.resolve_label, unseen)
         # tail -> each hop from it that found something, with its candidates
         offers: dict[str, list[tuple[Hop, list[tuple[str, str]]]]] = {}
-        for hop, found in zip(hops, found_by_hop):
-            tail, relation, direction = hop
-            run.record("kg_query", {
-                "op": "entities", "entity": tail, "relation": relation,
-                "direction": direction.value, "count": len(found),
-            })
-            run.expanded.add(hop)
-            self._record_labels(run, found, resolved)
-            labeled = [(cid, labels[cid]) for cid in found]
-            if pool is not labels:
-                for cid, clabel in labeled:
-                    pool.setdefault(cid, clabel)
-            if len(labeled) > self.config.recall.threshold:
-                kept = top_k(run.question.text, labeled,
-                             self.config.recall.k, self.scorer)
-                run.record("selection", {
-                    "stage": "recall", "entity": tail,
-                    "relation": relation, "direction": direction.value,
-                    "before": len(labeled), "after": len(kept),
+        try:
+            for hop, found in zip(hops, found_by_hop):
+                tail, relation, direction = hop
+                run.record("kg_query", {
+                    "op": "entities", "entity": tail, "relation": relation,
+                    "direction": direction.value, "count": len(found),
                 })
-                labeled = [(c.entity, c.label) for c in kept]
-            if labeled:
-                offers.setdefault(tail, []).append((hop, labeled))
+                run.expanded.add(hop)
+                self._record_labels(run, found, resolved)
+                labeled = [(cid, labels[cid]) for cid in found]
+                if pool is not labels:
+                    for cid, clabel in labeled:
+                        pool.setdefault(cid, clabel)
+                if len(labeled) > self.config.recall.threshold:
+                    kept = top_k(run.question.text, labeled,
+                                 self.config.recall.k, self.scorer)
+                    run.record("selection", {
+                        "stage": "recall", "entity": tail,
+                        "relation": relation, "direction": direction.value,
+                        "before": len(labeled), "after": len(kept),
+                    })
+                    labeled = [(c.entity, c.label) for c in kept]
+                if labeled:
+                    offers.setdefault(tail, []).append((hop, labeled))
+        finally:
+            # when a recall fails, the lookups not started are cancelled
+            fanout.close(resolved)
         if failed is not None:
             raise failed
         if not offers:

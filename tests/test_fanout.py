@@ -514,8 +514,8 @@ def two_hop_star():
     triples += [("m.hub", "test.star.moon", moon) for moon in moons]
     names = {eid: f"Body {eid}" for eid in spokes[:2] + moons[:2]}
     kg = make_kg(triples, {"m.hub": "Hub", **names})
-    return kg, Question("Which body circles the Hub?", (("m.hub", "Hub"),)), \
-        spokes + moons
+    question = Question("Which body circles the Hub?", (("m.hub", "Hub"),))
+    return kg, question, spokes + moons
 
 
 class GatheringEndpoint(GraphEndpoint):
@@ -564,6 +564,46 @@ def test_one_expansion_resolves_the_labels_of_all_its_hops_together():
               if event.payload.get("op") == "labels"]
     assert [(len(payload["labels"]), payload["fallback"])
             for payload in labels] == [(2, ["m.m2"]), (2, ["m.s2"])]
+
+
+class SlowLabels(GraphEndpoint):
+    """Takes 5 ms over each label query."""
+
+    def answer(self, kwargs):
+        if _LABEL.search(kwargs["data"].decode("utf-8")):
+            time.sleep(0.005)
+        return super().answer(kwargs)
+
+
+class RefusingEndpoint:
+    def post(self, url, **kwargs):
+        return Reply(400)
+
+
+def test_a_failed_recall_cancels_the_label_lookups_not_started():
+    """An expansion's label batch covers both of its hops; when recall
+    fails on the first hop, the second hop's lookups not yet started are
+    cancelled, while the error is still held."""
+    bodies = [f"m.a{i}" for i in range(40)] + [f"m.b{i}" for i in range(40)]
+    triples = [("m.hub", f"test.x.{eid[2]}", eid) for eid in bodies]
+    kg = make_kg(triples, {"m.hub": "Hub",
+                           **{eid: f"Thing {eid}" for eid in bodies}})
+    question = Question("Which thing?", (("m.hub", "Hub"),))
+    endpoint = SlowLabels(kg)
+    client = SparqlKG(URL, session=endpoint, sleep=lambda seconds: None)
+    scorer = RemoteEmbeddingScorer(URL, session=RefusingEndpoint(),
+                                   sleep=lambda seconds: None)
+    planner = Planner(client, PromptAwareResponder(3, keep_fraction=1.0,
+                                                   hallucination_rate=0.0),
+                      PlannerConfig(max_depth=1), scorer=scorer)
+    with pytest.raises(PlannerRunError, match="embedding") as caught:
+        planner.run(question)
+    asked = len(endpoint.labels_asked)
+    time.sleep(0.2)
+    # only the lookups running when recall failed were still served
+    assert len(endpoint.labels_asked) - asked <= fanout.WORKERS
+    assert len(endpoint.labels_asked) < len(bodies)
+    assert caught.value.trace.events[-1].kind == "final"
 
 
 class WaitingBackend:
