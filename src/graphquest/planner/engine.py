@@ -15,6 +15,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import Any, Callable, Iterator
 
 from .. import fanout
@@ -372,8 +373,8 @@ class Planner:
                 found_by_hop.append(found)
         except Exception as exc:
             failed = exc
-        unseen = dict.fromkeys(cid for found in found_by_hop
-                               for cid in found if cid not in labels)
+        unseen = [cid for cid in dict.fromkeys(chain.from_iterable(
+            found_by_hop)) if cid not in labels]
         resolved = fanout.results(self.kg, self.kg.resolve_label, unseen)
         # tail -> each hop from it that found something, with its candidates
         offers: dict[str, list[tuple[Hop, list[tuple[str, str]]]]] = {}
@@ -677,20 +678,20 @@ class Planner:
         one to its name, and `fallback` lists the unnamed ones, whose
         label is their id."""
         labels = run.labels
+        unseen = [entity for entity in entities if entity not in labels]
+        if not unseen:
+            return
         named: dict[str, str] = {}
         fallback: list[str] = []
-        for entity in entities:
-            if entity in labels:
-                continue
-            label = next(resolved)
+        # zip reads `unseen` first, so it takes no label past the last
+        for entity, label in zip(unseen, resolved):
             labels[entity] = label.label
             if label.is_fallback:
                 fallback.append(entity)
             else:
                 named[entity] = label.label
-        if named or fallback:
-            run.record("kg_query", {"op": "labels", "labels": named,
-                                    **_present(fallback=fallback)})
+        run.record("kg_query", {"op": "labels", "labels": named,
+                                **_present(fallback=fallback)})
 
     def _render_status(self, status: list[str]) -> str:
         return json.dumps(
