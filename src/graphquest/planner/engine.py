@@ -373,20 +373,28 @@ class Planner:
                 found_by_hop.append(found)
         except Exception as exc:
             failed = exc
-        unseen = [cid for cid in dict.fromkeys(chain.from_iterable(
-            found_by_hop)) if cid not in labels]
-        resolved = fanout.results(self.kg, self.kg.resolve_label, unseen)
+        # the ids with no label that each hop is the first to find
+        unseen_by_hop: list[list[str]] = []
+        claimed: set[str] = set()
+        for found in found_by_hop:
+            unseen = [cid for cid in found
+                      if cid not in labels and cid not in claimed]
+            claimed.update(unseen)
+            unseen_by_hop.append(unseen)
+        resolved = fanout.results(self.kg, self.kg.resolve_label,
+                                  chain.from_iterable(unseen_by_hop))
         # tail -> each hop from it that found something, with its candidates
         offers: dict[str, list[tuple[Hop, list[tuple[str, str]]]]] = {}
         try:
-            for hop, found in zip(hops, found_by_hop):
+            for hop, found, unseen in zip(hops, found_by_hop,
+                                          unseen_by_hop):
                 tail, relation, direction = hop
                 run.record("kg_query", {
                     "op": "entities", "entity": tail, "relation": relation,
                     "direction": direction.value, "count": len(found),
                 })
                 run.expanded.add(hop)
-                self._record_labels(run, found, resolved)
+                self._record_labels(run, unseen, resolved)
                 labeled = [(cid, labels[cid]) for cid in found]
                 if pool is not labels:
                     for cid, clabel in labeled:
@@ -673,18 +681,17 @@ class Planner:
 
     def _record_labels(self, run: _Run, entities: list[str],
                        resolved: Iterator[EntityLabel]) -> None:
-        """Label the entities not seen yet with the next labels from
-        `resolved` and trace them as one event: `labels` maps each named
-        one to its name, and `fallback` lists the unnamed ones, whose
-        label is their id."""
-        labels = run.labels
-        unseen = [entity for entity in entities if entity not in labels]
-        if not unseen:
+        """Label the entities, none of them seen yet, with the next labels
+        from `resolved` and trace them as one event: `labels` maps each
+        named one to its name, and `fallback` lists the unnamed ones,
+        whose label is their id."""
+        if not entities:
             return
+        labels = run.labels
         named: dict[str, str] = {}
         fallback: list[str] = []
-        # zip reads `unseen` first, so it takes no label past the last
-        for entity, label in zip(unseen, resolved):
+        # zip reads `entities` first, so it takes no label past the last
+        for entity, label in zip(entities, resolved):
             labels[entity] = label.label
             if label.is_fallback:
                 fallback.append(entity)
