@@ -109,33 +109,30 @@ class _Run:
         self.trace.record(kind, self.iteration, payload, usage)
 
 
-@dataclass(slots=True)
-class _Asked:
-    """One question to the model and what it answered, gathered before
-    its events are recorded: the completions made (a retry's too) and
-    the decoded value, None when no reply decoded."""
-
-    prompt: str
-    stage: str
-    decode: Callable[[str], Any]
-    completions: list[tuple[str, Completion]] = field(default_factory=list)
-    value: Any = None
-    warning: str | None = None
-
-
-@dataclass(slots=True)
 class _Offer:
     """One tail's relation selection, gathered before it is recorded."""
 
-    entity: str
-    # the relations found in each of _DIRECTIONS, as far as searched
-    found: list[list[str]] = field(default_factory=list)
-    # (relation, direction) of each found pair not expanded yet
-    tagged: list[tuple[str, Direction]] = field(default_factory=list)
-    offered: set[str] = field(default_factory=set)
-    # None when nothing is offered, or a search failed
-    asked: _Asked | None = None
-    error: Exception | None = None
+    # plain slots, not a dataclass: one is built per frontier entity
+    __slots__ = ("entity", "found", "tagged", "offered", "names", "prompt",
+                 "completions", "value", "warning", "error")
+
+    def __init__(self, entity: str):
+        self.entity = entity
+        # the relations found in each of _DIRECTIONS, as far as searched
+        self.found: list[list[str]] = []
+        # (relation, direction) of each found pair not expanded yet, the
+        # relations among them, and those sorted: set once both searches
+        # are back
+        self.tagged: list[tuple[str, Direction]]
+        self.offered: set[str]
+        self.names: list[str]
+        # None when nothing is offered, or a search failed
+        self.prompt: str | None = None
+        # what `_gather_ask` made of the prompt
+        self.completions: list[tuple[str, Completion]] = []
+        self.value: Any = None
+        self.warning: str | None = None
+        self.error: Exception | None = None
 
 
 @dataclass
@@ -296,23 +293,24 @@ class Planner:
                 for relation in relations
                 if (eid, relation, direction) not in run.expanded]
             offer.offered = {relation for relation, _ in offer.tagged}
-            if offer.offered:
-                prompt = self.prompts.render(
+            offer.names = sorted(offer.offered)
+            if offer.names:
+                offer.prompt = self.prompts.render(
                     "relation_selection",
                     question=run.question.text,
                     sub_objectives=sub_objectives,
                     topic_entity=label,
-                    relations="; ".join(sorted(offer.offered)),
+                    relations="; ".join(offer.names),
                 )
-                offer.asked = _Asked(prompt, "relation_selection",
-                                     parse_list)
             yield offer
 
     def _ask_offer(self, offer: _Offer) -> _Offer:
         if offer.error is not None:
             raise offer.error
-        if offer.asked is not None:
-            self._gather_ask(offer.asked)
+        if offer.prompt is not None:
+            offer.value, offer.warning = self._gather_ask(
+                offer.prompt, "relation_selection", parse_list,
+                offer.completions)
         return offer
 
     def _record_offer(self, run: _Run, offer: _Offer) -> None:
@@ -324,18 +322,17 @@ class Planner:
                 "direction": direction.value,
                 "count": len(relations),
             })
-        if offer.asked is not None:
-            self._record_calls(run, offer.asked)
+        self._record_calls(run, offer.prompt, offer.completions)
 
     def _choose_relations(self, run: _Run, offer: _Offer) -> list[Hop]:
         eid, offered = offer.entity, offer.offered
-        if offer.asked is None:
+        if offer.prompt is None:
             run.record("selection", {
                 "stage": "relations", "entity": eid,
                 "candidates": [], "selected": [],
             })
             return []
-        raw = offer.asked.value or []
+        raw = offer.value or []
         # de-duplicate before the cap; a None breadth slices nothing
         chosen = list(dict.fromkeys(
             name for item in raw if (name := item.strip()) in offered
@@ -344,9 +341,9 @@ class Planner:
         run.record("selection", {
             "stage": "relations",
             "entity": eid,
-            "candidates": sorted(offered),
+            "candidates": offer.names,
             "selected": chosen,
-            **_present(dropped=dropped, warning=offer.asked.warning),
+            **_present(dropped=dropped, warning=offer.warning),
         })
         return [(eid, relation, direction)
                 for relation, direction in offer.tagged
@@ -639,43 +636,43 @@ class Planner:
 
     def _ask(self, run: _Run, prompt: str, stage: str,
              decode: Callable[[str], Any]) -> tuple[Any, str | None]:
-        """`_gather_ask`'s value and warning; its calls are recorded
-        even when one of them fails."""
-        asked = _Asked(prompt, stage, decode)
+        """`_gather_ask`, with its calls recorded even when one fails."""
+        completions: list[tuple[str, Completion]] = []
         try:
-            self._gather_ask(asked)
+            return self._gather_ask(prompt, stage, decode, completions)
         finally:
-            self._record_calls(run, asked)
-        return asked.value, asked.warning
+            self._record_calls(run, prompt, completions)
 
-    def _gather_ask(self, asked: _Asked) -> None:
+    def _gather_ask(self, prompt: str, stage: str,
+                    decode: Callable[[str], Any],
+                    completions: list[tuple[str, Completion]]
+                    ) -> tuple[Any, str | None]:
         """Decode the model's reply, asking once more if it fails.
 
-        Sets the decoded value, or None when both replies fail, and a
-        warning whenever the first reply was unusable. Records nothing,
-        so it may run on any thread.
+        Returns the decoded value, or None when both replies fail, and a
+        warning whenever the first reply was unusable. Each completion
+        is appended to `completions` with its stage as it arrives, and
+        nothing is recorded, so it may run on any thread.
         """
-        text = self._complete(asked, asked.stage)
+        completion = self.llm.complete(prompt, self.config.generation)
+        completions.append((stage, completion))
         try:
-            asked.value = asked.decode(text)
+            return decode(completion.text), None
         except ParseError as first:
-            text = self._complete(asked, asked.stage + "_retry")
+            completion = self.llm.complete(prompt, self.config.generation)
+            completions.append((stage + "_retry", completion))
             try:
-                asked.value = asked.decode(text)
-                asked.warning = f"first response unparseable ({first})"
+                return (decode(completion.text),
+                        f"first response unparseable ({first})")
             except ParseError as second:
-                asked.warning = f"unparseable after retry ({second})"
+                return None, f"unparseable after retry ({second})"
 
-    def _complete(self, asked: _Asked, stage: str) -> str:
-        completion = self.llm.complete(asked.prompt, self.config.generation)
-        asked.completions.append((stage, completion))
-        return completion.text
-
-    def _record_calls(self, run: _Run, asked: _Asked) -> None:
-        for stage, completion in asked.completions:
+    def _record_calls(self, run: _Run, prompt: str | None,
+                      completions: list[tuple[str, Completion]]) -> None:
+        for stage, completion in completions:
             run.record("llm_call", {
                 "stage": stage,
-                "prompt": asked.prompt,
+                "prompt": prompt,
                 "response": completion.text,
             }, usage=completion.usage)
 
