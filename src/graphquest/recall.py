@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -71,29 +72,50 @@ def _question_trigrams(lowered: str) -> tuple[Counter, float]:
     return _trigrams(lowered)
 
 
+def _label_profile(lowered: str) -> tuple[str, tuple[str, ...], float]:
+    """A stripped, lower-cased label, its trigrams in order, and their norm."""
+    grams = tuple([sys.intern(lowered[i:i + 3])
+                   for i in range(len(lowered) - 2)])
+    # The norm is the root of the sum of squared counts: with every
+    # trigram distinct that sum is the trigram count, so only a label
+    # that repeats one builds its counts.
+    if len(set(grams)) == len(grams):
+        norm = math.sqrt(len(grams))
+    else:
+        norm = _trigrams(lowered)[1]
+    return lowered, grams, norm
+
+
 class TrigramScorer:
-    """Similarity over character-trigram counts; exact match scores 1.0."""
+    """Similarity over character-trigram counts; exact match scores 1.0.
+
+    Each label's profile (its stripped, lower-cased text, trigrams and
+    norm) is built on its first score and kept for the scorer's lifetime,
+    keyed on the label as given, so a hub member re-offered for a later
+    question is not split again. The trigram strings are interned, so one
+    shared by many labels is stored once. The cache is unbounded, like
+    `RemoteEmbeddingScorer`'s, and a pure memo: threads may share one
+    scorer.
+    """
+
+    def __init__(self) -> None:
+        self._profiles: dict[str, tuple[str, tuple[str, ...], float]] = {}
 
     def score(self, question: str, label: str) -> float:
+        profile = self._profiles.get(label)
+        if profile is None:
+            profile = self._profiles[label] = \
+                _label_profile(label.strip().lower())
+        c, grams, right_norm = profile
         q = question.strip().lower()
-        c = label.strip().lower()
         if not q or not c:
             raise RecallError("cannot score empty text")
         if q == c:
             return 1.0
         left, left_norm = _question_trigrams(q)
-        grams = [c[i:i + 3] for i in range(len(c) - 2)]
         if not left or not grams:
             return 0.0
-        dot = sum(map(left.get, grams, repeat(0)))
-        # The norm is the root of the sum of squared counts: with every
-        # trigram distinct that sum is the trigram count, so only a label
-        # that repeats one builds its counts.
-        if len(set(grams)) == len(grams):
-            right_norm = math.sqrt(len(grams))
-        else:
-            right_norm = _trigrams(c)[1]
-        return dot / (left_norm * right_norm)
+        return sum(map(left.get, grams, repeat(0))) / (left_norm * right_norm)
 
 
 class RemoteEmbeddingScorer:
@@ -164,7 +186,9 @@ def top_k(question: str, candidates: Sequence[tuple[str, str]], k: int,
     Ordering is total and input-order independent: score descending,
     then label ascending, then entity id ascending. A scorer that waits
     on the network is asked once per distinct stripped label (see
-    `Scorer`), on the `fanout` pool.
+    `Scorer`), on the `fanout` pool. With `scorer=None` each call builds
+    a throwaway `TrigramScorer`, so no label profile is kept between
+    calls; pass one scorer to keep them.
     """
     if k < 1:
         raise RecallError(f"k must be >= 1, got {k}")

@@ -1,5 +1,8 @@
+import concurrent.futures
 import math
 import random
+import threading
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -61,6 +64,15 @@ _TEXTS = st.builds(lambda head, body, tail: head + body + tail,
 _LONG_LABEL = "".join(map(chr, range(0x4E00, 0x4E00 + 2923)))
 # few ids and labels, so that both repeat; "zzzzzz" shares no trigram
 # with any of the fixed labels, so every score ties at zero
+# labels with fewer than three characters once stripped, so no trigrams
+_SHORT = st.builds(lambda head, body, tail: head + body + tail,
+                   _PAD, st.text(alphabet=_FOLDING, min_size=1, max_size=2),
+                   _PAD).filter(lambda s: s.strip())
+# labels that repeat a trigram, so their norm comes from their counts
+_REPEATING = st.builds(lambda unit, times: unit * times,
+                       st.text(alphabet=_FOLDING, min_size=1, max_size=3)
+                       .filter(lambda s: s.strip()),
+                       st.integers(3, 6))
 _IDS = st.sampled_from(["m.1", "m.2", "m.3"]) | st.text(max_size=4)
 _LABELS = st.sampled_from(["aaa", "bbb", "Panama City", " panama city"]) \
     | _TEXTS
@@ -122,6 +134,105 @@ class TestTrigramScorer:
         for label in labels:
             got = scorer.score(question, label)
             assert got.hex() == frozen_trigram_score(question, label).hex()
+
+    @given(st.lists(_TEXTS, min_size=1, max_size=4),
+           st.lists(_TEXTS | _SHORT | _REPEATING, min_size=1, max_size=8))
+    @example(["Panama City", " panama city ", "ab"],
+             ["PANAMA CITY", "Panama City", " panama city", "ab", "P", "AB"])
+    @example(["aaab abcabc", "ßßß abab"],
+             ["aaaaaa", "abcabcabc", " Ababab ", "ßßßß", "aa"])
+    @settings(max_examples=200, deadline=None)
+    def test_a_warm_scorer_scores_as_a_fresh_one(self, questions, labels):
+        # every label is scored against every question by one scorer, so
+        # from the second question on each label's profile is a cached one
+        warm = TrigramScorer()
+        for question in questions:
+            for label in labels:
+                got = warm.score(question, label).hex()
+                assert got == TrigramScorer().score(question, label).hex()
+                assert got == frozen_trigram_score(question, label).hex()
+
+    @pytest.mark.parametrize("question, label", [
+        ("", "label"), ("   ", "label"), ("question", ""),
+        ("question", " \t　"), (" ", " "),
+    ])
+    def test_blank_text_is_an_error_on_every_call(self, question, label):
+        scorer = TrigramScorer()
+        scorer.score("question", "label")  # the non-blank side is cached
+        for _ in range(3):
+            with pytest.raises(RecallError):
+                scorer.score(question, label)
+
+    def test_each_label_profile_is_built_once(self, monkeypatch):
+        built = []
+        profile = recall._label_profile
+
+        def counting(lowered):
+            built.append(lowered)
+            return profile(lowered)
+
+        monkeypatch.setattr(recall, "_label_profile", counting)
+        scorer = TrigramScorer()
+        candidates = [(f"m.{i}", f"Candidate label {i}") for i in range(200)]
+        first = top_k("Which of two hundred candidates is closest?",
+                      candidates, 5, scorer)
+        second = top_k("Which candidate label ends in 7?", candidates, 5,
+                       scorer)
+        assert len(built) == 200
+        assert first == top_k("Which of two hundred candidates is closest?",
+                              candidates, 5)
+        assert second == top_k("Which candidate label ends in 7?",
+                               candidates, 5)
+
+    LABELS = 20_000
+
+    def test_cached_profiles_stay_small(self):
+        # guards the interning: without it each label keeps its own copy of
+        # every trigram, about 1.2 KB per label instead of about 0.35 KB;
+        # labels shaped like a generated hub's members
+        adjectives = ("Northern", "Silver", "Old", "Upper")
+        nouns = ("River", "Harbor", "Valley", "Castle", "Province")
+        labels = [f"{adjectives[i % 4]} {nouns[i % 5]} {i}"
+                  for i in range(self.LABELS)]
+        scorer = TrigramScorer()
+        scorer.score(QUESTION, "warm up the question's profile")
+        already = tracemalloc.is_tracing()
+        if not already:
+            tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        for label in labels:
+            scorer.score(QUESTION, label)
+        retained = tracemalloc.get_traced_memory()[0] - before
+        if not already:
+            tracemalloc.stop()
+        assert retained / self.LABELS < 400
+
+    def test_a_shared_scorer_scores_as_the_inline_one(self):
+        # the sharing contract of run_eval(parallelism=N) and of cmd_eval's
+        # variants: one planner's scorer serves every thread
+        questions = [QUESTION, "Which label is closest?", "abab abab"]
+        labels = [f"Label {i % 150} of {'ab' * (i % 4)}" for i in range(600)]
+        expected = {(q, label): TrigramScorer().score(q, label)
+                    for q in questions for label in labels}
+        shared = TrigramScorer()
+        barrier = threading.Barrier(8)
+
+        def work(offset):
+            barrier.wait()
+            got = {}
+            # each thread starts at a different place in the same labels,
+            # so several build or read one label's profile at once
+            for i in range(len(labels)):
+                label = labels[(i + offset * 75) % len(labels)]
+                for q in questions:
+                    got[q, label] = shared.score(q, label)
+            return got
+
+        with concurrent.futures.ThreadPoolExecutor(8) as pool:
+            results = list(pool.map(work, range(8)))
+        for got in results:
+            assert {k: v.hex() for k, v in got.items()} == \
+                {k: v.hex() for k, v in expected.items()}
 
     @given(st.text(min_size=3, max_size=40).filter(lambda s: s.strip()),
            st.text(min_size=3, max_size=40).filter(lambda s: s.strip()))
