@@ -62,6 +62,18 @@ def _present(**fields: Any) -> dict:
     return {key: value for key, value in fields.items() if value}
 
 
+def _gather(batch: Iterator) -> tuple[list, Exception | None]:
+    """The results of a `fanout.results` batch up to its first failure,
+    and that failure (None when every call succeeds)."""
+    results = []
+    try:
+        for result in batch:
+            results.append(result)
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
 def _join_warnings(*parts: str | None) -> str | None:
     return "; ".join(part for part in parts if part) or None
 
@@ -107,32 +119,6 @@ class _Run:
     def record(self, kind: str, payload: dict,
                usage: Usage | None = None) -> None:
         self.trace.record(kind, self.iteration, payload, usage)
-
-
-class _Offer:
-    """One tail's relation selection, gathered before it is recorded."""
-
-    # plain slots, not a dataclass: one is built per frontier entity
-    __slots__ = ("entity", "found", "tagged", "offered", "names", "prompt",
-                 "completions", "value", "warning", "error")
-
-    def __init__(self, entity: str):
-        self.entity = entity
-        # the relations found in each of _DIRECTIONS, as far as searched
-        self.found: list[list[str]] = []
-        # (relation, direction) of each found pair not expanded yet, the
-        # relations among them, and those sorted: set once both searches
-        # are back
-        self.tagged: list[tuple[str, Direction]]
-        self.offered: set[str]
-        self.names: list[str]
-        # None when nothing is offered, or a search failed
-        self.prompt: str | None = None
-        # what `_gather_ask` made of the prompt
-        self.completions: list[tuple[str, Completion]] = []
-        self.value: Any = None
-        self.warning: str | None = None
-        self.error: Exception | None = None
 
 
 @dataclass
@@ -243,111 +229,81 @@ class Planner:
     def explore_relations(self, run: _Run) -> list[Hop]:
         """The hops the model chose from each tail, in frontier order.
 
-        Each tail's searches and model calls are gathered first, the
-        calls of a waiting model overlapping, and its events recorded
-        after, in frontier order. When a search or a model call fails,
+        Every tail's two searches come first, up to the first that
+        fails; then the model is asked about each tail searched both
+        ways, the calls of a waiting model overlapping; then the events
+        are recorded, tail by tail. When a search or a model call fails,
         the tails before it are recorded whole and the failing one up to
         the failure, as a run made one call at a time records them.
         """
-        offers: list[_Offer] = []
-        asked = fanout.results(self.llm, self._ask_offer,
-                               self._relation_offers(run, offers))
-        hops: list[Hop] = []
-        for index in range(len(run.tail_entities)):
-            try:
-                offer = next(asked)
-            except Exception:
-                self._record_offer(run, offers[index])
-                raise
-            self._record_offer(run, offer)
-            hops.extend(self._choose_relations(run, offer))
-        return hops
-
-    def _relation_offers(self, run: _Run,
-                         offers: list[_Offer]) -> Iterator[_Offer]:
-        """Each tail's offer, appended to `offers` before its searches;
-        one whose search failed carries the error and is the last."""
         tails = run.tail_entities
-        searches = [(eid, direction)
-                    for eid, _ in tails for direction in _DIRECTIONS]
-        searched = fanout.results(
+        found, failed = _gather(fanout.results(
             self.kg, lambda search: self.kg.search_relations(*search),
-            searches)
+            [(eid, direction)
+             for eid, _ in tails for direction in _DIRECTIONS]))
         sub_objectives = json.dumps(run.objectives, ensure_ascii=False)
-        for eid, label in tails:
-            offer = _Offer(eid)
-            offers.append(offer)
-            try:
-                for _ in _DIRECTIONS:
-                    offer.found.append(next(searched))
-            except Exception as exc:
-                # raised by `_ask_offer`, after the tails before this one
-                offer.error = exc
-                yield offer
-                return
+        # per tail searched both ways: the (relation, direction) pairs not
+        # expanded yet, their relations sorted, the prompt offering them
+        # (None when there are none) and the completions it gets
+        offers: list[tuple[list[tuple[str, Direction]], list[str],
+                           str | None, list[tuple[str, Completion]]]] = []
+        for (eid, label), both in zip(tails, zip(found[::2], found[1::2])):
             # pairs expanded in an earlier iteration are spent;
             # re-offering them would just repeat the same hop
-            offer.tagged = [
-                (relation, direction)
-                for direction, relations in zip(_DIRECTIONS, offer.found)
-                for relation in relations
-                if (eid, relation, direction) not in run.expanded]
-            offer.offered = {relation for relation, _ in offer.tagged}
-            offer.names = sorted(offer.offered)
-            if offer.names:
-                offer.prompt = self.prompts.render(
+            tagged = [(relation, direction)
+                      for direction, relations in zip(_DIRECTIONS, both)
+                      for relation in relations
+                      if (eid, relation, direction) not in run.expanded]
+            names = sorted({relation for relation, _ in tagged})
+            prompt = None
+            if names:
+                prompt = self.prompts.render(
                     "relation_selection",
                     question=run.question.text,
                     sub_objectives=sub_objectives,
                     topic_entity=label,
-                    relations="; ".join(offer.names),
+                    relations="; ".join(names),
                 )
-            yield offer
-
-    def _ask_offer(self, offer: _Offer) -> _Offer:
-        if offer.error is not None:
-            raise offer.error
-        if offer.prompt is not None:
-            offer.value, offer.warning = self._gather_ask(
-                offer.prompt, "relation_selection", parse_list,
-                offer.completions)
-        return offer
-
-    def _record_offer(self, run: _Run, offer: _Offer) -> None:
-        """The events of what was gathered for one tail."""
-        for direction, relations in zip(_DIRECTIONS, offer.found):
-            run.record("kg_query", {
-                "op": "relations",
-                "entity": offer.entity,
-                "direction": direction.value,
-                "count": len(relations),
-            })
-        self._record_calls(run, offer.prompt, offer.completions)
-
-    def _choose_relations(self, run: _Run, offer: _Offer) -> list[Hop]:
-        eid, offered = offer.entity, offer.offered
-        if offer.prompt is None:
+            offers.append((tagged, names, prompt, []))
+        asked = fanout.results(
+            self.llm, lambda ask: self._gather_ask(*ask),
+            [(prompt, "relation_selection", parse_list, completions)
+             for _, _, prompt, completions in offers if prompt is not None])
+        hops: list[Hop] = []
+        for index, (eid, _) in enumerate(tails):
+            for direction, relations in zip(_DIRECTIONS,
+                                            found[2 * index:2 * index + 2]):
+                run.record("kg_query", {
+                    "op": "relations", "entity": eid,
+                    "direction": direction.value, "count": len(relations),
+                })
+            if index == len(offers):
+                # this tail's search failed
+                raise failed
+            tagged, names, prompt, completions = offers[index]
+            raw, warning = None, None
+            if prompt is not None:
+                try:
+                    raw, warning = next(asked)
+                finally:
+                    self._record_calls(run, prompt, completions)
+            raw, offered = raw or [], set(names)
+            # de-duplicate before the cap; a None breadth slices nothing
+            chosen = list(dict.fromkeys(
+                name for item in raw if (name := item.strip()) in offered
+            ))[:self.config.ablations.fixed_breadth]
+            dropped = [item for item in raw if item.strip() not in offered]
             run.record("selection", {
-                "stage": "relations", "entity": eid,
-                "candidates": [], "selected": [],
+                "stage": "relations",
+                "entity": eid,
+                "candidates": names,
+                "selected": chosen,
+                **_present(dropped=dropped, warning=warning),
             })
-            return []
-        raw = offer.value or []
-        # de-duplicate before the cap; a None breadth slices nothing
-        chosen = list(dict.fromkeys(
-            name for item in raw if (name := item.strip()) in offered
-        ))[:self.config.ablations.fixed_breadth]
-        dropped = [item for item in raw if item.strip() not in offered]
-        run.record("selection", {
-            "stage": "relations",
-            "entity": eid,
-            "candidates": offer.names,
-            "selected": chosen,
-            **_present(dropped=dropped, warning=offer.warning),
-        })
-        return [(eid, relation, direction)
-                for relation, direction in offer.tagged
-                if relation in chosen]
+            hops.extend((eid, relation, direction)
+                        for relation, direction in tagged
+                        if relation in chosen)
+        return hops
 
     # -- stage: entity exploration --------------------------------------
 
@@ -361,15 +317,8 @@ class Planner:
         # every hop's search, up to the first that fails, and then the
         # labels of all the ids they found that have none yet, in one
         # batch; the events follow hop by hop
-        found_by_hop: list[list[str]] = []
-        failed: Exception | None = None
-        try:
-            for found in fanout.results(
-                    self.kg, lambda hop: self.kg.search_entities(*hop),
-                    hops):
-                found_by_hop.append(found)
-        except Exception as exc:
-            failed = exc
+        found_by_hop, failed = _gather(fanout.results(
+            self.kg, lambda hop: self.kg.search_entities(*hop), hops))
         # the ids with no label that each hop is the first to find
         unseen_by_hop: list[list[str]] = []
         claimed: set[str] = set()

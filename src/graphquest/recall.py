@@ -171,8 +171,15 @@ class RemoteEmbeddingScorer:
             json=body, timeout=TIMEOUT_SECONDS,
         )
         try:
-            vector = [float(v) for v in payload["data"][0]["embedding"]]
-        except (KeyError, IndexError, TypeError, ValueError):
+            vector = payload["data"][0]["embedding"]
+            # a string iterates as its characters, and json reads NaN and
+            # Infinity as numbers: none of them is an embedding
+            if not isinstance(vector, list) or not all(
+                    type(v) in (int, float) and math.isfinite(v)
+                    for v in vector):
+                raise TypeError("not a list of finite numbers")
+            vector = [float(v) for v in vector]
+        except (KeyError, IndexError, TypeError, OverflowError):
             raise RecallError("malformed embedding response") from None
         entry = vector, math.sqrt(sum(v * v for v in vector))
         self._cache[text] = entry

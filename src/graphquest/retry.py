@@ -41,9 +41,10 @@ def post_json(session: requests.Session, url: str, *,
               error: Callable[[int, str], Exception], **post_kwargs) -> Any:
     """POST until a 200 with a JSON body arrives, and return the body.
 
-    429/5xx statuses, connection errors and non-JSON bodies are retried,
-    up to MAX_ATTEMPTS attempts, sleeping `BACKOFF_SECONDS * 2**n` after
-    the n-th failed attempt (n from 0); any other status fails at once.
+    429/5xx statuses, connection errors and bodies that do not decode
+    (nested too deep for the decoder among them) are retried, up to
+    MAX_ATTEMPTS attempts, sleeping `BACKOFF_SECONDS * 2**n` after the
+    n-th failed attempt (n from 0); any other status fails at once.
     `error(attempts, last_error)` builds the caller's typed exception.
     `post_kwargs` go to `session.post` unchanged.
     """
@@ -57,7 +58,7 @@ def post_json(session: requests.Session, url: str, *,
             if response.status_code == 200:
                 try:
                     return response.json()
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     last_error = f"response body is not JSON ({exc})"
             else:
                 last_error = f"HTTP {response.status_code}"

@@ -23,6 +23,7 @@ from graphquest.planner.engine import Planner, PlannerRunError
 from graphquest.planner.state import PlannerConfig, Question
 from graphquest.recall import (
     RecallConfig,
+    RecallError,
     RemoteEmbeddingScorer,
     TrigramScorer,
     top_k,
@@ -127,10 +128,32 @@ class GraphEndpoint(_Endpoint):
 
 
 class EmbeddingEndpoint(_Endpoint):
-    """Embeds text as 16 buckets of hashed character trigrams."""
+    """Embeds text as 16 buckets of hashed character trigrams.
+
+    `fail=(text, kind)` answers every request for `text` with the fault
+    `kind` from EMBEDDING_FAULTS, except that a "429" fails one attempt
+    only.
+    """
+
+    def __init__(self, seed, fail=None):
+        super().__init__(seed)
+        self.fail = fail
+        self.fired = False
+        # the texts in the order their requests arrived
+        self.texts: list[str] = []
 
     def answer(self, kwargs):
-        text = kwargs["json"]["input"][0].lower()
+        text = kwargs["json"]["input"][0]
+        with self.lock:
+            self.texts.append(text)
+            fault = None
+            if self.fail is not None and self.fail[0] == text:
+                kind = self.fail[1]
+                if kind != "429" or not self.fired:
+                    fault, self.fired = kind, True
+        if fault is not None:
+            return EMBEDDING_FAULTS[fault]()
+        text = text.lower()
         vector = [0.0] * 16
         for i in range(len(text) - 2):
             vector[zlib.crc32(text[i:i + 3].encode("utf-8")) % 16] += 1.0
@@ -158,6 +181,12 @@ CHAT_FAULTS = {
     "shape": lambda: Reply(200, {"choices": []}),
     "connection": _refuse_connection,
     "429": lambda: Reply(429),
+}
+# the same faults of an embedding request; its wrong shape is a string
+# where the list of numbers belongs
+EMBEDDING_FAULTS = {
+    **CHAT_FAULTS,
+    "shape": lambda: Reply(200, {"data": [{"embedding": "1"}]}),
 }
 
 
@@ -229,8 +258,8 @@ def sparql_kg(kg, *, pooled=True, **endpoint_kwargs):
     return client, endpoint
 
 
-def embedding_scorer(*, pooled=True, seed=0):
-    endpoint = EmbeddingEndpoint(seed)
+def embedding_scorer(*, pooled=True, seed=0, fail=None):
+    endpoint = EmbeddingEndpoint(seed, fail=fail)
     scorer = RemoteEmbeddingScorer(URL, session=endpoint,
                                    sleep=lambda seconds: None)
     if not pooled:
@@ -434,6 +463,57 @@ def test_chat_faults_abort_as_the_inline_run():
     # garbled reply
     assert "later_tail_relation_selection" in targets
     assert any(stage.endswith("_retry") for stage in targets)
+
+
+def test_embedding_faults_abort_as_the_inline_run():
+    """Each kind of embedding fault, at a sampled text of each sweep run,
+    aborts pooled and inline runs alike, with the clean trace up to the
+    failed recall; a 429 that a retry answers leaves the trace as it
+    was."""
+    faulted = 0
+    for seed in SWEEP_SEEDS:
+        kg, question = sweep_case(seed)
+
+        def run(pooled, fail=None):
+            client, _ = sparql_kg(kg, pooled=pooled, seed=seed)
+            scorer, endpoint = embedding_scorer(pooled=pooled, seed=seed,
+                                                fail=fail)
+            planner = Planner(client, PromptAwareResponder(seed),
+                              SWEEP_CONFIG, scorer=scorer)
+            return planner, endpoint
+
+        planner, endpoint = run(pooled=False)
+        clean = _stable_lines(planner.run(question).trace)
+        texts = endpoint.texts
+        if not texts:
+            continue  # no hop of this run found enough to recall
+        rng = random.Random(seed)
+        for kind in EMBEDDING_FAULTS:
+            fail = (rng.choice(texts), kind)
+            outcomes = []
+            for pooled in (False, True):
+                planner, _ = run(pooled, fail)
+                if kind == "429":
+                    lines = _stable_lines(planner.run(question).trace)
+                    assert lines == clean, (seed, fail)
+                    continue
+                with pytest.raises(PlannerRunError) as caught:
+                    planner.run(question)
+                assert isinstance(caught.value.__cause__, RecallError)
+                outcomes.append((str(caught.value),
+                                 _stable_lines(caught.value.trace)))
+            if kind == "429":
+                continue
+            faulted += 1
+            assert outcomes[1] == outcomes[0], (seed, fail)
+            message, lines = outcomes[0]
+            # every event before the failed recall's, and nothing after it
+            assert lines[:-1] == clean[:len(lines) - 1], (seed, fail)
+            assert '"stage": "recall"' in clean[len(lines) - 1], (seed, fail)
+            final = caught.value.trace.events[-1]
+            assert final.kind == "final" and "error" in final.payload
+            assert final.payload["error"] in message
+    assert faulted >= 5 * 4  # every kind, on several of the sweep runs
 
 
 def search_of(event):

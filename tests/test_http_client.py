@@ -30,11 +30,16 @@ class FakeSession:
         return outcome
 
 
-def not_json():
-    """A 200 whose body is an HTML page, as a proxy error page would be."""
+# bodies that do not decode: an HTML page, as a proxy's error page would
+# be, and an array nested deeper than the JSON decoder recurses
+NOT_JSON = (b"<html>busy</html>", b"[" * 200_000 + b"]" * 200_000)
+
+
+def not_json(body=NOT_JSON[0]):
+    """A 200 whose body is `body`."""
     response = requests.Response()
     response.status_code = 200
-    response._content = b"<html>busy</html>"
+    response._content = body
     return response
 
 
@@ -122,6 +127,14 @@ class TestResponses:
         pytest.param(chat_payload(5), id="content-not-text"),
         pytest.param(chat_payload("ok", {"prompt_tokens": "many"}),
                      id="tokens-not-a-number"),
+        pytest.param(chat_payload("ok", {"prompt_tokens": float("inf")}),
+                     id="tokens-infinite"),
+        pytest.param(chat_payload("ok", {"prompt_tokens": -7}),
+                     id="tokens-negative"),
+        pytest.param(chat_payload("ok", {"completion_tokens": True}),
+                     id="tokens-a-bool"),
+        pytest.param(chat_payload("ok", {"completion_tokens": 2.5}),
+                     id="tokens-fractional"),
     ])
     def test_malformed_fields_raise_transport_error(self, payload):
         backend, _, _ = make_backend([FakeResponse(200, payload)])
@@ -155,12 +168,13 @@ class TestRetries:
         assert "HTTP 503" in str(info.value)
 
     def test_non_json_body_is_retried_then_typed(self):
-        backend, session, _ = make_backend(
-            [not_json(), FakeResponse(200, chat_payload("ok"))])
-        assert backend.complete("p", CONFIG).text == "ok"
-        assert len(session.requests) == 2
-        backend, session, _ = make_backend([not_json()] * 3)
-        with pytest.raises(TransportError) as info:
-            backend.complete("p", CONFIG)
-        assert "3 attempts" in str(info.value)
-        assert len(session.requests) == 3
+        for body in NOT_JSON:
+            backend, session, _ = make_backend(
+                [not_json(body), FakeResponse(200, chat_payload("ok"))])
+            assert backend.complete("p", CONFIG).text == "ok"
+            assert len(session.requests) == 2
+            backend, session, _ = make_backend([not_json(body)] * 3)
+            with pytest.raises(TransportError) as info:
+                backend.complete("p", CONFIG)
+            assert "3 attempts" in str(info.value)
+            assert len(session.requests) == 3

@@ -371,11 +371,16 @@ class FakeSession:
         return outcome
 
 
-def not_json():
-    """A 200 whose body is an HTML page, as a proxy error page would be."""
+# bodies that do not decode: an HTML page, as a proxy's error page would
+# be, and an array nested deeper than the JSON decoder recurses
+NOT_JSON = (b"<html>busy</html>", b"[" * 200_000 + b"]" * 200_000)
+
+
+def not_json(body=NOT_JSON[0]):
+    """A 200 whose body is `body`."""
     response = requests.Response()
     response.status_code = 200
-    response._content = b"<html>busy</html>"
+    response._content = body
     return response
 
 
@@ -429,6 +434,22 @@ class TestRemoteScorer:
         with pytest.raises(RecallError):
             scorer.score("q", "c")
 
+    @pytest.mark.parametrize("vector", [
+        pytest.param("123", id="a-string"),
+        pytest.param([1.0, "2"], id="a-string-value"),
+        pytest.param([1.0, True], id="a-bool-value"),
+        pytest.param([1.0, math.nan], id="nan"),
+        pytest.param([math.inf, 1.0], id="infinite"),
+        pytest.param([10 ** 400], id="too-large"),
+    ])
+    def test_embedding_of_other_than_finite_numbers_is_malformed(self,
+                                                                 vector):
+        session = FakeSession([embedding(vector)])
+        scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
+                                       session=session, sleep=lambda _: None)
+        with pytest.raises(RecallError, match="malformed embedding"):
+            scorer.score("q", "c")
+
     def test_dimension_mismatch_is_an_error(self):
         session = FakeSession([embedding([1.0, 2.0, 3.0]), embedding([1.0])])
         scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
@@ -448,14 +469,18 @@ class TestRemoteScorer:
         assert sleeps == []
 
     def test_non_json_body_is_retried_then_typed(self):
-        session = FakeSession([not_json(), embedding([1.0]), embedding([1.0])])
-        scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
-                                       session=session, sleep=lambda _: None)
-        assert scorer.score("q", "c") == pytest.approx(1.0)
-        assert len(session.requests) == 3
-        session = FakeSession([not_json()] * 3)
-        scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
-                                       session=session, sleep=lambda _: None)
-        with pytest.raises(RecallError):
-            scorer.score("q", "c")
-        assert len(session.requests) == 3
+        for body in NOT_JSON:
+            session = FakeSession([not_json(body), embedding([1.0]),
+                                   embedding([1.0])])
+            scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
+                                           session=session,
+                                           sleep=lambda _: None)
+            assert scorer.score("q", "c") == pytest.approx(1.0)
+            assert len(session.requests) == 3
+            session = FakeSession([not_json(body)] * 3)
+            scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
+                                           session=session,
+                                           sleep=lambda _: None)
+            with pytest.raises(RecallError):
+                scorer.score("q", "c")
+            assert len(session.requests) == 3

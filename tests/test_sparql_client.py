@@ -18,11 +18,16 @@ class FakeResponse:
         return self._payload
 
 
-def not_json():
-    """A 200 whose body is an HTML page, as a proxy error page would be."""
+# bodies that do not decode: an HTML page, as a proxy's error page would
+# be, and an array nested deeper than the JSON decoder recurses
+NOT_JSON = (b"<html>busy</html>", b"[" * 200_000 + b"]" * 200_000)
+
+
+def not_json(body=NOT_JSON[0]):
+    """A 200 whose body is `body`."""
     response = requests.Response()
     response.status_code = 200
-    response._content = b"<html>busy</html>"
+    response._content = body
     return response
 
 
@@ -184,15 +189,17 @@ class TestRetries:
 
     def test_non_json_body_is_retried_then_typed(self):
         payload = results_payload("relation", ["a.rel"])
-        client, session, _ = make_client([not_json(),
-                                          FakeResponse(200, payload)])
-        assert client.search_relations("m.0x", Direction.OUTGOING) == ["a.rel"]
-        assert len(session.requests) == 2
-        client, session, _ = make_client([not_json()] * 3)
-        with pytest.raises(KGError) as info:
-            client.search_relations("m.0x", Direction.OUTGOING)
-        assert info.value.attempts == 3
-        assert len(session.requests) == 3
+        for body in NOT_JSON:
+            client, session, _ = make_client([not_json(body),
+                                              FakeResponse(200, payload)])
+            assert client.search_relations("m.0x",
+                                           Direction.OUTGOING) == ["a.rel"]
+            assert len(session.requests) == 2
+            client, session, _ = make_client([not_json(body)] * 3)
+            with pytest.raises(KGError) as info:
+                client.search_relations("m.0x", Direction.OUTGOING)
+            assert info.value.attempts == 3
+            assert len(session.requests) == 3
 
 
 class TestLabels:
