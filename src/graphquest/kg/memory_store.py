@@ -171,9 +171,11 @@ class InMemoryKG:
 
     def resolve_label(self, entity: str) -> EntityLabel:
         label = self._names.get(entity) or self._aliases.get(entity)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__: a hub
+        # hop resolves thousands of labels
         if label is None:
-            return EntityLabel(entity, entity, is_fallback=True)
-        return EntityLabel(entity, label)
+            return tuple.__new__(EntityLabel, (entity, entity, True))
+        return tuple.__new__(EntityLabel, (entity, label, False))
 
     def _edges(self, direction: Direction) -> dict[str, list[str]]:
         return self._out if direction is Direction.OUTGOING else self._in

@@ -637,12 +637,12 @@ class Planner:
         named: dict[str, str] = {}
         fallback: list[str] = []
         # zip reads `entities` first, so it takes no label past the last
-        for entity, label in zip(entities, resolved):
-            labels[entity] = label.label
-            if label.is_fallback:
+        for entity, (_, name, is_fallback) in zip(entities, resolved):
+            labels[entity] = name
+            if is_fallback:
                 fallback.append(entity)
             else:
-                named[entity] = label.label
+                named[entity] = name
         run.record("kg_query", {"op": "labels", "labels": named,
                                 **_present(fallback=fallback)})
 

@@ -2,11 +2,13 @@
 
 Each template is one file with named ``{slot}`` placeholders. Rendering
 substitutes exactly the declared slots, so literal braces elsewhere in a
-template (for example JSON in a worked example) pass through untouched.
+template (for example JSON in a worked example) pass through untouched,
+and in one pass, so a placeholder inside a bound value stays as it is.
 """
 
 from __future__ import annotations
 
+import re
 from importlib import resources
 
 TEMPLATE_SLOTS: dict[str, tuple[str, ...]] = {
@@ -35,6 +37,15 @@ class PromptLibrary:
                 encoding="utf-8")
             for template_id in TEMPLATE_SLOTS
         }
+        # id -> [literal, slot, literal, ..., slot, literal]: each template
+        # split once at its placeholders, so that a render is one join and
+        # a placeholder inside a bound value is left as it is
+        self._segments = {
+            template_id: re.split(
+                r"\{(" + "|".join(map(re.escape, slots)) + r")\}",
+                self.templates[template_id])
+            for template_id, slots in TEMPLATE_SLOTS.items()
+        }
 
     def render(self, template_id: str, **bindings: str) -> str:
         slots = TEMPLATE_SLOTS.get(template_id)
@@ -50,7 +61,6 @@ class PromptLibrary:
         if unknown:
             raise PromptError(f"prompt template {template_id!r} has no slot "
                               f"{sorted(unknown)[0]!r}")
-        rendered = self.templates[template_id]
-        for slot in slots:
-            rendered = rendered.replace("{" + slot + "}", str(bindings[slot]))
-        return rendered
+        segments = self._segments[template_id][:]
+        segments[1::2] = [str(bindings[slot]) for slot in segments[1::2]]
+        return "".join(segments)

@@ -15,7 +15,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 import requests
 
@@ -33,7 +33,9 @@ class RecallError(ValueError):
 class Scorer(Protocol):
     # A label must score as its stripped text does: `top_k` asks a scorer
     # that waits on the network once per distinct stripped label. Both
-    # scorers below strip it anyway.
+    # scorers below strip it anyway. An in-process scorer may also offer
+    # `scores(question, labels) -> list[float]`, each as `score` gives it;
+    # `top_k` then scores a batch with one call.
     def score(self, question: str, label: str) -> float:
         ...
 
@@ -102,20 +104,35 @@ class TrigramScorer:
         self._profiles: dict[str, tuple[str, tuple[str, ...], float]] = {}
 
     def score(self, question: str, label: str) -> float:
-        profile = self._profiles.get(label)
-        if profile is None:
-            profile = self._profiles[label] = \
-                _label_profile(label.strip().lower())
-        c, grams, right_norm = profile
+        return self.scores(question, (label,))[0]
+
+    def scores(self, question: str, labels: Iterable[str]) -> list[float]:
+        """`score(question, label)` for each label, in order.
+
+        The question's text and trigram profile are built once for the
+        batch. A blank label raises at its position in the batch.
+        """
+        profiles = self._profiles
         q = question.strip().lower()
-        if not q or not c:
-            raise RecallError("cannot score empty text")
-        if q == c:
-            return 1.0
-        left, left_norm = _question_trigrams(q)
-        if not left or not grams:
-            return 0.0
-        return sum(map(left.get, grams, repeat(0))) / (left_norm * right_norm)
+        if q:
+            left, left_norm = _question_trigrams(q)
+        scored = []
+        for label in labels:
+            profile = profiles.get(label)
+            if profile is None:
+                profile = profiles[label] = \
+                    _label_profile(label.strip().lower())
+            c, grams, right_norm = profile
+            if not q or not c:
+                raise RecallError("cannot score empty text")
+            if q == c:
+                scored.append(1.0)
+            elif not left or not grams:
+                scored.append(0.0)
+            else:
+                scored.append(sum(map(left.get, grams, repeat(0)))
+                              / (left_norm * right_norm))
+        return scored
 
 
 class RemoteEmbeddingScorer:
@@ -172,9 +189,10 @@ class RemoteEmbeddingScorer:
         )
         try:
             vector = payload["data"][0]["embedding"]
-            # a string iterates as its characters, and json reads NaN and
-            # Infinity as numbers: none of them is an embedding
-            if not isinstance(vector, list) or not all(
+            # a string iterates as its characters, json reads NaN and
+            # Infinity as numbers, and an empty list has no direction:
+            # none of them is an embedding
+            if not isinstance(vector, list) or not vector or not all(
                     type(v) in (int, float) and math.isfinite(v)
                     for v in vector):
                 raise TypeError("not a list of finite numbers")
@@ -211,10 +229,12 @@ def top_k(question: str, candidates: Sequence[tuple[str, str]], k: int,
         rest = fanout.results(active, score, texts[1:])
         by_text = dict(zip(texts, chain((first,), rest)))
         scores = [by_text[text] for text in stripped]
-    else:
+    elif hasattr(active, "scores"):
         # An in-process scorer is cheaper to call than the dedupe above:
         # on perfbench's hub-fanout, whose labels are all distinct, that
         # path made questions 4% slower.
+        scores = active.scores(question, [label for _, label in candidates])
+    else:
         scores = [active.score(question, label) for _, label in candidates]
     # Only the k kept become ScoredCandidates; negating a float is exact,
     # so each keeps its score bit for bit.

@@ -777,13 +777,14 @@ def test_in_memory_kg_and_trigram_scorer_stay_on_the_callers_thread(
 
     for name in ("search_relations", "search_entities", "resolve_label"):
         spy(InMemoryKG, name)
-    spy(TrigramScorer, "score")
+    # top_k scores a batch with one `scores` call
+    spy(TrigramScorer, "scores")
     Planner(panama_kg, panama_script()).run(panama_question)
     for seed in SWEEP_SEEDS:
         kg, question = sweep_case(seed)
         Planner(kg, PromptAwareResponder(seed), SWEEP_CONFIG).run(question)
     assert set(calls) == {"search_relations", "search_entities",
-                          "resolve_label", "score"}
+                          "resolve_label", "scores"}
     assert all(threads == {threading.get_ident()}
                for threads in calls.values()), calls
 

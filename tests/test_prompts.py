@@ -98,6 +98,26 @@ class TestRendering:
         with pytest.raises(PromptError):
             library.render("decompose", question="Q?", extra="nope")
 
+    def test_a_question_carrying_another_slot_is_not_substituted(self,
+                                                                 library):
+        rendered = library.render(
+            "relation_selection", question="What is {relations} here?",
+            sub_objectives='["#1 x"]', topic_entity="Austria",
+            relations="a.b; c.d")
+        assert "Q: What is {relations} here?" in rendered
+        assert rendered.endswith("Relations: a.b; c.d\n")
+
+    def test_a_memory_note_carrying_another_slot_is_not_substituted(self,
+                                                                    library):
+        # memory is bound before triplets in every template that has both
+        for template_id in ("memory_update", "answer", "reflection"):
+            bindings = {slot: slot.upper() for slot in
+                        TEMPLATE_SLOTS[template_id]}
+            bindings["memory"] = '{"note": "see {triplets} and {question}"}'
+            rendered = library.render(template_id, **bindings)
+            assert '{"note": "see {triplets} and {question}"}' in rendered
+            assert rendered.count("TRIPLETS") == 1, template_id
+
     def test_rendering_is_repeatable(self, library):
         first = library.render("decompose", question="Same?")
         second = library.render("decompose", question="Same?")

@@ -152,6 +152,52 @@ class TestTrigramScorer:
                 assert got == TrigramScorer().score(question, label).hex()
                 assert got == frozen_trigram_score(question, label).hex()
 
+    @given(_TEXTS, st.lists(_TEXTS | _SHORT | _REPEATING, max_size=10),
+           st.booleans())
+    @example(" Panama ", ["panama", "PANAMA CITY", " Panama City ", "ab",
+                          "Pa"], False)
+    @example("aaab abcabc", ["aaaaaa", "abcabcabc", " Ababab ", "ßßßß",
+                             "aa", "aaaaaa"], True)
+    @example("İstanbul", ["i̇stanbul", "ISTANBUL", "Straße"], False)
+    @settings(max_examples=300, deadline=None)
+    def test_scores_are_bit_identical_to_score(self, question, labels, warm):
+        expected = [frozen_trigram_score(question, label).hex()
+                    for label in labels]
+        per_label = TrigramScorer()
+        batch = TrigramScorer()
+        if warm:
+            # every label's profile cached by another question first
+            batch.scores("warm up", labels)
+            per_label.scores("warm up", labels)
+        assert [s.hex() for s in batch.scores(question, labels)] == expected
+        assert [per_label.score(question, label).hex()
+                for label in labels] == expected
+        # a second batch reads every profile from the cache
+        assert [s.hex() for s in batch.scores(question, labels)] == expected
+
+    @given(_TEXTS, st.lists(_TEXTS | _SHORT, max_size=6),
+           st.sampled_from(["", " ", " \t　"]),
+           st.lists(_TEXTS | _SHORT, max_size=6), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_a_blank_label_raises_at_its_position(self, question, before,
+                                                  blank, after, warm):
+        scorer = TrigramScorer()
+        if warm:
+            scorer.scores("warm up", before + after)
+        seen = []
+
+        def labels():
+            for label in before + [blank] + after:
+                seen.append(label)
+                yield label
+
+        with pytest.raises(RecallError):
+            scorer.scores(question, labels())
+        # every label before the blank one was scored, none after it
+        assert seen == before + [blank]
+        with pytest.raises(RecallError):
+            scorer.score(question, blank)
+
     @pytest.mark.parametrize("question, label", [
         ("", "label"), ("   ", "label"), ("question", ""),
         ("question", " \t　"), (" ", " "),
@@ -290,13 +336,48 @@ class TestTopK:
 
         monkeypatch.setattr(recall, "_trigrams", counting)
         recall._question_trigrams.cache_clear()
+        question = "Which of two hundred candidates is closest?"
         candidates = [(f"m.{i}", f"Candidate label {i}") for i in range(200)]
-        top_k("Which of two hundred candidates is closest?", candidates, 5)
-        # every label asks for the question's profile; only the first
-        # builds it
+        top_k(question, candidates, 5)
+        # the batch looks the question's profile up once and builds it;
+        # no label asks for it
         info = recall._question_trigrams.cache_info()
-        assert (info.misses, info.hits) == (1, 199)
-        assert len(built) <= 201  # one per label, at most one question
+        assert (info.misses, info.hits) == (1, 0)
+        assert built.count(question.lower()) == 1
+        assert len(built) <= 201  # at most one per label, one question
+
+    def test_an_empty_batch_with_a_blank_question_keeps_nothing(self):
+        for question in ("", "  \t"):
+            assert top_k(question, [], 3) == []
+            assert top_k(question, [], 3, TrigramScorer()) == []
+
+    def test_a_blank_question_raises_on_a_non_empty_batch(self):
+        with pytest.raises(RecallError):
+            top_k(" ", [("m.1", "Panama")], 3)
+
+    @given(st.sampled_from([QUESTION, "zzzzzz"]) | _TEXTS,
+           st.lists(st.tuples(_IDS, _LABELS | _SHORT | _REPEATING),
+                    min_size=1, max_size=12),
+           st.integers(1, 14))
+    @example("zzzzzz", [("m.2", "bbb"), ("m.1", "bbb"), ("m.3", "aaa")], 2)
+    @settings(max_examples=150, deadline=None)
+    def test_a_scorer_with_only_score_keeps_the_same(self, question,
+                                                     candidates, k):
+        class ScoreOnly:
+            def __init__(self):
+                self.asked = []
+
+            def score(self, question, label):
+                self.asked.append(label)
+                return TrigramScorer().score(question, label)
+
+        only = ScoreOnly()
+        kept = top_k(question, candidates, k, only)
+        # asked once per candidate, in order, as before `scores` existed
+        assert only.asked == [label for _, label in candidates]
+        assert [(c.entity, c.label, c.score.hex()) for c in kept] == \
+            [(c.entity, c.label, c.score.hex())
+             for c in top_k(question, candidates, k, TrigramScorer())]
 
     @given(st.sampled_from([QUESTION, "zzzzzz"]) | _TEXTS,
            st.lists(st.tuples(_IDS, _LABELS), min_size=1, max_size=12))
@@ -441,6 +522,7 @@ class TestRemoteScorer:
         pytest.param([1.0, math.nan], id="nan"),
         pytest.param([math.inf, 1.0], id="infinite"),
         pytest.param([10 ** 400], id="too-large"),
+        pytest.param([], id="empty"),
     ])
     def test_embedding_of_other_than_finite_numbers_is_malformed(self,
                                                                  vector):
