@@ -211,7 +211,8 @@ def top_k(question: str, candidates: Sequence[tuple[str, str]], k: int,
     Ordering is total and input-order independent: score descending,
     then label ascending, then entity id ascending. A scorer that waits
     on the network is asked once per distinct stripped label (see
-    `Scorer`), on the `fanout` pool. With `scorer=None` each call builds
+    `Scorer`), on the `fanout` pool; an in-process one that has `scores`
+    gets every label in one call. With `scorer=None` each call builds
     a throwaway `TrigramScorer`, so no label profile is kept between
     calls; pass one scorer to keep them.
     """

@@ -373,7 +373,7 @@ class TestTopK:
 
         only = ScoreOnly()
         kept = top_k(question, candidates, k, only)
-        # asked once per candidate, in order, as before `scores` existed
+        # asked once per candidate, in order
         assert only.asked == [label for _, label in candidates]
         assert [(c.entity, c.label, c.score.hex()) for c in kept] == \
             [(c.entity, c.label, c.score.hex())
