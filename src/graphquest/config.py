@@ -142,9 +142,14 @@ def build_app_config(file_values: dict[str, str] | None = None,
         cls, name = SETTINGS[key]
         values[cls][name] = _parse(key, str(value))
     try:
+        generation = GenerationConfig(**values[GenerationConfig])
+    except ValueError as exc:
+        # each GenerationConfig field is set by the key "llm.<field>"
+        raise ConfigError(f"llm.{exc}") from None
+    try:
         planner = PlannerConfig(
             ablations=AblationFlags(**values[AblationFlags]),
-            generation=GenerationConfig(**values[GenerationConfig]),
+            generation=generation,
             recall=RecallConfig(**values[RecallConfig]),
             **values[PlannerConfig],
         )

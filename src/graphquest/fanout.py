@@ -1,25 +1,24 @@
 """Overlapping a batch of independent backend calls.
 
 A stage that needs several answers from one backend, none of which
-depends on another, asks for them through `results`. A backend whose
+depends on another, makes them all in one `gather`. A backend whose
 calls wait on the network says so with the class attribute
 `waits_on_network = True` (`SparqlKG`, `RemoteEmbeddingScorer` and
 `ChatCompletionsBackend`); a batch of its calls then runs on the calling
 thread's own pool of WORKERS threads, so their round trips overlap.
 Every other backend is called inline, one item at a time, as a plain
-loop would call it. Either way the results come back in input order,
-and the first item to fail, in input order, raises its own error at the
-same point. So a caller that makes its calls first and records its
-trace events after, in input order, records what a plain loop records,
-up to the same failure.
+loop would call it. Either way the results come back in input order, up
+to the first item to fail, in input order, whose error comes back with
+them. So a caller that makes its calls first and records its trace
+events after, in input order, raising that error where the failed
+item's events begin, records what a plain loop records.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from types import GeneratorType
-from typing import Callable, Iterable, Iterator, TypeVar
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Sequence, TypeVar
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
@@ -42,40 +41,32 @@ def waits_on_network(backend: object) -> bool:
     return getattr(backend, "waits_on_network", False)
 
 
-def results(backend: object, call: Callable[[Item], Result],
-            items: Iterable[Item]) -> Iterator[Result]:
-    """`call(item)` for each item, yielded in input order.
+def gather(backend: object, call: Callable[[Item], Result],
+           items: Sequence[Item]) -> tuple[list[Result], Exception | None]:
+    """`call(item)` for each item, in input order, up to the first that
+    fails, and that failure (None when every call succeeds).
 
-    `backend` is the object `call` talks to; only its marker is read.
-    Inline, `items` is read lazily, one item per result; for the pool it
-    is read whole first. A batch of one item runs inline too. On the
-    calling thread's pool, once an item fails, the items not yet started
-    are cancelled.
+    `backend` is the object `call` talks to; only its marker is read. A
+    batch of one item runs inline too, and inline no call follows a
+    failed one; on the pool, the calls not started are cancelled.
     """
-    if not waits_on_network(backend):
-        return map(call, items)
-    items = list(items)
-    if len(items) < 2:
-        return map(call, items)
-    pool = _pool()
-    return _in_order([pool.submit(call, item) for item in items])
-
-
-def close(batch: Iterator) -> None:
-    """Give up the rest of a `results` batch. On the pool, the calls not
-    started are cancelled and those running still finish; an inline
-    batch makes no call until it is read, so nothing is left to stop."""
-    if isinstance(batch, GeneratorType):
-        batch.close()
-
-
-def _in_order(futures: list[Future]) -> Iterator:
+    futures = []
+    if len(items) > 1 and waits_on_network(backend):
+        pool = _pool()
+        futures = [pool.submit(call, item) for item in items]
+        outcomes = (future.result() for future in futures)
+    else:
+        outcomes = map(call, items)
+    results: list[Result] = []
     try:
-        for future in futures:
-            yield future.result()
+        for result in outcomes:
+            results.append(result)
+    except Exception as exc:
+        return results, exc
     finally:
         for future in futures:
             future.cancel()
+    return results, None
 
 
 def _pool() -> ThreadPoolExecutor:

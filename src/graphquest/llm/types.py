@@ -29,11 +29,29 @@ class GenerationConfig:
     frequency_penalty: float = 0.0
     presence_penalty: float = 0.0
 
+    def __post_init__(self) -> None:
+        # requests cannot encode NaN or infinity in a request body
+        for name in ("temperature", "frequency_penalty", "presence_penalty"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.temperature < 0:
+            raise ValueError(
+                f"temperature must be >= 0, got {self.temperature!r}")
+        if self.max_tokens < 1:
+            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
+
 
 @dataclass(frozen=True)
 class Usage:
     input_tokens: int = 0
     output_tokens: int = 0
+
+    def __post_init__(self) -> None:
+        # json also yields -7, 2.5, "12", Infinity and true as counts
+        if any(type(count) is not int or count < 0
+               for count in (self.input_tokens, self.output_tokens)):
+            raise ValueError(f"token counts must be non-negative ints: {self}")
 
     @property
     def total_tokens(self) -> int:

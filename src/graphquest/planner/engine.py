@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from .. import fanout
 from ..kg.types import Direction, EntityLabel, KGBackend
@@ -60,18 +60,6 @@ _decode_reflection = partial(parse_json_object,
 def _present(**fields: Any) -> dict:
     """The fields with a truthy value: a payload's optional keys."""
     return {key: value for key, value in fields.items() if value}
-
-
-def _gather(batch: Iterator) -> tuple[list, Exception | None]:
-    """The results of a `fanout.results` batch up to its first failure,
-    and that failure (None when every call succeeds)."""
-    results = []
-    try:
-        for result in batch:
-            results.append(result)
-    except Exception as exc:
-        return results, exc
-    return results, None
 
 
 def _join_warnings(*parts: str | None) -> str | None:
@@ -237,10 +225,10 @@ class Planner:
         the failure, as a run made one call at a time records them.
         """
         tails = run.tail_entities
-        found, failed = _gather(fanout.results(
+        found, failed = fanout.gather(
             self.kg, lambda search: self.kg.search_relations(*search),
             [(eid, direction)
-             for eid, _ in tails for direction in _DIRECTIONS]))
+             for eid, _ in tails for direction in _DIRECTIONS])
         sub_objectives = json.dumps(run.objectives, ensure_ascii=False)
         # per tail searched both ways: the (relation, direction) pairs not
         # expanded yet, their relations sorted, the prompt offering them
@@ -265,7 +253,7 @@ class Planner:
                     relations="; ".join(names),
                 )
             offers.append((tagged, names, prompt, []))
-        asked = fanout.results(
+        answers, refused = fanout.gather(
             self.llm, lambda ask: self._gather_ask(*ask),
             [(prompt, "relation_selection", parse_list, completions)
              for _, _, prompt, completions in offers if prompt is not None])
@@ -283,10 +271,11 @@ class Planner:
             tagged, names, prompt, completions = offers[index]
             raw, warning = None, None
             if prompt is not None:
-                try:
-                    raw, warning = next(asked)
-                finally:
-                    self._record_calls(run, prompt, completions)
+                # a failed ask's calls are recorded before its error
+                self._record_calls(run, prompt, completions)
+                if not answers:
+                    raise refused
+                raw, warning = answers.pop(0)
             raw, offered = raw or [], set(names)
             # de-duplicate before the cap; a None breadth slices nothing
             chosen = list(dict.fromkeys(
@@ -317,8 +306,8 @@ class Planner:
         # every hop's search, up to the first that fails, and then the
         # labels of all the ids they found that have none yet, in one
         # batch; the events follow hop by hop
-        found_by_hop, failed = _gather(fanout.results(
-            self.kg, lambda hop: self.kg.search_entities(*hop), hops))
+        found_by_hop, failed = fanout.gather(
+            self.kg, lambda hop: self.kg.search_entities(*hop), hops)
         # the ids with no label that each hop is the first to find
         unseen_by_hop: list[list[str]] = []
         claimed: set[str] = set()
@@ -327,38 +316,37 @@ class Planner:
                       if cid not in labels and cid not in claimed]
             claimed.update(unseen)
             unseen_by_hop.append(unseen)
-        resolved = fanout.results(self.kg, self.kg.resolve_label,
-                                  chain.from_iterable(unseen_by_hop))
+        resolved, unlabeled = fanout.gather(
+            self.kg, self.kg.resolve_label,
+            list(chain.from_iterable(unseen_by_hop)))
         # tail -> each hop from it that found something, with its candidates
         offers: dict[str, list[tuple[Hop, list[tuple[str, str]]]]] = {}
-        try:
-            for hop, found, unseen in zip(hops, found_by_hop,
-                                          unseen_by_hop):
-                tail, relation, direction = hop
-                run.record("kg_query", {
-                    "op": "entities", "entity": tail, "relation": relation,
-                    "direction": direction.value, "count": len(found),
+        for hop, found, unseen in zip(hops, found_by_hop, unseen_by_hop):
+            tail, relation, direction = hop
+            run.record("kg_query", {
+                "op": "entities", "entity": tail, "relation": relation,
+                "direction": direction.value, "count": len(found),
+            })
+            run.expanded.add(hop)
+            if len(resolved) < len(unseen):
+                raise unlabeled
+            self._record_labels(run, unseen, resolved[:len(unseen)])
+            del resolved[:len(unseen)]
+            labeled = [(cid, labels[cid]) for cid in found]
+            if pool is not labels:
+                for cid, clabel in labeled:
+                    pool.setdefault(cid, clabel)
+            if len(labeled) > self.config.recall.threshold:
+                kept = top_k(run.question.text, labeled,
+                             self.config.recall.k, self.scorer)
+                run.record("selection", {
+                    "stage": "recall", "entity": tail,
+                    "relation": relation, "direction": direction.value,
+                    "before": len(labeled), "after": len(kept),
                 })
-                run.expanded.add(hop)
-                self._record_labels(run, unseen, resolved)
-                labeled = [(cid, labels[cid]) for cid in found]
-                if pool is not labels:
-                    for cid, clabel in labeled:
-                        pool.setdefault(cid, clabel)
-                if len(labeled) > self.config.recall.threshold:
-                    kept = top_k(run.question.text, labeled,
-                                 self.config.recall.k, self.scorer)
-                    run.record("selection", {
-                        "stage": "recall", "entity": tail,
-                        "relation": relation, "direction": direction.value,
-                        "before": len(labeled), "after": len(kept),
-                    })
-                    labeled = [(c.entity, c.label) for c in kept]
-                if labeled:
-                    offers.setdefault(tail, []).append((hop, labeled))
-        finally:
-            # when a recall fails, the lookups not started are cancelled
-            fanout.close(resolved)
+                labeled = [(c.entity, c.label) for c in kept]
+            if labeled:
+                offers.setdefault(tail, []).append((hop, labeled))
         if failed is not None:
             raise failed
         if not offers:
@@ -400,11 +388,12 @@ class Planner:
         for tail, tail_offers in offers.items():
             # reached by backtracking with no live path ending here
             for path in ending_at.get(tail) or [ReasoningPath(origin=tail)]:
+                on_path = path.entities()
                 for (_, relation, direction), labeled in tail_offers:
                     for cid, clabel in labeled:
                         if clabel not in chosen and cid not in chosen:
                             continue
-                        if cid in path.entities():
+                        if cid in on_path:
                             cycles.add(clabel)
                             continue
                         # the step keeps the edge's KG orientation
@@ -626,17 +615,16 @@ class Planner:
             }, usage=completion.usage)
 
     def _record_labels(self, run: _Run, entities: list[str],
-                       resolved: Iterator[EntityLabel]) -> None:
-        """Label the entities, none of them seen yet, with the next labels
-        from `resolved` and trace them as one event: `labels` maps each
-        named one to its name, and `fallback` lists the unnamed ones,
-        whose label is their id."""
+                       resolved: list[EntityLabel]) -> None:
+        """Label the entities, none of them seen yet, with their labels in
+        `resolved` and trace them as one event: `labels` maps each named
+        one to its name, and `fallback` lists the unnamed ones, whose
+        label is their id."""
         if not entities:
             return
         labels = run.labels
         named: dict[str, str] = {}
         fallback: list[str] = []
-        # zip reads `entities` first, so it takes no label past the last
         for entity, (_, name, is_fallback) in zip(entities, resolved):
             labels[entity] = name
             if is_fallback:

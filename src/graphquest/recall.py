@@ -14,7 +14,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Callable, Iterable, Protocol, Sequence
 
 import requests
@@ -227,8 +227,10 @@ def top_k(question: str, candidates: Sequence[tuple[str, str]], k: int,
         texts = list(dict.fromkeys(stripped))
         score = functools.partial(active.score, question)
         first = score(texts[0])
-        rest = fanout.results(active, score, texts[1:])
-        by_text = dict(zip(texts, chain((first,), rest)))
+        rest, failed = fanout.gather(active, score, texts[1:])
+        if failed is not None:
+            raise failed
+        by_text = dict(zip(texts, [first, *rest]))
         scores = [by_text[text] for text in stripped]
     elif hasattr(active, "scores"):
         # An in-process scorer is cheaper to call than the dedupe above:

@@ -63,7 +63,8 @@ class TraceEvent:
         if not isinstance(record, dict):
             raise TraceError("bad trace line: not a JSON object")
         for name, kind in _FIELD_TYPES.items():
-            if not isinstance(record.get(name), kind):
+            # json yields exact types; `true` is no int here
+            if type(record.get(name)) is not kind:
                 raise TraceError(f"bad trace line: {name!r} is missing or "
                                  f"not {kind.__name__}")
         if record["kind"] not in EVENT_KINDS:
@@ -72,8 +73,8 @@ class TraceEvent:
         usage = None
         if "usage" in record:
             try:
-                usage = Usage(int(record["usage"]["input_tokens"]),
-                              int(record["usage"]["output_tokens"]))
+                usage = Usage(record["usage"]["input_tokens"],
+                              record["usage"]["output_tokens"])
             except (KeyError, TypeError, ValueError):
                 raise TraceError("bad trace line: malformed 'usage'") from None
         return cls(**{name: record[name] for name in _FIELD_TYPES},

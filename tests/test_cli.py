@@ -378,6 +378,9 @@ class TestErrorExits:
                      id="fixed_breadth-wide"),
         pytest.param(["--config", "recall.k = 0"], "k must be >= 1",
                      id="recall-k-0"),
+        pytest.param(["--config", "llm.temperature = nan"],
+                     "llm.temperature must be finite, got nan",
+                     id="temperature-nan"),
         pytest.param(["--parallel", "0"], "--parallel must be >= 1, got 0",
                      id="parallel-0"),
     ])

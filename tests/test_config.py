@@ -15,6 +15,7 @@ from graphquest.config import (
 )
 from graphquest.kg.memory_store import InMemoryKG
 from graphquest.llm.scripted import ScriptedBackend
+from graphquest.llm.types import GenerationConfig
 from graphquest.planner.state import AblationFlags
 from graphquest.recall import TrigramScorer
 
@@ -105,6 +106,31 @@ class TestMerging:
         with pytest.raises(ConfigError):
             build_app_config(dict(self.BASE,
                                   **{"planner.no_memory": "maybe"}))
+
+    @pytest.mark.parametrize("key, value", [
+        ("llm.temperature", "nan"),
+        ("llm.temperature", "inf"),
+        ("llm.temperature", "-0.5"),
+        ("llm.frequency_penalty", "-inf"),
+        ("llm.presence_penalty", "inf"),
+        ("llm.max_tokens", "0"),
+        ("llm.max_tokens", "-5"),
+    ])
+    def test_out_of_range_generation_settings(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            build_app_config(dict(self.BASE, **{key: value}))
+        name = key.removeprefix("llm.")
+        parse = int if name == "max_tokens" else float
+        with pytest.raises(ValueError, match=name):
+            GenerationConfig(**{name: parse(value)})
+
+    def test_generation_settings_at_their_limits(self):
+        app = build_app_config(dict(self.BASE, **{
+            "llm.temperature": "0", "llm.max_tokens": "1",
+            "llm.frequency_penalty": "-2", "llm.presence_penalty": "-2"}))
+        assert app.planner.generation == GenerationConfig(
+            temperature=0.0, max_tokens=1, frequency_penalty=-2.0,
+            presence_penalty=-2.0)
 
     def test_mode_requirements(self):
         with pytest.raises(ConfigError):

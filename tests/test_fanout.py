@@ -85,12 +85,19 @@ class GraphEndpoint(_Endpoint):
     """Answers SparqlKG's queries from an InMemoryKG, and refuses with an
     HTTP 400 the label query of `fail_label` and the search `fail_search`:
     (entity, direction) names a relation search, and (entity, relation,
-    direction) an entity search."""
+    direction) an entity search.
 
-    def __init__(self, kg, seed=0, fail_label=None, fail_search=None):
+    `fail=(entity, kind)` answers every label query of `entity` with the
+    fault `kind` from SPARQL_FAULTS, except that a "429" fails one
+    attempt only.
+    """
+
+    def __init__(self, kg, seed=0, fail_label=None, fail_search=None,
+                 fail=None):
         super().__init__(seed)
         self.kg = kg
-        self.fail_label = fail_label
+        self.fail = (fail_label, "400") if fail_label is not None else fail
+        self.fired = False
         self.fail_search = fail_search
         self.labels_asked: list[str] = []
 
@@ -101,8 +108,13 @@ class GraphEndpoint(_Endpoint):
             entity = label.group(1)
             with self.lock:
                 self.labels_asked.append(entity)
-            if entity == self.fail_label:
-                return Reply(400)
+                fault = None
+                if self.fail is not None and self.fail[0] == entity:
+                    kind = self.fail[1]
+                    if kind != "429" or not self.fired:
+                        fault, self.fired = kind, True
+            if fault is not None:
+                return SPARQL_FAULTS[fault]()
             resolved = self.kg.resolve_label(entity)
             return bindings("tailEntity",
                             [] if resolved.is_fallback else [resolved.label])
@@ -187,6 +199,14 @@ CHAT_FAULTS = {
 EMBEDDING_FAULTS = {
     **CHAT_FAULTS,
     "shape": lambda: Reply(200, {"data": [{"embedding": "1"}]}),
+}
+# the same faults of a SPARQL request, and a binding whose value is a
+# number, not a string
+SPARQL_FAULTS = {
+    **CHAT_FAULTS,
+    "shape": lambda: Reply(200, {"results": {"bindings": 5}}),
+    "binding": lambda: Reply(200, {"results": {"bindings": [
+        {"tailEntity": {"value": 5}}]}}),
 }
 
 
@@ -404,6 +424,58 @@ def test_failed_label_query_aborts_as_the_inline_run():
         assert outcomes[1] == outcomes[0], entity
         assert "HTTP 400" in outcomes[0][0]
         assert endpoint.threads - {threading.get_ident()}
+
+
+def test_label_faults_abort_as_the_inline_run():
+    """Each kind of SPARQL fault, at a sampled label lookup of each sweep
+    run, aborts pooled and inline runs alike, with the clean trace up to
+    and including the entities event of the hop that found the id; a 429
+    that a retry answers leaves the trace as it was."""
+    for seed in SWEEP_SEEDS:
+        kg, question = sweep_case(seed)
+
+        def run(pooled, fail=None):
+            client, endpoint = sparql_kg(kg, pooled=pooled, seed=seed,
+                                         fail=fail)
+            planner = Planner(client, PromptAwareResponder(seed),
+                              SWEEP_CONFIG)
+            return planner, endpoint
+
+        planner, endpoint = run(pooled=False)
+        clean_trace = planner.run(question).trace
+        clean = _stable_lines(clean_trace)
+        # id -> seq of the labels event that names it
+        named_at = {eid: event.seq for event in clean_trace.events
+                    if event.payload.get("op") == "labels"
+                    for eid in [*event.payload["labels"],
+                                *event.payload.get("fallback", ())]}
+        assert sorted(endpoint.labels_asked) == sorted(named_at), seed
+        rng = random.Random(seed)
+        for kind in SPARQL_FAULTS:
+            entity = rng.choice(endpoint.labels_asked)
+            hop = clean_trace.events[named_at[entity] - 1]
+            assert hop.payload["op"] == "entities", (seed, entity)
+            outcomes = []
+            for pooled in (False, True):
+                planner, _ = run(pooled, (entity, kind))
+                if kind == "429":
+                    lines = _stable_lines(planner.run(question).trace)
+                    assert lines == clean, (seed, entity)
+                    continue
+                with pytest.raises(PlannerRunError) as caught:
+                    planner.run(question)
+                assert isinstance(caught.value.__cause__, KGError)
+                outcomes.append((str(caught.value),
+                                 _stable_lines(caught.value.trace)))
+            if kind == "429":
+                continue
+            assert outcomes[1] == outcomes[0], (seed, kind, entity)
+            message, lines = outcomes[0]
+            # every event up to the hop's entities event, and nothing after
+            assert lines[:-1] == clean[:hop.seq + 1], (seed, kind, entity)
+            final = caught.value.trace.events[-1]
+            assert final.kind == "final" and "error" in final.payload
+            assert final.payload["error"] in message
 
 
 def test_chat_faults_abort_as_the_inline_run():
@@ -660,10 +732,10 @@ class RefusingEndpoint:
         return Reply(400)
 
 
-def test_a_failed_recall_cancels_the_label_lookups_not_started():
-    """An expansion's label batch covers both of its hops; when recall
-    fails on the first hop, the second hop's lookups not yet started are
-    cancelled, while the error is still held."""
+def test_a_failed_recall_leaves_no_label_lookup_running():
+    """An expansion's label batch covers both of its hops and is made
+    before the first recall; when recall fails on the first hop, no
+    lookup is still running once the run has raised."""
     bodies = [f"m.a{i}" for i in range(40)] + [f"m.b{i}" for i in range(40)]
     triples = [("m.hub", f"test.x.{eid[2]}", eid) for eid in bodies]
     kg = make_kg(triples, {"m.hub": "Hub",
@@ -680,9 +752,8 @@ def test_a_failed_recall_cancels_the_label_lookups_not_started():
         planner.run(question)
     asked = len(endpoint.labels_asked)
     time.sleep(0.2)
-    # only the lookups running when recall failed were still served
-    assert len(endpoint.labels_asked) - asked <= fanout.WORKERS
-    assert len(endpoint.labels_asked) < len(bodies)
+    # no lookup was served after the run raised
+    assert len(endpoint.labels_asked) == asked
     assert caught.value.trace.events[-1].kind == "final"
 
 
@@ -700,9 +771,9 @@ def test_a_failure_cancels_the_items_not_started():
         ran.append(item)
         return item
 
-    results = fanout.results(WaitingBackend(), call, range(32))
-    with pytest.raises(LookupError, match="item 0"):
-        next(results)
+    results, failed = fanout.gather(WaitingBackend(), call, range(32))
+    assert results == []
+    assert isinstance(failed, LookupError) and str(failed) == "item 0"
     time.sleep(0.1)
     # only the items already running when item 0 failed were served
     assert len(ran) <= 2 * fanout.WORKERS
@@ -730,9 +801,9 @@ def test_each_calling_thread_gets_its_own_workers():
                 running[caller] -= 1
             return caller, item
 
-        assert list(fanout.results(WaitingBackend(), call,
-                                   range(2 * fanout.WORKERS))) == \
-            [(caller, item) for item in range(2 * fanout.WORKERS)]
+        assert fanout.gather(WaitingBackend(), call,
+                             range(2 * fanout.WORKERS)) == \
+            ([(caller, item) for item in range(2 * fanout.WORKERS)], None)
 
     failures = []
 

@@ -102,6 +102,22 @@ class TestSerialization:
                      '"payload": {}, "usage": 3}', id="usage-not-object"),
         pytest.param('{"seq": 0, "kind": "nonsense", "iteration": 0, '
                      '"payload": {}}', id="unknown-kind"),
+        pytest.param('{"seq": true, "kind": "final", "iteration": 0, '
+                     '"payload": {}}', id="seq-bool"),
+        pytest.param('{"seq": 0, "kind": "final", "iteration": false, '
+                     '"payload": {}}', id="iteration-bool"),
+        pytest.param('{"seq": 0, "kind": "llm_call", "iteration": 0, '
+                     '"payload": {}, "usage": {"input_tokens": 2.7, '
+                     '"output_tokens": 1}}', id="usage-fraction"),
+        pytest.param('{"seq": 0, "kind": "llm_call", "iteration": 0, '
+                     '"payload": {}, "usage": {"input_tokens": "12", '
+                     '"output_tokens": 1}}', id="usage-text"),
+        pytest.param('{"seq": 0, "kind": "llm_call", "iteration": 0, '
+                     '"payload": {}, "usage": {"input_tokens": 1, '
+                     '"output_tokens": true}}', id="usage-bool"),
+        pytest.param('{"seq": 0, "kind": "llm_call", "iteration": 0, '
+                     '"payload": {}, "usage": {"input_tokens": 1, '
+                     '"output_tokens": -5}}', id="usage-negative"),
     ])
     def test_malformed_record_raises(self, line):
         with pytest.raises(TraceError):
