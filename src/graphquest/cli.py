@@ -25,6 +25,7 @@ from .llm.accounting import usage_total
 from .llm.types import LLMError
 from .planner.engine import Planner, PlannerRunError
 from .planner.state import Question, StateError
+from .prompts import TEMPLATE_SLOTS, PromptLibrary
 from .trace import RunTrace, TraceError
 
 logger = logging.getLogger(__name__)
@@ -84,6 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ins = sub.add_parser("inspect-trace", help="pretty-print a saved trace")
     ins.add_argument("trace", help="trace .jsonl file")
+    ins.add_argument("--by-slot", action="store_true",
+                     help=("in place of the events, the prompt characters "
+                           "per template and slot, fixed template text "
+                           "included"))
     ins.set_defaults(handler=cmd_inspect)
     return parser
 
@@ -227,14 +232,67 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     trace = RunTrace.load(args.trace)
-    for event in trace.events:
-        print(f"{event.seq:4d}  iter {event.iteration}  "
-              f"{event.kind:<13} {_summarize(event)}")
+    if args.by_slot:
+        _print_slot_rollup(trace)
+    else:
+        for event in trace.events:
+            print(f"{event.seq:4d}  iter {event.iteration}  "
+                  f"{event.kind:<13} {_summarize(event)}")
     usage, calls = usage_total(trace)
     print(f"-- {len(trace.events)} events, {calls} llm calls, "
           f"{usage.input_tokens} input + {usage.output_tokens} output "
           f"= {usage.total_tokens} tokens")
     return 0
+
+
+# the rows of `--by-slot` that are not a slot
+FIXED_TEXT = "(fixed text)"
+LITERAL = "(literal)"
+
+
+def _print_slot_rollup(trace: RunTrace) -> None:
+    """Prompt characters per (template, slot): a slot's text once per
+    placeholder, the template's own text under FIXED_TEXT, and the
+    prompts of events saved whole, before calls were stored as template
+    and slots, under LITERAL."""
+    library = PromptLibrary()
+    # (template, slot) -> [calls, characters]
+    rows: dict[tuple[str, str], list[int]] = {}
+
+    def add(template: str, slot: str, chars: int) -> None:
+        row = rows.setdefault((template, slot), [0, 0])
+        row[0] += 1
+        row[1] += chars
+
+    for event in trace.iter_kind("llm_call"):
+        prompt = library.prompt_of(event)
+        if "prompt" in event.payload:
+            add(LITERAL, "prompt", len(prompt))
+            continue
+        template, slots = event.payload["template"], event.payload["slots"]
+        in_slots = 0
+        for slot in TEMPLATE_SLOTS[template]:
+            chars = len(slots[slot]) * library.templates[template].count(
+                "{" + slot + "}")
+            add(template, slot, chars)
+            in_slots += chars
+        add(template, FIXED_TEXT, len(prompt) - in_slots)
+    total = sum(chars for _, chars in rows.values())
+    fixed = sum(chars for (_, slot), (_, chars) in rows.items()
+                if slot == FIXED_TEXT)
+
+    def share(chars: int) -> str:
+        return f"{chars / total if total else 0:6.1%}"
+
+    order = {template: index for index, template
+             in enumerate([*TEMPLATE_SLOTS, LITERAL])}
+    print(f"{'template':<20} {'slot':<15} {'calls':>6} {'chars':>9}  share")
+    for (template, slot), (calls, chars) in sorted(
+            rows.items(), key=lambda item: (order[item[0][0]], -item[1][1])):
+        print(f"{template:<20} {slot:<15} {calls:>6} {chars:>9} "
+              f"{share(chars)}")
+    print(f"-- {total} prompt characters, {fixed} of them fixed template "
+          f"text ({share(fixed).strip()})")
 
 
 def _clip(text: str, limit: int = 70) -> str:
@@ -257,7 +315,11 @@ def _describe(event) -> str:
         if event.usage:
             cost = (f" [{event.usage.input_tokens}+"
                     f"{event.usage.output_tokens} tok]")
-        return f"{p.get('stage')}{cost} -> {_clip(p.get('response', ''))}"
+        # a call saved before calls were stored as template and slots
+        # names no template
+        template = f" <{p['template']}>" if "template" in p else ""
+        return (f"{p.get('stage')}{template}{cost} -> "
+                f"{_clip(p.get('response', ''))}")
     if event.kind == "kg_query":
         op = p.get("op")
         if op == "relations":

@@ -28,7 +28,7 @@ from ..llm.parsing import (
     parse_list,
 )
 from ..llm.types import Completion, CompletionBackend, Usage
-from ..prompts import PromptLibrary
+from ..prompts import TEMPLATE_DIGESTS, PromptLibrary
 from ..recall import Scorer, TrigramScorer, top_k
 from ..trace import RunTrace
 from .state import (
@@ -51,6 +51,9 @@ _DIRECTIONS = (Direction.OUTGOING, Direction.INCOMING)
 
 # (tail entity, relation, direction): one edge search from the frontier
 Hop = tuple[str, str, Direction]
+# (template id, slot -> bound text): one prompt, rendered at its model call
+# and recorded as it is
+Call = tuple[str, dict[str, str]]
 
 _decode_answer = partial(parse_json_object, required_keys={"A", "R"})
 _decode_reflection = partial(parse_json_object,
@@ -203,8 +206,8 @@ class Planner:
                 "note": "guidance disabled",
             })
             return (text,)
-        prompt = self.prompts.render("decompose", question=text)
-        items, warning = self._ask(run, prompt, "decompose", parse_list)
+        items, warning = self._ask(run, ("decompose", {"question": text}),
+                                   "decompose", parse_list)
         if not items:
             items = [text]
             warning = warning or "empty sub-objective list"
@@ -231,10 +234,10 @@ class Planner:
              for eid, _ in tails for direction in _DIRECTIONS])
         sub_objectives = json.dumps(run.objectives, ensure_ascii=False)
         # per tail searched both ways: the (relation, direction) pairs not
-        # expanded yet, their relations sorted, the prompt offering them
+        # expanded yet, their relations sorted, the call offering them
         # (None when there are none) and the completions it gets
         offers: list[tuple[list[tuple[str, Direction]], list[str],
-                           str | None, list[tuple[str, Completion]]]] = []
+                           Call | None, list[tuple[str, Completion]]]] = []
         for (eid, label), both in zip(tails, zip(found[::2], found[1::2])):
             # pairs expanded in an earlier iteration are spent;
             # re-offering them would just repeat the same hop
@@ -243,20 +246,19 @@ class Planner:
                       for relation in relations
                       if (eid, relation, direction) not in run.expanded]
             names = sorted({relation for relation, _ in tagged})
-            prompt = None
+            call = None
             if names:
-                prompt = self.prompts.render(
-                    "relation_selection",
-                    question=run.question.text,
-                    sub_objectives=sub_objectives,
-                    topic_entity=label,
-                    relations="; ".join(names),
-                )
-            offers.append((tagged, names, prompt, []))
+                call = ("relation_selection", {
+                    "question": run.question.text,
+                    "sub_objectives": sub_objectives,
+                    "topic_entity": label,
+                    "relations": "; ".join(names),
+                })
+            offers.append((tagged, names, call, []))
         answers, refused = fanout.gather(
             self.llm, lambda ask: self._gather_ask(*ask),
-            [(prompt, "relation_selection", parse_list, completions)
-             for _, _, prompt, completions in offers if prompt is not None])
+            [(call, "relation_selection", parse_list, completions)
+             for _, _, call, completions in offers if call is not None])
         hops: list[Hop] = []
         for index, (eid, _) in enumerate(tails):
             for direction, relations in zip(_DIRECTIONS,
@@ -268,11 +270,11 @@ class Planner:
             if index == len(offers):
                 # this tail's search failed
                 raise failed
-            tagged, names, prompt, completions = offers[index]
+            tagged, names, call, completions = offers[index]
             raw, warning = None, None
-            if prompt is not None:
+            if call is not None:
                 # a failed ask's calls are recorded before its error
-                self._record_calls(run, prompt, completions)
+                self._record_calls(run, call, completions)
                 if not answers:
                     raise refused
                 raw, warning = answers.pop(0)
@@ -366,12 +368,10 @@ class Planner:
                 for cid, clabel in labeled:
                     known.add(cid)
                     known.add(clabel)
-        prompt = self.prompts.render(
-            "entity_selection",
-            question=run.question.text,
-            triplets="; ".join(parts),
-        )
-        raw, warning = self._ask(run, prompt, "entity_selection", parse_list)
+        raw, warning = self._ask(run, ("entity_selection", {
+            "question": run.question.text,
+            "triplets": "; ".join(parts),
+        }), "entity_selection", parse_list)
         selected = list(dict.fromkeys(
             name for item in raw or () if (name := item.strip())))
         breadth = self.config.ablations.fixed_breadth
@@ -431,15 +431,12 @@ class Planner:
             memory.status = ["unknown"] * len(objectives)
             listed = {"candidate_pool": sorted(run.candidate_pool)}
         else:
-            prompt = self.prompts.render(
-                "memory_update",
-                question=run.question.text,
-                sub_objectives=json.dumps(objectives, ensure_ascii=False),
-                memory=self._render_status(memory.status),
-                triplets=run.paths_text,
-            )
-            data, warning = self._ask(run, prompt, "memory_update",
-                                      extract_json_object)
+            data, warning = self._ask(run, ("memory_update", {
+                "question": run.question.text,
+                "sub_objectives": json.dumps(objectives, ensure_ascii=False),
+                "memory": self._render_status(memory.status),
+                "triplets": run.paths_text,
+            }), "memory_update", extract_json_object)
             for key, value in (data or {}).items():
                 match = _INDEX_RE.search(str(key))
                 index = int(match.group(1)) if match else 0
@@ -456,14 +453,11 @@ class Planner:
     # -- stage: evaluation ----------------------------------------------
 
     def evaluate(self, run: _Run, forced: bool = False) -> Verdict:
-        prompt = self.prompts.render(
-            "answer",
-            question=run.question.text,
-            memory=self._render_status(run.memory.status),
-            triplets=run.paths_text,
-        )
-        stage = "forced_answer" if forced else "evaluate"
-        data, warning = self._ask(run, prompt, stage, _decode_answer)
+        data, warning = self._ask(run, ("answer", {
+            "question": run.question.text,
+            "memory": self._render_status(run.memory.status),
+            "triplets": run.paths_text,
+        }), "forced_answer" if forced else "evaluate", _decode_answer)
         if data is None:
             verdict = Verdict(False, None, "evaluation response unparseable",
                               forced=forced)
@@ -497,16 +491,13 @@ class Planner:
                 "note": "reflection disabled",
             })
             return []
-        prompt = self.prompts.render(
-            "reflection",
-            question=run.question.text,
-            entities=json.dumps([label for _, label in run.tail_entities],
-                                ensure_ascii=False),
-            memory=self._render_status(run.memory.status),
-            triplets=run.paths_text,
-        )
-        data, warning = self._ask(run, prompt, "reflection",
-                                  _decode_reflection)
+        data, warning = self._ask(run, ("reflection", {
+            "question": run.question.text,
+            "entities": json.dumps([label for _, label in run.tail_entities],
+                                   ensure_ascii=False),
+            "memory": self._render_status(run.memory.status),
+            "triplets": run.paths_text,
+        }), "reflection", _decode_reflection)
         if data is None:
             add, reason = False, "reflection response unparseable"
         else:
@@ -522,16 +513,13 @@ class Planner:
             })
             return []
         pool = run.candidate_pool
-        prompt2 = self.prompts.render(
-            "backtrack_selection",
-            question=run.question.text,
-            reason=reason,
-            candidates=json.dumps(sorted(set(pool.values())),
-                                  ensure_ascii=False),
-            memory=self._render_status(run.memory.status),
-        )
-        names, warning2 = self._ask(run, prompt2, "backtrack_selection",
-                                    parse_list)
+        names, warning2 = self._ask(run, ("backtrack_selection", {
+            "question": run.question.text,
+            "reason": reason,
+            "candidates": json.dumps(sorted(set(pool.values())),
+                                     ensure_ascii=False),
+            "memory": self._render_status(run.memory.status),
+        }), "backtrack_selection", parse_list)
         warning = _join_warnings(warning, warning2)
         current = {eid for eid, _ in run.tail_entities}
         label_to_ids: dict[str, list[str]] = {}
@@ -572,26 +560,29 @@ class Planner:
 
     # -- helpers ---------------------------------------------------------
 
-    def _ask(self, run: _Run, prompt: str, stage: str,
+    def _ask(self, run: _Run, call: Call, stage: str,
              decode: Callable[[str], Any]) -> tuple[Any, str | None]:
         """`_gather_ask`, with its calls recorded even when one fails."""
         completions: list[tuple[str, Completion]] = []
         try:
-            return self._gather_ask(prompt, stage, decode, completions)
+            return self._gather_ask(call, stage, decode, completions)
         finally:
-            self._record_calls(run, prompt, completions)
+            self._record_calls(run, call, completions)
 
-    def _gather_ask(self, prompt: str, stage: str,
+    def _gather_ask(self, call: Call, stage: str,
                     decode: Callable[[str], Any],
                     completions: list[tuple[str, Completion]]
                     ) -> tuple[Any, str | None]:
-        """Decode the model's reply, asking once more if it fails.
+        """Render the prompt and decode the model's reply, asking once
+        more if it fails.
 
         Returns the decoded value, or None when both replies fail, and a
         warning whenever the first reply was unusable. Each completion
         is appended to `completions` with its stage as it arrives, and
         nothing is recorded, so it may run on any thread.
         """
+        template, slots = call
+        prompt = self.prompts.render(template, **slots)
         completion = self.llm.complete(prompt, self.config.generation)
         completions.append((stage, completion))
         try:
@@ -605,12 +596,17 @@ class Planner:
             except ParseError as second:
                 return None, f"unparseable after retry ({second})"
 
-    def _record_calls(self, run: _Run, prompt: str | None,
+    def _record_calls(self, run: _Run, call: Call,
                       completions: list[tuple[str, Completion]]) -> None:
+        """One event per completion: the call's template and slots, not
+        its rendered prompt, which `PromptLibrary.prompt_of` rebuilds."""
+        template, slots = call
         for stage, completion in completions:
             run.record("llm_call", {
                 "stage": stage,
-                "prompt": prompt,
+                "template": template,
+                "slots": slots,
+                "template_digest": TEMPLATE_DIGESTS[template],
                 "response": completion.text,
             }, usage=completion.usage)
 

@@ -4,12 +4,19 @@ Each template is one file with named ``{slot}`` placeholders. Rendering
 substitutes exactly the declared slots, so literal braces elsewhere in a
 template (for example JSON in a worked example) pass through untouched,
 and in one pass, so a placeholder inside a bound value stays as it is.
+
+A trace stores each model call as its template id, its slot bindings and
+the digest of its template's text (`TEMPLATE_DIGESTS`), not as the
+rendered prompt; `PromptLibrary.prompt_of` rebuilds the prompt.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 from importlib import resources
+
+from ..trace import TraceError, TraceEvent
 
 TEMPLATE_SLOTS: dict[str, tuple[str, ...]] = {
     "decompose": ("question",),
@@ -23,20 +30,27 @@ TEMPLATE_SLOTS: dict[str, tuple[str, ...]] = {
 }
 
 
+_ASSETS = resources.files(__package__) / "assets"
+# id -> text of each bundled template, read once per process
+_BUNDLED = {template_id: (_ASSETS / f"{template_id}.txt").read_text(
+                encoding="utf-8")
+            for template_id in TEMPLATE_SLOTS}
+# id -> the first 12 hex characters of the sha256 of the bundled text:
+# the `template_digest` an llm_call event records
+TEMPLATE_DIGESTS = {
+    template_id: hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+    for template_id, text in _BUNDLED.items()}
+
+
 class PromptError(Exception):
     pass
 
 
 class PromptLibrary:
-    """The bundled templates, read once; `templates` maps id -> text."""
+    """The bundled templates; `templates` maps id -> text."""
 
     def __init__(self):
-        assets = resources.files(__package__) / "assets"
-        self.templates = {
-            template_id: (assets / f"{template_id}.txt").read_text(
-                encoding="utf-8")
-            for template_id in TEMPLATE_SLOTS
-        }
+        self.templates = dict(_BUNDLED)
         # id -> [literal, slot, literal, ..., slot, literal]: each template
         # split once at its placeholders, so that a render is one join and
         # a placeholder inside a bound value is left as it is
@@ -64,3 +78,42 @@ class PromptLibrary:
         segments = self._segments[template_id][:]
         segments[1::2] = [str(bindings[slot]) for slot in segments[1::2]]
         return "".join(segments)
+
+    def prompt_of(self, event: TraceEvent) -> str:
+        """The prompt an `llm_call` event's model call was sent.
+
+        An event saved before calls were stored as template and slots
+        holds its prompt literally, and that is returned. Otherwise the
+        event's template is rendered with its slots; an unknown template,
+        a slot missing, unknown or not a string, or a digest that is not
+        the bundled template's is a TraceError naming the template and
+        the event's seq.
+        """
+        payload = event.payload
+        if "prompt" in payload:
+            if not isinstance(payload["prompt"], str):
+                raise TraceError(f"llm_call event {event.seq}: its saved "
+                                 f"prompt is not a string")
+            return payload["prompt"]
+        template = payload.get("template")
+
+        def fail(problem: str) -> TraceError:
+            return TraceError(f"llm_call event {event.seq}: template "
+                              f"{template!r} {problem}")
+
+        if not isinstance(template, str) or template not in TEMPLATE_SLOTS:
+            raise fail("is not a bundled template")
+        slots = payload.get("slots")
+        if not isinstance(slots, dict):
+            raise fail("has no slots object")
+        for slot in TEMPLATE_SLOTS[template]:
+            if not isinstance(slots.get(slot), str):
+                raise fail(f"slot {slot!r} is missing or not a string")
+        unknown = set(slots) - set(TEMPLATE_SLOTS[template])
+        if unknown:
+            raise fail(f"has no slot {sorted(unknown)[0]!r}")
+        digest = payload.get("template_digest")
+        if digest != TEMPLATE_DIGESTS[template]:
+            raise fail(f"digest {digest!r} is not the bundled template's "
+                       f"{TEMPLATE_DIGESTS[template]!r}")
+        return self.render(template, **slots)

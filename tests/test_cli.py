@@ -13,6 +13,7 @@ from graphquest.cli import (
 )
 from graphquest.config import ConfigError
 from graphquest.planner.state import AblationFlags
+from graphquest.prompts import PromptLibrary
 from graphquest.trace import RunTrace, TraceEvent
 
 from conftest import FIXTURES, PANAMA_QUESTION
@@ -204,7 +205,7 @@ class TestInspectCommand:
         out = capsys.readouterr().out
         lines = out.splitlines()
         assert len(lines) == 54  # 53 events + totals line
-        assert "decompose" in lines[0]
+        assert "decompose <decompose> [" in lines[0]
         assert lines[-1].startswith("-- 53 events, 18 llm calls")
         assert "answer='Juan Carlos Varela'" in out
 
@@ -226,6 +227,67 @@ class TestInspectCommand:
         first = capsys.readouterr().out.splitlines()[0]
         # the payload as loaded, keys sorted as the file stores them
         assert first.endswith(_clip(TraceEvent.from_json(line).payload))
+
+    def test_a_line_saved_with_its_prompt_is_printed(self, tmp_path,
+                                                      capsys):
+        # a trace line saved before calls were stored as template and slots
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"iteration": 0, "kind": "llm_call", "payload": {"prompt": '
+            '"Q: Who?", "response": "[]", "stage": "decompose"}, "seq": 0, '
+            '"usage": {"input_tokens": 2, "output_tokens": 1}}\n',
+            encoding="utf-8")
+        assert main(["inspect-trace", str(path)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.endswith("llm_call      decompose [2+1 tok] -> []")
+        assert main(["inspect-trace", "--by-slot", str(path)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1].split() == ["(literal)", "prompt", "1", "7", "100.0%"]
+        assert rows[2] == ("-- 7 prompt characters, 0 of them fixed "
+                           "template text (0.0%)")
+
+    def test_by_slot_adds_up_to_the_prompts(self, tmp_path, capsys):
+        main(panama_args(tmp_path))
+        capsys.readouterr()
+        trace_path = tmp_path / "runs" / "latest" / "trace.jsonl"
+        assert main(["inspect-trace", "--by-slot", str(trace_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["template", "slot", "calls", "chars",
+                                    "share"]
+        # template, slot, calls, chars, share: the first two padded
+        rows = [[line[:20].strip(), line[21:36].strip(), *line[36:].split()]
+                for line in lines[1:-2]]
+        trace = RunTrace.load(str(trace_path))
+        calls = list(trace.iter_kind("llm_call"))
+        library = PromptLibrary()
+        prompts = "".join(library.prompt_of(event) for event in calls)
+        assert sum(int(row[3]) for row in rows) == len(prompts)
+        # every template's slots and its fixed text, one row each
+        assert {(row[0], row[1]) for row in rows} == {
+            (event.payload["template"], slot) for event in calls
+            for slot in [*event.payload["slots"], "(fixed text)"]}
+        triplets = sum(len(event.payload["slots"]["triplets"])
+                       for event in calls
+                       if event.payload["template"] == "answer")
+        assert ["answer", "triplets", "3", str(triplets)] in \
+            [row[:4] for row in rows]
+        fixed = sum(int(row[3]) for row in rows if row[1] == "(fixed text)")
+        assert lines[-2].startswith(
+            f"-- {len(prompts)} prompt characters, {fixed} of them fixed ")
+        assert lines[-1].startswith("-- 53 events, 18 llm calls")
+
+    def test_by_slot_refuses_a_call_it_cannot_rebuild(self, tmp_path,
+                                                      capsys):
+        trace = RunTrace()
+        trace.record("llm_call", 0, {
+            "stage": "decompose", "template": "decompose",
+            "slots": {"question": "Q?"}, "template_digest": "0" * 12,
+            "response": "[]"})
+        path = tmp_path / "trace.jsonl"
+        trace.save(str(path))
+        assert main(["inspect-trace", "--by-slot", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "input error: llm_call event 0: template 'decompose' digest")
 
     def test_labels_and_pool_count(self, tmp_path, capsys):
         trace = RunTrace()

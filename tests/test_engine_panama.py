@@ -14,10 +14,13 @@ import pytest
 from graphquest.llm.scripted import ResponderRule, ScriptedBackend
 from graphquest.planner.engine import Planner, PlannerRunError
 from graphquest.planner.state import AblationFlags, PlannerConfig, Question
+from graphquest.prompts import PromptLibrary
 from graphquest.trace import RunTrace
 
 from adversaries import ANSWER_ANCHOR
 from test_acceptance import _stable_lines
+
+PROMPTS = PromptLibrary()
 
 NAKED = "m.0jt3_v"
 PRESIDENT = "m.02rhx1c"
@@ -195,7 +198,7 @@ class TestFullRun:
         for event in result.trace.iter_kind("llm_call"):
             assert event.usage is not None
             assert event.usage.input_tokens > 0
-            assert event.payload["prompt"]
+            assert PROMPTS.prompt_of(event)
             assert event.payload["response"]
         verdict_events = list(result.trace.iter_kind("verdict"))
         assert [e.payload["sufficient"] for e in verdict_events] == \
@@ -218,7 +221,7 @@ class TestFullRun:
     def test_each_hop_is_offered_once(self, planner, panama_question):
         # in iteration 2 two paths end at Panama; its capital is one group
         result = planner.run(panama_question)
-        prompt = next(e.payload["prompt"]
+        prompt = next(PROMPTS.prompt_of(e)
                       for e in result.trace.iter_kind("llm_call")
                       if e.iteration == 2
                       and e.payload["stage"] == "entity_selection")

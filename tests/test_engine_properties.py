@@ -21,6 +21,7 @@ from graphquest.llm.types import (
 )
 from graphquest.planner.engine import Planner
 from graphquest.planner.state import AblationFlags, PlannerConfig, Question
+from graphquest.prompts import PromptLibrary
 from graphquest.trace import RunTrace
 
 from adversaries import (
@@ -35,6 +36,8 @@ from adversaries import (
     junk_backend,
 )
 from oracles import random_graph
+
+PROMPTS = PromptLibrary()
 
 
 def make_kg(triples, labels):
@@ -103,7 +106,7 @@ def check_invariants(result, config):
         if event.payload["stage"].removesuffix("_retry") != \
                 "entity_selection":
             continue
-        triplets = event.payload["prompt"].rsplit("\nTriplets: ", 1)[1]
+        triplets = PROMPTS.prompt_of(event).rsplit("\nTriplets: ", 1)[1]
         groups = Counter(
             (e.payload["relation"], e.payload["direction"])
             for e in result.trace.iter_kind("kg_query")
@@ -118,7 +121,7 @@ def check_invariants(result, config):
     for event in result.trace.iter_kind("llm_call"):
         assert event.usage is not None
         assert event.usage.input_tokens == \
-            approximate_tokens(event.payload["prompt"])
+            approximate_tokens(PROMPTS.prompt_of(event))
         assert event.usage.output_tokens == \
             approximate_tokens(event.payload["response"])
     breadth = config.ablations.fixed_breadth
@@ -325,7 +328,7 @@ class TestConvergingPaths:
         assert len(result.memory.paths) == 89_368
         calls = list(result.trace.iter_kind("llm_call"))
         assert len(calls) == 50
-        assert max(len(e.payload["prompt"]) for e in calls
+        assert max(len(PROMPTS.prompt_of(e)) for e in calls
                    if e.payload["stage"] == "entity_selection") <= 16 * 1024
 
 
@@ -423,7 +426,7 @@ class TestRecallTrigger:
         assert len(recalls) == 1
         assert recalls[0].payload["before"] == 35
         assert recalls[0].payload["after"] == 25  # default keep size
-        prompt = next(e.payload["prompt"]
+        prompt = next(PROMPTS.prompt_of(e)
                       for e in result.trace.iter_kind("llm_call")
                       if e.payload["stage"] == "entity_selection")
         # the question-relevant label survives the cut into the prompt
@@ -440,7 +443,7 @@ class TestRecallTrigger:
         recalls = [e for e in result.trace.iter_kind("selection")
                    if e.payload.get("stage") == "recall"]
         assert recalls == []
-        prompt = next(e.payload["prompt"]
+        prompt = next(PROMPTS.prompt_of(e)
                       for e in result.trace.iter_kind("llm_call")
                       if e.payload["stage"] == "entity_selection")
         assert prompt.count("Candidate ") == 29

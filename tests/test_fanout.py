@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 import threading
@@ -21,6 +22,7 @@ from graphquest.llm.scripted import ScriptedBackend
 from graphquest.llm.types import GenerationConfig, LLMError
 from graphquest.planner.engine import Planner, PlannerRunError
 from graphquest.planner.state import PlannerConfig, Question
+from graphquest.prompts import PromptLibrary
 from graphquest.recall import (
     RecallConfig,
     RecallError,
@@ -43,6 +45,8 @@ MAX_DELAY_S = 0.001
 SWEEP_SEEDS = range(80_000, 80_010)
 SWEEP_CONFIG = PlannerConfig(max_depth=3,
                              recall=RecallConfig(threshold=3, k=2))
+
+PROMPTS = PromptLibrary()
 
 _LABEL = re.compile(r"FILTER\(\?entity = ns:(\S+)\)")
 _EDGE = re.compile(r"^  (\S+) (\S+) (\S+) \.$", re.M)
@@ -82,60 +86,54 @@ class _Endpoint:
 
 
 class GraphEndpoint(_Endpoint):
-    """Answers SparqlKG's queries from an InMemoryKG, and refuses with an
-    HTTP 400 the label query of `fail_label` and the search `fail_search`:
-    (entity, direction) names a relation search, and (entity, relation,
-    direction) an entity search.
+    """Answers SparqlKG's queries from an InMemoryKG.
 
-    `fail=(entity, kind)` answers every label query of `entity` with the
-    fault `kind` from SPARQL_FAULTS, except that a "429" fails one
-    attempt only.
+    `fail=(key, kind)` answers every query `key` names with the fault
+    `kind` from SPARQL_FAULTS, except that a "429" fails one attempt
+    only. An entity id names its label query, (entity, direction) a
+    relation search and (entity, relation, direction) an entity search.
     """
 
-    def __init__(self, kg, seed=0, fail_label=None, fail_search=None,
-                 fail=None):
+    def __init__(self, kg, seed=0, fail=None):
         super().__init__(seed)
         self.kg = kg
-        self.fail = (fail_label, "400") if fail_label is not None else fail
+        self.fail = fail
         self.fired = False
-        self.fail_search = fail_search
         self.labels_asked: list[str] = []
 
     def answer(self, kwargs):
         query = kwargs["data"].decode("utf-8")
         label = _LABEL.search(query)
         if label is not None:
-            entity = label.group(1)
-            with self.lock:
-                self.labels_asked.append(entity)
-                fault = None
-                if self.fail is not None and self.fail[0] == entity:
-                    kind = self.fail[1]
-                    if kind != "429" or not self.fired:
-                        fault, self.fired = kind, True
-            if fault is not None:
-                return SPARQL_FAULTS[fault]()
-            resolved = self.kg.resolve_label(entity)
+            key = label.group(1)
+        else:
+            first, middle, last = (part.removeprefix("ns:") for part
+                                   in _EDGE.search(query).groups())
+            if middle == "?relation":
+                key = ((last, Direction.INCOMING) if first == "?x"
+                       else (first, Direction.OUTGOING))
+            elif first == "?tailEntity":
+                key = (last, middle, Direction.INCOMING)
+            else:
+                key = (first, middle, Direction.OUTGOING)
+        with self.lock:
+            if label is not None:
+                self.labels_asked.append(key)
+            fault = None
+            if self.fail is not None and self.fail[0] == key:
+                kind = self.fail[1]
+                if kind != "429" or not self.fired:
+                    fault, self.fired = kind, True
+        if fault is not None:
+            return SPARQL_FAULTS[fault]()
+        if label is not None:
+            resolved = self.kg.resolve_label(key)
             return bindings("tailEntity",
                             [] if resolved.is_fallback else [resolved.label])
-        first, middle, last = _EDGE.search(query).groups()
-        if middle == "?relation":
-            direction = (Direction.INCOMING if first == "?x"
-                         else Direction.OUTGOING)
-            entity = (last if first == "?x" else first).removeprefix("ns:")
-            if (entity, direction) == self.fail_search:
-                return Reply(400)
-            found = self.kg.search_relations(entity, direction)
+        if len(key) == 2:
+            found = self.kg.search_relations(*key)
             return bindings("relation", [NS + value for value in found])
-        if first == "?tailEntity":
-            entity, direction = last, Direction.INCOMING
-        else:
-            entity, direction = first, Direction.OUTGOING
-        search = (entity.removeprefix("ns:"), middle.removeprefix("ns:"),
-                  direction)
-        if search == self.fail_search:
-            return Reply(400)
-        found = self.kg.search_entities(*search)
+        found = self.kg.search_entities(*key)
         return bindings("tailEntity", [NS + value for value in found])
 
 
@@ -201,12 +199,12 @@ EMBEDDING_FAULTS = {
     "shape": lambda: Reply(200, {"data": [{"embedding": "1"}]}),
 }
 # the same faults of a SPARQL request, and a binding whose value is a
-# number, not a string
+# number, not a string, under the variable of every query
 SPARQL_FAULTS = {
     **CHAT_FAULTS,
     "shape": lambda: Reply(200, {"results": {"bindings": 5}}),
     "binding": lambda: Reply(200, {"results": {"bindings": [
-        {"tailEntity": {"value": 5}}]}}),
+        {"tailEntity": {"value": 5}, "relation": {"value": 5}}]}}),
 }
 
 
@@ -358,7 +356,7 @@ def test_relation_calls_landing_out_of_order_keep_the_inline_trace():
                  and event.payload["stage"] == "relation_selection"]
         batched += len(calls) - len({event.iteration for event in calls})
         # each relation prompt where it was first asked, and first answered
-        asked = dict.fromkeys(event.payload["prompt"] for event in calls)
+        asked = dict.fromkeys(PROMPTS.prompt_of(event) for event in calls)
         replied = dict.fromkeys(prompt for prompt in chat.answered
                                 if prompt in asked)
         reordered += list(replied) != list(asked)
@@ -416,7 +414,7 @@ def test_failed_label_query_aborts_as_the_inline_run():
         outcomes = []
         for pooled in (False, True):
             client, endpoint = sparql_kg(kg, pooled=pooled, seed=7,
-                                         fail_label=entity)
+                                         fail=(entity, "400"))
             with pytest.raises(PlannerRunError) as caught:
                 Planner(client, PromptAwareResponder(1), config).run(question)
             outcomes.append((str(caught.value),
@@ -498,16 +496,16 @@ def test_chat_faults_abort_as_the_inline_run():
         rng = random.Random(seed)
         for kind in CHAT_FAULTS:
             index = rng.randrange(len(calls))
-            prompt = calls[index].payload["prompt"]
-            nth = sum(call.payload["prompt"] == prompt
-                      for call in calls[:index + 1])
+            prompts = [PROMPTS.prompt_of(call) for call in calls]
+            prompt = prompts[index]
+            nth = prompts[:index + 1].count(prompt)
             stage = calls[index].payload["stage"]
             # a relation prompt of a tail after the first of its iteration
             if stage.startswith("relation_selection") and any(
                     call.iteration == calls[index].iteration
                     and call.payload["stage"] == "relation_selection"
-                    and call.payload["prompt"] != prompt
-                    for call in calls[:index]):
+                    and other != prompt
+                    for call, other in zip(calls[:index], prompts)):
                 stage = "later_tail_" + stage
             targets.append(stage)
             outcomes = []
@@ -597,22 +595,22 @@ def search_of(event):
     return payload["entity"], payload["relation"], direction
 
 
-def aborts_alike(kg, question, config, replies, fail_search):
-    """The error and stable lines of the run whose search `fail_search`
-    fails, pooled and inline alike."""
+def aborts_alike(kg, question, config, replies, fail):
+    """The error and stable lines of the run whose query `fail` faults (as
+    GraphEndpoint's `fail`), pooled and inline alike."""
     outcomes = []
     for pooled in (False, True):
-        client, _ = sparql_kg(kg, pooled=pooled, seed=7,
-                              fail_search=fail_search)
+        client, _ = sparql_kg(kg, pooled=pooled, seed=7, fail=fail)
         llm, _ = chat_backend(replies, pooled=pooled, seed=7)
         with pytest.raises(PlannerRunError) as caught:
             Planner(client, llm, config).run(question)
         assert isinstance(caught.value.__cause__, KGError)
         outcomes.append((str(caught.value),
                          _stable_lines(caught.value.trace)))
-    assert outcomes[1] == outcomes[0], fail_search
-    assert "HTTP 400" in outcomes[0][0]
-    return outcomes[0][1]
+    assert outcomes[1] == outcomes[0], fail
+    final = caught.value.trace.events[-1]
+    assert final.kind == "final" and final.payload["error"] in outcomes[0][0]
+    return outcomes[0]
 
 
 @pytest.mark.parametrize("direction", list(Direction))
@@ -631,30 +629,53 @@ def test_failed_relation_search_mid_frontier_aborts_as_the_inline_run(
     assert len(tails) >= 3
     failed = next(event for event in searches
                   if search_of(event) == (tails[1], direction))
-    lines = aborts_alike(kg, question, config, 1, search_of(failed))
+    message, lines = aborts_alike(kg, question, config, 1,
+                                  (search_of(failed), "400"))
+    assert "HTTP 400" in message
     assert lines[:-1] == _stable_lines(clean)[:failed.seq]
     assert any(event.kind == "llm_call" and event.iteration == 2
                for event in clean.events[:failed.seq])
 
 
 def test_search_faults_abort_as_the_inline_run():
-    """A failed relation or entity search, sampled over the sweep runs,
-    leaves every event before its own, pooled or not."""
+    """Each kind of SPARQL fault in turn, at relation and entity searches
+    sampled over the sweep runs, leaves every event before the failed
+    search's own, pooled or not; a 429 that a retry answers leaves the
+    trace as it was."""
+    # each op's own turn of every kind
+    kinds = {op: itertools.cycle(SPARQL_FAULTS)
+             for op in ("relations", "entities")}
+    made: set[tuple[str, str]] = set()
     for seed in SWEEP_SEEDS:
         kg, question = sweep_case(seed)
         client, _ = sparql_kg(kg, pooled=False)
         llm, _ = chat_backend(seed, pooled=False)
-        clean = Planner(client, llm, SWEEP_CONFIG).run(question).trace
+        clean_trace = Planner(client, llm, SWEEP_CONFIG).run(question).trace
+        clean = _stable_lines(clean_trace)
         firsts: dict[tuple, int] = {}
-        for event in clean.events:
-            if event.payload.get("op") in ("relations", "entities"):
+        for event in clean_trace.events:
+            if event.payload.get("op") in kinds:
                 # a repeated search is answered from the client's cache
                 firsts.setdefault(search_of(event), event.seq)
         rng = random.Random(seed)
         for search in rng.sample(sorted(firsts, key=firsts.get), 4):
-            lines = aborts_alike(kg, question, SWEEP_CONFIG, seed, search)
-            assert lines[:-1] == _stable_lines(clean)[:firsts[search]], \
-                (seed, search)
+            op = "relations" if len(search) == 2 else "entities"
+            kind = next(kinds[op])
+            made.add((kind, op))
+            if kind != "429":
+                _, lines = aborts_alike(kg, question, SWEEP_CONFIG, seed,
+                                        (search, kind))
+                assert lines[:-1] == clean[:firsts[search]], \
+                    (seed, search, kind)
+                continue
+            for pooled in (False, True):
+                client, _ = sparql_kg(kg, pooled=pooled, seed=7,
+                                      fail=(search, kind))
+                llm, _ = chat_backend(seed, pooled=pooled, seed=7)
+                lines = _stable_lines(
+                    Planner(client, llm, SWEEP_CONFIG).run(question).trace)
+                assert lines == clean, (seed, search)
+    assert made == {(kind, op) for kind in SPARQL_FAULTS for op in kinds}
 
 
 def two_hop_star():

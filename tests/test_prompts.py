@@ -2,7 +2,13 @@ import hashlib
 
 import pytest
 
-from graphquest.prompts import PromptError, PromptLibrary, TEMPLATE_SLOTS
+from graphquest.prompts import (
+    TEMPLATE_DIGESTS,
+    TEMPLATE_SLOTS,
+    PromptError,
+    PromptLibrary,
+)
+from graphquest.trace import TraceError, TraceEvent
 
 # Instruction phrases each stage's template must carry. The scripted
 # backend keys on these, so they are part of the stable surface.
@@ -122,6 +128,79 @@ class TestRendering:
         first = library.render("decompose", question="Same?")
         second = library.render("decompose", question="Same?")
         assert first == second
+
+
+def call_event(**changes):
+    """An llm_call event as the planner records it, for the answer
+    template, with `changes` applied to its payload (None deletes)."""
+    payload = {
+        "stage": "evaluate",
+        "template": "answer",
+        "slots": {"question": "Q?", "memory": "{}", "triplets": "a, b, c"},
+        "template_digest": TEMPLATE_DIGESTS["answer"],
+        "response": '{"A": "c", "R": "r"}',
+    }
+    payload.update(changes)
+    payload = {key: value for key, value in payload.items()
+               if value is not None}
+    return TraceEvent(7, "llm_call", 2, payload)
+
+
+class TestPromptOf:
+    def test_digests_are_the_bundled_texts(self):
+        # a 12-character prefix of each frozen 16-character checksum
+        assert {template_id: EXPECTED_DIGESTS[template_id][:12]
+                for template_id in EXPECTED_DIGESTS} == TEMPLATE_DIGESTS
+
+    def test_rebuilds_the_rendered_prompt(self, library):
+        assert library.prompt_of(call_event()) == library.render(
+            "answer", question="Q?", memory="{}", triplets="a, b, c")
+
+    def test_a_line_saved_with_its_prompt_returns_it(self, library):
+        # a trace line saved before calls were stored as template and slots
+        line = ('{"iteration": 0, "kind": "llm_call", "payload": '
+                '{"prompt": "Q: Who?\\n", "response": "[]", '
+                '"stage": "decompose"}, "seq": 0, "usage": '
+                '{"input_tokens": 2, "output_tokens": 1}}')
+        assert library.prompt_of(TraceEvent.from_json(line)) == "Q: Who?\n"
+
+    def test_a_saved_prompt_that_is_not_text_is_a_trace_error(self,
+                                                             library):
+        event = TraceEvent(3, "llm_call", 0, {"stage": "decompose",
+                                              "prompt": 5, "response": "[]"})
+        with pytest.raises(TraceError, match="llm_call event 3: its saved "
+                                             "prompt is not a string"):
+            library.prompt_of(event)
+
+    @pytest.mark.parametrize("changes, problem", [
+        pytest.param({"template": "poetry"}, "not a bundled template",
+                     id="unknown-template"),
+        pytest.param({"template": None}, "not a bundled template",
+                     id="no-template"),
+        pytest.param({"slots": {"question": "Q?", "memory": "{}"}},
+                     "slot 'triplets' is missing", id="missing-slot"),
+        pytest.param({"slots": {"question": "Q?", "memory": "{}",
+                                "triplets": 5}},
+                     "slot 'triplets' is missing or not a string",
+                     id="non-string-slot"),
+        pytest.param({"slots": {"question": "Q?", "memory": "{}",
+                                "triplets": "t", "reason": "r"}},
+                     "has no slot 'reason'", id="unknown-slot"),
+        pytest.param({"slots": ["Q?"]}, "has no slots object",
+                     id="slots-not-an-object"),
+        pytest.param({"template_digest": "0" * 12}, "digest '000000000000'",
+                     id="digest-mismatch"),
+        pytest.param({"template_digest": None}, "digest None",
+                     id="no-digest"),
+    ])
+    def test_a_call_that_cannot_be_rebuilt_is_a_trace_error(
+            self, library, changes, problem):
+        template = changes.get("template", "answer")
+        with pytest.raises(TraceError) as caught:
+            library.prompt_of(call_event(**changes))
+        message = str(caught.value)
+        assert message.startswith(f"llm_call event 7: template {template!r}")
+        assert problem in message
 
 
 EXPECTED_DIGESTS = {

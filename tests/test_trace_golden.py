@@ -7,10 +7,20 @@ event's ``elapsed_seconds`` zeroed) with sha256 and compares the digest
 and the event count with the values committed here. A change that is
 meant to keep behaviour must keep every digest; a change that is meant
 to alter traces must update the digests and say why.
+
+Each group is hashed twice: as stored (GOLDEN), and rendered (RENDERED),
+with every ``llm_call`` rebuilt as ``{"stage", "prompt", "response"}``,
+the payload traces held before calls were stored as template and slots.
+A change to how calls are stored moves GOLDEN only; a change to what the
+model is asked moves RENDERED too. The random-graph group also pins a
+short digest of each sweep seed's views in ``tests/fixtures/``, so that
+a mismatch names its seed; ``python tests/test_trace_golden.py`` prints
+that file's lines for the code as it is.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 
@@ -19,7 +29,9 @@ import pytest
 from graphquest.harness.datasets import load_dataset
 from graphquest.planner.engine import Planner
 from graphquest.planner.state import AblationFlags, PlannerConfig, Question
+from graphquest.prompts import PromptLibrary
 from graphquest.recall import RecallConfig
+from graphquest.trace import RunTrace
 
 from adversaries import PromptAwareResponder
 from conftest import FIXTURES
@@ -29,6 +41,26 @@ from test_engine_properties import make_kg
 
 # group -> (event count, sha256 of the stable lines joined by newlines)
 GOLDEN = {
+    "panama-default": (
+        53, "856e3aec7b4e82510df49852389dfa6f256cdad1de4af88c482820376d7bda70"),
+    "panama-no_guidance": (
+        52, "4ff0cf12facb69e98b42f9265e13969258bd915d0df098c15274ef997f4ac2b6"),
+    "panama-no_memory": (
+        53, "0367ff62ff06dfd6a7f9241042415255a1401bb36458870359d396a4fac1fa61"),
+    "panama-no_reflection": (
+        50, "54d4882ebd38c39cfe1edeb75e04c35125e5d93dc6d05ba52c2e4bdd1ce9ab2e"),
+    "panama-fixed_breadth=1": (
+        53, "856e3aec7b4e82510df49852389dfa6f256cdad1de4af88c482820376d7bda70"),
+    "capitals": (
+        60, "f92075e148a1bde38c0784bfd29a4a8c1066ffd2565337aed4f686a271c1e9eb"),
+    "random-graph": (
+        29046, "645f1d2751525b3e094eb7df40a1db2b68eaa3eb82ce31d9bc94fa4bd99aab90"),
+}
+
+# group -> (event count, sha256 of the rendered stable lines), pinned
+# before calls were stored as template and slots, when these were the
+# stored digests
+RENDERED = {
     "panama-default": (
         53, "a681ad7f4cc6668200838f4d7c1fe34f9a80b1269b8c28b149022a578de0693a"),
     "panama-no_guidance": (
@@ -45,6 +77,11 @@ GOLDEN = {
         29046, "934a8447df3c66c675723a3fc01cc46b92489bedbb2715fbbdb0f94922079afc"),
 }
 
+# one line per sweep seed (0 to SWEEP_SEEDS - 1): the seed, then the first
+# 16 hex characters of the digests of its stored and of its rendered
+# stable lines
+SEED_DIGESTS = FIXTURES / "random_graph_digests.txt"
+
 PANAMA_FLAGS = {
     "panama-default": AblationFlags(),
     "panama-no_guidance": AblationFlags(no_guidance=True),
@@ -54,6 +91,20 @@ PANAMA_FLAGS = {
 }
 
 SWEEP_SEEDS = 240
+
+
+LIBRARY = PromptLibrary()
+
+
+def _rendered(trace: RunTrace) -> RunTrace:
+    """The trace with each llm_call's prompt rebuilt in its payload."""
+    return RunTrace([
+        dataclasses.replace(event, payload={
+            "stage": event.payload["stage"],
+            "prompt": LIBRARY.prompt_of(event),
+            "response": event.payload["response"],
+        }) if event.kind == "llm_call" else event
+        for event in trace.events])
 
 
 def _digest(traces) -> tuple[int, str]:
@@ -67,6 +118,15 @@ def _check(group: str, traces) -> None:
     assert observed == GOLDEN[group], (
         f"{group}: observed (events, digest) = {observed!r}, "
         f"committed {GOLDEN[group]!r}")
+    rendered = _digest(map(_rendered, traces))
+    assert rendered == RENDERED[group], (
+        f"{group}: rendered (events, digest) = {rendered!r}, "
+        f"committed {RENDERED[group]!r}")
+
+
+def _seed_line(seed: int, trace: RunTrace) -> str:
+    return " ".join([str(seed)] + [_digest([view])[1][:16]
+                                   for view in (trace, _rendered(trace))])
 
 
 def _sweep_traces():
@@ -106,6 +166,13 @@ def test_capitals_digest(capitals_kg, capitals_llm):
 
 def test_random_graph_digest():
     traces = list(_sweep_traces())
+    committed = SEED_DIGESTS.read_text(encoding="utf-8").splitlines()
+    observed = [_seed_line(seed, trace) for seed, trace in enumerate(traces)]
+    assert len(observed) == len(committed)
+    differing = [line.split()[0] for line, pinned in zip(observed, committed)
+                 if line != pinned]
+    assert not differing, (f"sweep seeds whose traces differ from "
+                           f"{SEED_DIGESTS.name}: {differing}")
     census = {"recall": 0, "backtrack": 0, "dropped": 0, "fallback": 0}
     for trace in traces:
         for event in trace.events:
@@ -117,3 +184,8 @@ def test_random_graph_digest():
             census["fallback"] += bool(payload.get("fallback"))
     assert all(census.values()), census
     _check("random-graph", traces)
+
+
+if __name__ == "__main__":
+    for seed, trace in enumerate(_sweep_traces()):
+        print(_seed_line(seed, trace))
