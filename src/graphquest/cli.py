@@ -265,18 +265,16 @@ def _print_slot_rollup(trace: RunTrace) -> None:
         row[1] += chars
 
     for event in trace.iter_kind("llm_call"):
-        prompt = library.prompt_of(event)
-        if "prompt" in event.payload:
-            add(LITERAL, "prompt", len(prompt))
+        template, parts = library.parts_of(event)
+        if template is None:
+            add(LITERAL, "prompt", sum(len(text) for _, text in parts))
             continue
-        template, slots = event.payload["template"], event.payload["slots"]
-        in_slots = 0
-        for slot in TEMPLATE_SLOTS[template]:
-            chars = len(slots[slot]) * library.templates[template].count(
-                "{" + slot + "}")
-            add(template, slot, chars)
-            in_slots += chars
-        add(template, FIXED_TEXT, len(prompt) - in_slots)
+        # slot (None: the template's own text) -> characters in this call
+        chars: dict[str | None, int] = {}
+        for slot, text in parts:
+            chars[slot] = chars.get(slot, 0) + len(text)
+        for slot, count in chars.items():
+            add(template, FIXED_TEXT if slot is None else slot, count)
     total = sum(chars for _, chars in rows.values())
     fixed = sum(chars for (_, slot), (_, chars) in rows.items()
                 if slot == FIXED_TEXT)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import re
 import sys
-from sys import intern
 from typing import Iterable, Iterator
 
 from .types import (
@@ -67,7 +66,10 @@ def _unescape_literal(raw: str) -> str:
 class InMemoryKG:
     """Triple store over plain dicts; all query results are sorted.
 
-    Every id and relation is interned, so a repeated one is stored once.
+    Every id and relation goes through `_ids`, the store's own table of
+    the strings it holds, so a repeated one is stored once. The table is
+    the store's, not the interpreter's table of interned strings, so
+    what a load costs does not depend on what else the process interned.
     Per entity, `_out` holds one flat list that alternates relation and
     object and `_in` one that alternates relation and subject, both in
     insertion order. `_names` and `_aliases` keep each entity's first
@@ -79,6 +81,7 @@ class InMemoryKG:
         self._in: dict[str, list[str]] = {}
         self._names: dict[str, str] = {}
         self._aliases: dict[str, str] = {}
+        self._ids: dict[str, str] = {}
         self._size = 0
         for subject, relation, obj in triples:
             self.add(subject, relation, obj)
@@ -89,12 +92,15 @@ class InMemoryKG:
     def add(self, subject: str, relation: str, obj: str) -> None:
         """Insert one triple; name/alias predicates feed the label table."""
         if relation == NAME_PREDICATE:
-            _keep_first(self._names, subject, obj)
+            _keep_first(self._names, self._ids, subject, obj)
             return
         if relation in ALIAS_PREDICATES:
-            _keep_first(self._aliases, subject, obj)
+            _keep_first(self._aliases, self._ids, subject, obj)
             return
-        subject, relation, obj = intern(subject), intern(relation), intern(obj)
+        ids = self._ids
+        subject = ids.setdefault(subject, subject)
+        relation = ids.setdefault(relation, relation)
+        obj = ids.setdefault(obj, obj)
         _append(self._out, subject, relation, obj)
         _append(self._in, obj, relation, subject)
         self._size += 1
@@ -121,6 +127,8 @@ class InMemoryKG:
             )
         parse = _parse_tsv if format == "tab-separated" else _parse_nt
         staged = InMemoryKG()
+        # shared, so a merged load reuses the ids this store already holds
+        staged._ids = self._ids
         add = staged.add
         count = 0
         try:
@@ -151,7 +159,7 @@ class InMemoryKG:
         for mine, theirs in ((self._names, staged._names),
                              (self._aliases, staged._aliases)):
             for entity, label in theirs.items():
-                _keep_first(mine, entity, label)
+                _keep_first(mine, self._ids, entity, label)
         self._size += staged._size
 
     # -- queries ---------------------------------------------------------
@@ -190,12 +198,13 @@ def _append(index: dict[str, list[str]], entity: str, relation: str,
         flat += relation, other
 
 
-def _keep_first(labels: dict[str, str], entity: str, label: str) -> None:
+def _keep_first(labels: dict[str, str], ids: dict[str, str], entity: str,
+                label: str) -> None:
     """Keep the first sorted label; a blank one never becomes a label."""
     if label.strip():
         current = labels.get(entity)
         if current is None or label < current:
-            labels[intern(entity)] = label
+            labels[ids.setdefault(entity, entity)] = label
 
 
 def _parse_tsv(path: str, number: int, line: str) -> tuple[str, str, str]:

@@ -28,7 +28,7 @@ from ..llm.parsing import (
     parse_list,
 )
 from ..llm.types import Completion, CompletionBackend, Usage
-from ..prompts import TEMPLATE_DIGESTS, PromptLibrary
+from ..prompts import PromptLibrary
 from ..recall import Scorer, TrigramScorer, top_k
 from ..trace import RunTrace
 from .state import (
@@ -54,6 +54,8 @@ Hop = tuple[str, str, Direction]
 # (template id, slot -> bound text): one prompt, rendered at its model call
 # and recorded as it is
 Call = tuple[str, dict[str, str]]
+# (stage, prompt sent, completion): one model call of a Call
+Reply = tuple[str, str, Completion]
 
 _decode_answer = partial(parse_json_object, required_keys={"A", "R"})
 _decode_reflection = partial(parse_json_object,
@@ -131,6 +133,11 @@ class Planner:
     Stateless: each `run` keeps its working state in a fresh per-run
     object, so one planner may serve many runs, one after another,
     nested, or on several threads (as far as its backends allow).
+
+    `prompts` renders each prompt (default: the bundled templates). An
+    object with a `digest(template_id)` method, as `PromptLibrary` has,
+    lets the trace store a call as its template and slots; the prompts
+    of one with `render` alone are stored whole.
     """
 
     def __init__(self, kg: KGBackend, llm: CompletionBackend,
@@ -237,7 +244,7 @@ class Planner:
         # expanded yet, their relations sorted, the call offering them
         # (None when there are none) and the completions it gets
         offers: list[tuple[list[tuple[str, Direction]], list[str],
-                           Call | None, list[tuple[str, Completion]]]] = []
+                           Call | None, list[Reply]]] = []
         for (eid, label), both in zip(tails, zip(found[::2], found[1::2])):
             # pairs expanded in an earlier iteration are spent;
             # re-offering them would just repeat the same hop
@@ -563,7 +570,7 @@ class Planner:
     def _ask(self, run: _Run, call: Call, stage: str,
              decode: Callable[[str], Any]) -> tuple[Any, str | None]:
         """`_gather_ask`, with its calls recorded even when one fails."""
-        completions: list[tuple[str, Completion]] = []
+        completions: list[Reply] = []
         try:
             return self._gather_ask(call, stage, decode, completions)
         finally:
@@ -571,25 +578,25 @@ class Planner:
 
     def _gather_ask(self, call: Call, stage: str,
                     decode: Callable[[str], Any],
-                    completions: list[tuple[str, Completion]]
+                    completions: list[Reply]
                     ) -> tuple[Any, str | None]:
         """Render the prompt and decode the model's reply, asking once
         more if it fails.
 
         Returns the decoded value, or None when both replies fail, and a
         warning whenever the first reply was unusable. Each completion
-        is appended to `completions` with its stage as it arrives, and
-        nothing is recorded, so it may run on any thread.
+        is appended to `completions` with its stage and prompt as it
+        arrives, and nothing is recorded, so it may run on any thread.
         """
         template, slots = call
         prompt = self.prompts.render(template, **slots)
         completion = self.llm.complete(prompt, self.config.generation)
-        completions.append((stage, completion))
+        completions.append((stage, prompt, completion))
         try:
             return decode(completion.text), None
         except ParseError as first:
             completion = self.llm.complete(prompt, self.config.generation)
-            completions.append((stage + "_retry", completion))
+            completions.append((stage + "_retry", prompt, completion))
             try:
                 return (decode(completion.text),
                         f"first response unparseable ({first})")
@@ -597,18 +604,24 @@ class Planner:
                 return None, f"unparseable after retry ({second})"
 
     def _record_calls(self, run: _Run, call: Call,
-                      completions: list[tuple[str, Completion]]) -> None:
-        """One event per completion: the call's template and slots, not
-        its rendered prompt, which `PromptLibrary.prompt_of` rebuilds."""
+                      completions: list[Reply]) -> None:
+        """One event per completion: the call's template, its slots and
+        the digest of the template text that rendered it, from which
+        `PromptLibrary.prompt_of` rebuilds the prompt. A prompts object
+        with no `digest` cannot vouch for its template text, so its
+        prompts are stored whole."""
         template, slots = call
-        for stage, completion in completions:
-            run.record("llm_call", {
-                "stage": stage,
-                "template": template,
-                "slots": slots,
-                "template_digest": TEMPLATE_DIGESTS[template],
-                "response": completion.text,
-            }, usage=completion.usage)
+        digest = getattr(self.prompts, "digest", None)
+        for stage, prompt, completion in completions:
+            if digest is None:
+                payload = {"stage": stage, "prompt": prompt,
+                           "response": completion.text}
+            else:
+                payload = {"stage": stage, "template": template,
+                           "slots": slots,
+                           "template_digest": digest(template),
+                           "response": completion.text}
+            run.record("llm_call", payload, usage=completion.usage)
 
     def _record_labels(self, run: _Run, entities: list[str],
                        resolved: list[EntityLabel]) -> None:

@@ -6,7 +6,7 @@ template (for example JSON in a worked example) pass through untouched,
 and in one pass, so a placeholder inside a bound value stays as it is.
 
 A trace stores each model call as its template id, its slot bindings and
-the digest of its template's text (`TEMPLATE_DIGESTS`), not as the
+the digest of its template's text (`PromptLibrary.digest`), not as the
 rendered prompt; `PromptLibrary.prompt_of` rebuilds the prompt.
 """
 
@@ -35,11 +35,6 @@ _ASSETS = resources.files(__package__) / "assets"
 _BUNDLED = {template_id: (_ASSETS / f"{template_id}.txt").read_text(
                 encoding="utf-8")
             for template_id in TEMPLATE_SLOTS}
-# id -> the first 12 hex characters of the sha256 of the bundled text:
-# the `template_digest` an llm_call event records
-TEMPLATE_DIGESTS = {
-    template_id: hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
-    for template_id, text in _BUNDLED.items()}
 
 
 class PromptError(Exception):
@@ -60,6 +55,15 @@ class PromptLibrary:
                 self.templates[template_id])
             for template_id, slots in TEMPLATE_SLOTS.items()
         }
+        # id -> the first 12 hex characters of the sha256 of the text:
+        # the `template_digest` an llm_call event records
+        self._digests = {
+            template_id: hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+            for template_id, text in self.templates.items()}
+
+    def digest(self, template_id: str) -> str:
+        """The digest of a template's text, as a trace records it."""
+        return self._digests[template_id]
 
     def render(self, template_id: str, **bindings: str) -> str:
         slots = TEMPLATE_SLOTS.get(template_id)
@@ -80,21 +84,29 @@ class PromptLibrary:
         return "".join(segments)
 
     def prompt_of(self, event: TraceEvent) -> str:
-        """The prompt an `llm_call` event's model call was sent.
+        """The prompt an `llm_call` event's model call was sent."""
+        _, parts = self.parts_of(event)
+        return "".join(text for _, text in parts)
+
+    def parts_of(self, event: TraceEvent
+                 ) -> tuple[str | None, list[tuple[str | None, str]]]:
+        """An `llm_call` event's prompt as its template id and its pieces
+        in order: (slot, bound text) per placeholder, and (None, text) for
+        the template's own text.
 
         An event saved before calls were stored as template and slots
-        holds its prompt literally, and that is returned. Otherwise the
-        event's template is rendered with its slots; an unknown template,
-        a slot missing, unknown or not a string, or a digest that is not
-        the bundled template's is a TraceError naming the template and
-        the event's seq.
+        holds its prompt literally: that is (None, [(None, prompt)]).
+        Otherwise the event's template is bound to its slots; an unknown
+        template, a slot missing, unknown or not a string, or a digest
+        that is not this library's for the template is a TraceError
+        naming the template and the event's seq.
         """
         payload = event.payload
         if "prompt" in payload:
             if not isinstance(payload["prompt"], str):
                 raise TraceError(f"llm_call event {event.seq}: its saved "
                                  f"prompt is not a string")
-            return payload["prompt"]
+            return None, [(None, payload["prompt"])]
         template = payload.get("template")
 
         def fail(problem: str) -> TraceError:
@@ -113,7 +125,12 @@ class PromptLibrary:
         if unknown:
             raise fail(f"has no slot {sorted(unknown)[0]!r}")
         digest = payload.get("template_digest")
-        if digest != TEMPLATE_DIGESTS[template]:
-            raise fail(f"digest {digest!r} is not the bundled template's "
-                       f"{TEMPLATE_DIGESTS[template]!r}")
-        return self.render(template, **slots)
+        if digest != self._digests[template]:
+            raise fail(f"digest {digest!r} is not this library's "
+                       f"{self._digests[template]!r}")
+        segments = self._segments[template]
+        parts: list[tuple[str | None, str]] = [(None, segments[0])]
+        for index in range(1, len(segments), 2):
+            slot = segments[index]
+            parts += (slot, slots[slot]), (None, segments[index + 1])
+        return template, parts

@@ -15,7 +15,7 @@ from graphquest.llm.scripted import ResponderRule, ScriptedBackend
 from graphquest.planner.engine import Planner, PlannerRunError
 from graphquest.planner.state import AblationFlags, PlannerConfig, Question
 from graphquest.prompts import PromptLibrary
-from graphquest.trace import RunTrace
+from graphquest.trace import RunTrace, TraceError
 
 from adversaries import ANSWER_ANCHOR
 from test_acceptance import _stable_lines
@@ -203,6 +203,49 @@ class TestFullRun:
         verdict_events = list(result.trace.iter_kind("verdict"))
         assert [e.payload["sufficient"] for e in verdict_events] == \
             [False, False, True]
+
+    def test_a_prompts_object_without_digest_stores_prompts_whole(
+            self, panama_kg, panama_llm, panama_question):
+        # such an object cannot name the text it rendered, so the trace
+        # holds each prompt as sent, which prompt_of returns
+        sent = []
+
+        class Recording:
+            def complete(self, prompt, config):
+                sent.append(prompt)
+                return panama_llm.complete(prompt, config)
+
+        class RenderOnly:
+            def render(self, template_id, **bindings):
+                return PROMPTS.render(template_id, **bindings) + "\n"
+
+        result = Planner(panama_kg, Recording(),
+                         prompts=RenderOnly()).run(panama_question)
+        calls = list(result.trace.iter_kind("llm_call"))
+        assert [set(e.payload) for e in calls] == \
+            [{"stage", "prompt", "response"}] * len(sent)
+        assert [PROMPTS.prompt_of(e) for e in calls] == sent
+
+    def test_the_digest_is_the_rendering_objects(self, panama_kg,
+                                                 panama_llm,
+                                                 panama_question):
+        class Reworded:
+            """Renders text other than the bundled templates'."""
+
+            def render(self, template_id, **bindings):
+                return PROMPTS.render(template_id, **bindings) + "\n"
+
+            def digest(self, template_id):
+                return "f" * 12
+
+        result = Planner(panama_kg, panama_llm,
+                         prompts=Reworded()).run(panama_question)
+        calls = list(result.trace.iter_kind("llm_call"))
+        assert calls
+        assert {e.payload["template_digest"] for e in calls} == {"f" * 12}
+        # the bundled library will not pass its own text off as the sent one
+        with pytest.raises(TraceError, match="digest 'ffffffffffff'"):
+            PROMPTS.prompt_of(calls[0])
 
     def test_trace_is_deterministic_modulo_elapsed(self, panama_kg,
                                                    panama_llm,

@@ -361,15 +361,6 @@ class TestFootprint:
         # On CPython 3.11 this graph kept about 320 B per line as Triplet
         # objects in per-entity lists, and 70 as interned ids in flat ones.
         path, lines = self.write_graph(tmp_path)
-        # A first copy keeps these ids interned while a second load is
-        # measured. The table of interned strings is process-wide: a load
-        # that adds the ids to it may cross its resize point, and was
-        # then charged the whole new table (about 1.9 MB, 96 B per line
-        # here), depending on how many strings earlier tests interned.
-        # A store that stopped interning would keep its own id strings,
-        # 223 B per line in all, and fail.
-        interned = InMemoryKG()
-        interned.load_triples(path)
         gc.collect()
         already = tracemalloc.is_tracing()
         if not already:
@@ -380,7 +371,7 @@ class TestFootprint:
         retained = tracemalloc.get_traced_memory()[0] - before
         if not already:
             tracemalloc.stop()
-        assert len(kg) == len(interned) == self.ENTITIES * self.DEGREE
+        assert len(kg) == self.ENTITIES * self.DEGREE
         assert retained / lines < 150
 
     def test_a_repeated_id_is_stored_once(self, tmp_path):

@@ -3,7 +3,6 @@ import hashlib
 import pytest
 
 from graphquest.prompts import (
-    TEMPLATE_DIGESTS,
     TEMPLATE_SLOTS,
     PromptError,
     PromptLibrary,
@@ -137,7 +136,7 @@ def call_event(**changes):
         "stage": "evaluate",
         "template": "answer",
         "slots": {"question": "Q?", "memory": "{}", "triplets": "a, b, c"},
-        "template_digest": TEMPLATE_DIGESTS["answer"],
+        "template_digest": PromptLibrary().digest("answer"),
         "response": '{"A": "c", "R": "r"}',
     }
     payload.update(changes)
@@ -147,10 +146,29 @@ def call_event(**changes):
 
 
 class TestPromptOf:
-    def test_digests_are_the_bundled_texts(self):
+    def test_digests_are_the_bundled_texts(self, library):
         # a 12-character prefix of each frozen 16-character checksum
         assert {template_id: EXPECTED_DIGESTS[template_id][:12]
-                for template_id in EXPECTED_DIGESTS} == TEMPLATE_DIGESTS
+                for template_id in EXPECTED_DIGESTS} == {
+            template_id: library.digest(template_id)
+            for template_id in TEMPLATE_SLOTS}
+
+    def test_parts_are_the_slots_and_the_template_text(self, library):
+        template, parts = library.parts_of(call_event())
+        assert template == "answer"
+        assert "".join(text for _, text in parts) == library.prompt_of(
+            call_event())
+        assert [(slot, text) for slot, text in parts if slot] == [
+            ("question", "Q?"), ("memory", "{}"), ("triplets", "a, b, c")]
+        fixed = "".join(text for slot, text in parts if slot is None)
+        assert len(fixed) == len(library.templates["answer"]) - len(
+            "{question}{memory}{triplets}")
+
+    def test_a_saved_prompt_is_one_part(self, library):
+        event = TraceEvent(1, "llm_call", 0, {"stage": "decompose",
+                                              "prompt": "Q: Who?\n",
+                                              "response": "[]"})
+        assert library.parts_of(event) == (None, [(None, "Q: Who?\n")])
 
     def test_rebuilds_the_rendered_prompt(self, library):
         assert library.prompt_of(call_event()) == library.render(
