@@ -127,8 +127,9 @@ class InMemoryKG:
             )
         parse = _parse_tsv if format == "tab-separated" else _parse_nt
         staged = InMemoryKG()
-        # shared, so a merged load reuses the ids this store already holds
-        staged._ids = self._ids
+        # a copy, so a merged load reuses the ids this store already holds
+        # and a failed one leaves the table as it was
+        staged._ids = dict(self._ids)
         add = staged.add
         count = 0
         try:
@@ -159,7 +160,8 @@ class InMemoryKG:
         for mine, theirs in ((self._names, staged._names),
                              (self._aliases, staged._aliases)):
             for entity, label in theirs.items():
-                _keep_first(mine, self._ids, entity, label)
+                _keep_first(mine, staged._ids, entity, label)
+        self._ids = staged._ids
         self._size += staged._size
 
     # -- queries ---------------------------------------------------------

@@ -112,10 +112,12 @@ class TestLoading:
         ids = ["m.0a", "m.0b", "m.0c", "m.0d"]
         relations = ["test.block.edge", "test.block.other"]
         before = snapshot(kg, ids, relations)
+        held = dict(kg._ids)
         with pytest.raises(TripleLoadError) as info:
             kg.load_triples(str(bad))
         assert info.value.line_number == 6
         assert snapshot(kg, ids, relations) == before
+        assert kg._ids == held  # the failed load's new ids are not kept
         assert len(kg) == 1
         assert kg.resolve_label("m.0a").label == "Mike"
 
