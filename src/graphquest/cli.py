@@ -361,7 +361,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output (`inspect-trace T | head -1`):
+        # the output ends there. What is still buffered goes to the null
+        # device, so the interpreter's last flush does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        return 0
     except (ConfigError, LLMError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

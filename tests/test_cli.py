@@ -1,8 +1,12 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import graphquest
 from graphquest.cli import (
     _ablation_keys,
     _assemble,
@@ -341,6 +345,34 @@ class TestErrorExits:
         assert err.startswith(prefix)
         assert str(bad) in err
         assert len(err.splitlines()) == 1
+
+    # buffered, the listing fits in the buffer and fails when flushed;
+    # unbuffered, its first `print` fails
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_closed_stdout_ends_the_output_quietly(self, tmp_path, capsys,
+                                                     unbuffered):
+        # `graphquest inspect-trace T | head -1`, with the reader gone
+        # before the first write so that every write fails
+        main(panama_args(tmp_path))
+        capsys.readouterr()
+        trace_path = tmp_path / "runs" / "latest" / "trace.jsonl"
+        source = str(Path(graphquest.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [source, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "graphquest.cli", "inspect-trace",
+                 str(trace_path)],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert done.stderr.decode() == ""
+        assert done.returncode == 0
 
     def test_malformed_script_is_exit_2(self, tmp_path, capsys):
         script = tmp_path / "rules.json"

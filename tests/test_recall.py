@@ -78,6 +78,21 @@ _LABELS = st.sampled_from(["aaa", "bbb", "Panama City", " panama city"]) \
     | _TEXTS
 
 
+@st.composite
+def _batches(draw):
+    """Two questions and a shuffled batch holding each question as it is
+    and with its case changed, and one of its labels twice."""
+    questions = draw(st.lists(_TEXTS | _SHORT | _REPEATING, min_size=2,
+                              max_size=2,
+                              unique_by=lambda s: s.strip().lower()))
+    labels = draw(st.lists(_TEXTS | _SHORT | _REPEATING, min_size=1,
+                           max_size=10))
+    matches = [text for q in questions for text in (q, q.swapcase())]
+    repeated = draw(st.sampled_from(labels))
+    return tuple(questions), draw(st.permutations(labels + matches
+                                                  + [repeated]))
+
+
 class TestTrigramScorer:
     def test_exact_match_scores_one(self):
         scorer = TrigramScorer()
@@ -143,14 +158,14 @@ class TestTrigramScorer:
              ["aaaaaa", "abcabcabc", " Ababab ", "ßßßß", "aa"])
     @settings(max_examples=200, deadline=None)
     def test_a_warm_scorer_scores_as_a_fresh_one(self, questions, labels):
-        # every label is scored against every question by one scorer, so
-        # from the second question on each label's profile is a cached one
+        # one scorer scores the batch against every question, so from the
+        # second question on the batch's index is a cached one
         warm = TrigramScorer()
         for question in questions:
-            for label in labels:
-                got = warm.score(question, label).hex()
-                assert got == TrigramScorer().score(question, label).hex()
-                assert got == frozen_trigram_score(question, label).hex()
+            for label, got in zip(labels, warm.scores(question, labels)):
+                assert got.hex() == \
+                    TrigramScorer().score(question, label).hex()
+                assert got.hex() == frozen_trigram_score(question, label).hex()
 
     @given(_TEXTS, st.lists(_TEXTS | _SHORT | _REPEATING, max_size=10),
            st.booleans())
@@ -166,13 +181,13 @@ class TestTrigramScorer:
         per_label = TrigramScorer()
         batch = TrigramScorer()
         if warm:
-            # every label's profile cached by another question first
+            # the batch's index cached by another question first
             batch.scores("warm up", labels)
             per_label.scores("warm up", labels)
         assert [s.hex() for s in batch.scores(question, labels)] == expected
         assert [per_label.score(question, label).hex()
                 for label in labels] == expected
-        # a second batch reads every profile from the cache
+        # a second call reads the batch's index from the cache
         assert [s.hex() for s in batch.scores(question, labels)] == expected
 
     @given(_TEXTS, st.lists(_TEXTS | _SHORT, max_size=6),
@@ -209,33 +224,35 @@ class TestTrigramScorer:
             with pytest.raises(RecallError):
                 scorer.score(question, label)
 
-    def test_each_label_profile_is_built_once(self, monkeypatch):
+    def test_each_batch_index_is_built_once(self, monkeypatch):
         built = []
-        profile = recall._label_profile
+        index = recall._BatchIndex
 
-        def counting(lowered):
-            built.append(lowered)
-            return profile(lowered)
+        def counting(labels):
+            built.append(labels)
+            return index(labels)
 
-        monkeypatch.setattr(recall, "_label_profile", counting)
+        monkeypatch.setattr(recall, "_BatchIndex", counting)
         scorer = TrigramScorer()
-        candidates = [(f"m.{i}", f"Candidate label {i}") for i in range(200)]
-        first = top_k("Which of two hundred candidates is closest?",
-                      candidates, 5, scorer)
-        second = top_k("Which candidate label ends in 7?", candidates, 5,
-                       scorer)
-        assert len(built) == 200
-        assert first == top_k("Which of two hundred candidates is closest?",
-                              candidates, 5)
-        assert second == top_k("Which candidate label ends in 7?",
-                               candidates, 5)
+        hubs = [[(f"m.{hub}.{i}", f"Candidate label {i} of hub {hub}")
+                 for i in range(200)] for hub in range(2)]
+        questions = ["Which of two hundred candidates is closest?",
+                     "Which candidate label ends in 7?"]
+        kept = [top_k(question, candidates, 5, scorer)
+                for question in questions for candidates in hubs]
+        # the second question finds both batches cached, by value: a new
+        # list of the same labels is the same batch
+        assert [list(labels) for labels in built] == \
+            [[label for _, label in candidates] for candidates in hubs]
+        monkeypatch.undo()
+        assert kept == [top_k(question, candidates, 5)
+                        for question in questions for candidates in hubs]
 
     LABELS = 20_000
 
-    def test_cached_profiles_stay_small(self):
-        # guards the interning: without it each label keeps its own copy of
-        # every trigram, about 1.2 KB per label instead of about 0.35 KB;
-        # labels shaped like a generated hub's members
+    def test_a_cached_batch_stays_small(self):
+        # labels shaped like a generated hub's members; each trigram of the
+        # batch is stored once, each position once per occurrence
         adjectives = ("Northern", "Silver", "Old", "Upper")
         nouns = ("River", "Harbor", "Valley", "Castle", "Province")
         labels = [f"{adjectives[i % 4]} {nouns[i % 5]} {i}"
@@ -246,12 +263,29 @@ class TestTrigramScorer:
         if not already:
             tracemalloc.start()
         before = tracemalloc.get_traced_memory()[0]
-        for label in labels:
-            scorer.score(QUESTION, label)
+        scorer.scores(QUESTION, labels)
         retained = tracemalloc.get_traced_memory()[0] - before
         if not already:
             tracemalloc.stop()
         assert retained / self.LABELS < 400
+
+    @given(_batches())
+    @example(((" İstanbul ", "ßẞ Σσς"),
+              ["i̇stanbul", "ISTANBUL", " İstanbul ", "İSTANBUL", "ab", "İ",
+               "STRASSE", "ßẞ σσς", "ßẞ Σσς", "ẞẞẞ", "ßßßß", "ab", "İ"]))
+    @example((("ab", "aaab abab"),
+              ["AB", "ab", " a", "aaaaaa", "ababab", "aaab abab",
+               "AAAB ABAB", "aaaaaa"]))
+    @settings(max_examples=300, deadline=None)
+    def test_a_batch_scores_as_the_oracle_cold_and_cached(self, case):
+        # the first question builds the batch's index, the second reads it
+        questions, labels = case
+        scorer = TrigramScorer()
+        for question in questions:
+            assert [s.hex() for s in scorer.scores(question, labels)] == \
+                [oracle_trigram_score(question, label).hex()
+                 for label in labels]
+        assert len(scorer._indexes) == 1
 
     def test_a_shared_scorer_scores_as_the_inline_one(self):
         # the sharing contract of run_eval(parallelism=N) and of cmd_eval's
