@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import random
+import sys
 import threading
 import tracemalloc
 from collections import Counter
@@ -292,27 +293,36 @@ class TestTrigramScorer:
         # variants: one planner's scorer serves every thread
         questions = [QUESTION, "Which label is closest?", "abab abab"]
         labels = [f"Label {i % 150} of {'ab' * (i % 4)}" for i in range(600)]
-        expected = {(q, label): TrigramScorer().score(q, label)
+        batches = [labels[start:start + 100] for start in range(0, 600, 100)]
+        expected = {(q, label): TrigramScorer().score(q, label).hex()
                     for q in questions for label in labels}
         shared = TrigramScorer()
         barrier = threading.Barrier(8)
 
         def work(offset):
-            barrier.wait()
+            barrier.wait(timeout=30)
             got = {}
-            # each thread starts at a different place in the same labels,
-            # so several build or read one label's profile at once
-            for i in range(len(labels)):
-                label = labels[(i + offset * 75) % len(labels)]
+            # each thread starts at a different batch, so several build or
+            # read one batch's index at once
+            for i in range(len(batches)):
+                batch = batches[(i + offset) % len(batches)]
                 for q in questions:
-                    got[q, label] = shared.score(q, label)
+                    got.update(((q, label), score.hex()) for label, score
+                               in zip(batch, shared.scores(q, batch)))
             return got
 
-        with concurrent.futures.ThreadPoolExecutor(8) as pool:
-            results = list(pool.map(work, range(8)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(8) as pool:
+                results = list(pool.map(work, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
         for got in results:
-            assert {k: v.hex() for k, v in got.items()} == \
-                {k: v.hex() for k, v in expected.items()}
+            assert got == expected
+        # the labels repeat every 300, so there are three distinct batches;
+        # a race may build one's index twice, but keeps one
+        assert len(shared._indexes) == len(set(map(tuple, batches))) == 3
 
     @given(st.text(min_size=3, max_size=40).filter(lambda s: s.strip()),
            st.text(min_size=3, max_size=40).filter(lambda s: s.strip()))
