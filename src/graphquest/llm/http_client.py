@@ -70,7 +70,8 @@ class ChatCompletionsBackend:
             json=body, headers=headers, timeout=TIMEOUT_SECONDS,
         )
         try:
-            text = payload["choices"][0]["message"]["content"] or ""
+            content = payload["choices"][0]["message"]["content"]
+            text = "" if content is None else content
             if not isinstance(text, str):
                 raise TypeError("content is not text")
             reported = payload.get("usage") or {}

@@ -8,8 +8,8 @@ chain: locate the first balanced bracketed span, then decode it as a
 Python literal, as JSON without trailing commas, or (lists only) by a
 manual split. Whenever the first pass decodes a value, the span chain
 would have decoded the same value, so the fallback changes no result.
-All failures raise typed ParseError subclasses; no input aborts the
-process.
+Every failure is a ParseError, whose text says what was wrong; no input
+aborts the process.
 """
 
 from __future__ import annotations
@@ -29,36 +29,7 @@ FALSE_WORDS = frozenset({"no", "false", "n", "0"})
 
 
 class ParseError(ValueError):
-    """Base class for structured-output parsing failures."""
-
-
-class NoListFoundError(ParseError):
-    def __init__(self) -> None:
-        super().__init__("no bracketed list found in response")
-
-
-class UnbalancedBracketsError(ParseError):
-    def __init__(self) -> None:
-        super().__init__("bracketed list is never closed")
-
-
-class NoObjectFoundError(ParseError):
-    def __init__(self) -> None:
-        super().__init__("no JSON object found in response")
-
-
-class MalformedJsonError(ParseError):
-    def __init__(self, detail: str):
-        super().__init__(f"object span could not be decoded: {detail}")
-
-
-class MissingRequiredKeyError(ParseError):
-    def __init__(self, key: str, present: tuple[str, ...]):
-        super().__init__(
-            f"response object lacks required key {key!r} (present: {list(present)})"
-        )
-        self.key = key
-        self.present = present
+    """A response holds no payload of the shape asked for."""
 
 
 def strip_code_fences(text: str) -> str:
@@ -115,12 +86,22 @@ def _decode_json_at(text: str, start: int):
         return None
 
 
+def _literal(span: str):
+    tree = ast.parse(span, mode="eval")
+    # a set's order, and so its text, changes with the hash seed; the one
+    # call a literal may hold is set()
+    if any(isinstance(node, (ast.Set, ast.Call)) for node in ast.walk(tree)):
+        raise ValueError("a set has no stable order")
+    return ast.literal_eval(tree)
+
+
 def _decode_span(span: str):
     """The span as a Python literal or as JSON without trailing commas,
-    whichever decodes first; None if neither does. Too deep a nesting or
-    an unhashable key or set member counts as undecodable. Plain JSON is
-    not tried: `_decode_json_at` already failed on it."""
-    for decode in (ast.literal_eval,
+    whichever decodes first; None if neither does. Too deep a nesting, an
+    unhashable key or set member, or a set anywhere in the value counts
+    as undecodable. Plain JSON is not tried: `_decode_json_at` already
+    failed on it."""
+    for decode in (_literal,
                    lambda text: json.loads(_TRAILING_COMMA.sub(r"\1", text))):
         try:
             return decode(span)
@@ -176,12 +157,12 @@ def parse_list(text: str) -> list[str]:
     cleaned = strip_code_fences(text)
     start = cleaned.find("[")
     if start == -1:
-        raise NoListFoundError()
+        raise ParseError("no bracketed list found in response")
     decoded = _decode_json_at(cleaned, start)
     if decoded is None:
         span = _balanced_span(cleaned, start, "[", "]")
         if span is None:
-            raise UnbalancedBracketsError()
+            raise ParseError("bracketed list is never closed")
         decoded = _decode_span(span)
         if not isinstance(decoded, (list, tuple)):
             decoded = [_clean_item(piece)
@@ -195,15 +176,17 @@ def extract_json_object(text: str) -> dict:
     cleaned = strip_code_fences(text)
     start = cleaned.find("{")
     if start == -1:
-        raise NoObjectFoundError()
+        raise ParseError("no JSON object found in response")
     decoded = _decode_json_at(cleaned, start)
     if decoded is None:
         span = _balanced_span(cleaned, start, "{", "}")
         if span is None:
-            raise MalformedJsonError("object span is never closed")
+            raise ParseError("object span could not be decoded: "
+                             "object span is never closed")
         decoded = _decode_span(span)
     if not isinstance(decoded, dict):
-        raise MalformedJsonError("span did not decode to an object")
+        raise ParseError("object span could not be decoded: "
+                         "span did not decode to an object")
     return {str(key): value for key, value in decoded.items()}
 
 
@@ -214,7 +197,8 @@ def parse_json_object(text: str, required_keys: set[str]) -> dict:
     data = extract_json_object(text)
     for key in sorted(required_keys):
         if key not in data:
-            raise MissingRequiredKeyError(key, tuple(data))
+            raise ParseError(f"response object lacks required key {key!r} "
+                             f"(present: {list(data)})")
     return data
 
 

@@ -52,8 +52,9 @@ class ScriptedBackend:
         a "rules" list and optional "default" response.
 
         Raises LLMError, naming the file and the rule index, when the file
-        is not JSON, not of that shape, or has a regex that does not
-        compile.
+        is not JSON, not of that shape, has a "default" that is neither
+        text nor null, or has a "regex" flag that is not a JSON boolean
+        or a regex that does not compile.
         """
         with open(path, "r", encoding="utf-8") as handle:
             try:
@@ -68,16 +69,23 @@ class ScriptedBackend:
         if not isinstance(raw_rules, list):
             raise LLMError(f'rule file {path}: expected a list of rules or '
                            f'an object with a "rules" list')
+        if default is not None and not isinstance(default, str):
+            raise LLMError(f'rule file {path}: "default" is neither text '
+                           f'nor null')
         rules = []
         for index, entry in enumerate(raw_rules):
             if not (isinstance(entry, dict)
                     and {"pattern", "response"} <= entry.keys()):
                 raise LLMError(f'rule file {path}: rule {index} needs '
                                f'"pattern" and "response"')
+            regex = entry.get("regex", False)
+            if not isinstance(regex, bool):
+                raise LLMError(f'rule file {path}: rule {index} has a '
+                               f'"regex" that is not true or false')
             rule = ResponderRule(
                 pattern=str(entry["pattern"]),
                 response=str(entry["response"]),
-                regex=bool(entry.get("regex", False)),
+                regex=regex,
             )
             if rule.regex:
                 try:

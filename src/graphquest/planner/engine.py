@@ -178,8 +178,8 @@ class Planner:
                 # keep only what the current iteration discovers
                 run.expanded = set()
                 run.candidate_pool = dict(run.tail_entities)
-            hops = self.explore_relations(run)
-            self.update_memory(run, self.explore_entities(run, hops))
+            self.explore_entities(run, self.explore_relations(run))
+            self.update_memory(run)
             verdict = self.evaluate(run)
             if verdict.sufficient:
                 break
@@ -305,12 +305,12 @@ class Planner:
 
     # -- stage: entity exploration --------------------------------------
 
-    def explore_entities(self, run: _Run,
-                         hops: list[Hop]) -> list[ReasoningPath]:
-        """Offer each hop's candidates once; extend every path at its tail."""
+    def explore_entities(self, run: _Run, hops: list[Hop]) -> None:
+        """Offer each hop's candidates once; extend every path at its tail,
+        replacing it in memory by its extensions."""
         if not hops:
             run.tail_entities = []
-            return []
+            return
         labels, pool = run.labels, run.candidate_pool
         # every hop's search, up to the first that fails, and then the
         # labels of all the ids they found that have none yet, in one
@@ -361,7 +361,7 @@ class Planner:
         if not offers:
             run.tail_entities = []
             run.record("selection", {"stage": "entities", "selected": []})
-            return []
+            return
         parts: list[str] = []
         known: set[str] = set()
         for tail, tail_offers in offers.items():
@@ -388,7 +388,9 @@ class Planner:
         ending_at: dict[str, list[ReasoningPath]] = {}
         for path in run.memory.paths:
             ending_at.setdefault(path.tail_entity(), []).append(path)
-        new_paths: list[ReasoningPath] = []
+        grown: list[ReasoningPath] = []
+        # the identities of the paths extended
+        extended: set[int] = set()
         # id -> label of each new tail, in first-reached order
         new_tails: dict[str, str] = {}
         cycles: set[str] = set()
@@ -407,8 +409,13 @@ class Planner:
                         step = (PathStep(tail, relation, cid, direction)
                                 if direction is Direction.OUTGOING
                                 else PathStep(cid, relation, tail, direction))
-                        new_paths.append(path.extended(step))
+                        grown.append(path.extended(step))
+                        extended.add(id(path))
                         new_tails.setdefault(cid, clabel)
+        if grown:
+            run.memory.paths = [path for path in run.memory.paths
+                                if id(path) not in extended] + grown
+            run.paths_text = self._render_paths(run)
         run.tail_entities = list(new_tails.items())
         run.record("selection", {
             "stage": "entities",
@@ -416,19 +423,11 @@ class Planner:
             **_present(dropped=dropped, cycles=sorted(cycles),
                        warning=warning),
         })
-        return new_paths
 
     # -- stage: memory update -------------------------------------------
 
-    def update_memory(self, run: _Run,
-                      new_paths: list[ReasoningPath]) -> None:
+    def update_memory(self, run: _Run) -> None:
         memory, objectives = run.memory, run.objectives
-        if new_paths:
-            prefixes = {(p.origin, p.steps[:-1]) for p in new_paths}
-            memory.paths = [p for p in memory.paths
-                            if (p.origin, p.steps) not in prefixes]
-            memory.paths.extend(new_paths)
-            run.paths_text = self._render_paths(run)
         warning = None
         # With memory on, the pool is the topics plus every id a labels
         # event names. Without, it restarts each iteration and re-admits

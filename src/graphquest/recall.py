@@ -15,7 +15,7 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import requests
 
@@ -31,13 +31,10 @@ class RecallError(ValueError):
 
 
 class Scorer(Protocol):
-    # A label must score as its stripped text does: `top_k` asks a scorer
-    # that waits on the network once per distinct stripped label. Both
-    # scorers below strip it anyway. An in-process scorer may also offer
-    # `scores(question, labels) -> list[float]`, each as `score` gives it;
-    # `top_k` then scores a batch with one call, which is where
-    # `TrigramScorer` keeps its cache: a batch offered again for a later
-    # question is not split again, while `score` caches nothing.
+    # A label must score as its stripped text does. A scorer may also
+    # offer `scores(question, labels) -> list[float]`, each as `score`
+    # gives it: `top_k` then scores a batch with that one call, and
+    # otherwise asks `score` once per distinct stripped label.
     def score(self, question: str, label: str) -> float:
         ...
 
@@ -95,26 +92,23 @@ class _BatchIndex:
     `postings` maps each trigram to the positions of the labels that
     contain it, a position listed once per occurrence, so counting a
     question's trigrams over it gives every label's integer dot product
-    at once, and `norms` holds each label's norm. The labels are read
-    once, in order, and a blank one raises there.
+    at once, and `norms` holds each label's norm. A blank label raises.
     """
 
     __slots__ = ("labels", "postings", "norms")
 
-    def __init__(self, labels: Iterable[str]) -> None:
-        read: list[str] = []
+    def __init__(self, labels: tuple[str, ...]) -> None:
         postings: defaultdict[str, list[int]] = defaultdict(list)
         norms = array("d")
         for i, label in enumerate(labels):
             lowered = label.strip().lower()
             if not lowered:
                 raise RecallError("cannot score empty text")
-            read.append(label)
             grams, norm = _label_trigrams(lowered)
             for gram in grams:
                 postings[gram].append(i)
             norms.append(norm)
-        self.labels = tuple(read)
+        self.labels = labels
         self.postings = postings
         self.norms = norms
 
@@ -179,29 +173,16 @@ class TrigramScorer:
             return 0.0
         return sum(map(left.get, grams, repeat(0))) / (left_norm * norm)
 
-    def scores(self, question: str, labels: Iterable[str]) -> list[float]:
-        """`score(question, label)` for each label, in order.
-
-        A blank label raises at its position in the batch, and a blank
-        question at the first label.
-        """
+    def scores(self, question: str, labels: Sequence[str]) -> list[float]:
+        """`score(question, label)` for each label, in order."""
         q = question.strip().lower()
         if not q:
-            for _ in labels:
-                raise RecallError("cannot score empty text")
-            return []
-        return self._index(labels).scores(q)
-
-    def _index(self, labels: Iterable[str]) -> _BatchIndex:
-        if isinstance(labels, Sequence):
-            index = self._indexes.get(tuple(labels))
-            if index is not None:
-                return index
-        # an iterator is read once, by the build, so that a blank label
-        # stops it there
-        index = _BatchIndex(labels)
-        self._indexes[index.labels] = index
-        return index
+            raise RecallError("cannot score empty text")
+        key = tuple(labels)
+        index = self._indexes.get(key)
+        if index is None:
+            index = self._indexes[key] = _BatchIndex(key)
+        return index.scores(q)
 
 
 class RemoteEmbeddingScorer:
@@ -278,22 +259,27 @@ def top_k(question: str, candidates: Sequence[tuple[str, str]], k: int,
     """Keep the k best (entity, label) pairs for the question.
 
     Ordering is total and input-order independent: score descending,
-    then label ascending, then entity id ascending. A scorer that waits
-    on the network is asked once per distinct stripped label (see
-    `Scorer`), on the `fanout` pool; an in-process one that has `scores`
-    gets every label in one call, and a `TrigramScorer` keeps that
-    batch's index, so the same candidates offered for a later question
-    are not split again. With `scorer=None` each call builds a throwaway
-    `TrigramScorer`, so nothing is kept between calls; pass one scorer to
-    keep the indexes.
+    then label ascending, then entity id ascending. A scorer with
+    `scores` gets every label in one call; any other is asked once per
+    distinct stripped label (see `Scorer`), through `fanout.gather`, so
+    a scorer that waits on the network is asked on the pool. A
+    `TrigramScorer` keeps each batch's index, so the same candidates
+    offered for a later question are not split again. With `scorer=None`
+    each call builds a throwaway `TrigramScorer`, so nothing is kept
+    between calls; pass one scorer to keep the indexes.
     """
     if k < 1:
         raise RecallError(f"k must be >= 1, got {k}")
+    if not candidates:
+        return []
     active = scorer or TrigramScorer()
-    if fanout.waits_on_network(active) and candidates:
-        # Each distinct stripped label is asked for once. The first score
-        # fetches the question's embedding, so the other labels, sent at
-        # once, do not ask for it again.
+    if hasattr(active, "scores"):
+        # one call, with no dedupe: on perfbench's hub-fanout, whose
+        # labels are all distinct, the dedupe made questions 4% slower
+        scores = active.scores(question, [label for _, label in candidates])
+    else:
+        # The first score fetches a remote scorer's question embedding,
+        # so the other labels, sent at once, do not ask for it again.
         stripped = [label.strip() for _, label in candidates]
         texts = list(dict.fromkeys(stripped))
         score = functools.partial(active.score, question)
@@ -303,13 +289,6 @@ def top_k(question: str, candidates: Sequence[tuple[str, str]], k: int,
             raise failed
         by_text = dict(zip(texts, [first, *rest]))
         scores = [by_text[text] for text in stripped]
-    elif hasattr(active, "scores"):
-        # An in-process scorer is cheaper to call than the dedupe above:
-        # on perfbench's hub-fanout, whose labels are all distinct, that
-        # path made questions 4% slower.
-        scores = active.scores(question, [label for _, label in candidates])
-    else:
-        scores = [active.score(question, label) for _, label in candidates]
     # Only the k kept become ScoredCandidates; negating a float is exact,
     # so each keeps its score bit for bit.
     best = heapq.nsmallest(k, [

@@ -116,6 +116,12 @@ class TestResponses:
         assert completion.usage.input_tokens == 10  # ceil(40 / 4)
         assert completion.usage.output_tokens == 2  # ceil(8 / 4)
 
+    def test_null_content_is_empty_text(self):
+        backend, _, _ = make_backend([FakeResponse(200, chat_payload(None))])
+        completion = backend.complete("p", CONFIG)
+        assert completion.text == ""
+        assert completion.usage.output_tokens == 0
+
     def test_malformed_payload_raises_transport_error(self):
         backend, _, _ = make_backend([FakeResponse(200, {"weird": []})])
         with pytest.raises(TransportError):
@@ -125,6 +131,10 @@ class TestResponses:
         pytest.param({**chat_payload("ok"), "usage": 5},
                      id="usage-not-object"),
         pytest.param(chat_payload(5), id="content-not-text"),
+        pytest.param(chat_payload(False), id="content-false"),
+        pytest.param(chat_payload(0), id="content-zero"),
+        pytest.param(chat_payload([]), id="content-empty-list"),
+        pytest.param(chat_payload({}), id="content-empty-object"),
         pytest.param(chat_payload("ok", {"prompt_tokens": "many"}),
                      id="tokens-not-a-number"),
         pytest.param(chat_payload("ok", {"prompt_tokens": float("inf")}),

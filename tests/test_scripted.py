@@ -90,6 +90,16 @@ class TestFromFile:
         assert backend.complete("hit me", CONFIG).text == "direct"
         assert backend.complete("miss", CONFIG).text == "whatever"
 
+    def test_a_false_regex_flag_and_a_null_default_load(self, tmp_path):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps({
+            "rules": [{"pattern": "zzz(", "response": "x", "regex": False}],
+            "default": None,
+        }), encoding="utf-8")
+        backend = ScriptedBackend.from_file(str(path))
+        assert backend.complete("a zzz( b", CONFIG).text == "x"
+        assert backend.default_response is None
+
     @pytest.mark.parametrize("text, expected", [
         ('[{"pattern": ', "not JSON"),
         ('{"rules": 5}', 'expected a list of rules'),
@@ -102,6 +112,15 @@ class TestFromFile:
         ('[{"pattern": "x", "response": "y"}, '
          '{"pattern": "(", "response": "x", "regex": true}]',
          'rule 1 has a bad regex'),
+        ('[{"pattern": "zzz(", "response": "x", "regex": "false"}]',
+         'rule 0 has a "regex" that is not true or false'),
+        ('[{"pattern": "x", "response": "y"}, '
+         '{"pattern": "x", "response": "y", "regex": 1}]',
+         'rule 1 has a "regex" that is not true or false'),
+        ('{"rules": [], "default": 5}',
+         '"default" is neither text nor null'),
+        ('{"rules": [], "default": ["x"]}',
+         '"default" is neither text nor null'),
     ])
     def test_malformed_file_is_a_typed_error(self, tmp_path, text,
                                              expected):
