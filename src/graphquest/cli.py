@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 from .config import (
-    LLM_MODES,
+    SETTINGS,
     AppConfig,
     ConfigError,
     build_app_config,
@@ -32,21 +32,20 @@ logger = logging.getLogger(__name__)
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
+    # each flag but --config stores its value under the settings key it sets
     parser.add_argument("--config", metavar="PATH",
                         help="flat key=value config file")
-    parser.add_argument("--kg", metavar="PATH",
+    parser.add_argument("--kg", dest="kg.path", metavar="PATH",
                         help="triple file for the in-memory backend")
-    parser.add_argument("--endpoint", metavar="URL",
+    parser.add_argument("--endpoint", dest="kg.endpoint", metavar="URL",
                         help="SPARQL endpoint URL (remote backend)")
-    parser.add_argument("--llm", choices=LLM_MODES,
-                        help="language-model backend kind")
-    parser.add_argument("--script", metavar="PATH",
+    parser.add_argument("--script", dest="llm.script", metavar="PATH",
                         help="scripted responder rule file")
-    parser.add_argument("--model", metavar="NAME",
-                        help="model name for the http backend")
-    parser.add_argument("--depth", metavar="N", type=int,
-                        help="iteration cap")
-    parser.add_argument("--out", metavar="DIR",
+    parser.add_argument("--model", dest="llm.model", metavar="NAME",
+                        help="model name for the chat-completions backend")
+    parser.add_argument("--depth", dest="planner.max_depth", metavar="N",
+                        type=int, help="iteration cap")
+    parser.add_argument("--out", dest="output.dir", metavar="DIR",
                         help="directory that receives run outputs")
 
 
@@ -94,25 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_flags(args: argparse.Namespace) -> dict[str, str]:
-    overrides: dict[str, str] = {}
-    if args.kg:
-        overrides["kg.mode"] = "memory"
-        overrides["kg.path"] = args.kg
-    if args.endpoint:
-        overrides["kg.mode"] = "sparql"
-        overrides["kg.endpoint"] = args.endpoint
-    if args.llm:
-        overrides["llm.mode"] = args.llm
-    if args.script:
-        overrides["llm.mode"] = "scripted"
-        overrides["llm.script"] = args.script
-    if args.model:
-        overrides["llm.model"] = args.model
-    if args.depth is not None:
-        overrides["planner.max_depth"] = str(args.depth)
-    if args.out:
-        overrides["output.dir"] = args.out
-    return overrides
+    return {key: str(value) for key, value in vars(args).items()
+            if key in SETTINGS and value is not None}
 
 
 def _assemble(args: argparse.Namespace,

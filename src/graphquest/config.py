@@ -4,7 +4,11 @@ Config files use dotted keys, one per line (``planner.max_depth = 4``);
 a ``#`` at the start of a line or after whitespace starts a comment.
 Command-line flags override file values, which override defaults. Each
 key sets one dataclass field (``SETTINGS``): the field's annotation
-gives the value's type, and its default is the setting's default. API
+gives the value's type, and its default is the setting's default. Each
+backend is picked by the setting that is present: the graph by exactly
+one of ``kg.path`` and ``kg.endpoint``, the model by exactly one of
+``llm.script`` and ``llm.base_url``, and the recall scorer by whether
+``recall.endpoint`` is set; a flag's backend replaces the file's. API
 credentials are read from the environment only (GRAPHQUEST_API_KEY,
 falling back to OPENAI_API_KEY), never from files or flags.
 """
@@ -33,10 +37,6 @@ from .recall import (
 
 logger = logging.getLogger(__name__)
 
-KG_MODES = ("memory", "sparql")
-LLM_MODES = ("scripted", "http")
-SCORERS = ("trigram", "remote")
-
 # a "#" that starts a comment; one inside a value ("graph#1.tsv") stays
 _COMMENT = re.compile(r"(?:^|\s)#")
 
@@ -50,14 +50,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class AppConfig:
-    kg_mode: str = "memory"
     kg_path: str | None = None
     kg_format: str | None = None
     kg_endpoint: str | None = None
-    llm_mode: str = "scripted"
     llm_script: str | None = None
     llm_base_url: str | None = None
-    recall_scorer: str = "trigram"
     recall_endpoint: str | None = None
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     output_dir: str = "runs"
@@ -65,11 +62,9 @@ class AppConfig:
 
 # dotted key -> (dataclass, field the key sets)
 SETTINGS: dict[str, tuple[type, str]] = {
-    "kg.mode": (AppConfig, "kg_mode"),
     "kg.path": (AppConfig, "kg_path"),
     "kg.format": (AppConfig, "kg_format"),
     "kg.endpoint": (AppConfig, "kg_endpoint"),
-    "llm.mode": (AppConfig, "llm_mode"),
     "llm.script": (AppConfig, "llm_script"),
     "llm.base_url": (AppConfig, "llm_base_url"),
     "llm.model": (GenerationConfig, "model"),
@@ -84,10 +79,12 @@ SETTINGS: dict[str, tuple[type, str]] = {
     "planner.fixed_breadth": (AblationFlags, "fixed_breadth"),
     "recall.threshold": (RecallConfig, "threshold"),
     "recall.k": (RecallConfig, "k"),
-    "recall.scorer": (AppConfig, "recall_scorer"),
     "recall.endpoint": (AppConfig, "recall_endpoint"),
     "output.dir": (AppConfig, "output_dir"),
 }
+
+# each backend's two sources, of which exactly one is set
+BACKEND_KEYS = (("kg.path", "kg.endpoint"), ("llm.script", "llm.base_url"))
 
 # annotation (without "| None") -> (parser, what a bad value should be)
 PARSERS = {
@@ -101,7 +98,7 @@ PARSERS = {
 def load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             for number, raw in enumerate(handle, start=1):
                 line = _COMMENT.split(raw, 1)[0].strip()
                 if not line:
@@ -131,9 +128,16 @@ def _parse(key: str, value: str):
 
 def build_app_config(file_values: dict[str, str] | None = None,
                      overrides: dict[str, str] | None = None) -> AppConfig:
-    """Merge defaults, file values, and flag overrides (in that order)."""
+    """Merge defaults, file values, and flag overrides (in that order);
+    an override of either key of a BACKEND_KEYS pair replaces both."""
+    overrides = overrides or {}
+    merged = dict(file_values or {})
+    for pair in BACKEND_KEYS:
+        if overrides.keys() & set(pair):
+            for key in pair:
+                merged.pop(key, None)
     values: dict[type, dict] = {cls: {} for cls, _ in SETTINGS.values()}
-    for key, value in {**(file_values or {}), **(overrides or {})}.items():
+    for key, value in {**merged, **overrides}.items():
         if key not in SETTINGS:
             raise ConfigError(
                 f"unknown config key {key!r}; known keys: "
@@ -161,25 +165,14 @@ def build_app_config(file_values: dict[str, str] | None = None,
 
 
 def _validate(app: AppConfig) -> None:
-    choices = [("kg.mode", app.kg_mode, KG_MODES),
-               ("llm.mode", app.llm_mode, LLM_MODES),
-               ("recall.scorer", app.recall_scorer, SCORERS)]
-    if app.kg_format is not None:
-        choices.append(("kg.format", app.kg_format, FORMATS))
-    for key, value, allowed in choices:
-        if value not in allowed:
-            raise ConfigError(
-                f"{key} must be one of {allowed}, got {value!r}")
-    if app.kg_mode == "memory" and not app.kg_path:
-        raise ConfigError("kg.mode=memory requires kg.path")
-    if app.kg_mode == "sparql" and not app.kg_endpoint:
-        raise ConfigError("kg.mode=sparql requires kg.endpoint")
-    if app.llm_mode == "scripted" and not app.llm_script:
-        raise ConfigError("llm.mode=scripted requires llm.script")
-    if app.llm_mode == "http" and not app.llm_base_url:
-        raise ConfigError("llm.mode=http requires llm.base_url")
-    if app.recall_scorer == "remote" and not app.recall_endpoint:
-        raise ConfigError("recall.scorer=remote requires recall.endpoint")
+    if app.kg_format is not None and app.kg_format not in FORMATS:
+        raise ConfigError(
+            f"kg.format must be one of {FORMATS}, got {app.kg_format!r}")
+    for pair in BACKEND_KEYS:
+        count = sum(bool(getattr(app, SETTINGS[key][1])) for key in pair)
+        if count != 1:
+            raise ConfigError(f"exactly one of {' and '.join(pair)} must "
+                              f"be set, got {'both' if count else 'neither'}")
 
 
 def _guess_format(path: str) -> str:
@@ -191,18 +184,18 @@ def _guess_format(path: str) -> str:
 
 def build_planner(app: AppConfig) -> Planner:
     """A planner over the configured graph, model and recall scorer."""
-    if app.kg_mode == "memory":
+    if app.kg_path:
         kg = InMemoryKG()
         fmt = app.kg_format or _guess_format(app.kg_path)
         count = kg.load_triples(app.kg_path, format=fmt)
         logger.info("loaded %d triples from %s", count, app.kg_path)
     else:
         kg = SparqlKG(app.kg_endpoint)
-    if app.llm_mode == "scripted":
+    if app.llm_script:
         llm = ScriptedBackend.from_file(app.llm_script)
     else:
         llm = ChatCompletionsBackend(app.llm_base_url)
-    if app.recall_scorer == "remote":
+    if app.recall_endpoint:
         scorer = RemoteEmbeddingScorer(app.recall_endpoint)
     else:
         scorer = TrigramScorer()

@@ -120,6 +120,7 @@ class InMemoryKG:
         replaces an empty store and is merged into any other, so a
         malformed line raises TripleLoadError (with its line number), and
         a file that is not UTF-8 text a KGError, leaving the store unchanged.
+        A leading byte-order mark is skipped.
         """
         if format not in FORMATS:
             raise KGError(
@@ -133,7 +134,7 @@ class InMemoryKG:
         add = staged.add
         count = 0
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8-sig") as handle:
                 for number, raw in enumerate(handle, start=1):
                     line = raw.strip()
                     if not line or line.startswith("#"):

@@ -53,8 +53,9 @@ class ScriptedBackend:
 
         Raises LLMError, naming the file and the rule index, when the file
         is not JSON, not of that shape, has a "default" that is neither
-        text nor null, or has a "regex" flag that is not a JSON boolean
-        or a regex that does not compile.
+        text nor null, or has a rule whose "pattern" or "response" is not
+        text, whose "regex" flag is not a JSON boolean, or whose regex
+        does not compile.
         """
         with open(path, "r", encoding="utf-8") as handle:
             try:
@@ -78,15 +79,15 @@ class ScriptedBackend:
                     and {"pattern", "response"} <= entry.keys()):
                 raise LLMError(f'rule file {path}: rule {index} needs '
                                f'"pattern" and "response"')
+            for key in ("pattern", "response"):
+                if not isinstance(entry[key], str):
+                    raise LLMError(f'rule file {path}: rule {index} has a '
+                                   f'"{key}" that is not text')
             regex = entry.get("regex", False)
             if not isinstance(regex, bool):
                 raise LLMError(f'rule file {path}: rule {index} has a '
                                f'"regex" that is not true or false')
-            rule = ResponderRule(
-                pattern=str(entry["pattern"]),
-                response=str(entry["response"]),
-                regex=regex,
-            )
+            rule = ResponderRule(entry["pattern"], entry["response"], regex)
             if rule.regex:
                 try:
                     re.compile(rule.pattern, re.DOTALL)

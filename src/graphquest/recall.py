@@ -56,6 +56,9 @@ class RecallConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise RecallError(f"k must be >= 1, got {self.k}")
+        if self.threshold < 0:
+            raise RecallError(
+                f"threshold must be >= 0, got {self.threshold}")
 
 
 def _trigrams(lowered: str) -> tuple[Counter, int]:

@@ -505,9 +505,7 @@ def test_criterion_9_live_endpoint_smoke(capsys, tmp_path):
                                flavor="webqsp")
         assert len(records) == 10
         app = build_app_config(None, {
-            "kg.mode": "sparql",
             "kg.endpoint": endpoint,
-            "llm.mode": "http",
             "llm.base_url": base_url,
             "llm.model": model,
         })

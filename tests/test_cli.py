@@ -125,9 +125,7 @@ class TestRunCommand:
     def test_config_file_supplies_backends(self, tmp_path, capsys):
         conf = tmp_path / "app.conf"
         conf.write_text(
-            f"kg.mode = memory\n"
             f"kg.path = {FIXTURES / 'panama.tsv'}\n"
-            f"llm.mode = scripted\n"
             f"llm.script = {FIXTURES / 'panama_script.json'}\n"
             f"output.dir = {tmp_path / 'runs'}\n",
             encoding="utf-8",
@@ -138,6 +136,17 @@ class TestRunCommand:
                      "--config", str(conf)])
         assert code == 0
         assert "Juan Carlos Varela" in capsys.readouterr().out
+
+    def test_flags_replace_the_config_files_backends(self, tmp_path, capsys):
+        # the file names remote services; --kg and --script replace them,
+        # so the run stays offline
+        conf = tmp_path / "app.conf"
+        conf.write_text("kg.endpoint = http://kg.invalid/sparql\n"
+                        "llm.base_url = http://llm.invalid/v1\n",
+                        encoding="utf-8")
+        code = main(panama_args(tmp_path, "--config", str(conf)))
+        assert code == 0
+        assert "Answer: Juan Carlos Varela" in capsys.readouterr().out
 
 
 class TestEvalCommand:
@@ -389,11 +398,30 @@ class TestErrorExits:
 
     def test_config_error_is_exit_2(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
-        conf.write_text("kg.mode = oracle\n", encoding="utf-8")
+        conf.write_text("kg.format = oracle\n", encoding="utf-8")
         code = main(["run", "--question", "Q?", "--topic", "m.0a=A",
                      "--config", str(conf)])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["kg.mode = memory",
+                                      "llm.mode = scripted",
+                                      "recall.scorer = trigram"])
+    def test_a_backend_mode_key_is_an_unknown_key(self, tmp_path, capsys,
+                                                   line):
+        conf = tmp_path / "old.conf"
+        conf.write_text(line + "\n", encoding="utf-8")
+        code = main(panama_args(tmp_path, "--config", str(conf)))
+        assert code == 2
+        key = line.split(" = ")[0]
+        assert (f"configuration error: unknown config key {key!r}"
+                in capsys.readouterr().err)
+
+    def test_the_llm_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(panama_args(tmp_path, "--llm", "scripted"))
+        assert info.value.code == 2
+        assert "unrecognized arguments: --llm" in capsys.readouterr().err
 
     @pytest.mark.parametrize("graph, dataset, message", [
         pytest.param("m.0a\tonly-two-columns\n", None,
@@ -472,6 +500,8 @@ class TestErrorExits:
                      id="fixed_breadth-wide"),
         pytest.param(["--config", "recall.k = 0"], "k must be >= 1",
                      id="recall-k-0"),
+        pytest.param(["--config", "recall.threshold = -1"],
+                     "threshold must be >= 0", id="recall-threshold-negative"),
         pytest.param(["--config", "llm.temperature = nan"],
                      "llm.temperature must be finite, got nan",
                      id="temperature-nan"),

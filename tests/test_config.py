@@ -14,10 +14,12 @@ from graphquest.config import (
     load_config_file,
 )
 from graphquest.kg.memory_store import InMemoryKG
+from graphquest.kg.sparql_client import SparqlKG
+from graphquest.llm.http_client import ChatCompletionsBackend
 from graphquest.llm.scripted import ScriptedBackend
 from graphquest.llm.types import GenerationConfig
 from graphquest.planner.state import AblationFlags
-from graphquest.recall import TrigramScorer
+from graphquest.recall import RemoteEmbeddingScorer, TrigramScorer
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,21 +29,21 @@ class TestConfigFile:
         path = tmp_path / "app.conf"
         path.write_text(
             "# a comment line\n"
-            "kg.mode = memory\n"
+            "kg.format = tab-separated\n"
             "kg.path = graph.tsv   # trailing comment\n"
             "\n"
             "planner.max_depth=2\n",
             encoding="utf-8",
         )
         values = load_config_file(str(path))
-        assert values == {"kg.mode": "memory", "kg.path": "graph.tsv",
+        assert values == {"kg.format": "tab-separated", "kg.path": "graph.tsv",
                           "planner.max_depth": "2"}
 
     def test_hash_starts_a_comment_only_at_line_start_or_after_space(
             self, tmp_path):
         path = tmp_path / "app.conf"
         path.write_text(
-            "#llm.mode = http\n"
+            "#llm.base_url = http://llm.invalid/v1\n"
             "kg.path = /data/graph#1.tsv\n"
             "llm.model = a # note\n",
             encoding="utf-8",
@@ -49,9 +51,14 @@ class TestConfigFile:
         values = load_config_file(str(path))
         assert values == {"kg.path": "/data/graph#1.tsv", "llm.model": "a"}
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "app.conf"
+        path.write_text("kg.path = graph.tsv\n", encoding="utf-8-sig")
+        assert load_config_file(str(path)) == {"kg.path": "graph.tsv"}
+
     def test_bad_line_reports_position(self, tmp_path):
         path = tmp_path / "app.conf"
-        path.write_text("kg.mode = memory\nthis is not a setting\n",
+        path.write_text("kg.path = g.tsv\nthis is not a setting\n",
                         encoding="utf-8")
         with pytest.raises(ConfigError) as info:
             load_config_file(str(path))
@@ -59,8 +66,7 @@ class TestConfigFile:
 
 
 class TestMerging:
-    BASE = {"kg.mode": "memory", "kg.path": "g.tsv",
-            "llm.mode": "scripted", "llm.script": "rules.json"}
+    BASE = {"kg.path": "g.tsv", "llm.script": "rules.json"}
 
     def test_defaults(self):
         app = build_app_config(dict(self.BASE))
@@ -132,35 +138,47 @@ class TestMerging:
             temperature=0.0, max_tokens=1, frequency_penalty=-2.0,
             presence_penalty=-2.0)
 
-    def test_mode_requirements(self):
-        with pytest.raises(ConfigError):
-            build_app_config({"kg.mode": "memory", "llm.mode": "scripted",
-                              "llm.script": "r.json"})  # no kg.path
-        with pytest.raises(ConfigError):
-            build_app_config({"kg.mode": "sparql", "llm.mode": "scripted",
-                              "llm.script": "r.json"})  # no endpoint
-        with pytest.raises(ConfigError):
-            build_app_config({"kg.mode": "memory", "kg.path": "g.tsv",
-                              "llm.mode": "http"})  # no base_url
-        with pytest.raises(ConfigError):
-            build_app_config(dict(self.BASE,
-                                  **{"recall.scorer": "remote"}))
+    @pytest.mark.parametrize("pair", [("kg.path", "kg.endpoint"),
+                                      ("llm.script", "llm.base_url")])
+    def test_exactly_one_of_each_backend_pair(self, pair):
+        first, second = pair
+        neither = {key: value for key, value in self.BASE.items()
+                   if key not in pair}
+        with pytest.raises(ConfigError, match="got neither") as info:
+            build_app_config(neither)
+        assert first in str(info.value) and second in str(info.value)
+        both = dict(neither, **{first: "a", second: "b"})
+        with pytest.raises(ConfigError, match="got both") as info:
+            build_app_config(both)
+        assert first in str(info.value) and second in str(info.value)
+        # an empty value counts as unset
+        with pytest.raises(ConfigError, match="got neither"):
+            build_app_config(dict(neither, **{first: ""}))
 
-    def test_invalid_modes(self):
-        with pytest.raises(ConfigError):
-            build_app_config(dict(self.BASE, **{"kg.mode": "oracle"}))
-        with pytest.raises(ConfigError):
-            build_app_config(dict(self.BASE, **{"llm.mode": "psychic"}))
-        with pytest.raises(ConfigError):
+    def test_an_override_replaces_the_files_backend(self):
+        files = {"kg.endpoint": "http://kg.invalid",
+                 "llm.base_url": "http://llm.invalid"}
+        app = build_app_config(files, {"kg.path": "g.tsv",
+                                       "llm.script": "rules.json"})
+        assert (app.kg_path, app.kg_endpoint) == ("g.tsv", None)
+        assert (app.llm_script, app.llm_base_url) == ("rules.json", None)
+        app = build_app_config(dict(self.BASE),
+                               {"kg.endpoint": "http://kg.invalid"})
+        assert (app.kg_path, app.kg_endpoint) == (None, "http://kg.invalid")
+        assert app.llm_script == "rules.json"  # the other pair stays
+        with pytest.raises(ConfigError, match="got both"):
+            build_app_config(dict(self.BASE), {"llm.script": "r.json",
+                                               "llm.base_url": "http://x"})
+
+    def test_invalid_format(self):
+        with pytest.raises(ConfigError, match="kg.format must be one of"):
             build_app_config(dict(self.BASE, **{"kg.format": "parquet"}))
 
 
 class TestBackendAssembly:
     def test_memory_plus_scripted(self, fixtures_dir):
         app = build_app_config({
-            "kg.mode": "memory",
             "kg.path": str(fixtures_dir / "capitals.tsv"),
-            "llm.mode": "scripted",
             "llm.script": str(fixtures_dir / "capitals_script.json"),
         })
         planner = build_planner(app)
@@ -179,31 +197,32 @@ class TestBackendAssembly:
             encoding="utf-8",
         )
         app = build_app_config({
-            "kg.mode": "memory", "kg.path": str(nt),
-            "llm.mode": "scripted",
+            "kg.path": str(nt),
             "llm.script": str(fixtures_dir / "capitals_script.json"),
         })
         planner = build_planner(app)
         assert len(planner.kg) == 1
 
-    def test_sparql_and_http_modes_assemble_lazily(self):
-        from graphquest.kg.sparql_client import SparqlKG
-        from graphquest.llm.http_client import ChatCompletionsBackend
+    def test_sparql_http_and_remote_scorer_assemble_lazily(self):
         app = build_app_config({
-            "kg.mode": "sparql", "kg.endpoint": "http://kg.invalid/sparql",
-            "llm.mode": "http", "llm.base_url": "http://llm.invalid/v1",
+            "kg.endpoint": "http://kg.invalid/sparql",
+            "llm.base_url": "http://llm.invalid/v1",
+            "recall.endpoint": "http://embed.invalid/v1",
         })
         planner = build_planner(app)  # no network traffic at build time
         assert isinstance(planner.kg, SparqlKG)
+        assert planner.kg.endpoint_url == "http://kg.invalid/sparql"
         assert isinstance(planner.llm, ChatCompletionsBackend)
+        assert isinstance(planner.scorer, RemoteEmbeddingScorer)
+        assert planner.scorer.endpoint_url == "http://embed.invalid/v1"
 
 
 class TestAppConfig:
     def test_holds_no_secret_fields(self, monkeypatch):
         monkeypatch.setenv("GRAPHQUEST_API_KEY", "sk-very-secret")
         app = build_app_config({
-            "kg.mode": "sparql", "kg.endpoint": "http://kg.invalid/sparql",
-            "llm.mode": "http", "llm.base_url": "http://llm.invalid/v1",
+            "kg.endpoint": "http://kg.invalid/sparql",
+            "llm.base_url": "http://llm.invalid/v1",
         })
         flattened = repr(app)
         assert "sk-very-secret" not in flattened
@@ -212,12 +231,13 @@ class TestAppConfig:
         assert app.planner.max_depth == 4
 
     def test_defaults_without_validation(self):
-        assert AppConfig().kg_mode == "memory"
+        # no backend is set by default; build_app_config insists on one
+        assert AppConfig().kg_path is None
+        assert AppConfig().llm_script is None
 
     def test_defaults_are_the_dataclass_defaults(self):
         app = build_app_config(dict(TestMerging.BASE))
         assert app == AppConfig(kg_path="g.tsv", llm_script="rules.json")
-        assert app.recall_scorer == "trigram"
         assert app.recall_endpoint is None
 
 

@@ -84,6 +84,15 @@ class TestLoading:
         assert kg.resolve_label("m.0a").label == "Alpha"
         assert kg.resolve_label("m.0b").label == 'Beta "quoted"'
 
+    def test_byte_order_mark_is_not_part_of_the_first_subject(self, tmp_path):
+        path = tmp_path / "bom.tsv"
+        path.write_text("m.0a\ttest.block.edge\tm.0b\n",
+                        encoding="utf-8-sig")
+        kg = InMemoryKG()
+        assert kg.load_triples(str(path)) == 1
+        assert kg.search_relations("m.0a", Direction.OUTGOING) == [
+            "test.block.edge"]
+
     def test_malformed_line_reports_position_and_loads_nothing(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("m.0a\ttest.block.edge\tm.0b\nm.0c only-two-columns\n",

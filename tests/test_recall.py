@@ -465,6 +465,11 @@ class TestTopK:
         with pytest.raises(RecallError):
             RecallConfig(k=0)
 
+    def test_config_rejects_a_negative_threshold(self):
+        RecallConfig(threshold=0)
+        with pytest.raises(RecallError, match="threshold must be >= 0"):
+            RecallConfig(threshold=-1)
+
 
 class FakeResponse:
     def __init__(self, status_code, payload=None):

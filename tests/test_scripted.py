@@ -117,6 +117,15 @@ class TestFromFile:
         ('[{"pattern": "x", "response": "y"}, '
          '{"pattern": "x", "response": "y", "regex": 1}]',
          'rule 1 has a "regex" that is not true or false'),
+        ('[{"pattern": null, "response": "y"}]',
+         'rule 0 has a "pattern" that is not text'),
+        ('[{"pattern": "x", "response": "y"}, {"pattern": 5, "response": "y"}]',
+         'rule 1 has a "pattern" that is not text'),
+        ('[{"pattern": "x", "response": {"A": "x", "R": "y"}}]',
+         'rule 0 has a "response" that is not text'),
+        ('{"rules": [{"pattern": "x", "response": "y"}, '
+         '{"pattern": "x", "response": ["y"], "regex": true}]}',
+         'rule 1 has a "response" that is not text'),
         ('{"rules": [], "default": 5}',
          '"default" is neither text nor null'),
         ('{"rules": [], "default": ["x"]}',
