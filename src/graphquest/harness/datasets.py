@@ -32,7 +32,7 @@ def load_dataset(path: str, flavor: str = "normalized") -> list[DatasetRecord]:
         raise DatasetError(
             f"unknown dataset flavor {flavor!r}; expected one of {FLAVORS}"
         )
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             payload = json.load(handle)
         except ValueError as exc:

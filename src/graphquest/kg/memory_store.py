@@ -14,8 +14,9 @@ import sys
 from typing import Iterable, Iterator
 
 from .types import (
+    ALIAS_PREDICATES,
     FREEBASE_NS,
-    OWL_SAMEAS,
+    NAME_PREDICATE,
     Direction,
     EntityLabel,
     KGError,
@@ -23,9 +24,6 @@ from .types import (
 )
 
 logger = logging.getLogger(__name__)
-
-NAME_PREDICATE = "type.object.name"
-ALIAS_PREDICATES = frozenset({"common.topic.alias", OWL_SAMEAS})
 
 # <iri> or "literal" (escapes allowed) with optional @lang / ^^<datatype>
 _NT_LINE = re.compile(

@@ -9,8 +9,20 @@ from typing import Callable
 import requests
 
 from ..retry import Sessions, post_json
-from .queries import entities_query, label_query, relations_query
-from .types import FREEBASE_NS, Direction, EntityLabel, KGError
+from .queries import (
+    entities_query,
+    is_plain_name,
+    label_query,
+    relations_query,
+)
+from .types import (
+    ALIAS_PREDICATES,
+    FREEBASE_NS,
+    NAME_PREDICATE,
+    Direction,
+    EntityLabel,
+    KGError,
+)
 
 SPARQL_MIME = "application/sparql-query"
 RESULTS_MIME = "application/sparql-results+json"
@@ -53,7 +65,13 @@ class SparqlKG:
     # -- queries ---------------------------------------------------------
 
     def search_relations(self, entity: str, direction: Direction) -> list[str]:
-        return self._cached(relations_query(entity, direction), "relation")
+        # the namespace's domain relations only, as the in-memory store
+        # returns: a value outside the namespace keeps its whole IRI, which
+        # is no plain name and could not be queried as `ns:{relation}`
+        return [relation for relation in
+                self._cached(relations_query(entity, direction), "relation")
+                if is_plain_name(relation) and relation != NAME_PREDICATE
+                and relation not in ALIAS_PREDICATES]
 
     def search_entities(self, entity: str, relation: str,
                         direction: Direction) -> list[str]:

@@ -8,6 +8,10 @@ from typing import NamedTuple, Protocol
 
 FREEBASE_NS = "http://rdf.freebase.com/ns/"
 OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
+# label predicates, as the stores name them: they feed labels, never a
+# relation search
+NAME_PREDICATE = "type.object.name"
+ALIAS_PREDICATES = frozenset({"common.topic.alias", OWL_SAMEAS})
 
 
 class KGError(Exception):

@@ -55,9 +55,9 @@ class ScriptedBackend:
         is not JSON, not of that shape, has a "default" that is neither
         text nor null, or has a rule whose "pattern" or "response" is not
         text, whose "regex" flag is not a JSON boolean, or whose regex
-        does not compile.
+        does not compile. A leading byte-order mark is skipped.
         """
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             try:
                 payload = json.load(handle)
             except ValueError as exc:

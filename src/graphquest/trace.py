@@ -3,12 +3,19 @@
 Events carry no wall-clock timestamps; elapsed time lives only in the
 final event's payload, so two runs of the same scripted configuration
 serialize byte-identically except for that one field.
+
+A saved file states each prompt slot's text once. `RunTrace.save` writes
+a slot of an `llm_call` event as ``{"seq": N}`` when an earlier
+`llm_call` bound the same text to the same slot name, N being the seq of
+the first event that bound it; `RunTrace.load` puts the text back, so
+loaded events equal the recorded ones. Events in memory, and
+`TraceEvent.to_json`, always hold the text itself.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from .llm.types import Usage
@@ -109,25 +116,77 @@ class RunTrace:
         return None
 
     def save(self, path: str) -> None:
+        """One JSON line per event, each repeated slot text written as a
+        reference to the first `llm_call` that bound it."""
+        # (slot, text) -> seq of the first llm_call that bound it
+        first: dict[tuple[str, str], int] = {}
         with open(path, "w", encoding="utf-8") as handle:
             for event in self.events:
+                slots = event.payload.get("slots")
+                if event.kind == "llm_call" and isinstance(slots, dict):
+                    saved = {}
+                    for slot, text in slots.items():
+                        seq = (first.setdefault((slot, text), event.seq)
+                               if isinstance(text, str) else event.seq)
+                        saved[slot] = (text if seq == event.seq
+                                       else {"seq": seq})
+                    event = replace(event,
+                                    payload={**event.payload, "slots": saved})
                 handle.write(event.to_json())
                 handle.write("\n")
 
     @classmethod
     def load(cls, path: str) -> "RunTrace":
+        """The saved events, each slot reference replaced by its text.
+
+        A file that is not UTF-8 text, a bad line or a bad reference is a
+        TraceError naming the file (and the line); a leading byte-order
+        mark is skipped.
+        """
         events = []
+        # seq -> slots of each llm_call line read so far, references resolved
+        bound: dict[int, dict] = {}
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8-sig") as handle:
                 for number, line in enumerate(handle, start=1):
                     line = line.strip()
                     if not line:
                         continue
                     try:
-                        events.append(TraceEvent.from_json(line))
+                        event = TraceEvent.from_json(line)
+                        if event.kind == "llm_call":
+                            _resolve_slots(event, bound)
                     except TraceError as exc:
                         raise TraceError(f"{path}:{number}: {exc}") from None
+                    events.append(event)
         except UnicodeDecodeError as exc:
             raise TraceError(
                 f"{path}: not UTF-8 text ({exc.reason})") from None
         return cls(events=events)
+
+
+def _resolve_slots(event: TraceEvent, bound: dict[int, dict]) -> None:
+    """Replaces each ``{"seq": N}`` slot of a loaded `llm_call` by the text
+    that the earlier `llm_call` N bound to the same slot, and adds the
+    event's slots to `bound`. A slot value that is an object but not such
+    a reference, or whose target holds no text there, is a TraceError."""
+    slots = event.payload.get("slots")
+    if not isinstance(slots, dict):
+        slots = {}
+    for slot, value in slots.items():
+        if not isinstance(value, dict):
+            continue
+        seq = value.get("seq")
+        # json yields exact types; `true` is no seq here
+        if value.keys() != {"seq"} or type(seq) is not int:
+            raise TraceError(f'bad trace line: slot {slot!r} is neither '
+                             f'text nor a {{"seq": N}} reference')
+        if seq not in bound:
+            raise TraceError(f"bad trace line: slot {slot!r} refers to seq "
+                             f"{seq}, which no earlier llm_call line carries")
+        text = bound[seq].get(slot)
+        if not isinstance(text, str):
+            raise TraceError(f"bad trace line: slot {slot!r} refers to seq "
+                             f"{seq}, which binds no text to {slot!r}")
+        slots[slot] = text
+    bound.setdefault(event.seq, slots)

@@ -302,6 +302,17 @@ class TestInspectCommand:
         assert capsys.readouterr().err.startswith(
             "input error: llm_call event 0: template 'decompose' digest")
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        main(panama_args(tmp_path))
+        capsys.readouterr()
+        saved = tmp_path / "runs" / "latest" / "trace.jsonl"
+        path = tmp_path / "bom.jsonl"
+        path.write_text(saved.read_text(encoding="utf-8"),
+                        encoding="utf-8-sig")
+        assert main(["inspect-trace", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith(
+            "-- 53 events, 18 llm calls")
+
     def test_labels_and_pool_count(self, tmp_path, capsys):
         trace = RunTrace()
         trace.record("kg_query", 1, {

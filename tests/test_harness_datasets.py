@@ -133,6 +133,14 @@ class TestValidation:
         with pytest.raises(DatasetError, match="x.json: not JSON"):
             load_dataset(str(path))
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_text(json.dumps([{"id": "q1", "question": "Q?",
+                                     "topic_entities": [["m.0a", "A"]]}]),
+                        encoding="utf-8-sig")
+        [record] = load_dataset(str(path))
+        assert (record.id, record.topic_entities) == ("q1", (("m.0a", "A"),))
+
     def test_bad_record_reports_index(self, tmp_path):
         path = write_json(tmp_path / "x.json", [
             {"id": "ok", "question": "Q?",

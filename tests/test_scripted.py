@@ -90,6 +90,13 @@ class TestFromFile:
         assert backend.complete("hit me", CONFIG).text == "direct"
         assert backend.complete("miss", CONFIG).text == "whatever"
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps([{"pattern": "hi", "response": "world"}]),
+                        encoding="utf-8-sig")
+        backend = ScriptedBackend.from_file(str(path))
+        assert backend.complete("hi there", CONFIG).text == "world"
+
     def test_a_false_regex_flag_and_a_null_default_load(self, tmp_path):
         path = tmp_path / "rules.json"
         path.write_text(json.dumps({

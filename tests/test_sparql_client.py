@@ -106,6 +106,40 @@ class TestTransport:
         assert client.search_relations("m.0x", Direction.INCOMING) == \
             ["a.rel", "b.rel"]
 
+    def test_relation_search_keeps_only_the_namespaces_domain_relations(self):
+        # as the in-memory store: no name or alias predicate, and no IRI
+        # outside the namespace, whose `ns:` form no query could use
+        payload = {
+            "results": {"bindings": [
+                {"relation": {"value": f"http://rdf.freebase.com/ns/{name}"}}
+                for name in ("a.rel", "type.object.name",
+                             "common.topic.alias")
+            ] + [
+                {"relation": {"value": iri}}
+                for iri in ("http://www.w3.org/1999/02/22-rdf-syntax-ns#type",
+                            "http://www.w3.org/2002/07/owl#sameAs")
+            ]}
+        }
+        client, _, _ = make_client([FakeResponse(200, payload)])
+        assert client.search_relations("m.0x", Direction.OUTGOING) == \
+            ["a.rel"]
+
+    @pytest.mark.parametrize("search", [
+        pytest.param(lambda client: client.search_relations(
+            "m.0f8l9c ?relation ?x } UNION { ?s ?p", Direction.OUTGOING),
+            id="relations"),
+        pytest.param(lambda client: client.search_entities(
+            "m.0x", "http://www.w3.org/1999/02/22-rdf-syntax-ns#type",
+            Direction.OUTGOING), id="entities"),
+        pytest.param(lambda client: client.resolve_label("m.0x }"),
+                     id="label"),
+    ])
+    def test_a_term_that_is_not_a_plain_name_sends_no_request(self, search):
+        client, session, _ = make_client([])
+        with pytest.raises(KGError, match="not a plain Freebase name"):
+            search(client)
+        assert session.requests == []
+
     def test_malformed_payload_raises(self):
         client, _, _ = make_client([FakeResponse(200, {"weird": True})])
         with pytest.raises(KGError):

@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 
 from graphquest.llm.accounting import usage_total
 from graphquest.llm.types import Usage
+from graphquest.planner.engine import Planner
 from graphquest.trace import EVENT_KINDS, RunTrace, TraceError, TraceEvent
 
 
@@ -128,6 +130,98 @@ class TestSerialization:
         path.write_text(TraceEvent(0, "final", 0, {}).to_json()
                         + '\n{"seq": 1}\n', encoding="utf-8")
         with pytest.raises(TraceError, match=f"{path}:2: .*'kind'"):
+            RunTrace.load(str(path))
+
+
+def _call(seq, **slots):
+    return TraceEvent(seq, "llm_call", 0, {
+        "stage": "answer", "template": "answer", "slots": slots,
+        "template_digest": "0" * 12, "response": "[]"}, usage=Usage(4, 1))
+
+
+def _saved_slots(path):
+    """seq -> the slots object of each llm_call line of a saved file."""
+    records = map(json.loads, path.read_text(encoding="utf-8").splitlines())
+    return {record["seq"]: record["payload"]["slots"] for record in records
+            if record["kind"] == "llm_call"}
+
+
+class TestSlotReferences:
+    def test_a_repeated_slot_text_is_saved_once(self, tmp_path):
+        trace = RunTrace([
+            _call(0, question="Q?", memory="m"),
+            TraceEvent(1, "kg_query", 1, {"op": "relations"}),
+            _call(2, question="Q?", memory="n"),
+            _call(3, question="Q?", memory="m"),
+            # the same text under another slot name is not a repeat
+            _call(4, memory="Q?"),
+        ])
+        lines = [event.to_json() for event in trace.events]
+        path = tmp_path / "trace.jsonl"
+        trace.save(str(path))
+        assert _saved_slots(path) == {
+            0: {"question": "Q?", "memory": "m"},
+            2: {"question": {"seq": 0}, "memory": "n"},
+            3: {"question": {"seq": 0}, "memory": {"seq": 0}},
+            4: {"memory": "Q?"},
+        }
+        # events in memory, and their own serialization, keep the text
+        assert [event.to_json() for event in trace.events] == lines
+        assert RunTrace.load(str(path)).events == trace.events
+
+    def test_a_file_saved_with_every_text_still_loads(self, tmp_path,
+                                                      panama_kg, panama_llm,
+                                                      panama_question):
+        trace = Planner(panama_kg, panama_llm).run(panama_question).trace
+        # a line from before calls were stored as template and slots
+        literal = TraceEvent(len(trace.events), "llm_call", 3, {
+            "stage": "answer", "prompt": "Q: Who?", "response": "[]"},
+            usage=Usage(2, 1))
+        events = [*trace.events, literal]
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(event.to_json() + "\n" for event in events),
+                        encoding="utf-8")
+        assert RunTrace.load(str(path)).events == events
+
+    @pytest.mark.parametrize("slot, value, problem", [
+        pytest.param("question", {"seq": True}, "neither text nor",
+                     id="seq-bool"),
+        pytest.param("question", {"seq": "0"}, "neither text nor",
+                     id="seq-text"),
+        pytest.param("question", {"seq": 0.0}, "neither text nor",
+                     id="seq-float"),
+        pytest.param("question", {}, "neither text nor", id="no-seq"),
+        pytest.param("question", {"seq": 0, "text": "Q?"}, "neither text nor",
+                     id="extra-key"),
+        pytest.param("question", {"seq": 7}, "no earlier llm_call line",
+                     id="unknown-seq"),
+        pytest.param("question", {"seq": 1}, "no earlier llm_call line",
+                     id="seq-of-another-kind"),
+        pytest.param("question", {"seq": 3}, "no earlier llm_call line",
+                     id="itself"),
+        pytest.param("question", {"seq": 4}, "no earlier llm_call line",
+                     id="forward"),
+        pytest.param("reason", {"seq": 0}, "binds no text",
+                     id="slot-missing-there"),
+        pytest.param("memory", {"seq": 0}, "binds no text",
+                     id="slot-not-text-there"),
+        pytest.param("question", {"seq": 2}, "binds no text",
+                     id="literal-prompt-there"),
+    ])
+    def test_a_bad_reference_names_file_and_line(self, tmp_path, slot, value,
+                                                 problem):
+        lines = [
+            _call(0, question="Q?", memory=5).to_json(),
+            TraceEvent(1, "kg_query", 1, {"op": "relations"}).to_json(),
+            TraceEvent(2, "llm_call", 1, {"stage": "answer",
+                                          "prompt": "Q?"}).to_json(),
+            _call(3, **{slot: value}).to_json(),
+            _call(4, question="Q?").to_json(),
+        ]
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(TraceError, match=re.escape(
+                f"{path}:4: bad trace line: slot {slot!r} ") + ".*" + problem):
             RunTrace.load(str(path))
 
 

@@ -8,13 +8,19 @@ and the event count with the values committed here. A change that is
 meant to keep behaviour must keep every digest; a change that is meant
 to alter traces must update the digests and say why.
 
-Each group is hashed twice: as stored (GOLDEN), and rendered (RENDERED),
-with every ``llm_call`` rebuilt as ``{"stage", "prompt", "response"}``,
-the payload traces held before calls were stored as template and slots.
-A change to how calls are stored moves GOLDEN only; a change to what the
-model is asked moves RENDERED too. The random-graph group also pins a
-short digest of each sweep seed's views in ``tests/fixtures/``, so that
-a mismatch names its seed; ``python tests/test_trace_golden.py`` prints
+Each group is hashed three times: as stored (GOLDEN), rendered
+(RENDERED), with every ``llm_call`` rebuilt as ``{"stage", "prompt",
+"response"}``, the payload traces held before calls were stored as
+template and slots, and as saved (SAVED): the bytes `RunTrace.save`
+writes for each run, in which a repeated slot text is a ``{"seq": N}``
+reference, with the final event's ``elapsed_seconds`` zeroed. Each saved
+file must load back to the events saved, state each slot text once, and
+refer back only to the line that holds the text. A change to how a file
+is written moves SAVED only; a change to how calls are stored moves
+GOLDEN and SAVED; a change to what the model is asked moves all three.
+The random-graph group also pins a short digest of each sweep seed's
+stored and rendered views in ``tests/fixtures/``, so that a mismatch
+names its seed; ``python tests/test_trace_golden.py`` prints
 that file's lines for the code as it is.
 """
 
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import random
 
 import pytest
@@ -77,6 +84,25 @@ RENDERED = {
         29046, "934a8447df3c66c675723a3fc01cc46b92489bedbb2715fbbdb0f94922079afc"),
 }
 
+# group -> (event count, sha256 of the saved files' bytes, one file per
+# run, in run order)
+SAVED = {
+    "panama-default": (
+        53, "fe41595cc85c0c2ccdc72c83cc2e006821e91f7ec206df43851b262625f9891d"),
+    "panama-no_guidance": (
+        52, "f443e08d728f4f83b06e227d1120f3449857c04c31e24a6e77baffbee4cddeda"),
+    "panama-no_memory": (
+        53, "45faaee072544f3374a14b5d9043b74178c689310cd095844282bf1f2acf45df"),
+    "panama-no_reflection": (
+        50, "c194068d0cf180f7948d1e4a223c133fc9a945cfbd56fc0fad57652bff04f745"),
+    "panama-fixed_breadth=1": (
+        53, "fe41595cc85c0c2ccdc72c83cc2e006821e91f7ec206df43851b262625f9891d"),
+    "capitals": (
+        60, "054b01fd4d70312c7a2ef89e9238eb3502acf4f02d2f1b77d496d2e760b138b0"),
+    "random-graph": (
+        29046, "9e5b7973a09839b2949825ef97b579e4300e4260bbd8169f27ce908de67239eb"),
+}
+
 # one line per sweep seed (0 to SWEEP_SEEDS - 1): the seed, then the first
 # 16 hex characters of the digests of its stored and of its rendered
 # stable lines
@@ -113,7 +139,33 @@ def _digest(traces) -> tuple[int, str]:
     return len(lines), hashlib.sha256(blob).hexdigest()
 
 
-def _check(group: str, traces) -> None:
+def _saved(trace: RunTrace, path) -> bytes:
+    """The bytes `trace` saves to `path`, with the final event's
+    ``elapsed_seconds`` zeroed, checked to load back to the events saved,
+    to hold each (slot, text) once, and to refer only back to that line."""
+    final = trace.events[-1]
+    trace = RunTrace([*trace.events[:-1], dataclasses.replace(
+        final, payload={**final.payload, "elapsed_seconds": 0.0})])
+    trace.save(str(path))
+    loaded = RunTrace.load(str(path)).events
+    assert loaded == trace.events
+    data = path.read_bytes()
+    # (slot, text) -> the seq of the one line that holds the text
+    holders: dict[tuple[str, str], int] = {}
+    for line, event in zip(data.splitlines(), loaded):
+        if event.kind != "llm_call":
+            continue
+        for slot, value in json.loads(line)["payload"]["slots"].items():
+            key = (slot, event.payload["slots"][slot])
+            if isinstance(value, str):
+                assert key not in holders, f"{key!r} saved twice"
+                holders[key] = event.seq
+            else:
+                assert value == {"seq": holders[key]}, (event.seq, slot)
+    return data
+
+
+def _check(group: str, traces, tmp_path) -> None:
     observed = _digest(traces)
     assert observed == GOLDEN[group], (
         f"{group}: observed (events, digest) = {observed!r}, "
@@ -122,6 +174,13 @@ def _check(group: str, traces) -> None:
     assert rendered == RENDERED[group], (
         f"{group}: rendered (events, digest) = {rendered!r}, "
         f"committed {RENDERED[group]!r}")
+    path = tmp_path / "trace.jsonl"
+    saved = [_saved(trace, path) for trace in traces]
+    observed = (sum(data.count(b"\n") for data in saved),
+                hashlib.sha256(b"".join(saved)).hexdigest())
+    assert observed == SAVED[group], (
+        f"{group}: saved (events, digest) = {observed!r}, "
+        f"committed {SAVED[group]!r}")
 
 
 def _seed_line(seed: int, trace: RunTrace) -> str:
@@ -150,21 +209,22 @@ def _sweep_traces():
 
 
 @pytest.mark.parametrize("group", sorted(PANAMA_FLAGS))
-def test_panama_digest(group, panama_kg, panama_llm, panama_question):
+def test_panama_digest(group, panama_kg, panama_llm, panama_question,
+                       tmp_path):
     config = PlannerConfig(ablations=PANAMA_FLAGS[group])
     result = Planner(panama_kg, panama_llm, config).run(panama_question)
-    _check(group, [result.trace])
+    _check(group, [result.trace], tmp_path)
 
 
-def test_capitals_digest(capitals_kg, capitals_llm):
+def test_capitals_digest(capitals_kg, capitals_llm, tmp_path):
     records = load_dataset(str(FIXTURES / "capitals_dataset.json"))
     planner = Planner(capitals_kg, capitals_llm)
     traces = [planner.run(Question(r.question, r.topic_entities)).trace
               for r in records]
-    _check("capitals", traces)
+    _check("capitals", traces, tmp_path)
 
 
-def test_random_graph_digest():
+def test_random_graph_digest(tmp_path):
     traces = list(_sweep_traces())
     committed = SEED_DIGESTS.read_text(encoding="utf-8").splitlines()
     observed = [_seed_line(seed, trace) for seed, trace in enumerate(traces)]
@@ -183,7 +243,7 @@ def test_random_graph_digest():
             census["dropped"] += "dropped" in payload
             census["fallback"] += bool(payload.get("fallback"))
     assert all(census.values()), census
-    _check("random-graph", traces)
+    _check("random-graph", traces, tmp_path)
 
 
 if __name__ == "__main__":
