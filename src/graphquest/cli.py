@@ -18,7 +18,7 @@ from .config import (
     build_planner,
     load_config_file,
 )
-from .harness.datasets import FLAVORS, DatasetError, load_dataset
+from .harness.datasets import DatasetError, load_dataset
 from .harness.evaluate import ablation_matrix, run_eval, summary_rows
 from .kg.types import KGError
 from .llm.accounting import usage_total
@@ -70,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate a dataset")
     ev.add_argument("dataset", help="dataset JSON file")
-    ev.add_argument("--flavor", choices=FLAVORS, default="normalized",
-                    help="dataset layout (default: normalized)")
     ev.add_argument("--ablate", action="append", default=[],
                     metavar="SPEC",
                     help=("ablation variant to add, repeatable: "
@@ -186,7 +184,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     variants = [(spec, _assemble(args, _ablation_keys(spec)).planner)
                 for spec in args.ablate]
     planner = build_planner(app)
-    records = load_dataset(args.dataset, args.flavor)
+    records = load_dataset(args.dataset)
     if not records:
         print("dataset has no usable records", file=sys.stderr)
         return 1

@@ -19,9 +19,8 @@ import dataclasses
 import logging
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .kg.memory_store import FORMATS, InMemoryKG
+from .kg.memory_store import InMemoryKG
 from .kg.sparql_client import SparqlKG
 from .llm.http_client import ChatCompletionsBackend
 from .llm.scripted import ScriptedBackend
@@ -51,7 +50,6 @@ class ConfigError(ValueError):
 @dataclass
 class AppConfig:
     kg_path: str | None = None
-    kg_format: str | None = None
     kg_endpoint: str | None = None
     llm_script: str | None = None
     llm_base_url: str | None = None
@@ -63,7 +61,6 @@ class AppConfig:
 # dotted key -> (dataclass, field the key sets)
 SETTINGS: dict[str, tuple[type, str]] = {
     "kg.path": (AppConfig, "kg_path"),
-    "kg.format": (AppConfig, "kg_format"),
     "kg.endpoint": (AppConfig, "kg_endpoint"),
     "llm.script": (AppConfig, "llm_script"),
     "llm.base_url": (AppConfig, "llm_base_url"),
@@ -165,9 +162,6 @@ def build_app_config(file_values: dict[str, str] | None = None,
 
 
 def _validate(app: AppConfig) -> None:
-    if app.kg_format is not None and app.kg_format not in FORMATS:
-        raise ConfigError(
-            f"kg.format must be one of {FORMATS}, got {app.kg_format!r}")
     for pair in BACKEND_KEYS:
         count = sum(bool(getattr(app, SETTINGS[key][1])) for key in pair)
         if count != 1:
@@ -175,19 +169,11 @@ def _validate(app: AppConfig) -> None:
                               f"be set, got {'both' if count else 'neither'}")
 
 
-def _guess_format(path: str) -> str:
-    suffix = Path(path).suffix.lower()
-    if suffix in (".nt", ".ntriples"):
-        return "ntriples-subset"
-    return "tab-separated"
-
-
 def build_planner(app: AppConfig) -> Planner:
     """A planner over the configured graph, model and recall scorer."""
     if app.kg_path:
         kg = InMemoryKG()
-        fmt = app.kg_format or _guess_format(app.kg_path)
-        count = kg.load_triples(app.kg_path, format=fmt)
+        count = kg.load_triples(app.kg_path)
         logger.info("loaded %d triples from %s", count, app.kg_path)
     else:
         kg = SparqlKG(app.kg_endpoint)

@@ -1,7 +1,11 @@
-"""Dataset loaders for the common KGQA benchmark layouts.
+"""Dataset loader for the common KGQA benchmark layouts.
 
-Every flavor converts to the same normalized record; records without a
-topic entity cannot seed a run and are skipped with a logged warning.
+Each record's keys say its layout, so one file may mix them: an
+``[id, label]`` list under ``topic_entities`` (this package's own), a
+``topic_entity`` map (CWQ, flattened WebQSP), ``Parses`` (official
+WebQSP) or ``graph_query`` nodes (GrailQA). Every layout converts to the
+same record; records without a topic entity cannot seed a run and are
+skipped with a logged warning.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from dataclasses import dataclass
 
 logger = logging.getLogger(__name__)
 
-FLAVORS = ("normalized", "cwq", "webqsp", "grailqa")
+# a record's id is the first of these present, else its index
+_ID_KEYS = ("ID", "QuestionId", "qid", "id")
 
 
 class DatasetError(ValueError):
@@ -27,11 +32,7 @@ class DatasetRecord:
     answers: tuple[str, ...] = ()
 
 
-def load_dataset(path: str, flavor: str = "normalized") -> list[DatasetRecord]:
-    if flavor not in FLAVORS:
-        raise DatasetError(
-            f"unknown dataset flavor {flavor!r}; expected one of {FLAVORS}"
-        )
+def load_dataset(path: str) -> list[DatasetRecord]:
     with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             payload = json.load(handle)
@@ -39,22 +40,16 @@ def load_dataset(path: str, flavor: str = "normalized") -> list[DatasetRecord]:
             raise DatasetError(f"{path}: not JSON ({exc})") from None
     if not isinstance(payload, list):
         raise DatasetError(f"{path}: expected a top-level JSON list")
-    convert = {
-        "normalized": _from_normalized,
-        "cwq": _from_cwq,
-        "webqsp": _from_webqsp,
-        "grailqa": _from_grailqa,
-    }[flavor]
     records: list[DatasetRecord] = []
     skipped: list[str] = []
     for index, raw in enumerate(payload):
         try:
-            record = convert(raw, index)
+            record = _record(raw, index)
             if not record.question.strip():
                 raise ValueError("question is blank")
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise DatasetError(
-                f"{path}: record {index} is not valid {flavor}: {exc!r}"
+                f"{path}: record {index} is not valid: {exc!r}"
             ) from exc
         if not record.topic_entities:
             skipped.append(record.id)
@@ -68,7 +63,30 @@ def load_dataset(path: str, flavor: str = "normalized") -> list[DatasetRecord]:
     return records
 
 
-# -- flavor converters ----------------------------------------------------
+def _record(raw: object, index: int) -> DatasetRecord:
+    if not isinstance(raw, dict):
+        raise TypeError(f"record must be an object, not {type(raw).__name__}")
+    key = next((key for key in _ID_KEYS if key in raw), None)
+    record_id = _record_id(index if key is None else raw[key])
+    question = _text(raw.get("RawQuestion", raw.get("question")), "question")
+    answers = raw.get("answers")
+    if _absent(answers) or answers == []:
+        answers = raw.get("answer")
+    if "topic_entities" in raw:
+        topics = tuple(_pair(pair) for pair in raw["topic_entities"])
+    elif "topic_entity" in raw:
+        # read before Parses: WebQSP files that carry both use the map
+        topics = tuple(_topic(eid, label) for eid, label
+                       in (raw["topic_entity"] or {}).items())
+    elif "Parses" in raw:
+        topics, answers = _from_parses(raw["Parses"])
+    else:
+        topics = _from_graph_query(raw.get("graph_query") or {})
+    return DatasetRecord(record_id, question, topics,
+                         _as_answer_strings(answers))
+
+
+# -- field converters -----------------------------------------------------
 # A field of the wrong type is a TypeError, which load_dataset reports as
 # a DatasetError naming the record.
 
@@ -99,12 +117,17 @@ def _answer(value: object) -> str:
 
 
 def _topic(eid: object, label: object) -> tuple[str, str]:
-    return _text(eid, "topic entity id"), _text(label, "topic entity label")
+    """A blank label is the id, as ``--topic ID=`` gives; any other is
+    kept as given."""
+    eid = _text(eid, "topic entity id")
+    label = _text(label, "topic entity label")
+    return eid, label if label.strip() else eid
 
 
-def _topic_map(raw: dict) -> tuple[tuple[str, str], ...]:
-    return tuple(_topic(eid, label)
-                 for eid, label in (raw.get("topic_entity") or {}).items())
+def _pair(pair: object) -> tuple[str, str]:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise TypeError(f"topic entity {pair!r} is not an [id, label] pair")
+    return _topic(*pair)
 
 
 def _as_answer_strings(raw: object) -> tuple[str, ...]:
@@ -131,68 +154,26 @@ def _as_answer_strings(raw: object) -> tuple[str, ...]:
     return tuple(dict.fromkeys(answers))
 
 
-def _from_normalized(raw: dict, index: int) -> DatasetRecord:
-    topics = []
-    for pair in raw.get("topic_entities", []):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise TypeError(
-                f"topic entity {pair!r} is not an [id, label] pair")
-        topics.append(_topic(*pair))
-    return DatasetRecord(
-        id=_record_id(raw.get("id", index)),
-        question=_text(raw["question"], "question"),
-        topic_entities=tuple(topics),
-        answers=_as_answer_strings(raw.get("answers", [])),
-    )
-
-
-def _from_cwq(raw: dict, index: int) -> DatasetRecord:
-    return DatasetRecord(
-        id=_record_id(raw.get("ID", raw.get("id", index))),
-        question=_text(raw["question"], "question"),
-        topic_entities=_topic_map(raw),
-        answers=_as_answer_strings(raw.get("answers") or raw.get("answer")),
-    )
-
-
-def _from_webqsp(raw: dict, index: int) -> DatasetRecord:
-    if "topic_entity" in raw:
-        # pre-flattened variant with the cwq-style topic map
-        return DatasetRecord(
-            id=_record_id(raw.get("QuestionId", raw.get("id", index))),
-            question=_text(raw.get("RawQuestion", raw.get("question")),
-                           "question"),
-            topic_entities=_topic_map(raw),
-            answers=_as_answer_strings(raw.get("answers")
-                                       or raw.get("answer")),
-        )
+def _from_parses(parses: list) -> tuple[tuple[tuple[str, str], ...],
+                                         list[str]]:
+    """Official WebQSP: the topics and answers of every parse."""
     # a repeated topic id keeps its first label, as Question does
     topics: dict[str, str] = {}
     answers: list[str] = []
-    for parse in raw.get("Parses", []):
+    for parse in parses:
         mid = parse.get("TopicEntityMid")
         if not _absent(mid):
             topics.setdefault(
                 *_topic(mid, parse.get("TopicEntityName") or mid))
         answers.extend(_as_answer_strings(parse.get("Answers", [])))
-    return DatasetRecord(
-        id=_record_id(raw.get("QuestionId", index)),
-        question=_text(raw["RawQuestion"], "question"),
-        topic_entities=tuple(topics.items()),
-        answers=tuple(dict.fromkeys(answers)),
-    )
+    return tuple(topics.items()), answers
 
 
-def _from_grailqa(raw: dict, index: int) -> DatasetRecord:
+def _from_graph_query(graph: dict) -> tuple[tuple[str, str], ...]:
+    """GrailQA: the entity nodes of the logical form."""
     topics: dict[str, str] = {}
-    graph = raw.get("graph_query") or {}
     for node in graph.get("nodes", []):
         if node.get("node_type") == "entity":
             topics.setdefault(*_topic(node["id"],
                                       node.get("friendly_name") or node["id"]))
-    return DatasetRecord(
-        id=_record_id(raw.get("qid", index)),
-        question=_text(raw["question"], "question"),
-        topic_entities=tuple(topics.items()),
-        answers=_as_answer_strings(raw.get("answer", [])),
-    )
+    return tuple(topics.items())

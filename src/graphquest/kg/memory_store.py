@@ -1,9 +1,10 @@
 """In-memory triple store with file loaders.
 
 Suited to fixtures and offline evaluation: loads a Freebase-flavored
-N-triples subset or a 3-column TSV, indexes triples by subject and by
-object, and keeps human-readable names in a separate label table so
-relation search only ever surfaces domain relations.
+N-triples subset or a 3-column TSV, as each file's first data line says,
+indexes triples by subject and by object, and keeps human-readable names
+in a separate label table so relation search only ever surfaces domain
+relations.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import logging
 import re
 import sys
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .types import (
@@ -36,8 +38,6 @@ _LITERAL = re.compile(r'^"((?:[^"\\]|\\.)*)"')
 _ESCAPE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
 _ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
            '"': '"', "'": "'", "\\": "\\"}
-
-FORMATS = ("ntriples-subset", "tab-separated")
 
 
 class TripleLoadError(KGError):
@@ -111,20 +111,17 @@ class InMemoryKG:
 
     # -- loading ---------------------------------------------------------
 
-    def load_triples(self, path: str, format: str = "tab-separated") -> int:
+    def load_triples(self, path: str) -> int:
         """Load a triple file; returns the number of data lines parsed.
 
+        The first data line picks the parser for the whole file: one that
+        starts with ``<`` means the N-Triples subset, any other TSV.
+        Comments, blank lines and a leading byte-order mark are skipped.
         Parsing is all-or-nothing: lines go into a staging store that
         replaces an empty store and is merged into any other, so a
         malformed line raises TripleLoadError (with its line number), and
         a file that is not UTF-8 text a KGError, leaving the store unchanged.
-        A leading byte-order mark is skipped.
         """
-        if format not in FORMATS:
-            raise KGError(
-                f"unknown triple format {format!r}; expected one of {FORMATS}"
-            )
-        parse = _parse_tsv if format == "tab-separated" else _parse_nt
         staged = InMemoryKG()
         # a copy, so a merged load reuses the ids this store already holds
         # and a failed one leaves the table as it was
@@ -133,7 +130,17 @@ class InMemoryKG:
         count = 0
         try:
             with open(path, "r", encoding="utf-8-sig") as handle:
-                for number, raw in enumerate(handle, start=1):
+                lines = enumerate(handle, start=1)
+                parse = _parse_tsv
+                for number, raw in lines:
+                    line = raw.strip()
+                    if line and not line.startswith("#"):
+                        if line.startswith("<"):
+                            parse = _parse_nt
+                        # the loop below parses this line too
+                        lines = chain([(number, raw)], lines)
+                        break
+                for number, raw in lines:
                     line = raw.strip()
                     if not line or line.startswith("#"):
                         continue

@@ -75,8 +75,13 @@ class SparqlKG:
 
     def search_entities(self, entity: str, relation: str,
                         direction: Direction) -> list[str]:
-        return self._cached(entities_query(entity, relation, direction),
-                            "tailEntity")
+        # plain names only: a name literal or an IRI outside the namespace
+        # could not be queried for its label or relations. An id, or a
+        # literal such as a year, passes and labels itself.
+        return [other for other in
+                self._cached(entities_query(entity, relation, direction),
+                             "tailEntity")
+                if is_plain_name(other)]
 
     def resolve_label(self, entity: str) -> EntityLabel:
         # a blank name never becomes a label, as in the in-memory store

@@ -501,8 +501,7 @@ def test_criterion_9_live_endpoint_smoke(capsys, tmp_path):
         pytest.skip("live endpoints not configured")
 
     with gate(capsys, criterion):
-        records = load_dataset(str(FIXTURES / "webqsp_smoke.json"),
-                               flavor="webqsp")
+        records = load_dataset(str(FIXTURES / "webqsp_smoke.json"))
         assert len(records) == 10
         app = build_app_config(None, {
             "kg.endpoint": endpoint,

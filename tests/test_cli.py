@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -16,6 +17,7 @@ from graphquest.cli import (
     main,
 )
 from graphquest.config import ConfigError
+from graphquest.kg.types import FREEBASE_NS
 from graphquest.planner.state import AblationFlags
 from graphquest.prompts import PromptLibrary
 from graphquest.trace import RunTrace, TraceEvent
@@ -71,9 +73,8 @@ class TestArgumentPlumbing:
         args = parser.parse_args(["run", "--question", "Q?",
                                   "--topic", "m.0a=A"])
         assert args.command == "run"
-        args = parser.parse_args(["eval", "data.json", "--flavor", "webqsp",
+        args = parser.parse_args(["eval", "data.json",
                                   "--ablate", "no_memory", "--parallel", "2"])
-        assert args.flavor == "webqsp"
         assert args.ablate == ["no_memory"]
         args = parser.parse_args(["inspect-trace", "t.jsonl"])
         assert args.command == "inspect-trace"
@@ -192,10 +193,10 @@ class TestEvalCommand:
                     ).is_file() or (outputs_dir / name / "report.json"
                                     ).is_file()
 
-    def test_webqsp_flavor_loads(self, tmp_path, capsys):
+    def test_a_webqsp_file_loads_without_naming_its_layout(self, tmp_path,
+                                                          capsys):
         code = main([
             "eval", str(FIXTURES / "webqsp_smoke.json"),
-            "--flavor", "webqsp",
             "--kg", str(FIXTURES / "capitals.tsv"),
             "--script", str(FIXTURES / "capitals_script.json"),
             "--depth", "1",
@@ -409,7 +410,7 @@ class TestErrorExits:
 
     def test_config_error_is_exit_2(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
-        conf.write_text("kg.format = oracle\n", encoding="utf-8")
+        conf.write_text("planner.max_depth = deep\n", encoding="utf-8")
         code = main(["run", "--question", "Q?", "--topic", "m.0a=A",
                      "--config", str(conf)])
         assert code == 2
@@ -417,7 +418,8 @@ class TestErrorExits:
 
     @pytest.mark.parametrize("line", ["kg.mode = memory",
                                       "llm.mode = scripted",
-                                      "recall.scorer = trigram"])
+                                      "recall.scorer = trigram",
+                                      "kg.format = tab-separated"])
     def test_a_backend_mode_key_is_an_unknown_key(self, tmp_path, capsys,
                                                    line):
         conf = tmp_path / "old.conf"
@@ -433,6 +435,33 @@ class TestErrorExits:
             main(panama_args(tmp_path, "--llm", "scripted"))
         assert info.value.code == 2
         assert "unrecognized arguments: --llm" in capsys.readouterr().err
+
+    def test_the_flavor_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["eval", str(FIXTURES / "webqsp_smoke.json"),
+                  "--flavor", "webqsp",
+                  "--kg", str(FIXTURES / "capitals.tsv"),
+                  "--script", str(FIXTURES / "capitals_script.json"),
+                  "--out", str(tmp_path / "evals")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --flavor" in capsys.readouterr().err
+        assert not (tmp_path / "evals").exists()
+
+    def test_an_ntriples_graph_named_txt_answers(self, tmp_path, capsys):
+        graph = tmp_path / "graph.txt"
+        with graph.open("w", encoding="utf-8") as out:
+            out.write("# the Panama fixture as N-Triples\n")
+            for row in (FIXTURES / "panama.tsv").read_text(
+                    encoding="utf-8").splitlines():
+                if not row or row.startswith("#"):
+                    continue
+                subject, relation, obj = row.split("\t")
+                ns = FREEBASE_NS
+                tail = (json.dumps(obj) if relation == "type.object.name"
+                        else f"<{ns}{obj}>")
+                out.write(f"<{ns}{subject}> <{ns}{relation}> {tail} .\n")
+        assert main(panama_args(tmp_path, "--kg", str(graph))) == 0
+        assert "Answer: Juan Carlos Varela" in capsys.readouterr().out
 
     @pytest.mark.parametrize("graph, dataset, message", [
         pytest.param("m.0a\tonly-two-columns\n", None,

@@ -29,14 +29,14 @@ class TestConfigFile:
         path = tmp_path / "app.conf"
         path.write_text(
             "# a comment line\n"
-            "kg.format = tab-separated\n"
+            "output.dir = runs\n"
             "kg.path = graph.tsv   # trailing comment\n"
             "\n"
             "planner.max_depth=2\n",
             encoding="utf-8",
         )
         values = load_config_file(str(path))
-        assert values == {"kg.format": "tab-separated", "kg.path": "graph.tsv",
+        assert values == {"output.dir": "runs", "kg.path": "graph.tsv",
                           "planner.max_depth": "2"}
 
     def test_hash_starts_a_comment_only_at_line_start_or_after_space(
@@ -170,10 +170,6 @@ class TestMerging:
             build_app_config(dict(self.BASE), {"llm.script": "r.json",
                                                "llm.base_url": "http://x"})
 
-    def test_invalid_format(self):
-        with pytest.raises(ConfigError, match="kg.format must be one of"):
-            build_app_config(dict(self.BASE, **{"kg.format": "parquet"}))
-
 
 class TestBackendAssembly:
     def test_memory_plus_scripted(self, fixtures_dir):
@@ -188,20 +184,24 @@ class TestBackendAssembly:
         assert isinstance(planner.scorer, TrigramScorer)
         assert planner.config is app.planner
 
-    def test_format_guessed_from_suffix(self, tmp_path, fixtures_dir):
+    @pytest.mark.parametrize("text", [
+        pytest.param("<http://rdf.freebase.com/ns/m.0a> "
+                     "<http://rdf.freebase.com/ns/test.block.edge> "
+                     "<http://rdf.freebase.com/ns/m.0b> .\n", id="ntriples"),
+        pytest.param("m.0a\ttest.block.edge\tm.0b\n", id="tsv"),
+    ])
+    def test_the_graph_file_says_its_format(self, tmp_path, fixtures_dir,
+                                            text):
+        # the suffix says nothing: a TSV file named .nt loads as TSV
         nt = tmp_path / "mini.nt"
-        nt.write_text(
-            "<http://rdf.freebase.com/ns/m.0a> "
-            "<http://rdf.freebase.com/ns/test.block.edge> "
-            "<http://rdf.freebase.com/ns/m.0b> .\n",
-            encoding="utf-8",
-        )
+        nt.write_text(text, encoding="utf-8")
         app = build_app_config({
             "kg.path": str(nt),
             "llm.script": str(fixtures_dir / "capitals_script.json"),
         })
         planner = build_planner(app)
-        assert len(planner.kg) == 1
+        assert [tuple(vars(t).values()) for t in planner.kg.triples()] == [
+            ("m.0a", "test.block.edge", "m.0b")]
 
     def test_sparql_http_and_remote_scorer_assemble_lazily(self):
         app = build_app_config({

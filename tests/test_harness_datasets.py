@@ -3,11 +3,7 @@ import logging
 
 import pytest
 
-from graphquest.harness.datasets import (
-    DatasetError,
-    FLAVORS,
-    load_dataset,
-)
+from graphquest.harness.datasets import DatasetError, load_dataset
 
 
 def write_json(path, payload):
@@ -34,7 +30,7 @@ class TestCwq:
                          "aliases": ["Varela"]}],
             "compositionality_type": "composition",
         }])
-        records = load_dataset(path, flavor="cwq")
+        records = load_dataset(path)
         assert records[0].id == "WebQTrn-1_abc"
         assert records[0].topic_entities == (("m.05qtj", "Panama"),)
         assert records[0].answers == ("Juan Carlos Varela", "Varela")
@@ -42,8 +38,7 @@ class TestCwq:
 
 class TestWebqsp:
     def test_flattened_shape(self, fixtures_dir):
-        records = load_dataset(str(fixtures_dir / "webqsp_smoke.json"),
-                               flavor="webqsp")
+        records = load_dataset(str(fixtures_dir / "webqsp_smoke.json"))
         assert len(records) == 10
         bieber = next(r for r in records if r.id == "smoke-01")
         assert bieber.topic_entities == (("m.06w2sn5", "Justin Bieber"),)
@@ -61,7 +56,7 @@ class TestWebqsp:
                              {"EntityName": "Ciudad de Panamá"}]},
             ],
         }])
-        records = load_dataset(path, flavor="webqsp")
+        records = load_dataset(path)
         assert records[0].topic_entities == (("m.05qtj", "Panama"),)
         assert records[0].answers == ("Panama City", "Ciudad de Panamá")
 
@@ -76,7 +71,7 @@ class TestWebqsp:
                 {"TopicEntityMid": "m.0a", "TopicEntityName": "Second Name"},
             ],
         }])
-        records = load_dataset(path, flavor="webqsp")
+        records = load_dataset(path)
         assert records[0].topic_entities == (("m.0a", "First Name"),
                                              ("m.0b", "Other"))
 
@@ -95,7 +90,7 @@ class TestGrailqa:
             ]},
             "level": "i.i.d.",
         }])
-        records = load_dataset(path, flavor="grailqa")
+        records = load_dataset(path)
         assert records[0].id == "3201"
         assert records[0].topic_entities == (("m.0f2v0", "Vienna"),)
         assert set(records[0].answers) == {"m.0dnh2", "Danube"}
@@ -111,17 +106,11 @@ class TestGrailqa:
                  "friendly_name": "Second Name"},
             ]},
         }])
-        records = load_dataset(path, flavor="grailqa")
+        records = load_dataset(path)
         assert records[0].topic_entities == (("m.0a", "First Name"),)
 
 
 class TestValidation:
-    def test_unknown_flavor(self, tmp_path):
-        path = write_json(tmp_path / "x.json", [])
-        with pytest.raises(DatasetError):
-            load_dataset(path, flavor="mystery")
-        assert FLAVORS == ("normalized", "cwq", "webqsp", "grailqa")
-
     def test_non_list_payload(self, tmp_path):
         path = write_json(tmp_path / "x.json", {"oops": True})
         with pytest.raises(DatasetError):
@@ -187,75 +176,75 @@ class TestValidation:
         assert "record 1" in str(info.value)
         assert message in str(info.value)
 
-    @pytest.mark.parametrize("flavor,record", [
-        ("normalized", {"id": "n1", "question": "   ",
-                        "topic_entities": [["m.0a", "A"]]}),
-        ("cwq", {"ID": "c1", "question": "", "topic_entity": {"m.0a": "A"}}),
-        ("webqsp", {"QuestionId": "w1", "RawQuestion": "\t\n",
-                    "Parses": [{"TopicEntityMid": "m.0a"}]}),
-        ("grailqa", {"qid": 1, "question": " ",
-                     "graph_query": {"nodes": []}}),
+    @pytest.mark.parametrize("record", [
+        pytest.param({"id": "n1", "question": "   ",
+                      "topic_entities": [["m.0a", "A"]]}, id="normalized"),
+        pytest.param({"ID": "c1", "question": "",
+                      "topic_entity": {"m.0a": "A"}}, id="cwq"),
+        pytest.param({"QuestionId": "w1", "RawQuestion": "\t\n",
+                      "Parses": [{"TopicEntityMid": "m.0a"}]}, id="webqsp"),
+        pytest.param({"qid": 1, "question": " ",
+                      "graph_query": {"nodes": []}}, id="grailqa"),
     ])
-    def test_a_blank_question_names_the_record(self, tmp_path, flavor,
-                                               record):
+    def test_a_blank_question_names_the_record(self, tmp_path, record):
         path = write_json(tmp_path / "x.json", [record])
         with pytest.raises(DatasetError,
                            match="record 0 .*question is blank"):
-            load_dataset(path, flavor=flavor)
+            load_dataset(path)
 
-    @pytest.mark.parametrize("flavor,record", [
-        ("cwq", {"ID": "c1", "question": None,
-                 "topic_entity": {"m.0a": "A"}}),
-        ("webqsp", {"QuestionId": "w1", "RawQuestion": None,
-                    "Parses": [{"TopicEntityMid": "m.0a"}]}),
-        ("webqsp", {"QuestionId": "w2", "topic_entity": {"m.0a": "A"}}),
-        ("webqsp", {"QuestionId": "w3", "question": 12,
-                    "topic_entity": {"m.0a": "A"}}),
-        ("grailqa", {"qid": 1, "question": {"text": "Q?"},
-                     "graph_query": {"nodes": []}}),
+    @pytest.mark.parametrize("record", [
+        pytest.param({"ID": "c1", "question": None,
+                      "topic_entity": {"m.0a": "A"}}, id="cwq"),
+        pytest.param({"QuestionId": "w1", "RawQuestion": None,
+                      "Parses": [{"TopicEntityMid": "m.0a"}]}, id="webqsp"),
+        pytest.param({"QuestionId": "w2", "topic_entity": {"m.0a": "A"}},
+                     id="webqsp-flattened-without-question"),
+        pytest.param({"QuestionId": "w3", "question": 12,
+                      "topic_entity": {"m.0a": "A"}},
+                     id="webqsp-flattened"),
+        pytest.param({"qid": 1, "question": {"text": "Q?"},
+                      "graph_query": {"nodes": []}}, id="grailqa"),
     ])
-    def test_other_flavors_require_a_string_question(self, tmp_path, flavor,
-                                                     record):
+    def test_other_layouts_require_a_string_question(self, tmp_path, record):
         path = write_json(tmp_path / "x.json", [record])
         with pytest.raises(DatasetError,
                            match="record 0 .*question must be a string"):
-            load_dataset(path, flavor=flavor)
+            load_dataset(path)
 
-    @pytest.mark.parametrize("flavor,record,message", [
-        ("cwq", {"ID": "c1", "question": "Q?",
-                 "topic_entity": {"m.0a": None}},
+    @pytest.mark.parametrize("record,message", [
+        ({"ID": "c1", "question": "Q?", "topic_entity": {"m.0a": None}},
          "topic entity label must be a string"),
-        ("cwq", {"ID": "c1", "question": "Q?", "topic_entity": {"m.0a": "A"},
-                 "answers": [{"answer": ["A"]}]},
+        ({"ID": "c1", "question": "Q?", "topic_entity": {"m.0a": "A"},
+          "answers": [{"answer": ["A"]}]},
          "answer ['A'] is not a string or number"),
-        ("cwq", {"ID": "c1", "question": "Q?", "topic_entity": {"m.0a": "A"},
-                 "answers": [{"answer": False}]},
+        ({"ID": "c1", "question": "Q?", "topic_entity": {"m.0a": "A"},
+          "answers": [{"answer": False}]},
          "answer False is not a string or number"),
-        ("cwq", {"ID": "c1", "question": "Q?", "topic_entity": {"m.0a": "A"},
-                 "answers": [{"answer": []}]},
+        ({"ID": "c1", "question": "Q?", "topic_entity": {"m.0a": "A"},
+          "answers": [{"answer": []}]},
          "answer [] is not a string or number"),
-        ("webqsp", {"QuestionId": "w1", "RawQuestion": "Q?",
-                    "Parses": [{"TopicEntityMid": "m.0a",
-                                "Answers": [{"EntityName": {}}]}]},
+        ({"QuestionId": "w1", "RawQuestion": "Q?",
+          "Parses": [{"TopicEntityMid": "m.0a",
+                      "Answers": [{"EntityName": {}}]}]},
          "answer {} is not a string or number"),
-        ("cwq", {"ID": "c1", "question": "Q?", "topic_entity": {"m.0a": "A"},
-                 "answers": [{"answer": "A", "aliases": "Ay"}]},
+        ({"ID": "c1", "question": "Q?", "topic_entity": {"m.0a": "A"},
+          "answers": [{"answer": "A", "aliases": "Ay"}]},
          "aliases must be a list"),
-        ("webqsp", {"QuestionId": "w1", "RawQuestion": "Q?",
-                    "Parses": [{"TopicEntityMid": 5}]},
+        ({"QuestionId": "w1", "RawQuestion": "Q?",
+          "Parses": [{"TopicEntityMid": 5}]},
          "topic entity id must be a string"),
-        ("webqsp", {"QuestionId": "w1", "RawQuestion": "Q?",
-                    "Parses": [{"TopicEntityMid": 0}]},
+        ({"QuestionId": "w1", "RawQuestion": "Q?",
+          "Parses": [{"TopicEntityMid": 0}]},
          "topic entity id must be a string"),
-        ("grailqa", {"qid": 1, "question": "Q?", "graph_query": {"nodes": [
+        ({"qid": 1, "question": "Q?", "graph_query": {"nodes": [
             {"node_type": "entity", "id": None}]}},
          "topic entity id must be a string"),
     ])
-    def test_other_flavors_reject_wrong_field_types(self, tmp_path, flavor,
-                                                    record, message):
+    def test_other_layouts_reject_wrong_field_types(self, tmp_path, record,
+                                                    message):
         path = write_json(tmp_path / "x.json", [record])
         with pytest.raises(DatasetError, match="record 0") as info:
-            load_dataset(path, flavor=flavor)
+            load_dataset(path)
         assert message in str(info.value)
 
     def test_numbers_stay_valid_ids_and_answers(self, tmp_path):
@@ -272,7 +261,7 @@ class TestValidation:
             {"ID": "c1", "question": "How many?", "topic_entity": {"m.0a": "A"},
              "answers": [{"answer": 0, "aliases": []}, {"answer": ""}]},
         ])
-        assert load_dataset(path, flavor="cwq")[0].answers == ("0",)
+        assert load_dataset(path)[0].answers == ("0",)
 
     def test_topicless_records_skipped_with_warning(self, tmp_path, caplog):
         path = write_json(tmp_path / "x.json", [
@@ -289,3 +278,97 @@ class TestValidation:
                     if "skipped 2 record(s)" in r.getMessage()]
         assert len(warnings) == 1
         assert "drop-1" in warnings[0].getMessage()
+
+
+class TestLayoutDetection:
+    """Each record's keys say its layout; no record names it."""
+
+    def test_a_file_mixing_layouts_loads_every_record(self, tmp_path):
+        path = write_json(tmp_path / "mixed.json", [
+            {"id": "n1", "question": "Normalized?",
+             "topic_entities": [["m.0a", "A"]], "answers": ["x"]},
+            {"ID": "c1", "question": "Complex?",
+             "topic_entity": {"m.0b": "B"}, "answers": [{"answer": "y"}]},
+            {"QuestionId": "w1", "RawQuestion": "Official?",
+             "Parses": [{"TopicEntityMid": "m.0c", "TopicEntityName": "C",
+                         "Answers": [{"EntityName": "z"}]}]},
+            {"qid": 4, "question": "Grail?", "answer": [
+                {"answer_argument": "m.0e"}],
+             "graph_query": {"nodes": [{"node_type": "entity",
+                                        "id": "m.0d",
+                                        "friendly_name": "D"}]}},
+        ])
+        assert [(r.id, r.question, r.topic_entities, r.answers)
+                for r in load_dataset(path)] == [
+            ("n1", "Normalized?", (("m.0a", "A"),), ("x",)),
+            ("c1", "Complex?", (("m.0b", "B"),), ("y",)),
+            ("w1", "Official?", (("m.0c", "C"),), ("z",)),
+            ("4", "Grail?", (("m.0d", "D"),), ("m.0e",)),
+        ]
+
+    @pytest.mark.parametrize("record", [
+        pytest.param({"id": "n1", "question": "Q?", "topic_entities": [
+            ["m.0a", ""], ["m.0b", " \t"], ["m.0c", " Gamma "]]},
+            id="normalized"),
+        pytest.param({"ID": "c1", "question": "Q?", "topic_entity": {
+            "m.0a": "", "m.0b": " \t", "m.0c": " Gamma "}}, id="cwq"),
+        pytest.param({"QuestionId": "w1", "RawQuestion": "Q?", "Parses": [
+            {"TopicEntityMid": "m.0a", "TopicEntityName": ""},
+            {"TopicEntityMid": "m.0b", "TopicEntityName": " \t"},
+            {"TopicEntityMid": "m.0c", "TopicEntityName": " Gamma "}]},
+            id="webqsp"),
+        pytest.param({"qid": 1, "question": "Q?", "graph_query": {"nodes": [
+            {"node_type": "entity", "id": "m.0a", "friendly_name": ""},
+            {"node_type": "entity", "id": "m.0b", "friendly_name": " \t"},
+            {"node_type": "entity", "id": "m.0c",
+             "friendly_name": " Gamma "}]}}, id="grailqa"),
+    ])
+    def test_a_blank_topic_label_is_the_id(self, tmp_path, record):
+        # as `--topic ID=` does; any other label is kept as given
+        path = write_json(tmp_path / "x.json", [record])
+        assert load_dataset(path)[0].topic_entities == (
+            ("m.0a", "m.0a"), ("m.0b", "m.0b"), ("m.0c", " Gamma "))
+
+    def test_the_id_is_the_first_id_key_present(self, tmp_path):
+        topics = {"topic_entity": {"m.0a": "A"}, "question": "Q?"}
+        path = write_json(tmp_path / "x.json", [
+            dict(topics, id="d", qid="c", QuestionId="b", ID="a"),
+            dict(topics, id="d", qid="c", QuestionId="b"),
+            dict(topics, id="d", qid="c"),
+            dict(topics, id="d"),
+            topics,
+        ])
+        assert [r.id for r in load_dataset(path)] == ["a", "b", "c", "d",
+                                                       "4"]
+
+    @pytest.mark.parametrize("fields, answers", [
+        ({"answers": 0, "answer": "a"}, ("0",)),
+        ({"answers": [], "answer": "a"}, ("a",)),
+        ({"answers": None, "answer": ["a"]}, ("a",)),
+        ({"answers": "", "answer": 0}, ("0",)),
+        ({"answer": [{"answer_argument": "m.0a"}]}, ("m.0a",)),
+    ])
+    def test_answers_fall_back_to_answer_only_when_absent(
+            self, tmp_path, fields, answers):
+        path = write_json(tmp_path / "x.json", [
+            dict(fields, question="Q?", topic_entity={"m.0a": "A"})])
+        assert load_dataset(path)[0].answers == answers
+
+    def test_the_raw_question_comes_before_the_question(self, tmp_path):
+        path = write_json(tmp_path / "x.json", [
+            {"RawQuestion": "raw?", "question": "processed?",
+             "topic_entity": {"m.0a": "A"}},
+        ])
+        assert load_dataset(path)[0].question == "raw?"
+
+    def test_a_topic_map_is_read_before_parses(self, tmp_path):
+        # WebQSP files that carry both read the map, as they always have
+        path = write_json(tmp_path / "x.json", [
+            {"QuestionId": "w1", "RawQuestion": "Q?",
+             "topic_entity": {"m.0a": "A"}, "answers": ["x"],
+             "Parses": [{"TopicEntityMid": "m.0b", "TopicEntityName": "B",
+                         "Answers": [{"EntityName": "y"}]}]},
+        ])
+        [record] = load_dataset(path)
+        assert (record.topic_entities, record.answers) == (
+            (("m.0a", "A"),), ("x",))

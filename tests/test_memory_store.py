@@ -10,7 +10,6 @@ from graphquest.kg.types import (
     FREEBASE_NS,
     Direction,
     EntityLabel,
-    KGError,
     Triplet,
 )
 
@@ -77,7 +76,7 @@ class TestLoading:
             encoding="utf-8",
         )
         kg = InMemoryKG()
-        assert kg.load_triples(str(path), format="ntriples-subset") == 3
+        assert kg.load_triples(str(path)) == 3
         assert len(kg) == 1
         assert kg.search_entities("m.0a", "test.block.edge",
                                   Direction.OUTGOING) == ["m.0b"]
@@ -187,7 +186,7 @@ class TestLoading:
             f"<http://rdf.freebase.com/ns/type.object.name> {literal} .\n"
             for i, literal in enumerate(labels)), encoding="utf-8")
         kg = InMemoryKG()
-        kg.load_triples(str(path), format="ntriples-subset")
+        kg.load_triples(str(path))
         assert [kg.resolve_label(f"m.{i}").label
                 for i in range(len(labels))] == list(labels.values())
 
@@ -201,15 +200,55 @@ class TestLoading:
             f"<http://rdf.freebase.com/ns/type.object.name> {literal} .\n",
             encoding="utf-8")
         with pytest.raises(TripleLoadError) as info:
-            InMemoryKG().load_triples(str(path), format="ntriples-subset")
+            InMemoryKG().load_triples(str(path))
         assert info.value.line_number == 2
         assert "escape" in str(info.value)
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("a,b,c\n", encoding="utf-8")
-        with pytest.raises(KGError):
-            InMemoryKG().load_triples(str(path), format="comma-separated")
+        with pytest.raises(TripleLoadError, match="x.csv:1: expected 3 tab"):
+            InMemoryKG().load_triples(str(path))
+
+    def test_the_first_data_line_picks_the_parser_whatever_the_name(
+            self, tmp_path):
+        ntriples = tmp_path / "graph.txt"
+        ntriples.write_text(
+            "# exported graph\n"
+            "\n"
+            "   # indented comment\n"
+            f"<{FREEBASE_NS}m.0a> <{FREEBASE_NS}test.block.edge> "
+            f"<{FREEBASE_NS}m.0b> .\n"
+            f'<{FREEBASE_NS}m.0a> <{FREEBASE_NS}type.object.name> "A" .\n',
+            encoding="utf-8-sig")
+        tsv = tmp_path / "graph.nt"
+        tsv.write_text("# exported graph\nm.0b\ttest.block.edge\tm.0c\n",
+                       encoding="utf-8")
+        kg = InMemoryKG()
+        assert kg.load_triples(str(ntriples)) == 2
+        assert kg.load_triples(str(tsv)) == 1
+        assert [tuple(vars(t).values()) for t in kg.triples()] == [
+            ("m.0a", "test.block.edge", "m.0b"),
+            ("m.0b", "test.block.edge", "m.0c")]
+        assert kg.resolve_label("m.0a").label == "A"
+
+    @pytest.mark.parametrize("lines, bad", [
+        pytest.param([f"<{FREEBASE_NS}m.0a> <{FREEBASE_NS}r.e.l> "
+                      f"<{FREEBASE_NS}m.0b> .", "m.0b\tr.e.l\tm.0c"],
+                     "not a recognized triple line", id="ntriples-then-tsv"),
+        pytest.param(["m.0b\tr.e.l\tm.0c", f"<{FREEBASE_NS}m.0a> "
+                      f"<{FREEBASE_NS}r.e.l> <{FREEBASE_NS}m.0b> ."],
+                     "expected 3 tab-separated columns",
+                     id="tsv-then-ntriples"),
+    ])
+    def test_one_parser_reads_the_whole_file(self, tmp_path, lines, bad):
+        path = tmp_path / "mixed.txt"
+        path.write_text("# header\n" + "\n".join(lines) + "\n",
+                        encoding="utf-8")
+        kg = InMemoryKG()
+        with pytest.raises(TripleLoadError, match=f"mixed.txt:3: {bad}"):
+            kg.load_triples(str(path))
+        assert len(kg) == 0
 
 
 class TestQueries:
@@ -275,8 +314,7 @@ class TestQueries:
             cut = random.Random(-seed).randint(0, len(rows))
             kg = InMemoryKG()
             for name, part in (("a.nt", rows[:cut]), ("b.nt", rows[cut:])):
-                kg.load_triples(write_nt(tmp_path / name, part),
-                                format="ntriples-subset")
+                kg.load_triples(write_nt(tmp_path / name, part))
         domain = naive_domain_triples(rows)
         assert len(kg) == len(domain)
         assert [tuple(vars(t).values()) for t in kg.triples()] == domain
@@ -329,7 +367,7 @@ class TestLabels:
             ("m.0y", "common.topic.alias", ""),
         ])
         kg = InMemoryKG()
-        assert kg.load_triples(path, format="ntriples-subset") == 4
+        assert kg.load_triples(path) == 4
         assert kg.resolve_label("m.0x") == EntityLabel("m.0x", "Nickname")
         assert kg.resolve_label("m.0y") == EntityLabel("m.0y", "m.0y",
                                                        is_fallback=True)

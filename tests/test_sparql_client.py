@@ -5,6 +5,10 @@ import requests
 
 from graphquest.kg.sparql_client import BackendUnreachableError, SparqlKG
 from graphquest.kg.types import Direction, KGError
+from graphquest.planner.engine import Planner
+from graphquest.planner.state import PlannerConfig, Question
+
+from adversaries import PromptAwareResponder
 
 ENDPOINT = "http://kg.invalid:8890/sparql"
 
@@ -271,3 +275,65 @@ class TestLabels:
         # canned payloads in these tests mirror the concrete wire format
         payload = results_payload("tailEntity", ["m.0fsmy2"])
         assert json.loads(json.dumps(payload)) == payload
+
+
+class TestEntitySearch:
+    # an id, a name literal and an IRI outside the namespace
+    TAILS = {"results": {"bindings": [
+        {"tailEntity": {"type": "uri",
+                        "value": "http://rdf.freebase.com/ns/m.0a"}},
+        {"tailEntity": {"type": "literal", "value": "Juan Carlos Varela"}},
+        {"tailEntity": {"type": "uri",
+                        "value": "http://dbpedia.org/resource/Panama"}},
+    ]}}
+
+    def test_keeps_only_plain_names(self):
+        client, _, _ = make_client([FakeResponse(200, self.TAILS)])
+        assert client.search_entities("m.0t", "test.rel",
+                                      Direction.OUTGOING) == ["m.0a"]
+
+    def test_plain_literals_stay_and_label_themselves(self):
+        payload = {"results": {"bindings": [
+            {"tailEntity": {"type": "literal", "value": value}}
+            for value in ("1987", "1987-05-04")]}}
+        empty = {"results": {"bindings": []}}
+        client, _, _ = make_client([FakeResponse(200, payload),
+                                    FakeResponse(200, empty)])
+        assert client.search_entities("m.0t", "test.born",
+                                      Direction.OUTGOING) == [
+            "1987", "1987-05-04"]
+        assert client.resolve_label("1987") == ("1987", "1987", True)
+
+    def test_a_run_over_such_tails_finishes(self):
+        class Graph(FakeSession):
+            """m.0t -test.rel-> TAILS; m.0t and m.0a have names."""
+
+            def __init__(self):
+                super().__init__([])
+
+            def post(self, url, *, data, headers, timeout):
+                query = data.decode("utf-8")
+                self.requests.append(query)
+                if "FILTER(?entity = ns:" in query:
+                    names = {"m.0t": ["Topic"], "m.0a": ["Alpha"]}
+                    entity = query.split("FILTER(?entity = ns:")[1]
+                    found = names.get(entity.split(")")[0], [])
+                    return FakeResponse(200, {"results": {"bindings": [
+                        {"tailEntity": {"type": "literal", "value": name}}
+                        for name in found]}})
+                if "ns:m.0t ?relation ?x" in query:
+                    return FakeResponse(200, results_payload(
+                        "relation", ["test.rel"]))
+                if "ns:m.0t ns:test.rel ?tailEntity" in query:
+                    return FakeResponse(200, TestEntitySearch.TAILS)
+                return FakeResponse(200, {"results": {"bindings": []}})
+
+        session = Graph()
+        client = SparqlKG(ENDPOINT, session=session, sleep=lambda _: None)
+        question = Question("Who is Alpha?", (("m.0t", "Topic"),))
+        for seed in range(5):
+            result = Planner(client, PromptAwareResponder(seed),
+                             PlannerConfig(max_depth=2)).run(question)
+            assert result.verdict is not None
+        assert any("ns:m.0t ns:test.rel ?tailEntity" in query
+                   for query in session.requests)
