@@ -40,13 +40,6 @@ _ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
            '"': '"', "'": "'", "\\": "\\"}
 
 
-class TripleLoadError(KGError):
-    def __init__(self, path: str, line_number: int, message: str):
-        super().__init__(f"{path}:{line_number}: {message}")
-        self.path = path
-        self.line_number = line_number
-
-
 def _unescape(match: re.Match) -> str:
     escape = match.group(1)
     if escape in _ECHARS:
@@ -119,8 +112,8 @@ class InMemoryKG:
         Comments, blank lines and a leading byte-order mark are skipped.
         Parsing is all-or-nothing: lines go into a staging store that
         replaces an empty store and is merged into any other, so a
-        malformed line raises TripleLoadError (with its line number), and
-        a file that is not UTF-8 text a KGError, leaving the store unchanged.
+        malformed line (`<path>:<line>: <problem>`) or a file that is not
+        UTF-8 text raises a KGError and leaves the store unchanged.
         """
         staged = InMemoryKG()
         # a copy, so a merged load reuses the ids this store already holds
@@ -144,7 +137,11 @@ class InMemoryKG:
                     line = raw.strip()
                     if not line or line.startswith("#"):
                         continue
-                    add(*parse(path, number, line))
+                    try:
+                        triple = parse(line)
+                    except ValueError as exc:
+                        raise KGError(f"{path}:{number}: {exc}") from None
+                    add(*triple)
                     count += 1
         except UnicodeDecodeError as exc:
             raise KGError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -215,23 +212,22 @@ def _keep_first(labels: dict[str, str], ids: dict[str, str], entity: str,
             labels[ids.setdefault(entity, entity)] = label
 
 
-def _parse_tsv(path: str, number: int, line: str) -> tuple[str, str, str]:
+def _parse_tsv(line: str) -> tuple[str, str, str]:
     columns = line.split("\t")
     if len(columns) < 3:
-        raise TripleLoadError(
-            path, number, f"expected 3 tab-separated columns, got {len(columns)}"
-        )
+        raise ValueError(
+            f"expected 3 tab-separated columns, got {len(columns)}")
     subject, relation, obj = (columns[0].strip(), columns[1].strip(),
                               columns[2].strip())
     if not subject or not relation or not obj:
-        raise TripleLoadError(path, number, "empty column")
+        raise ValueError("empty column")
     return subject, relation, obj
 
 
-def _parse_nt(path: str, number: int, line: str) -> tuple[str, str, str]:
+def _parse_nt(line: str) -> tuple[str, str, str]:
     match = _NT_LINE.match(line)
     if match is None:
-        raise TripleLoadError(path, number, "not a recognized triple line")
+        raise ValueError("not a recognized triple line")
     subject = match.group(1).removeprefix(FREEBASE_NS)
     relation = match.group(2).removeprefix(FREEBASE_NS)
     raw_obj = match.group(3)
@@ -240,9 +236,6 @@ def _parse_nt(path: str, number: int, line: str) -> tuple[str, str, str]:
     else:
         literal = _LITERAL.match(raw_obj)
         if literal is None:
-            raise TripleLoadError(path, number, "malformed literal")
-        try:
-            obj = _unescape_literal(literal.group(1))
-        except ValueError as exc:
-            raise TripleLoadError(path, number, str(exc)) from None
+            raise ValueError("malformed literal")
+        obj = _unescape_literal(literal.group(1))
     return subject, relation, obj

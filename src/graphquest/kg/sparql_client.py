@@ -27,18 +27,9 @@ from .types import (
 SPARQL_MIME = "application/sparql-query"
 RESULTS_MIME = "application/sparql-results+json"
 TIMEOUT_SECONDS = 30.0
-
-
-class BackendUnreachableError(KGError):
-    """The endpoint refused a query, or every retry of it failed."""
-
-    def __init__(self, endpoint: str, attempts: int, last_error: str):
-        super().__init__(
-            f"SPARQL endpoint {endpoint} failed after {attempts} "
-            f"attempts: {last_error}"
-        )
-        self.endpoint = endpoint
-        self.attempts = attempts
+# binding types of a literal; "typed-literal" is the older spelling some
+# endpoints still send for a literal with a datatype
+LITERAL_TYPES = ("literal", "typed-literal")
 
 
 class SparqlKG:
@@ -59,7 +50,7 @@ class SparqlKG:
         self.endpoint_url = endpoint_url
         self._sessions = Sessions(session)
         self._sleep = sleep
-        self._cache: dict[str, list[str]] = {}
+        self._cache: dict[str, dict[str, str | None]] = {}
         self._lock = threading.Lock()
 
     # -- queries ---------------------------------------------------------
@@ -77,53 +68,60 @@ class SparqlKG:
                         direction: Direction) -> list[str]:
         # plain names only: a name literal or an IRI outside the namespace
         # could not be queried for its label or relations. An id, or a
-        # literal such as a year, passes and labels itself.
-        return [other for other in
-                self._cached(entities_query(entity, relation, direction),
+        # literal such as a year, passes; a literal has no name, so its
+        # label lookup is answered here, with no request.
+        tails = self._cached(entities_query(entity, relation, direction),
                              "tailEntity")
-                if is_plain_name(other)]
+        kept = [other for other in tails if is_plain_name(other)]
+        for other in kept:
+            if tails[other] in LITERAL_TYPES:
+                with self._lock:
+                    self._cache.setdefault(label_query(other), {})
+        return kept
 
     def resolve_label(self, entity: str) -> EntityLabel:
-        # a blank name never becomes a label, as in the in-memory store
-        for value in self._cached(label_query(entity), "tailEntity"):
-            if value.strip():
-                return EntityLabel(entity, value)
-        return EntityLabel(entity, entity, is_fallback=True)
+        # the first sorted name before the first sorted owl:sameAs IRI, as
+        # in the in-memory store; a blank name never becomes a label
+        values = self._cached(label_query(entity), "tailEntity")
+        best = min(((kind == "uri", value) for value, kind in values.items()
+                    if value.strip()), default=None)
+        if best is None:
+            return EntityLabel(entity, entity, is_fallback=True)
+        return EntityLabel(entity, best[1])
 
     # -- transport -------------------------------------------------------
 
-    def _cached(self, query: str, variable: str) -> list[str]:
+    def _cached(self, query: str, variable: str) -> dict[str, str | None]:
+        """Each value bound to `variable` in the reply to `query`, in
+        sorted order, mapped to its binding's `type`. Shared with the
+        cache: callers read it and never change it."""
         with self._lock:
             hit = self._cache.get(query)
-        if hit is not None:
-            return list(hit)
-        values = self._execute(query, variable)
-        with self._lock:
-            self._cache[query] = values
-        return list(values)
-
-    def _execute(self, query: str, variable: str) -> list[str]:
-        payload = post_json(
-            self._sessions.get(), self.endpoint_url, sleep=self._sleep,
-            error=lambda attempts, last: BackendUnreachableError(
-                self.endpoint_url, attempts, last),
-            data=query.encode("utf-8"),
-            headers={"Content-Type": SPARQL_MIME, "Accept": RESULTS_MIME},
-            timeout=TIMEOUT_SECONDS,
-        )
-        return self._parse(payload, variable)
+        if hit is None:
+            payload = post_json(
+                self._sessions.get(), self.endpoint_url, sleep=self._sleep,
+                error=KGError, name="SPARQL", data=query.encode("utf-8"),
+                headers={"Content-Type": SPARQL_MIME, "Accept": RESULTS_MIME},
+                timeout=TIMEOUT_SECONDS,
+            )
+            hit = self._parse(payload, variable)
+            with self._lock:
+                self._cache[query] = hit
+        return hit
 
     @staticmethod
-    def _parse(payload: dict, variable: str) -> list[str]:
-        values = set()
+    def _parse(payload: dict, variable: str) -> dict[str, str | None]:
+        kinds: dict[str, str | None] = {}
         try:
             for binding in payload["results"]["bindings"]:
                 entry = binding.get(variable)
                 if entry is None:
                     continue
                 value = entry.get("value", "").removeprefix(FREEBASE_NS)
-                if value:
-                    values.add(value)
+                # an IRI binding wins, so a value that is also an id is
+                # never taken for a literal
+                if value and kinds.get(value) != "uri":
+                    kinds[value] = entry.get("type")
         except (KeyError, TypeError, AttributeError):
             raise KGError("malformed SPARQL results payload") from None
-        return sorted(values)
+        return dict(sorted(kinds.items()))

@@ -15,7 +15,7 @@ ALIAS_PREDICATES = frozenset({"common.topic.alias", OWL_SAMEAS})
 
 
 class KGError(Exception):
-    """Base class for knowledge-graph backend errors."""
+    """A knowledge-graph backend failed."""
 
 
 class Direction(enum.Enum):

@@ -12,7 +12,7 @@ from ..retry import Sessions, post_json
 from .types import (
     Completion,
     GenerationConfig,
-    TransportError,
+    LLMError,
     Usage,
     approximate_tokens,
 )
@@ -64,9 +64,7 @@ class ChatCompletionsBackend:
             headers["Authorization"] = f"Bearer {key}"
         payload = post_json(
             self._sessions.get(), self.url, sleep=self._sleep,
-            error=lambda attempts, last: TransportError(
-                f"chat endpoint {self.url} failed after {attempts} "
-                f"attempts: {last}"),
+            error=LLMError, name="chat",
             json=body, headers=headers, timeout=TIMEOUT_SECONDS,
         )
         try:
@@ -83,6 +81,6 @@ class ChatCompletionsBackend:
                 approximate_tokens(text) if output_tokens is None
                 else output_tokens)
         except (KeyError, IndexError, TypeError, AttributeError, ValueError):
-            raise TransportError(
+            raise LLMError(
                 f"malformed chat response from {self.url}") from None
         return Completion(text=text, usage=usage)

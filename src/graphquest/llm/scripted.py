@@ -10,7 +10,6 @@ from .types import (
     Completion,
     GenerationConfig,
     LLMError,
-    NoMatchingRuleError,
     Usage,
     approximate_tokens,
 )
@@ -110,6 +109,6 @@ class ScriptedBackend:
         if self.default_response is not None:
             return self.default_response
         head = prompt.strip().splitlines()[0][:120] if prompt.strip() else ""
-        raise NoMatchingRuleError(
+        raise LLMError(
             f"no scripted rule matches prompt starting with: {head!r}"
         )

@@ -8,15 +8,7 @@ from typing import Protocol
 
 
 class LLMError(Exception):
-    """Base class for language-model backend errors."""
-
-
-class TransportError(LLMError):
-    """The backend could not be reached or kept failing after retries."""
-
-
-class NoMatchingRuleError(LLMError):
-    """A scripted backend received a prompt no rule matches."""
+    """A language-model backend failed."""
 
 
 @dataclass(frozen=True)

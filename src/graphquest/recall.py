@@ -235,9 +235,7 @@ class RemoteEmbeddingScorer:
             body["model"] = self.model
         payload = post_json(
             self._sessions.get(), self.endpoint_url, sleep=self._sleep,
-            error=lambda attempts, last: RecallError(
-                f"embedding endpoint {self.endpoint_url} failed after "
-                f"{attempts} attempts: {last}"),
+            error=RecallError, name="embedding",
             json=body, timeout=TIMEOUT_SECONDS,
         )
         try:

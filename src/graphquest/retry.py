@@ -38,17 +38,17 @@ class Sessions:
 
 def post_json(session: requests.Session, url: str, *,
               sleep: Callable[[float], None],
-              error: Callable[[int, str], Exception], **post_kwargs) -> Any:
+              error: type[Exception], name: str, **post_kwargs) -> Any:
     """POST until a 200 with a JSON body arrives, and return the body.
 
     429/5xx statuses, connection errors and bodies that do not decode
     (nested too deep for the decoder among them) are retried, up to
     MAX_ATTEMPTS attempts, sleeping `BACKOFF_SECONDS * 2**n` after the
     n-th failed attempt (n from 0); any other status fails at once.
-    `error(attempts, last_error)` builds the caller's typed exception.
+    A failure raises `error`, the caller's one error type, with the text
+    `<name> endpoint <url> failed after <attempts> attempts: <last error>`.
     `post_kwargs` go to `session.post` unchanged.
     """
-    last_error = "no attempt made"
     for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
             response = session.post(url, **post_kwargs)
@@ -63,10 +63,11 @@ def post_json(session: requests.Session, url: str, *,
             else:
                 last_error = f"HTTP {response.status_code}"
                 if response.status_code not in RETRYABLE_STATUS:
-                    raise error(attempt, last_error)
+                    break
         if attempt < MAX_ATTEMPTS:
             delay = BACKOFF_SECONDS * (2 ** (attempt - 1))
             logger.warning("POST %s attempt %d failed (%s); retrying in %.1fs",
                            url, attempt, last_error, delay)
             sleep(delay)
-    raise error(MAX_ATTEMPTS, last_error)
+    raise error(f"{name} endpoint {url} failed after {attempt} attempts: "
+                f"{last_error}")

@@ -2,7 +2,7 @@ import pytest
 import requests
 
 from graphquest.llm.http_client import ChatCompletionsBackend
-from graphquest.llm.types import GenerationConfig, TransportError
+from graphquest.llm.types import GenerationConfig, LLMError
 
 CONFIG = GenerationConfig(model="test-model", temperature=0.3, max_tokens=1024)
 
@@ -124,7 +124,7 @@ class TestResponses:
 
     def test_malformed_payload_raises_transport_error(self):
         backend, _, _ = make_backend([FakeResponse(200, {"weird": []})])
-        with pytest.raises(TransportError):
+        with pytest.raises(LLMError):
             backend.complete("p", CONFIG)
 
     @pytest.mark.parametrize("payload", [
@@ -148,7 +148,7 @@ class TestResponses:
     ])
     def test_malformed_fields_raise_transport_error(self, payload):
         backend, _, _ = make_backend([FakeResponse(200, payload)])
-        with pytest.raises(TransportError, match="malformed chat response"):
+        with pytest.raises(LLMError, match="malformed chat response"):
             backend.complete("p", CONFIG)
 
 
@@ -163,7 +163,7 @@ class TestRetries:
 
     def test_non_retryable_fails_fast(self):
         backend, session, sleeps = make_backend([FakeResponse(401)])
-        with pytest.raises(TransportError) as info:
+        with pytest.raises(LLMError) as info:
             backend.complete("p", CONFIG)
         assert "401" in str(info.value)
         assert len(session.requests) == 1
@@ -172,7 +172,7 @@ class TestRetries:
     def test_exhaustion_reports_last_error(self):
         backend, _, _ = make_backend(
             [FakeResponse(503), FakeResponse(503), FakeResponse(503)])
-        with pytest.raises(TransportError) as info:
+        with pytest.raises(LLMError) as info:
             backend.complete("p", CONFIG)
         assert "3 attempts" in str(info.value)
         assert "HTTP 503" in str(info.value)
@@ -184,7 +184,7 @@ class TestRetries:
             assert backend.complete("p", CONFIG).text == "ok"
             assert len(session.requests) == 2
             backend, session, _ = make_backend([not_json(body)] * 3)
-            with pytest.raises(TransportError) as info:
+            with pytest.raises(LLMError) as info:
                 backend.complete("p", CONFIG)
             assert "3 attempts" in str(info.value)
             assert len(session.requests) == 3

@@ -7,7 +7,6 @@ from graphquest.llm.scripted import ResponderRule, ScriptedBackend
 from graphquest.llm.types import (
     GenerationConfig,
     LLMError,
-    NoMatchingRuleError,
     approximate_tokens,
 )
 
@@ -38,7 +37,7 @@ class TestRules:
 
     def test_no_match_raises_with_prompt_head(self):
         backend = ScriptedBackend([ResponderRule("never", "x")])
-        with pytest.raises(NoMatchingRuleError) as info:
+        with pytest.raises(LLMError) as info:
             backend.complete("Unmatched prompt line one\nline two", CONFIG)
         assert "Unmatched prompt line one" in str(info.value)
 

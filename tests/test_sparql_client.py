@@ -3,7 +3,7 @@ import json
 import pytest
 import requests
 
-from graphquest.kg.sparql_client import BackendUnreachableError, SparqlKG
+from graphquest.kg.sparql_client import SparqlKG
 from graphquest.kg.types import Direction, KGError
 from graphquest.planner.engine import Planner
 from graphquest.planner.state import PlannerConfig, Question
@@ -207,17 +207,18 @@ class TestRetries:
     def test_exhausted_retries_raise_with_attempt_count(self):
         client, _, _ = make_client(
             [FakeResponse(500), FakeResponse(500), FakeResponse(500)])
-        with pytest.raises(BackendUnreachableError) as info:
+        with pytest.raises(KGError) as info:
             client.search_relations("m.0x", Direction.OUTGOING)
-        assert info.value.attempts == 3
+        assert str(info.value) == (
+            f"SPARQL endpoint {ENDPOINT} failed after 3 attempts: HTTP 500")
         assert "HTTP 500" in str(info.value)
         assert "failed after 3 attempts" in str(info.value)
 
     def test_client_error_fails_fast(self):
         client, session, sleeps = make_client([FakeResponse(400)])
-        with pytest.raises(BackendUnreachableError) as info:
+        with pytest.raises(KGError) as info:
             client.search_relations("m.0x", Direction.OUTGOING)
-        assert info.value.attempts == 1
+        assert "failed after 1 attempts" in str(info.value)
         assert len(session.requests) == 1
         assert sleeps == []
         # the endpoint answered and refused the query: not "unreachable"
@@ -236,7 +237,7 @@ class TestRetries:
             client, session, _ = make_client([not_json(body)] * 3)
             with pytest.raises(KGError) as info:
                 client.search_relations("m.0x", Direction.OUTGOING)
-            assert info.value.attempts == 3
+            assert "failed after 3 attempts" in str(info.value)
             assert len(session.requests) == 3
 
 
@@ -271,6 +272,22 @@ class TestLabels:
         assert label.label == "m.0blank"
         assert label.is_fallback is True
 
+    @pytest.mark.parametrize("name", [
+        pytest.param({"type": "literal", "value": "iPhone"}, id="literal"),
+        pytest.param({"value": "iPhone"}, id="untyped"),
+    ])
+    def test_a_name_wins_over_a_same_as_iri_that_sorts_first(self, name):
+        # the in-memory store's rule: first sorted name, else first sorted
+        # alias. "h" sorts before "i", so sorted order alone picks the IRI.
+        payload = {"results": {"bindings": [
+            {"tailEntity": {"type": "uri",
+                            "value": "http://dbpedia.org/resource/IPhone"}},
+            {"tailEntity": name},
+        ]}}
+        client, _, _ = make_client([FakeResponse(200, payload)])
+        assert client.resolve_label("m.0iphone") == (
+            "m.0iphone", "iPhone", False)
+
     def test_payload_round_trips_as_json(self):
         # canned payloads in these tests mirror the concrete wire format
         payload = results_payload("tailEntity", ["m.0fsmy2"])
@@ -296,13 +313,53 @@ class TestEntitySearch:
         payload = {"results": {"bindings": [
             {"tailEntity": {"type": "literal", "value": value}}
             for value in ("1987", "1987-05-04")]}}
-        empty = {"results": {"bindings": []}}
-        client, _, _ = make_client([FakeResponse(200, payload),
-                                    FakeResponse(200, empty)])
+        client, session, _ = make_client([FakeResponse(200, payload)])
         assert client.search_entities("m.0t", "test.born",
                                       Direction.OUTGOING) == [
             "1987", "1987-05-04"]
         assert client.resolve_label("1987") == ("1987", "1987", True)
+        assert len(session.requests) == 1
+
+    def test_a_literal_tail_labels_itself_without_a_request(self):
+        # "typed-literal" is the older spelling of a literal with a
+        # datatype; an id tail, and an untyped one, still ask
+        payload = {"results": {"bindings": [
+            {"tailEntity": {"type": "typed-literal", "value": "1987"}},
+            {"tailEntity": {"type": "uri",
+                            "value": "http://rdf.freebase.com/ns/m.0a"}},
+            {"tailEntity": {"value": "m.0b"}},
+        ]}}
+        client, session, _ = make_client(
+            [FakeResponse(200, payload),
+             FakeResponse(200, results_payload("tailEntity", ["Alpha"])),
+             FakeResponse(200, results_payload("tailEntity", ["Beta"]))])
+        assert client.search_entities("m.0t", "test.rel",
+                                      Direction.OUTGOING) == [
+            "1987", "m.0a", "m.0b"]
+        assert client.resolve_label("1987") == ("1987", "1987", True)
+        assert len(session.requests) == 1
+        assert client.resolve_label("m.0a") == ("m.0a", "Alpha", False)
+        assert client.resolve_label("m.0b") == ("m.0b", "Beta", False)
+        assert len(session.requests) == 3
+
+    def test_a_label_already_fetched_is_kept(self):
+        # a value bound both as a literal and as an id is an id, and an
+        # earlier label reply is never replaced by an empty one
+        tails = {"results": {"bindings": [
+            {"tailEntity": {"type": "literal", "value": "m.0a"}},
+            {"tailEntity": {"type": "uri",
+                            "value": "http://rdf.freebase.com/ns/m.0a"}},
+            {"tailEntity": {"type": "literal", "value": "m.0b"}},
+        ]}}
+        client, session, _ = make_client(
+            [FakeResponse(200, results_payload("tailEntity", ["Bee"])),
+             FakeResponse(200, tails),
+             FakeResponse(200, results_payload("tailEntity", ["Alpha"]))])
+        assert client.resolve_label("m.0b").label == "Bee"
+        client.search_entities("m.0t", "test.rel", Direction.OUTGOING)
+        assert client.resolve_label("m.0b").label == "Bee"
+        assert client.resolve_label("m.0a").label == "Alpha"
+        assert len(session.requests) == 3
 
     def test_a_run_over_such_tails_finishes(self):
         class Graph(FakeSession):
