@@ -50,11 +50,15 @@ def entities_query(entity: str, relation: str, direction: Direction) -> str:
 
 
 def label_query(entity: str) -> str:
-    """`entity`'s names and owl:sameAs values."""
+    """`entity`'s names and owl:sameAs values, as ?tailEntity, and its
+    common.topic.alias values, as ?alias."""
     entity = _ns(entity)
     branches = [
-        f"  {{\n    ?entity {predicate} ?tailEntity .\n"
+        f"  {{\n    ?entity {predicate} ?{variable} .\n"
         f"    FILTER(?entity = {entity})\n  }}"
-        for predicate in ("ns:type.object.name", f"<{OWL_SAMEAS}>")
+        for predicate, variable in (("ns:type.object.name", "tailEntity"),
+                                    (f"<{OWL_SAMEAS}>", "tailEntity"),
+                                    ("ns:common.topic.alias", "alias"))
     ]
-    return _query("SELECT DISTINCT ?tailEntity", "\n  UNION\n".join(branches))
+    return _query("SELECT DISTINCT ?tailEntity ?alias",
+                  "\n  UNION\n".join(branches))

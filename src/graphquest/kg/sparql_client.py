@@ -50,7 +50,8 @@ class SparqlKG:
         self.endpoint_url = endpoint_url
         self._sessions = Sessions(session)
         self._sleep = sleep
-        self._cache: dict[str, dict[str, str | None]] = {}
+        # query -> variable -> value -> binding type, parsed once
+        self._cache: dict[str, dict[str, dict[str, str | None]]] = {}
         self._lock = threading.Lock()
 
     # -- queries ---------------------------------------------------------
@@ -80,11 +81,15 @@ class SparqlKG:
         return kept
 
     def resolve_label(self, entity: str) -> EntityLabel:
-        # the first sorted name before the first sorted owl:sameAs IRI, as
-        # in the in-memory store; a blank name never becomes a label
-        values = self._cached(label_query(entity), "tailEntity")
-        best = min(((kind == "uri", value) for value, kind in values.items()
-                    if value.strip()), default=None)
+        # as in the in-memory store: the first sorted name, else the first
+        # sorted alias or owl:sameAs IRI; a blank value never becomes a
+        # label
+        query = label_query(entity)
+        ranked = [(kind == "uri", value) for value, kind
+                  in self._cached(query, "tailEntity").items()]
+        ranked += [(True, value) for value in self._cached(query, "alias")]
+        best = min((pair for pair in ranked if pair[1].strip()),
+                   default=None)
         if best is None:
             return EntityLabel(entity, entity, is_fallback=True)
         return EntityLabel(entity, best[1])
@@ -104,24 +109,26 @@ class SparqlKG:
                 headers={"Content-Type": SPARQL_MIME, "Accept": RESULTS_MIME},
                 timeout=TIMEOUT_SECONDS,
             )
-            hit = self._parse(payload, variable)
+            hit = self._parse(payload)
             with self._lock:
                 self._cache[query] = hit
-        return hit
+        return hit.get(variable, {})
 
     @staticmethod
-    def _parse(payload: dict, variable: str) -> dict[str, str | None]:
-        kinds: dict[str, str | None] = {}
+    def _parse(payload: dict) -> dict[str, dict[str, str | None]]:
+        found: dict[str, dict[str, str | None]] = {}
         try:
             for binding in payload["results"]["bindings"]:
-                entry = binding.get(variable)
-                if entry is None:
-                    continue
-                value = entry.get("value", "").removeprefix(FREEBASE_NS)
-                # an IRI binding wins, so a value that is also an id is
-                # never taken for a literal
-                if value and kinds.get(value) != "uri":
-                    kinds[value] = entry.get("type")
+                for variable, entry in binding.items():
+                    if entry is None:
+                        continue
+                    kinds = found.setdefault(variable, {})
+                    value = entry.get("value", "").removeprefix(FREEBASE_NS)
+                    # an IRI binding wins, so a value that is also an id is
+                    # never taken for a literal
+                    if value and kinds.get(value) != "uri":
+                        kinds[value] = entry.get("type")
         except (KeyError, TypeError, AttributeError):
             raise KGError("malformed SPARQL results payload") from None
-        return dict(sorted(kinds.items()))
+        return {variable: dict(sorted(kinds.items()))
+                for variable, kinds in found.items()}

@@ -54,8 +54,8 @@ Hop = tuple[str, str, Direction]
 # (template id, slot -> bound text): one prompt, rendered at its model call
 # and recorded as it is
 Call = tuple[str, dict[str, str]]
-# (stage, prompt sent, completion): one model call of a Call
-Reply = tuple[str, str, Completion]
+# (stage, completion): one model call of a Call
+Reply = tuple[str, Completion]
 
 _decode_answer = partial(parse_json_object, required_keys={"A", "R"})
 _decode_reflection = partial(parse_json_object,
@@ -65,6 +65,11 @@ _decode_reflection = partial(parse_json_object,
 def _present(**fields: Any) -> dict:
     """The fields with a truthy value: a payload's optional keys."""
     return {key: value for key, value in fields.items() if value}
+
+
+def _text(value: Any) -> str:
+    """A reply's value where text is expected; a JSON null is empty."""
+    return "" if value is None else str(value)
 
 
 def _join_warnings(*parts: str | None) -> str | None:
@@ -134,10 +139,10 @@ class Planner:
     object, so one planner may serve many runs, one after another,
     nested, or on several threads (as far as its backends allow).
 
-    `prompts` renders each prompt (default: the bundled templates). An
-    object with a `digest(template_id)` method, as `PromptLibrary` has,
-    lets the trace store a call as its template and slots; the prompts
-    of one with `render` alone are stored whole.
+    `prompts` renders each prompt (default: the bundled templates). The
+    trace records the digest its `digest(template_id)` gives, or, for an
+    object with `render` alone, which must render the bundled text, the
+    bundled template's.
     """
 
     def __init__(self, kg: KGBackend, llm: CompletionBackend,
@@ -447,7 +452,7 @@ class Planner:
                 match = _INDEX_RE.search(str(key))
                 index = int(match.group(1)) if match else 0
                 if 1 <= index <= len(objectives):
-                    memory.status[index - 1] = str(value)
+                    memory.status[index - 1] = _text(value)
         run.record("memory_update", {
             "status": list(memory.status),
             "paths": len(memory.paths),
@@ -470,10 +475,9 @@ class Planner:
         else:
             raw_answer = data["A"]
             if isinstance(raw_answer, (list, tuple)):
-                primary = str(raw_answer[0]).strip() if raw_answer else ""
-            else:
-                primary = str(raw_answer).strip()
-            reason = str(data.get("R", "")).strip()
+                raw_answer = raw_answer[0] if raw_answer else None
+            primary = _text(raw_answer).strip()
+            reason = _text(data.get("R")).strip()
             sufficient = primary.lower() not in INSUFFICIENT_ANSWERS
             # only a forced verdict may carry a hedged answer
             answer = (primary or None) if sufficient or forced else None
@@ -508,7 +512,7 @@ class Planner:
             add, reason = False, "reflection response unparseable"
         else:
             add = normalize_bool(data["Add"])
-            reason = str(data.get("Reason", "")).strip()
+            reason = _text(data.get("Reason")).strip()
             if add is None:
                 warning = _join_warnings(
                     warning, f"unrecognized Add value {data['Add']!r}")
@@ -584,18 +588,18 @@ class Planner:
 
         Returns the decoded value, or None when both replies fail, and a
         warning whenever the first reply was unusable. Each completion
-        is appended to `completions` with its stage and prompt as it
-        arrives, and nothing is recorded, so it may run on any thread.
+        is appended to `completions` with its stage as it arrives, and
+        nothing is recorded, so it may run on any thread.
         """
         template, slots = call
         prompt = self.prompts.render(template, **slots)
         completion = self.llm.complete(prompt, self.config.generation)
-        completions.append((stage, prompt, completion))
+        completions.append((stage, completion))
         try:
             return decode(completion.text), None
         except ParseError as first:
             completion = self.llm.complete(prompt, self.config.generation)
-            completions.append((stage + "_retry", prompt, completion))
+            completions.append((stage + "_retry", completion))
             try:
                 return (decode(completion.text),
                         f"first response unparseable ({first})")
@@ -606,21 +610,15 @@ class Planner:
                       completions: list[Reply]) -> None:
         """One event per completion: the call's template, its slots and
         the digest of the template text that rendered it, from which
-        `PromptLibrary.prompt_of` rebuilds the prompt. A prompts object
-        with no `digest` cannot vouch for its template text, so its
-        prompts are stored whole."""
+        `PromptLibrary.prompt_of` rebuilds the prompt."""
         template, slots = call
-        digest = getattr(self.prompts, "digest", None)
-        for stage, prompt, completion in completions:
-            if digest is None:
-                payload = {"stage": stage, "prompt": prompt,
-                           "response": completion.text}
-            else:
-                payload = {"stage": stage, "template": template,
-                           "slots": slots,
-                           "template_digest": digest(template),
-                           "response": completion.text}
-            run.record("llm_call", payload, usage=completion.usage)
+        digest = getattr(self.prompts, "digest", PromptLibrary.digest)
+        for stage, completion in completions:
+            run.record("llm_call", {
+                "stage": stage, "template": template, "slots": slots,
+                "template_digest": digest(template),
+                "response": completion.text,
+            }, usage=completion.usage)
 
     def _record_labels(self, run: _Run, entities: list[str],
                        resolved: list[EntityLabel]) -> None:

@@ -35,6 +35,18 @@ _ASSETS = resources.files(__package__) / "assets"
 _BUNDLED = {template_id: (_ASSETS / f"{template_id}.txt").read_text(
                 encoding="utf-8")
             for template_id in TEMPLATE_SLOTS}
+# id -> [literal, slot, literal, ..., slot, literal]: each template split
+# once at its placeholders, so that a render is one join and a placeholder
+# inside a bound value is left as it is
+_SEGMENTS = {
+    template_id: re.split(r"\{(" + "|".join(map(re.escape, slots)) + r")\}",
+                          _BUNDLED[template_id])
+    for template_id, slots in TEMPLATE_SLOTS.items()
+}
+# id -> the first 12 hex characters of the sha256 of the text: the
+# `template_digest` an llm_call event records
+_DIGESTS = {template_id: hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+            for template_id, text in _BUNDLED.items()}
 
 
 class PromptError(Exception):
@@ -46,24 +58,11 @@ class PromptLibrary:
 
     def __init__(self):
         self.templates = dict(_BUNDLED)
-        # id -> [literal, slot, literal, ..., slot, literal]: each template
-        # split once at its placeholders, so that a render is one join and
-        # a placeholder inside a bound value is left as it is
-        self._segments = {
-            template_id: re.split(
-                r"\{(" + "|".join(map(re.escape, slots)) + r")\}",
-                self.templates[template_id])
-            for template_id, slots in TEMPLATE_SLOTS.items()
-        }
-        # id -> the first 12 hex characters of the sha256 of the text:
-        # the `template_digest` an llm_call event records
-        self._digests = {
-            template_id: hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
-            for template_id, text in self.templates.items()}
 
-    def digest(self, template_id: str) -> str:
-        """The digest of a template's text, as a trace records it."""
-        return self._digests[template_id]
+    @staticmethod
+    def digest(template_id: str) -> str:
+        """The digest of a bundled template's text, as a trace records it."""
+        return _DIGESTS[template_id]
 
     def render(self, template_id: str, **bindings: str) -> str:
         slots = TEMPLATE_SLOTS.get(template_id)
@@ -79,7 +78,7 @@ class PromptLibrary:
         if unknown:
             raise PromptError(f"prompt template {template_id!r} has no slot "
                               f"{sorted(unknown)[0]!r}")
-        segments = self._segments[template_id][:]
+        segments = _SEGMENTS[template_id][:]
         segments[1::2] = [str(bindings[slot]) for slot in segments[1::2]]
         return "".join(segments)
 
@@ -125,10 +124,10 @@ class PromptLibrary:
         if unknown:
             raise fail(f"has no slot {sorted(unknown)[0]!r}")
         digest = payload.get("template_digest")
-        if digest != self._digests[template]:
+        if digest != _DIGESTS[template]:
             raise fail(f"digest {digest!r} is not this library's "
-                       f"{self._digests[template]!r}")
-        segments = self._segments[template]
+                       f"{_DIGESTS[template]!r}")
+        segments = _SEGMENTS[template]
         parts: list[tuple[str | None, str]] = [(None, segments[0])]
         for index in range(1, len(segments), 2):
             slot = segments[index]

@@ -17,7 +17,7 @@ from graphquest.planner.state import AblationFlags, PlannerConfig, Question
 from graphquest.prompts import PromptLibrary
 from graphquest.trace import RunTrace, TraceError
 
-from adversaries import ANSWER_ANCHOR
+from adversaries import ANSWER_ANCHOR, MEMORY_ANCHOR, REFLECTION_ANCHOR
 from test_acceptance import _stable_lines
 
 PROMPTS = PromptLibrary()
@@ -204,10 +204,10 @@ class TestFullRun:
         assert [e.payload["sufficient"] for e in verdict_events] == \
             [False, False, True]
 
-    def test_a_prompts_object_without_digest_stores_prompts_whole(
+    def test_a_render_only_prompts_object_records_template_and_slots(
             self, panama_kg, panama_llm, panama_question):
-        # such an object cannot name the text it rendered, so the trace
-        # holds each prompt as sent, which prompt_of returns
+        # such an object renders the bundled text, so the trace records
+        # the bundled digest, and prompt_of rebuilds each prompt as sent
         sent = []
 
         class Recording:
@@ -217,13 +217,16 @@ class TestFullRun:
 
         class RenderOnly:
             def render(self, template_id, **bindings):
-                return PROMPTS.render(template_id, **bindings) + "\n"
+                return PROMPTS.render(template_id, **bindings)
 
         result = Planner(panama_kg, Recording(),
                          prompts=RenderOnly()).run(panama_question)
         calls = list(result.trace.iter_kind("llm_call"))
-        assert [set(e.payload) for e in calls] == \
-            [{"stage", "prompt", "response"}] * len(sent)
+        assert [set(e.payload) for e in calls] == [
+            {"stage", "template", "slots", "template_digest", "response"}
+        ] * len(sent)
+        assert all(e.payload["template_digest"] ==
+                   PROMPTS.digest(e.payload["template"]) for e in calls)
         assert [PROMPTS.prompt_of(e) for e in calls] == sent
 
     def test_the_digest_is_the_rendering_objects(self, panama_kg,
@@ -291,6 +294,38 @@ class TestVerdicts:
         assert result.verdict.answer == "No"
         assert result.verdict.forced is False
         assert result.iterations == 1
+
+    @pytest.mark.parametrize("answer", [None, [None]],
+                             ids=["null", "list-of-null"])
+    def test_a_null_answer_is_no_answer(self, panama_kg, panama_question,
+                                        answer):
+        # a JSON null where text is expected reads as empty text, not as
+        # the text "None"
+        reply = json.dumps({"A": answer, "R": None})
+        result = Planner(panama_kg, ScriptedBackend(
+            [], default_response=reply)).run(panama_question)
+        assert result.verdict.sufficient is False
+        assert result.verdict.answer is None
+        assert result.verdict.reason == ""
+        verdicts = [e.payload for e in result.trace.iter_kind("verdict")]
+        assert verdicts[-1]["forced"] is True
+        assert all(v["answer"] is None and v["reason"] == ""
+                   for v in verdicts)
+
+    def test_a_null_reason_or_memory_note_is_empty_text(
+            self, panama_kg, panama_llm, panama_question):
+        llm = ScriptedBackend([
+            ResponderRule(REFLECTION_ANCHOR,
+                          json.dumps({"Add": False, "Reason": None})),
+            ResponderRule(MEMORY_ANCHOR, json.dumps({"#1": None, "#2": None})),
+        ] + panama_llm.rules)
+        result = Planner(panama_kg, llm).run(panama_question)
+        reflections = [e.payload for e in result.trace.iter_kind("reflection")]
+        assert reflections
+        assert all(r["reason"] == "" for r in reflections)
+        updates = [e.payload for e in result.trace.iter_kind("memory_update")]
+        assert updates
+        assert all(u["status"] == ["", ""] for u in updates)
 
 
 class TestReentrancy:

@@ -44,7 +44,7 @@ GOLDEN_ENTITY_IN = (
 
 GOLDEN_NAME = (
     "PREFIX ns: <http://rdf.freebase.com/ns/>\n"
-    "SELECT DISTINCT ?tailEntity\n"
+    "SELECT DISTINCT ?tailEntity ?alias\n"
     "WHERE {\n"
     "  {\n"
     "    ?entity ns:type.object.name ?tailEntity .\n"
@@ -53,6 +53,11 @@ GOLDEN_NAME = (
     "  UNION\n"
     "  {\n"
     "    ?entity <http://www.w3.org/2002/07/owl#sameAs> ?tailEntity .\n"
+    "    FILTER(?entity = ns:m.05qtj)\n"
+    "  }\n"
+    "  UNION\n"
+    "  {\n"
+    "    ?entity ns:common.topic.alias ?alias .\n"
     "    FILTER(?entity = ns:m.05qtj)\n"
     "  }\n"
     "}"

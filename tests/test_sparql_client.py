@@ -3,6 +3,7 @@ import json
 import pytest
 import requests
 
+from graphquest.kg.memory_store import InMemoryKG
 from graphquest.kg.sparql_client import SparqlKG
 from graphquest.kg.types import Direction, KGError
 from graphquest.planner.engine import Planner
@@ -287,6 +288,46 @@ class TestLabels:
         client, _, _ = make_client([FakeResponse(200, payload)])
         assert client.resolve_label("m.0iphone") == (
             "m.0iphone", "iPhone", False)
+
+    def test_an_alias_only_entity_gets_its_alias(self):
+        # as the in-memory store labels it, not with its id
+        payload = {"results": {"bindings": [
+            {"alias": {"type": "literal", "value": alias}}
+            for alias in ("Buzz", "Bee")]}}
+        client, session, _ = make_client([FakeResponse(200, payload)])
+        assert client.resolve_label("m.0b") == ("m.0b", "Bee", False)
+        assert InMemoryKG([("m.0b", "common.topic.alias", alias)
+                           for alias in ("Buzz", "Bee")]
+                          ).resolve_label("m.0b") == ("m.0b", "Bee", False)
+        body = session.requests[0]["data"].decode("utf-8")
+        assert "?entity ns:common.topic.alias ?alias ." in body
+
+    @pytest.mark.parametrize("name", [
+        pytest.param({"type": "literal", "value": "iPhone"}, id="literal"),
+        pytest.param({"value": "iPhone"}, id="untyped"),
+    ])
+    def test_a_name_wins_over_an_alias_that_sorts_first(self, name):
+        payload = {"results": {"bindings": [
+            {"alias": {"type": "literal", "value": "Apple phone"}},
+            {"tailEntity": name},
+        ]}}
+        client, _, _ = make_client([FakeResponse(200, payload)])
+        assert client.resolve_label("m.0iphone") == (
+            "m.0iphone", "iPhone", False)
+
+    @pytest.mark.parametrize("alias, label", [
+        ("Apple phone", "Apple phone"),
+        ("iPhone", "http://dbpedia.org/resource/IPhone"),
+    ])
+    def test_aliases_and_same_as_iris_sort_together(self, alias, label):
+        payload = {"results": {"bindings": [
+            {"tailEntity": {"type": "uri",
+                            "value": "http://dbpedia.org/resource/IPhone"}},
+            {"alias": {"type": "literal", "value": alias}},
+        ]}}
+        client, _, _ = make_client([FakeResponse(200, payload)])
+        assert client.resolve_label("m.0iphone") == (
+            "m.0iphone", label, False)
 
     def test_payload_round_trips_as_json(self):
         # canned payloads in these tests mirror the concrete wire format

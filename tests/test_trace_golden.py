@@ -22,6 +22,10 @@ The random-graph group also pins a short digest of each sweep seed's
 stored and rendered views in ``tests/fixtures/``, so that a mismatch
 names its seed; ``python tests/test_trace_golden.py`` prints
 that file's lines for the code as it is.
+
+Each group also runs through a planner whose graph, model, scorer and
+prompts are wrapped in objects that forward only the protocol methods,
+as a profiler's proxies would be: its traces must match the same tables.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from graphquest.harness.datasets import load_dataset
 from graphquest.planner.engine import Planner
 from graphquest.planner.state import AblationFlags, PlannerConfig, Question
 from graphquest.prompts import PromptLibrary
-from graphquest.recall import RecallConfig
+from graphquest.recall import RecallConfig, TrigramScorer
 from graphquest.trace import RunTrace
 
 from adversaries import PromptAwareResponder
@@ -188,7 +192,59 @@ def _seed_line(seed: int, trace: RunTrace) -> str:
                                    for view in (trace, _rendered(trace))])
 
 
-def _sweep_traces():
+class _ForwardingKG:
+    """The graph's protocol methods only: no `waits_on_network`."""
+
+    def __init__(self, kg):
+        self._kg = kg
+
+    def search_relations(self, entity, direction):
+        return self._kg.search_relations(entity, direction)
+
+    def search_entities(self, entity, relation, direction):
+        return self._kg.search_entities(entity, relation, direction)
+
+    def resolve_label(self, entity):
+        return self._kg.resolve_label(entity)
+
+
+class _ForwardingLLM:
+    def __init__(self, llm):
+        self._llm = llm
+
+    def complete(self, prompt, config):
+        return self._llm.complete(prompt, config)
+
+
+class _ForwardingScorer:
+    """`score` only: no batch `scores`."""
+
+    def __init__(self, scorer):
+        self._scorer = scorer
+
+    def score(self, question, label):
+        return self._scorer.score(question, label)
+
+
+class _ForwardingPrompts:
+    """`render` only: no `digest`."""
+
+    def __init__(self, prompts):
+        self._prompts = prompts
+
+    def render(self, template_id, **bindings):
+        return self._prompts.render(template_id, **bindings)
+
+
+def _wrapped_planner(kg, llm, config=None) -> Planner:
+    """A planner like `Planner(kg, llm, config)`, whose graph, model,
+    scorer and prompts are each wrapped in a forwarding object."""
+    return Planner(_ForwardingKG(kg), _ForwardingLLM(llm), config,
+                   scorer=_ForwardingScorer(TrigramScorer()),
+                   prompts=_ForwardingPrompts(LIBRARY))
+
+
+def _sweep_traces(make=Planner):
     """Random graphs on which recall, backtracking, hallucinated names
     and label fallbacks all occur: every fourth entity has no name."""
     config = PlannerConfig(max_depth=3,
@@ -204,24 +260,48 @@ def _sweep_traces():
         question = Question(
             f"How does {labels[entities[0]]} relate to "
             f"{labels[entities[1]]}?", topics)
-        yield Planner(kg, PromptAwareResponder(seed), config).run(
+        yield make(kg, PromptAwareResponder(seed), config).run(
             question).trace
+
+
+def _check_panama(group, make, kg, llm, question, tmp_path):
+    config = PlannerConfig(ablations=PANAMA_FLAGS[group])
+    _check(group, [make(kg, llm, config).run(question).trace], tmp_path)
+
+
+def _check_capitals(make, kg, llm, tmp_path):
+    records = load_dataset(str(FIXTURES / "capitals_dataset.json"))
+    planner = make(kg, llm)
+    traces = [planner.run(Question(r.question, r.topic_entities)).trace
+              for r in records]
+    _check("capitals", traces, tmp_path)
 
 
 @pytest.mark.parametrize("group", sorted(PANAMA_FLAGS))
 def test_panama_digest(group, panama_kg, panama_llm, panama_question,
                        tmp_path):
-    config = PlannerConfig(ablations=PANAMA_FLAGS[group])
-    result = Planner(panama_kg, panama_llm, config).run(panama_question)
-    _check(group, [result.trace], tmp_path)
+    _check_panama(group, Planner, panama_kg, panama_llm, panama_question,
+                  tmp_path)
+
+
+@pytest.mark.parametrize("group", sorted(PANAMA_FLAGS))
+def test_panama_digest_through_forwarding_wrappers(
+        group, panama_kg, panama_llm, panama_question, tmp_path):
+    _check_panama(group, _wrapped_planner, panama_kg, panama_llm,
+                  panama_question, tmp_path)
 
 
 def test_capitals_digest(capitals_kg, capitals_llm, tmp_path):
-    records = load_dataset(str(FIXTURES / "capitals_dataset.json"))
-    planner = Planner(capitals_kg, capitals_llm)
-    traces = [planner.run(Question(r.question, r.topic_entities)).trace
-              for r in records]
-    _check("capitals", traces, tmp_path)
+    _check_capitals(Planner, capitals_kg, capitals_llm, tmp_path)
+
+
+def test_capitals_digest_through_forwarding_wrappers(capitals_kg,
+                                                     capitals_llm, tmp_path):
+    _check_capitals(_wrapped_planner, capitals_kg, capitals_llm, tmp_path)
+
+
+def test_random_graph_digest_through_forwarding_wrappers(tmp_path):
+    _check("random-graph", list(_sweep_traces(_wrapped_planner)), tmp_path)
 
 
 def test_random_graph_digest(tmp_path):
