@@ -133,17 +133,13 @@ def _make_run_dir(root: str) -> Path:
 
 
 def _parse_topics(specs: list[str]) -> tuple[tuple[str, str], ...]:
+    """``ID=LABEL`` or ``ID`` pairs; `Question` makes a blank label the id."""
     topics = []
     for spec in specs:
-        if "=" in spec:
-            eid, label = spec.split("=", 1)
-        else:
-            eid, label = spec, spec
-        eid = eid.strip()
-        label = label.strip()
-        if not eid:
+        eid, _, label = spec.partition("=")
+        if not eid.strip():
             raise ConfigError(f"bad --topic value {spec!r}")
-        topics.append((eid, label or eid))
+        topics.append((eid.strip(), label.strip()))
     return tuple(topics)
 
 
@@ -235,7 +231,6 @@ def _print_slot_rollup(trace: RunTrace) -> None:
     placeholder, the template's own text under FIXED_TEXT, and the
     prompts of events saved whole, before calls were stored as template
     and slots, under LITERAL."""
-    library = PromptLibrary()
     # (template, slot) -> [calls, characters]
     rows: dict[tuple[str, str], list[int]] = {}
 
@@ -245,7 +240,7 @@ def _print_slot_rollup(trace: RunTrace) -> None:
         row[1] += chars
 
     for event in trace.iter_kind("llm_call"):
-        template, parts = library.parts_of(event)
+        template, parts = PromptLibrary.parts_of(event)
         if template is None:
             add(LITERAL, "prompt", sum(len(text) for _, text in parts))
             continue

@@ -117,11 +117,7 @@ def _answer(value: object) -> str:
 
 
 def _topic(eid: object, label: object) -> tuple[str, str]:
-    """A blank label is the id, as ``--topic ID=`` gives; any other is
-    kept as given."""
-    eid = _text(eid, "topic entity id")
-    label = _text(label, "topic entity label")
-    return eid, label if label.strip() else eid
+    return _text(eid, "topic entity id"), _text(label, "topic entity label")
 
 
 def _pair(pair: object) -> tuple[str, str]:

@@ -97,8 +97,8 @@ class _Run:
     iteration: int = 0
     # id -> label of every entity seen so far, topic entities included
     labels: dict[str, str] = field(init=False)
-    # (entity id, label) pairs still to be expanded this iteration
-    tail_entities: list[tuple[str, str]] = field(init=False)
+    # ids still to be expanded this iteration
+    tail_entities: list[str] = field(init=False)
     # id -> label of every candidate seen so far, topic entities included:
     # `labels` itself, unless no_memory gives each iteration its own
     candidate_pool: dict[str, str] = field(init=False)
@@ -110,9 +110,8 @@ class _Run:
     paths_text: str = ""
 
     def __post_init__(self) -> None:
-        topics = self.question.topic_entities
-        self.labels = self.candidate_pool = dict(topics)
-        self.tail_entities = list(topics)
+        self.labels = self.candidate_pool = dict(self.question.topic_entities)
+        self.tail_entities = list(self.labels)
 
     def record(self, kind: str, payload: dict,
                usage: Usage | None = None) -> None:
@@ -139,10 +138,8 @@ class Planner:
     object, so one planner may serve many runs, one after another,
     nested, or on several threads (as far as its backends allow).
 
-    `prompts` renders each prompt (default: the bundled templates). The
-    trace records the digest its `digest(template_id)` gives, or, for an
-    object with `render` alone, which must render the bundled text, the
-    bundled template's.
+    `prompts` renders each prompt (default: the bundled templates); it
+    must render the bundled text, whose digest the trace records.
     """
 
     def __init__(self, kg: KGBackend, llm: CompletionBackend,
@@ -182,15 +179,15 @@ class Planner:
             if self.config.ablations.no_memory:
                 # keep only what the current iteration discovers
                 run.expanded = set()
-                run.candidate_pool = dict(run.tail_entities)
+                run.candidate_pool = {eid: run.labels[eid]
+                                      for eid in run.tail_entities}
             self.explore_entities(run, self.explore_relations(run))
             self.update_memory(run)
             verdict = self.evaluate(run)
             if verdict.sufficient:
                 break
             # reflection only re-opens entities not already on the frontier
-            run.tail_entities.extend(
-                (eid, run.labels[eid]) for eid in self.reflect(run))
+            run.tail_entities.extend(self.reflect(run))
         exhausted = not verdict.sufficient
         if exhausted:
             verdict = self.evaluate(run, forced=True)
@@ -242,15 +239,14 @@ class Planner:
         tails = run.tail_entities
         found, failed = fanout.gather(
             self.kg, lambda search: self.kg.search_relations(*search),
-            [(eid, direction)
-             for eid, _ in tails for direction in _DIRECTIONS])
+            [(eid, direction) for eid in tails for direction in _DIRECTIONS])
         sub_objectives = json.dumps(run.objectives, ensure_ascii=False)
         # per tail searched both ways: the (relation, direction) pairs not
         # expanded yet, their relations sorted, the call offering them
         # (None when there are none) and the completions it gets
         offers: list[tuple[list[tuple[str, Direction]], list[str],
                            Call | None, list[Reply]]] = []
-        for (eid, label), both in zip(tails, zip(found[::2], found[1::2])):
+        for eid, both in zip(tails, zip(found[::2], found[1::2])):
             # pairs expanded in an earlier iteration are spent;
             # re-offering them would just repeat the same hop
             tagged = [(relation, direction)
@@ -263,7 +259,7 @@ class Planner:
                 call = ("relation_selection", {
                     "question": run.question.text,
                     "sub_objectives": sub_objectives,
-                    "topic_entity": label,
+                    "topic_entity": run.labels[eid],
                     "relations": "; ".join(names),
                 })
             offers.append((tagged, names, call, []))
@@ -272,7 +268,7 @@ class Planner:
             [(call, "relation_selection", parse_list, completions)
              for _, _, call, completions in offers if call is not None])
         hops: list[Hop] = []
-        for index, (eid, _) in enumerate(tails):
+        for index, eid in enumerate(tails):
             for direction, relations in zip(_DIRECTIONS,
                                             found[2 * index:2 * index + 2]):
                 run.record("kg_query", {
@@ -396,8 +392,8 @@ class Planner:
         grown: list[ReasoningPath] = []
         # the identities of the paths extended
         extended: set[int] = set()
-        # id -> label of each new tail, in first-reached order
-        new_tails: dict[str, str] = {}
+        # the ids of the new tails, in first-reached order
+        new_tails: dict[str, None] = {}
         cycles: set[str] = set()
         for tail, tail_offers in offers.items():
             # reached by backtracking with no live path ending here
@@ -416,12 +412,12 @@ class Planner:
                                 else PathStep(cid, relation, tail, direction))
                         grown.append(path.extended(step))
                         extended.add(id(path))
-                        new_tails.setdefault(cid, clabel)
+                        new_tails[cid] = None
         if grown:
             run.memory.paths = [path for path in run.memory.paths
                                 if id(path) not in extended] + grown
             run.paths_text = self._render_paths(run)
-        run.tail_entities = list(new_tails.items())
+        run.tail_entities = list(new_tails)
         run.record("selection", {
             "stage": "entities",
             "selected": valid,
@@ -456,7 +452,7 @@ class Planner:
         run.record("memory_update", {
             "status": list(memory.status),
             "paths": len(memory.paths),
-            "tail_entities": [eid for eid, _ in run.tail_entities],
+            "tail_entities": list(run.tail_entities),
             **listed,
             **_present(warning=warning),
         })
@@ -503,8 +499,9 @@ class Planner:
             return []
         data, warning = self._ask(run, ("reflection", {
             "question": run.question.text,
-            "entities": json.dumps([label for _, label in run.tail_entities],
-                                   ensure_ascii=False),
+            "entities": json.dumps(
+                [run.labels[eid] for eid in run.tail_entities],
+                ensure_ascii=False),
             "memory": self._render_status(run.memory.status),
             "triplets": run.paths_text,
         }), "reflection", _decode_reflection)
@@ -531,7 +528,7 @@ class Planner:
             "memory": self._render_status(run.memory.status),
         }), "backtrack_selection", parse_list)
         warning = _join_warnings(warning, warning2)
-        current = {eid for eid, _ in run.tail_entities}
+        current = set(run.tail_entities)
         label_to_ids: dict[str, list[str]] = {}
         for eid, clabel in pool.items():
             label_to_ids.setdefault(clabel, []).append(eid)
@@ -612,11 +609,10 @@ class Planner:
         the digest of the template text that rendered it, from which
         `PromptLibrary.prompt_of` rebuilds the prompt."""
         template, slots = call
-        digest = getattr(self.prompts, "digest", PromptLibrary.digest)
         for stage, completion in completions:
             run.record("llm_call", {
                 "stage": stage, "template": template, "slots": slots,
-                "template_digest": digest(template),
+                "template_digest": PromptLibrary.digest(template),
                 "response": completion.text,
             }, usage=completion.usage)
 

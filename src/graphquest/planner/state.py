@@ -16,7 +16,8 @@ class StateError(ValueError):
 @dataclass(frozen=True)
 class Question:
     text: str
-    # (entity id, human-readable label) pairs; a repeated id keeps the first
+    # (entity id, human-readable label) pairs; a repeated id keeps the
+    # first, and a blank label is the id
     topic_entities: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
@@ -26,7 +27,7 @@ class Question:
             raise StateError("question has no topic entities")
         first: dict[str, str] = {}
         for eid, label in self.topic_entities:
-            first.setdefault(eid, label)
+            first.setdefault(eid, label if label.strip() else eid)
         object.__setattr__(self, "topic_entities", tuple(first.items()))
 
 

@@ -109,9 +109,11 @@ def test_failed_share_is_each_sides_median_of_failed_over_attempted():
     assert not row["regression"]
 
 
-def run_main(tmp_path, monkeypatch, seed=1, failed=(0, 0), change_p50=1.5):
+def run_main(tmp_path, monkeypatch, seed=1, failed=(0, 0), change_p50=1.5,
+             correct=(True, True)):
     """main() on two fake checkouts: the parent's p50 is 1.0 and the
-    change's `change_p50`, and they fail `failed` of 5 questions."""
+    change's `change_p50`, they fail `failed` of 5 questions and report
+    `correct`."""
     parent, change = tmp_path / "parent", tmp_path / "change"
     for side in (parent, change):
         side.mkdir(parents=True)
@@ -122,10 +124,11 @@ def run_main(tmp_path, monkeypatch, seed=1, failed=(0, 0), change_p50=1.5):
     }))
     values = {parent: result(1.0, 10.0), change: result(change_p50, 10.0)}
     failures = {parent: failed[0], change: failed[1]}
+    gates = {parent: correct[0], change: correct[1]}
 
     def fake_run(checkout, workload, seed, seconds):
-        return {"failed": failures[checkout], "attempted": 5,
-                **values[checkout]}
+        return {"correct": gates[checkout], "failed": failures[checkout],
+                "attempted": 5, **values[checkout]}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     return bench_pairs.main([str(parent), str(change), "--workload", "w",
@@ -149,6 +152,36 @@ def test_main_marks_a_higher_failed_share(tmp_path, monkeypatch, capsys):
     assert "REGRESSION" in line
     rows = {row["metric"]: row for row in json.loads(out[-1])["summary"]}
     assert rows["failed_share"]["change"] == [0.2, 0.2, 0.2]
+
+
+def test_incorrect_share_counts_runs_reported_incorrect():
+    def run(correct):
+        return {"correct": correct, **result(1.0, 1.0)}
+
+    runs = [(run(True), run(False)), (run(True), run(True)),
+            (run(False), run(False))]
+    row = bench_pairs.incorrect_row(runs)
+    assert row["metric"] == "incorrect_share"
+    assert row["parent"][1] == 0.0
+    assert row["change"][1] == 1.0
+    assert row["regression"]
+    assert not row["gain"] and not row["unresolved"]
+    # as many incorrect runs on both sides is no regression
+    row = bench_pairs.incorrect_row([(run(False), run(True)),
+                                     (run(True), run(False))])
+    assert not row["regression"]
+
+
+def test_main_marks_a_run_reported_incorrect(tmp_path, monkeypatch,
+                                              capsys):
+    # a wrong fixture answer with no failed question, as run.py reports
+    # it: "correct": false, "failed": 0
+    assert run_main(tmp_path, monkeypatch, change_p50=1.0,
+                    correct=(True, False)) == 1
+    out = capsys.readouterr().out.splitlines()
+    line = next(line for line in out if line.startswith("incorrect_share"))
+    assert "REGRESSION" in line
+    assert sum("REGRESSION" in line for line in out) == 1
 
 
 def test_main_ends_with_one_json_line(tmp_path, monkeypatch, capsys):

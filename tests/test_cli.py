@@ -18,7 +18,7 @@ from graphquest.cli import (
 )
 from graphquest.config import ConfigError
 from graphquest.kg.types import FREEBASE_NS
-from graphquest.planner.state import AblationFlags
+from graphquest.planner.state import AblationFlags, Question
 from graphquest.prompts import PromptLibrary
 from graphquest.trace import RunTrace, TraceEvent
 
@@ -40,8 +40,10 @@ def panama_args(tmp_path, *extra):
 
 class TestArgumentPlumbing:
     def test_topic_specs(self):
-        topics = _parse_topics(["m.0a=Alpha Thing", "m.0b"])
-        assert topics == (("m.0a", "Alpha Thing"), ("m.0b", "m.0b"))
+        # with no label, or a blank one, the question labels a topic by id
+        topics = _parse_topics(["m.0a=Alpha Thing", "m.0b", " m.0c = "])
+        assert Question("Q?", topics).topic_entities == (
+            ("m.0a", "Alpha Thing"), ("m.0b", "m.0b"), ("m.0c", "m.0c"))
         with pytest.raises(ConfigError):
             _parse_topics(["=NoId"])
 

@@ -15,7 +15,7 @@ from graphquest.llm.scripted import ResponderRule, ScriptedBackend
 from graphquest.planner.engine import Planner, PlannerRunError
 from graphquest.planner.state import AblationFlags, PlannerConfig, Question
 from graphquest.prompts import PromptLibrary
-from graphquest.trace import RunTrace, TraceError
+from graphquest.trace import RunTrace
 
 from adversaries import ANSWER_ANCHOR, MEMORY_ANCHOR, REFLECTION_ANCHOR
 from test_acceptance import _stable_lines
@@ -229,26 +229,27 @@ class TestFullRun:
                    PROMPTS.digest(e.payload["template"]) for e in calls)
         assert [PROMPTS.prompt_of(e) for e in calls] == sent
 
-    def test_the_digest_is_the_rendering_objects(self, panama_kg,
+    def test_the_digest_is_the_bundled_templates(self, panama_kg,
                                                  panama_llm,
                                                  panama_question):
-        class Reworded:
-            """Renders text other than the bundled templates'."""
-
+        # a prompts object's own digest is not consulted: it must render
+        # the bundled text, whose digest the trace records
+        class RenderOnly:
             def render(self, template_id, **bindings):
-                return PROMPTS.render(template_id, **bindings) + "\n"
+                return PROMPTS.render(template_id, **bindings)
 
+        class OwnDigest(RenderOnly):
             def digest(self, template_id):
                 return "f" * 12
 
-        result = Planner(panama_kg, panama_llm,
-                         prompts=Reworded()).run(panama_question)
-        calls = list(result.trace.iter_kind("llm_call"))
-        assert calls
-        assert {e.payload["template_digest"] for e in calls} == {"f" * 12}
-        # the bundled library will not pass its own text off as the sent one
-        with pytest.raises(TraceError, match="digest 'ffffffffffff'"):
-            PROMPTS.prompt_of(calls[0])
+        for prompts in (RenderOnly(), OwnDigest()):
+            result = Planner(panama_kg, panama_llm,
+                             prompts=prompts).run(panama_question)
+            calls = list(result.trace.iter_kind("llm_call"))
+            assert calls
+            assert [e.payload["template_digest"] for e in calls] == [
+                PromptLibrary.digest(e.payload["template"]) for e in calls]
+            assert all(PROMPTS.prompt_of(e) for e in calls)
 
     def test_trace_is_deterministic_modulo_elapsed(self, panama_kg,
                                                    panama_llm,

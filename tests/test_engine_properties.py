@@ -448,6 +448,30 @@ class TestRecallTrigger:
                       if e.payload["stage"] == "entity_selection")
         assert prompt.count("Candidate ") == 29
 
+    def test_a_blank_topic_label_is_recalled_as_its_id(self):
+        # the hub's 41 neighbours include the topic, whose label recall
+        # scores; a blank label would be empty text
+        kg = make_kg([("m.0t", "test.wide.edge", "m.0hub")] + [
+            (f"m.0c{i:03d}", "test.wide.edge", "m.0hub")
+            for i in range(40)],
+            {"m.0hub": "Hub", **{f"m.0c{i:03d}": f"Candidate {i:03d}"
+                                 for i in range(40)}})
+        responder = ScriptedBackend([
+            ResponderRule(DECOMPOSE_ANCHOR, '["#1 find the thing"]'),
+            ResponderRule(RELATION_ANCHOR, '["test.wide.edge"]'),
+            ResponderRule(ENTITY_ANCHOR, '["Hub", "m.0t"]'),
+            ResponderRule(MEMORY_ANCHOR, '{"#1": "not yet"}'),
+            ResponderRule(ANSWER_ANCHOR, '{"A": "unknown", "R": "not yet"}'),
+            ResponderRule(REFLECTION_ANCHOR, '{"Add": false, "Reason": "no"}'),
+        ])
+        result = Planner(kg, responder).run(
+            Question("Which thing?", (("m.0t", " "),)))
+        assert result.iterations == 4
+        recalls = [e for e in result.trace.iter_kind("selection")
+                   if e.payload.get("stage") == "recall"]
+        assert [e.payload["before"] for e in recalls] == [41]
+        assert result.candidate_pool["m.0t"] == "m.0t"
+
 
 class TestBreadthCap:
     def test_validation_happens_before_truncation(self):

@@ -4,6 +4,7 @@ import logging
 import pytest
 
 from graphquest.harness.datasets import DatasetError, load_dataset
+from graphquest.planner.state import Question
 
 
 def write_json(path, payload):
@@ -324,9 +325,12 @@ class TestLayoutDetection:
              "friendly_name": " Gamma "}]}}, id="grailqa"),
     ])
     def test_a_blank_topic_label_is_the_id(self, tmp_path, record):
-        # as `--topic ID=` does; any other label is kept as given
+        # in the question a record seeds, as `--topic ID=` gives; any
+        # other label is kept as given
         path = write_json(tmp_path / "x.json", [record])
-        assert load_dataset(path)[0].topic_entities == (
+        loaded = load_dataset(path)[0]
+        assert Question(loaded.question, loaded.topic_entities
+                        ).topic_entities == (
             ("m.0a", "m.0a"), ("m.0b", "m.0b"), ("m.0c", " Gamma "))
 
     def test_the_id_is_the_first_id_key_present(self, tmp_path):

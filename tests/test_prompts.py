@@ -1,9 +1,11 @@
 import hashlib
+import re
 
 import pytest
 
 from graphquest.prompts import (
     TEMPLATE_SLOTS,
+    TEMPLATES,
     PromptError,
     PromptLibrary,
 )
@@ -40,23 +42,26 @@ def library():
 
 
 class TestCatalog:
-    def test_all_seven_templates_load(self, library):
-        assert sorted(library.templates) == sorted(TEMPLATE_SLOTS)
+    def test_all_seven_templates_load(self):
+        assert sorted(TEMPLATES) == sorted(TEMPLATE_SLOTS)
         assert len(TEMPLATE_SLOTS) == 7
 
-    def test_required_phrases_present(self, library):
+    def test_the_bundled_texts_are_read_only(self):
+        with pytest.raises(TypeError):
+            TEMPLATES["answer"] = "changed {question}"
+
+    def test_required_phrases_present(self):
         for template_id, phrases in REQUIRED_PHRASES.items():
-            text = library.templates[template_id]
+            text = TEMPLATES[template_id]
             for phrase in phrases:
                 assert phrase in text, (template_id, phrase)
 
-    def test_byte_stability(self, library):
+    def test_byte_stability(self):
         # Checksums frozen at review time; a diff here means prompt text
         # changed, which silently changes scripted-run behavior.
         digests = {
-            template_id: hashlib.sha256(
-                library.templates[template_id].encode("utf-8")).hexdigest()[:16]
-            for template_id in library.templates
+            template_id: hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+            for template_id, text in TEMPLATES.items()
         }
         assert digests == EXPECTED_DIGESTS
 
@@ -64,11 +69,18 @@ class TestCatalog:
         with pytest.raises(PromptError, match="'poetry'"):
             library.render("poetry", question="Q?")
 
-    def test_slot_declarations_match_templates(self, library):
+    def test_slot_declarations_match_templates(self):
         for template_id, slots in TEMPLATE_SLOTS.items():
-            text = library.templates[template_id]
+            text = TEMPLATES[template_id]
             for slot in slots:
                 assert ("{" + slot + "}") in text
+
+    def test_every_placeholder_is_a_declared_slot(self):
+        # an undeclared one would reach the model as literal text
+        for template_id, text in TEMPLATES.items():
+            placeholders = set(re.findall(r"\{([A-Za-z_]\w*)\}", text))
+            assert placeholders == set(TEMPLATE_SLOTS[template_id]), \
+                template_id
 
 
 class TestRendering:
@@ -96,12 +108,17 @@ class TestRendering:
         assert '{"A": "Danube"' in rendered
 
     def test_missing_binding(self, library):
-        with pytest.raises(PromptError, match="requires binding 'triplets'"):
+        with pytest.raises(PromptError, match="slot 'triplets' is missing"):
             library.render("answer", question="Q?", memory="{}")
 
     def test_unknown_binding(self, library):
         with pytest.raises(PromptError):
             library.render("decompose", question="Q?", extra="nope")
+
+    def test_a_binding_that_is_not_text(self, library):
+        with pytest.raises(PromptError, match="slot 'question' is missing "
+                                              "or not a string"):
+            library.render("decompose", question=5)
 
     def test_a_question_carrying_another_slot_is_not_substituted(self,
                                                                  library):
@@ -136,7 +153,7 @@ def call_event(**changes):
         "stage": "evaluate",
         "template": "answer",
         "slots": {"question": "Q?", "memory": "{}", "triplets": "a, b, c"},
-        "template_digest": PromptLibrary().digest("answer"),
+        "template_digest": PromptLibrary.digest("answer"),
         "response": '{"A": "c", "R": "r"}',
     }
     payload.update(changes)
@@ -161,7 +178,7 @@ class TestPromptOf:
         assert [(slot, text) for slot, text in parts if slot] == [
             ("question", "Q?"), ("memory", "{}"), ("triplets", "a, b, c")]
         fixed = "".join(text for slot, text in parts if slot is None)
-        assert len(fixed) == len(library.templates["answer"]) - len(
+        assert len(fixed) == len(TEMPLATES["answer"]) - len(
             "{question}{memory}{triplets}")
 
     def test_a_saved_prompt_is_one_part(self, library):

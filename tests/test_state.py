@@ -25,6 +25,13 @@ class TestQuestion:
                                        ("m.0a", "Another Name")))
         assert q.topic_entities == (("m.0a", "The Book"), ("m.0b", "B"))
 
+    def test_a_blank_label_is_the_id(self):
+        # a repeated id keeps its first label, blank or not
+        q = Question("Who wrote it?", (("m.0a", ""), ("m.0b", " \t"),
+                                       ("m.0c", " C "), ("m.0a", "A")))
+        assert q.topic_entities == (("m.0a", "m.0a"), ("m.0b", "m.0b"),
+                                    ("m.0c", " C "))
+
     def test_blank_text_rejected(self):
         with pytest.raises(StateError):
             Question("   ", (("m.0a", "A"),))

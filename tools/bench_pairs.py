@@ -15,13 +15,18 @@ metric whose change median is worse than the parent's by more than its
 BENCHMARK.json bound (a fraction of the parent's median) is marked
 REGRESSION; one whose parent quartiles lie further apart than that bound
 is marked unresolved, because such runs cannot show a move that size,
-unless every change run reads better than every parent run. A last row,
-failed_share, gives each side's median of failed/attempted questions and
-is marked REGRESSION when the change's median is higher. The script
-exits 1 when any row is marked REGRESSION, and 0 otherwise.
+unless every change run reads better than every parent run. Row
+failed_share gives each side's median of failed/attempted questions and
+is marked REGRESSION when the change's median is higher. The last row,
+incorrect_share, gives each side's share of runs that run.py reported
+`"correct": false` (a failed question or a failed fixture check, such as
+a wrong answer to the Panama question) and is marked REGRESSION when the
+change has more such runs than the parent. The script exits 1 when any
+row is marked REGRESSION, and 0 otherwise.
 
 The last line of output is one JSON object: the workload, seed and pair
-count, every run's run.py result (its metrics, `failed` and `attempted`)
+count, every run's run.py result (its `correct`, metrics, `failed` and
+`attempted`)
 as {"parent": ..., "change": ...} per pair, and the summary rows. Save it
 to keep a before/after record, e.g. `... | tail -n 1 > BENCH.json`.
 """
@@ -96,24 +101,42 @@ def summarize(runs: list[tuple[dict, dict]],
     return rows
 
 
-def failure_row(runs: list[tuple[dict, dict]]) -> dict:
-    """The failed/attempted share of each side, in the shape of a
-    `summarize` row; any rise in the change's median is a regression."""
-    parent = [p["failed"] / p["attempted"] for p, _ in runs]
-    change = [c["failed"] / c["attempted"] for _, c in runs]
-    p_q1, p_med, p_q3 = quartiles(parent)
-    c_q1, c_med, c_q3 = quartiles(change)
+def _share_row(metric: str, shares: list[tuple[float, float]]) -> dict:
+    """A (parent, change) share per pair, in the shape of a `summarize`
+    row; the caller sets "regression"."""
+    p_q1, p_med, p_q3 = quartiles([p for p, _ in shares])
+    c_q1, c_med, c_q3 = quartiles([c for _, c in shares])
     return {
-        "metric": "failed_share",
+        "metric": metric,
         "unit": "ratio",
         "parent": (p_q1, p_med, p_q3),
         "change": (c_q1, c_med, c_q3),
         "delta": (c_med - p_med) / p_med if p_med else 0.0,
-        "wins": sum(c < p for p, c in zip(parent, change)),
+        "wins": sum(c < p for p, c in shares),
         "gain": False,
-        "regression": c_med > p_med,
+        "regression": False,
         "unresolved": False,
     }
+
+
+def failure_row(runs: list[tuple[dict, dict]]) -> dict:
+    """The failed/attempted share of each side; any rise in the change's
+    median is a regression."""
+    row = _share_row("failed_share", [
+        (p["failed"] / p["attempted"], c["failed"] / c["attempted"])
+        for p, c in runs])
+    row["regression"] = row["change"][1] > row["parent"][1]
+    return row
+
+
+def incorrect_row(runs: list[tuple[dict, dict]]) -> dict:
+    """Each side's share of runs reported `"correct": false`; one such run
+    more than the parent's is a regression."""
+    flags = [(float(not p["correct"]), float(not c["correct"]))
+             for p, c in runs]
+    row = _share_row("incorrect_share", flags)
+    row["regression"] = sum(c for _, c in flags) > sum(p for p, _ in flags)
+    return row
 
 
 def main(argv=None) -> int:
@@ -139,13 +162,14 @@ def main(argv=None) -> int:
                                     spec["run_seconds"])
             values = " ".join(f"{name}={m['value']:.6g}" for name, m in
                               result[side]["metrics"].items())
-            print(f"pair {index + 1} {side:6} failed="
+            print(f"pair {index + 1} {side:6} correct="
+                  f"{result[side]['correct']} failed="
                   f"{result[side]['failed']}/{result[side]['attempted']} "
                   f"{values}", flush=True)
         runs.append((result["parent"], result["change"]))
     print(f"\n{args.workload} seed={args.seed} pairs={args.pairs}: "
           f"median [q1, q3] per side")
-    rows = summarize(runs, metrics) + [failure_row(runs)]
+    rows = summarize(runs, metrics) + [failure_row(runs), incorrect_row(runs)]
     for row in rows:
         p_q1, p_med, p_q3 = row["parent"]
         c_q1, c_med, c_q3 = row["change"]
