@@ -4,6 +4,7 @@ inspect a saved trace."""
 from __future__ import annotations
 
 import argparse
+import io
 import logging
 import os
 import sys
@@ -221,16 +222,13 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-# the rows of `--by-slot` that are not a slot
+# the row of `--by-slot` for a template's own text
 FIXED_TEXT = "(fixed text)"
-LITERAL = "(literal)"
 
 
 def _print_slot_rollup(trace: RunTrace) -> None:
     """Prompt characters per (template, slot): a slot's text once per
-    placeholder, the template's own text under FIXED_TEXT, and the
-    prompts of events saved whole, before calls were stored as template
-    and slots, under LITERAL."""
+    placeholder, the template's own text under FIXED_TEXT."""
     # (template, slot) -> [calls, characters]
     rows: dict[tuple[str, str], list[int]] = {}
 
@@ -240,14 +238,11 @@ def _print_slot_rollup(trace: RunTrace) -> None:
         row[1] += chars
 
     for event in trace.iter_kind("llm_call"):
-        template, parts = PromptLibrary.parts_of(event)
-        if template is None:
-            add(LITERAL, "prompt", sum(len(text) for _, text in parts))
-            continue
         # slot (None: the template's own text) -> characters in this call
         chars: dict[str | None, int] = {}
-        for slot, text in parts:
+        for slot, text in PromptLibrary.parts_of(event):
             chars[slot] = chars.get(slot, 0) + len(text)
+        template = event.payload["template"]
         for slot, count in chars.items():
             add(template, FIXED_TEXT if slot is None else slot, count)
     total = sum(chars for _, chars in rows.values())
@@ -257,8 +252,7 @@ def _print_slot_rollup(trace: RunTrace) -> None:
     def share(chars: int) -> str:
         return f"{chars / total if total else 0:6.1%}"
 
-    order = {template: index for index, template
-             in enumerate([*TEMPLATE_SLOTS, LITERAL])}
+    order = {template: index for index, template in enumerate(TEMPLATE_SLOTS)}
     print(f"{'template':<20} {'slot':<15} {'calls':>6} {'chars':>9}  share")
     for (template, slot), (calls, chars) in sorted(
             rows.items(), key=lambda item: (order[item[0][0]], -item[1][1])):
@@ -274,10 +268,11 @@ def _clip(text: str, limit: int = 70) -> str:
 
 
 def _summarize(event) -> str:
-    """One line on the event; its raw payload if a field is mistyped."""
+    """One line on the event; its raw payload if a field is missing or
+    mistyped."""
     try:
         return _describe(event)
-    except (TypeError, AttributeError):
+    except (KeyError, TypeError, AttributeError):
         return _clip(event.payload)
 
 
@@ -288,10 +283,7 @@ def _describe(event) -> str:
         if event.usage:
             cost = (f" [{event.usage.input_tokens}+"
                     f"{event.usage.output_tokens} tok]")
-        # a call saved before calls were stored as template and slots
-        # names no template
-        template = f" <{p['template']}>" if "template" in p else ""
-        return (f"{p.get('stage')}{template}{cost} -> "
+        return (f"{p.get('stage')} <{p['template']}>{cost} -> "
                 f"{_clip(p.get('response', ''))}")
     if event.kind == "kg_query":
         op = p.get("op")
@@ -335,6 +327,10 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=os.environ.get("GRAPHQUEST_LOG", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a lone surrogate in recorded text, which no encoding can write,
+    # prints as its \uXXXX escape, as it already does on standard error
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         code = args.handler(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit

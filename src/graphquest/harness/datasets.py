@@ -36,7 +36,7 @@ def load_dataset(path: str) -> list[DatasetRecord]:
     with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             payload = json.load(handle)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DatasetError(f"{path}: not JSON ({exc})") from None
     if not isinstance(payload, list):
         raise DatasetError(f"{path}: expected a top-level JSON list")

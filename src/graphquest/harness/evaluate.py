@@ -201,7 +201,10 @@ def ablation_matrix(records: list[DatasetRecord],
 
 
 def save_report(report: EvalReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    """The report as JSON; a lone surrogate is written as its escape, as
+    `RunTrace.save` writes it."""
+    with open(path, "w", encoding="utf-8",
+              errors="backslashreplace") as handle:
         json.dump(report.to_dict(), handle, ensure_ascii=False, indent=2)
         handle.write("\n")
 

@@ -59,7 +59,7 @@ class ScriptedBackend:
         with open(path, "r", encoding="utf-8-sig") as handle:
             try:
                 payload = json.load(handle)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise LLMError(f"rule file {path}: not JSON ({exc})") from None
         default = None
         raw_rules = payload

@@ -95,28 +95,19 @@ class PromptLibrary:
     @staticmethod
     def prompt_of(event: TraceEvent) -> str:
         """The prompt an `llm_call` event's model call was sent."""
-        _, parts = PromptLibrary.parts_of(event)
-        return "".join(text for _, text in parts)
+        return "".join(text for _, text in PromptLibrary.parts_of(event))
 
     @staticmethod
-    def parts_of(event: TraceEvent
-                 ) -> tuple[str | None, list[tuple[str | None, str]]]:
-        """An `llm_call` event's prompt as its template id and its pieces
-        in order: (slot, bound text) per placeholder, and (None, text) for
-        the template's own text.
+    def parts_of(event: TraceEvent) -> list[tuple[str | None, str]]:
+        """An `llm_call` event's prompt as its pieces in order: (slot,
+        bound text) per placeholder of the event's template, and (None,
+        text) for the template's own text.
 
-        An event saved before calls were stored as template and slots
-        holds its prompt literally: that is (None, [(None, prompt)]).
-        Otherwise the event's template is bound to its slots; a breach of
-        the slot rule, or a digest that is not the bundled template's, is
-        a TraceError naming the template and the event's seq.
+        A breach of the slot rule, or a digest that is not the bundled
+        template's, is a TraceError naming the template and the event's
+        seq.
         """
         payload = event.payload
-        if "prompt" in payload:
-            if not isinstance(payload["prompt"], str):
-                raise TraceError(f"llm_call event {event.seq}: its saved "
-                                 f"prompt is not a string")
-            return None, [(None, payload["prompt"])]
         template, slots = payload.get("template"), payload.get("slots")
         problem = _slot_problem(template, slots)
         digest = payload.get("template_digest")
@@ -131,4 +122,4 @@ class PromptLibrary:
         for index in range(1, len(segments), 2):
             slot = segments[index]
             parts += (slot, slots[slot]), (None, segments[index + 1])
-        return template, parts
+        return parts

@@ -65,7 +65,7 @@ class TraceEvent:
     def from_json(cls, line: str) -> "TraceEvent":
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TraceError(f"bad trace line: {exc}") from exc
         if not isinstance(record, dict):
             raise TraceError("bad trace line: not a JSON object")
@@ -117,10 +117,17 @@ class RunTrace:
 
     def save(self, path: str) -> None:
         """One JSON line per event, each repeated slot text written as a
-        reference to the first `llm_call` that bound it."""
+        reference to the first `llm_call` that bound it.
+
+        A lone surrogate in recorded text, which UTF-8 cannot hold, is
+        written as its ``\\uXXXX`` escape, and loads back as itself.
+        """
         # (slot, text) -> seq of the first llm_call that bound it
         first: dict[tuple[str, str], int] = {}
-        with open(path, "w", encoding="utf-8") as handle:
+        # json.dumps writes raw text only inside strings, where the
+        # backslash escape of a surrogate is the JSON escape
+        with open(path, "w", encoding="utf-8",
+                  errors="backslashreplace") as handle:
             for event in self.events:
                 slots = event.payload.get("slots")
                 if event.kind == "llm_call" and isinstance(slots, dict):

@@ -154,6 +154,22 @@ def test_main_marks_a_higher_failed_share(tmp_path, monkeypatch, capsys):
     assert rows["failed_share"]["change"] == [0.2, 0.2, 0.2]
 
 
+def test_a_share_rising_from_zero_reads_as_the_difference():
+    def run(correct, failed):
+        return {"correct": correct, "failed": failed, "attempted": 5,
+                **result(1.0, 1.0)}
+
+    runs = [(run(True, 0), run(False, 2))] * 3
+    incorrect = bench_pairs.incorrect_row(runs)
+    assert incorrect["parent"][1] == 0.0 and incorrect["change"][1] == 1.0
+    assert incorrect["regression"]
+    assert incorrect["delta"] == 1.0
+    failed = bench_pairs.failure_row(runs)
+    assert failed["change"][1] == 0.4
+    assert failed["regression"]
+    assert failed["delta"] == 0.4
+
+
 def test_incorrect_share_counts_runs_reported_incorrect():
     def run(correct):
         return {"correct": correct, **result(1.0, 1.0)}

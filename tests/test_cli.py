@@ -125,6 +125,28 @@ class TestRunCommand:
         trace_path = re.search(r"partial trace: (.+)", err).group(1)
         assert RunTrace.load(trace_path).final_event() is not None
 
+    def test_replies_holding_a_lone_surrogate_are_saved_and_printed(
+            self, tmp_path, capsys):
+        # a reply's JSON escape \ud800 decodes to a lone surrogate; here
+        # the reason and a memory note carry one
+        script = tmp_path / "rules.json"
+        script.write_text(
+            (FIXTURES / "panama_script.json").read_text(encoding="utf-8")
+            .replace("Varela holds", "Varela\\ud800 holds"),
+            encoding="utf-8")
+        args = panama_args(tmp_path)
+        args[args.index(str(FIXTURES / "panama_script.json"))] = str(script)
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "Answer: Juan Carlos Varela\n" in out
+        assert "Reason: Juan Carlos Varela\\ud800 holds" in out
+        trace_path = re.search(r"Trace: (.+)", out).group(1)
+        *_, verdict = RunTrace.load(trace_path).iter_kind("verdict")
+        assert "Varela\ud800 holds" in verdict.payload["reason"]
+        assert main(["inspect-trace", trace_path]) == 0
+        assert "Varela\\ud800 holds" in capsys.readouterr().out
+        assert main(["inspect-trace", "--by-slot", trace_path]) == 0
+
     def test_config_file_supplies_backends(self, tmp_path, capsys):
         conf = tmp_path / "app.conf"
         conf.write_text(
@@ -244,23 +266,21 @@ class TestInspectCommand:
         # the payload as loaded, keys sorted as the file stores them
         assert first.endswith(_clip(TraceEvent.from_json(line).payload))
 
-    def test_a_line_saved_with_its_prompt_is_printed(self, tmp_path,
-                                                      capsys):
+    def test_a_line_saved_with_its_prompt_prints_raw_and_is_not_rebuilt(
+            self, tmp_path, capsys):
         # a trace line saved before calls were stored as template and slots
+        line = ('{"iteration": 0, "kind": "llm_call", "payload": {"prompt": '
+                '"Q: Who?", "response": "[]", "stage": "decompose"}, "seq": 0, '
+                '"usage": {"input_tokens": 2, "output_tokens": 1}}')
         path = tmp_path / "trace.jsonl"
-        path.write_text(
-            '{"iteration": 0, "kind": "llm_call", "payload": {"prompt": '
-            '"Q: Who?", "response": "[]", "stage": "decompose"}, "seq": 0, '
-            '"usage": {"input_tokens": 2, "output_tokens": 1}}\n',
-            encoding="utf-8")
+        path.write_text(line + "\n", encoding="utf-8")
         assert main(["inspect-trace", str(path)]) == 0
         first = capsys.readouterr().out.splitlines()[0]
-        assert first.endswith("llm_call      decompose [2+1 tok] -> []")
-        assert main(["inspect-trace", "--by-slot", str(path)]) == 0
-        rows = capsys.readouterr().out.splitlines()
-        assert rows[1].split() == ["(literal)", "prompt", "1", "7", "100.0%"]
-        assert rows[2] == ("-- 7 prompt characters, 0 of them fixed "
-                           "template text (0.0%)")
+        assert first.endswith(_clip(TraceEvent.from_json(line).payload))
+        assert main(["inspect-trace", "--by-slot", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "input error: llm_call event 0: template None is not a bundled "
+            "template\n")
 
     def test_by_slot_adds_up_to_the_prompts(self, tmp_path, capsys):
         main(panama_args(tmp_path))
@@ -315,6 +335,17 @@ class TestInspectCommand:
         assert main(["inspect-trace", str(path)]) == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith(
             "-- 53 events, 18 llm calls")
+
+    def test_a_label_holding_a_lone_surrogate_is_printed(self, tmp_path,
+                                                         capsys):
+        # an N-Triples label's escape \uD800 decodes to a lone surrogate
+        trace = RunTrace()
+        trace.record("kg_query", 1, {"op": "labels",
+                                     "labels": {"m.0a": "Pan\ud800ama"}})
+        path = tmp_path / "trace.jsonl"
+        trace.save(str(path))
+        assert main(["inspect-trace", str(path)]) == 0
+        assert "labels m.0a -> Pan\\ud800ama" in capsys.readouterr().out
 
     def test_labels_and_pool_count(self, tmp_path, capsys):
         trace = RunTrace()
@@ -397,17 +428,23 @@ class TestErrorExits:
         assert done.stderr.decode() == ""
         assert done.returncode == 0
 
-    def test_malformed_script_is_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        pytest.param('[{"match": "x", "response": "y"}]', "rule 0 needs",
+                     id="rule-without-pattern"),
+        pytest.param("[" * 200_000, "not JSON", id="deeply-nested"),
+    ])
+    def test_malformed_script_is_exit_2(self, tmp_path, capsys, text,
+                                        message):
         script = tmp_path / "rules.json"
-        script.write_text('[{"match": "x", "response": "y"}]',
-                          encoding="utf-8")
+        script.write_text(text, encoding="utf-8")
         code = main(["run", "--question", "Q?", "--topic", "m.0a=A",
                      "--kg", str(FIXTURES / "panama.tsv"),
                      "--script", str(script),
                      "--out", str(tmp_path / "runs")])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"{script}: rule 0 needs" in err
+        assert err.startswith(f"configuration error: rule file {script}: "
+                              f"{message}")
         assert "Traceback" not in err
 
     def test_config_error_is_exit_2(self, tmp_path, capsys):
@@ -471,6 +508,8 @@ class TestErrorExits:
                      id="malformed-triples"),
         pytest.param(None, "not json", "bad.txt: not JSON",
                      id="non-json-dataset"),
+        pytest.param(None, "[" * 200_000, "bad.txt: not JSON",
+                     id="deeply-nested-dataset"),
     ])
     def test_bad_eval_input_is_exit_2(self, tmp_path, capsys, graph,
                                       dataset, message):
@@ -519,6 +558,8 @@ class TestErrorExits:
                      '"payload": {}}',
                      "trace.jsonl:1: bad trace line: unknown kind 'nonsense'",
                      id="unknown-kind"),
+        pytest.param("[" * 200_000, "trace.jsonl:1: bad trace line: maximum "
+                     "recursion depth exceeded", id="deeply-nested-line"),
     ])
     def test_bad_trace_is_exit_2(self, tmp_path, capsys, line, message):
         path = tmp_path / "trace.jsonl"

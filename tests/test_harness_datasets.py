@@ -123,6 +123,12 @@ class TestValidation:
         with pytest.raises(DatasetError, match="x.json: not JSON"):
             load_dataset(str(path))
 
+    def test_a_deeply_nested_file_is_a_dataset_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        with pytest.raises(DatasetError, match="deep.json: not JSON"):
+            load_dataset(str(path))
+
     def test_a_byte_order_mark_is_skipped(self, tmp_path):
         path = tmp_path / "bom.json"
         path.write_text(json.dumps([{"id": "q1", "question": "Q?",

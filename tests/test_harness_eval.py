@@ -19,6 +19,7 @@ from graphquest.harness.metrics import MetricsError, hits_at_1, \
     normalize_answer
 from graphquest.planner.engine import Planner
 from graphquest.planner.state import AblationFlags, PlannerConfig
+from graphquest.trace import RunTrace
 
 from oracles import oracle_hits, oracle_normalize, resummed_costs
 
@@ -104,6 +105,22 @@ class TestRunEval:
                           "cap-jp.jsonl"]
         summary = (out / "summary.tsv").read_text(encoding="utf-8")
         assert summary.splitlines()[0] == "\t".join(SUMMARY_COLUMNS)
+
+    def test_a_lone_surrogate_is_saved_as_its_escape(self, tmp_path,
+                                                     capitals_records,
+                                                     capitals_planner):
+        # a dataset's JSON escape \ud800 decodes to a lone surrogate
+        record = dataclasses.replace(
+            capitals_records[0],
+            question=capitals_records[0].question + "\ud800")
+        out = tmp_path / "eval"
+        report = run_eval([record], capitals_planner, out_dir=out)
+        saved = (out / "report.json").read_text(encoding="utf-8")
+        assert "\\ud800" in saved
+        assert json.loads(saved)["results"][0]["question"] == \
+            report.results[0].question == record.question
+        trace = RunTrace.load(str(out / "traces" / f"{record.id}.jsonl"))
+        assert trace.events
 
     def test_each_record_gets_its_own_trace_file(self, tmp_path,
                                                  capitals_records,

@@ -171,41 +171,18 @@ class TestPromptOf:
             for template_id in TEMPLATE_SLOTS}
 
     def test_parts_are_the_slots_and_the_template_text(self, library):
-        template, parts = library.parts_of(call_event())
-        assert template == "answer"
-        assert "".join(text for _, text in parts) == library.prompt_of(
-            call_event())
+        event = call_event()
+        parts = library.parts_of(event)
+        assert "".join(text for _, text in parts) == library.prompt_of(event)
         assert [(slot, text) for slot, text in parts if slot] == [
             ("question", "Q?"), ("memory", "{}"), ("triplets", "a, b, c")]
         fixed = "".join(text for slot, text in parts if slot is None)
-        assert len(fixed) == len(TEMPLATES["answer"]) - len(
+        assert len(fixed) == len(TEMPLATES[event.payload["template"]]) - len(
             "{question}{memory}{triplets}")
-
-    def test_a_saved_prompt_is_one_part(self, library):
-        event = TraceEvent(1, "llm_call", 0, {"stage": "decompose",
-                                              "prompt": "Q: Who?\n",
-                                              "response": "[]"})
-        assert library.parts_of(event) == (None, [(None, "Q: Who?\n")])
 
     def test_rebuilds_the_rendered_prompt(self, library):
         assert library.prompt_of(call_event()) == library.render(
             "answer", question="Q?", memory="{}", triplets="a, b, c")
-
-    def test_a_line_saved_with_its_prompt_returns_it(self, library):
-        # a trace line saved before calls were stored as template and slots
-        line = ('{"iteration": 0, "kind": "llm_call", "payload": '
-                '{"prompt": "Q: Who?\\n", "response": "[]", '
-                '"stage": "decompose"}, "seq": 0, "usage": '
-                '{"input_tokens": 2, "output_tokens": 1}}')
-        assert library.prompt_of(TraceEvent.from_json(line)) == "Q: Who?\n"
-
-    def test_a_saved_prompt_that_is_not_text_is_a_trace_error(self,
-                                                             library):
-        event = TraceEvent(3, "llm_call", 0, {"stage": "decompose",
-                                              "prompt": 5, "response": "[]"})
-        with pytest.raises(TraceError, match="llm_call event 3: its saved "
-                                             "prompt is not a string"):
-            library.prompt_of(event)
 
     @pytest.mark.parametrize("changes, problem", [
         pytest.param({"template": "poetry"}, "not a bundled template",
@@ -227,12 +204,18 @@ class TestPromptOf:
                      id="digest-mismatch"),
         pytest.param({"template_digest": None}, "digest None",
                      id="no-digest"),
+        # the shape of a call saved before calls were stored as template
+        # and slots: {stage, prompt, response}
+        pytest.param({"template": None, "slots": None,
+                      "template_digest": None, "prompt": "Q: Who?\n"},
+                     "not a bundled template", id="saved-prompt"),
     ])
+    @pytest.mark.parametrize("method", ["parts_of", "prompt_of"])
     def test_a_call_that_cannot_be_rebuilt_is_a_trace_error(
-            self, library, changes, problem):
+            self, library, changes, problem, method):
         template = changes.get("template", "answer")
         with pytest.raises(TraceError) as caught:
-            library.prompt_of(call_event(**changes))
+            getattr(library, method)(call_event(**changes))
         message = str(caught.value)
         assert message.startswith(f"llm_call event 7: template {template!r}")
         assert problem in message

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -145,6 +146,13 @@ class TestFromFile:
             ScriptedBackend.from_file(str(path))
         assert str(path) in str(caught.value)
         assert expected in str(caught.value)
+
+    def test_a_deeply_nested_file_is_a_typed_error(self, tmp_path):
+        path = tmp_path / "rules.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        with pytest.raises(LLMError, match=f"rule file {re.escape(str(path))}"
+                                           f": not JSON"):
+            ScriptedBackend.from_file(str(path))
 
     def test_fixture_scripts_load(self, fixtures_dir):
         for name in ("panama_script.json", "capitals_script.json"):

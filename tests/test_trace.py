@@ -85,9 +85,40 @@ class TestSerialization:
         for line in lines:
             json.loads(line)  # every line is standalone JSON
 
+    def test_recorded_text_of_any_code_point_round_trips(self, tmp_path):
+        # a lone surrogate (a reply's JSON escape \ud800, decoded), a NUL,
+        # a line separator and a character outside the basic plane
+        text = "a\ud800b\x00c\u2028d\U0001F600e"
+        trace = RunTrace()
+        # twice, so the second call saves its question as a reference
+        for _ in range(2):
+            trace.record("llm_call", 0, {
+                "stage": "answer", "template": "answer",
+                "slots": {"question": text, "memory": "{}", "triplets": ""},
+                "template_digest": "0" * 12, "response": text})
+        trace.record("final", 0, {"answer": text, "elapsed_seconds": 0.0})
+        path = tmp_path / "trace.jsonl"
+        trace.save(str(path))
+        saved = path.read_bytes()
+        # one UTF-8 line per event; the surrogate, which UTF-8 cannot
+        # hold, as its escape
+        saved.decode("utf-8")
+        assert saved.count(b"\n") == 3
+        assert b"a\\ud800b" in saved
+        assert "\U0001F600".encode("utf-8") in saved
+        assert RunTrace.load(str(path)).events == trace.events
+
     def test_bad_line_raises(self):
         with pytest.raises(TraceError):
             TraceEvent.from_json("{not json")
+
+    def test_a_deeply_nested_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(TraceEvent(0, "final", 0, {}).to_json() + "\n"
+                        + "[" * 200_000 + "\n", encoding="utf-8")
+        with pytest.raises(TraceError,
+                           match=f"{path}:2: bad trace line: .*recursion"):
+            RunTrace.load(str(path))
 
     @pytest.mark.parametrize("line", [
         pytest.param('[1, 2]', id="not-an-object"),

@@ -103,7 +103,8 @@ def summarize(runs: list[tuple[dict, dict]],
 
 def _share_row(metric: str, shares: list[tuple[float, float]]) -> dict:
     """A (parent, change) share per pair, in the shape of a `summarize`
-    row; the caller sets "regression"."""
+    row; the caller sets "regression". From a parent median of 0 the
+    delta is the difference of the shares, not a relative change."""
     p_q1, p_med, p_q3 = quartiles([p for p, _ in shares])
     c_q1, c_med, c_q3 = quartiles([c for _, c in shares])
     return {
@@ -111,7 +112,7 @@ def _share_row(metric: str, shares: list[tuple[float, float]]) -> dict:
         "unit": "ratio",
         "parent": (p_q1, p_med, p_q3),
         "change": (c_q1, c_med, c_q3),
-        "delta": (c_med - p_med) / p_med if p_med else 0.0,
+        "delta": (c_med - p_med) / p_med if p_med else c_med - p_med,
         "wins": sum(c < p for p, c in shares),
         "gain": False,
         "regression": False,
