@@ -192,9 +192,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             (spec, Planner(planner.kg, planner.llm, config,
                            scorer=planner.scorer))
             for spec, config in variants]
-        rows = ablation_matrix(records, planners, parallelism=args.parallel,
-                               out_dir=run_dir)
-        reports = [report for _, report in rows]
+        reports = ablation_matrix(records, planners,
+                                  parallelism=args.parallel, out_dir=run_dir)
     else:
         reports = [run_eval(records, planner, parallelism=args.parallel,
                             out_dir=run_dir)]

@@ -13,7 +13,6 @@ from pathlib import Path
 from ..llm.accounting import usage_total
 from ..planner.engine import Planner, PlannerRunError
 from ..planner.state import Question
-from ..trace import RunTrace
 from .datasets import DatasetRecord
 from .metrics import hits_at_1
 
@@ -106,30 +105,27 @@ def _unique_filenames(ids: list[str]) -> list[str]:
     return names
 
 
-def _run_record(record: DatasetRecord,
-                planner: Planner) -> tuple[QuestionResult, RunTrace]:
+def _run_record(record: DatasetRecord, planner: Planner,
+                trace_path: Path | None) -> QuestionResult:
+    """Run one record, save its trace to `trace_path` (if given) as the
+    run ends, and read the result from that trace's final event."""
     question = Question(record.question, tuple(record.topic_entities))
     error: str | None = None
-    predicted = ""
-    iterations = 0
     try:
-        outcome = planner.run(question)
-        trace = outcome.trace
-        predicted = outcome.verdict.answer or ""
-        iterations = outcome.iterations
+        trace = planner.run(question).trace
     except PlannerRunError as exc:
         trace = exc.trace
         error = str(exc)
-    if error is None and record.answers:
-        correct = hits_at_1(predicted, record.answers)
-    else:
-        correct = False
-        if error is None and not record.answers:
-            error = "no gold answers"
+    if trace_path is not None:
+        trace.save(str(trace_path))
+    # Planner.run records a final event whether it answers or raises
+    payload = trace.final_event().payload
+    predicted = payload.get("answer") or ""
+    if error is None and not record.answers:
+        error = "no gold answers"
+    correct = error is None and hits_at_1(predicted, record.answers)
     usage, calls = usage_total(trace)
-    final = trace.final_event()
-    seconds = float(final.payload.get("elapsed_seconds", 0.0)) if final else 0.0
-    result = QuestionResult(
+    return QuestionResult(
         id=record.id,
         question=record.question,
         predicted=predicted,
@@ -137,38 +133,36 @@ def _run_record(record: DatasetRecord,
         llm_calls=calls,
         input_tokens=usage.input_tokens,
         output_tokens=usage.output_tokens,
-        seconds=seconds,
-        iterations=iterations,
+        seconds=payload["elapsed_seconds"],
+        iterations=payload.get("iterations", 0),
         error=error,
     )
-    return result, trace
 
 
 def run_eval(records: list[DatasetRecord], planner: Planner, *,
              parallelism: int = 1,
              out_dir: str | Path | None = None,
              name: str = "full") -> EvalReport:
-    """Evaluate every record; result order always follows input order."""
+    """Evaluate every record; result order always follows input order.
+    With `out_dir`, each trace is saved as its question ends."""
     if not records:
         raise HarnessError("no records to evaluate")
     if parallelism < 1:
         raise HarnessError(f"parallelism must be >= 1, got {parallelism}")
-    trace_dir: Path | None = None
+    trace_paths: list[Path | None] = [None] * len(records)
     if out_dir is not None:
         trace_dir = Path(out_dir) / "traces"
         trace_dir.mkdir(parents=True, exist_ok=True)
+        trace_paths = [trace_dir / f"{filename}.jsonl" for filename in
+                       _unique_filenames([record.id for record in records])]
     # planners are stateless, so the workers share one
+    run = lambda record, path: _run_record(record, planner, path)  # noqa: E731
     if parallelism == 1:
-        outcomes = [_run_record(record, planner) for record in records]
+        # on the calling thread, so Ctrl-C stops the running question
+        results = list(map(run, records, trace_paths))
     else:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(
-                lambda record: _run_record(record, planner), records))
-    results = [result for result, _ in outcomes]
-    if trace_dir is not None:
-        filenames = _unique_filenames([record.id for record in records])
-        for filename, (_, trace) in zip(filenames, outcomes):
-            trace.save(str(trace_dir / f"{filename}.jsonl"))
+            results = list(pool.map(run, records, trace_paths))
     report = EvalReport(name=name, results=results)
     if out_dir is not None:
         save_report(report, Path(out_dir) / "report.json")
@@ -179,25 +173,20 @@ def run_eval(records: list[DatasetRecord], planner: Planner, *,
 def ablation_matrix(records: list[DatasetRecord],
                     variants: list[tuple[str, Planner]], *,
                     parallelism: int = 1,
-                    out_dir: str | Path | None = None
-                    ) -> list[tuple[str, EvalReport]]:
+                    out_dir: str | Path | None = None) -> list[EvalReport]:
     """Run the same records once per (name, planner) variant."""
     if not variants:
         raise HarnessError("no variants to run")
-    rows: list[tuple[str, EvalReport]] = []
     dir_names = _unique_filenames([name for name, _ in variants])
-    for (variant_name, planner), dir_name in zip(variants, dir_names):
-        variant_dir = None
-        if out_dir is not None:
-            variant_dir = Path(out_dir) / dir_name
-        report = run_eval(records, planner,
-                          parallelism=parallelism, out_dir=variant_dir,
-                          name=variant_name)
-        rows.append((variant_name, report))
+    reports = [run_eval(records, planner, parallelism=parallelism,
+                        out_dir=None if out_dir is None
+                        else Path(out_dir) / dir_name,
+                        name=variant_name)
+               for (variant_name, planner), dir_name
+               in zip(variants, dir_names)]
     if out_dir is not None:
-        write_summary_tsv([report for _, report in rows],
-                          Path(out_dir) / "summary.tsv")
-    return rows
+        write_summary_tsv(reports, Path(out_dir) / "summary.tsv")
+    return reports
 
 
 def save_report(report: EvalReport, path: str | Path) -> None:

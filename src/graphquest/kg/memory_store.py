@@ -50,8 +50,12 @@ def _unescape(match: re.Match) -> str:
 
 
 def _unescape_literal(raw: str) -> str:
-    """Decode the N-Triples escapes; any other escape is a ValueError."""
-    return _ESCAPE.sub(_unescape, raw) if "\\" in raw else raw
+    """Decode the N-Triples escapes, an escaped UTF-16 pair as the one
+    character, as `json` does; any other escape is a ValueError."""
+    if "\\" not in raw:
+        return raw
+    return _ESCAPE.sub(_unescape, raw).encode(
+        "utf-16", "surrogatepass").decode("utf-16", "surrogatepass")
 
 
 class InMemoryKG:

@@ -88,10 +88,15 @@ def _decode_json_at(text: str, start: int):
 
 def _literal(span: str):
     tree = ast.parse(span, mode="eval")
-    # a set's order, and so its text, changes with the hash seed; the one
-    # call a literal may hold is set()
-    if any(isinstance(node, (ast.Set, ast.Call)) for node in ast.walk(tree)):
-        raise ValueError("a set has no stable order")
+    for node in ast.walk(tree):
+        # a set's order, and so its text, changes with the hash seed; the
+        # one call a literal may hold is set()
+        if isinstance(node, (ast.Set, ast.Call)):
+            raise ValueError("a set has no stable order")
+        # an escaped UTF-16 pair is the one character, as in JSON
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            node.value = node.value.encode("utf-16", "surrogatepass") \
+                .decode("utf-16", "surrogatepass")
     return ast.literal_eval(tree)
 
 

@@ -222,6 +222,8 @@ class RemoteEmbeddingScorer:
                               f"and {len(right)}")
         dot = sum(a * b for a, b in zip(left, right))
         norm = left_norm * right_norm
+        if not math.isfinite(norm):  # else cosine is nan or a false 0.0
+            raise RecallError("embedding too large to score: norm overflows")
         if norm == 0.0:
             return 0.0
         return dot / norm

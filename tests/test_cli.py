@@ -124,6 +124,11 @@ class TestRunCommand:
         assert "run failed" in err
         trace_path = re.search(r"partial trace: (.+)", err).group(1)
         assert RunTrace.load(trace_path).final_event() is not None
+        assert main(["inspect-trace", trace_path]) == 0
+        *_, final, totals = capsys.readouterr().out.splitlines()
+        assert re.match(r" *\d+  iter 0  final +error: no scripted rule "
+                        r"matches ", final)
+        assert totals.startswith("-- ")
 
     def test_replies_holding_a_lone_surrogate_are_saved_and_printed(
             self, tmp_path, capsys):

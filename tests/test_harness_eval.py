@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
@@ -160,6 +161,59 @@ class TestRunEval:
         assert agg["total_llm_calls"] == 20
         assert agg["mean_llm_calls"] == 5.0
 
+    def test_memory_held_does_not_grow_with_the_question_count(
+            self, tmp_path, capitals_records, capitals_planner):
+        # each trace is saved as its question ends, so a run holds only
+        # the results: the peak grows by far less than a trace per question
+        def peak(copies: int) -> int:
+            records = [dataclasses.replace(record, id=f"{record.id}-{n}")
+                       for n in range(copies) for record in capitals_records]
+            out = tmp_path / f"eval-{copies}"
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            run_eval(records, capitals_planner, out_dir=out)
+            return tracemalloc.get_traced_memory()[1] - before
+
+        already = tracemalloc.is_tracing()
+        if not already:
+            tracemalloc.start()
+        try:
+            peak(2)  # warm caches and imports
+            small, large = peak(10), peak(20)
+        finally:
+            if not already:
+                tracemalloc.stop()
+        per_question = (large - small) / (len(capitals_records) * 10)
+        assert per_question <= 2048, per_question
+
+    def test_an_interrupt_keeps_the_finished_questions_traces(
+            self, tmp_path, capitals_records, capitals_planner):
+        # each capitals question makes five model calls; the first call
+        # of question `finished` raises KeyboardInterrupt
+        finished = 2
+        calls = 0
+        llm = capitals_planner.llm
+
+        class Interrupting:
+            def complete(self, prompt, config):
+                nonlocal calls
+                calls += 1
+                if calls > 5 * finished:
+                    raise KeyboardInterrupt
+                return llm.complete(prompt, config)
+
+        out = tmp_path / "eval"
+        with pytest.raises(KeyboardInterrupt):
+            run_eval(capitals_records,
+                     Planner(capitals_planner.kg, Interrupting()),
+                     out_dir=out)
+        saved = sorted((out / "traces").glob("*.jsonl"))
+        assert [path.stem for path in saved] == \
+            sorted(record.id for record in capitals_records[:finished])
+        for path in saved:
+            assert RunTrace.load(str(path)).final_event().payload["answer"]
+        assert not (out / "report.json").exists()
+
     def test_no_records_rejected(self, capitals_planner):
         with pytest.raises(HarnessError):
             run_eval([], capitals_planner)
@@ -226,15 +280,16 @@ class TestAblationMatrix:
     def test_one_report_per_variant(self, tmp_path, capitals_records,
                                     planners):
         out = tmp_path / "matrix"
-        rows = ablation_matrix(capitals_records, planners, out_dir=out)
-        assert [name for name, _ in rows] == ["full", "no_reflection",
-                                              "shallow"]
+        reports = ablation_matrix(capitals_records, planners, out_dir=out)
+        assert [report.name for report in reports] == ["full",
+                                                       "no_reflection",
+                                                       "shallow"]
         # capitals runs finish in one hop, so all variants score alike
-        for _, report in rows:
+        for report in reports:
             assert report.hits_at_1 == 0.75
-        for name, _ in rows:
-            assert (out / name / "report.json").is_file()
-            assert (out / name / "traces").is_dir()
+        for report in reports:
+            assert (out / report.name / "report.json").is_file()
+            assert (out / report.name / "traces").is_dir()
         lines = (out / "summary.tsv").read_text(
             encoding="utf-8").splitlines()
         assert lines[0] == "\t".join(SUMMARY_COLUMNS)

@@ -180,6 +180,10 @@ class TestLoading:
             r'"a\tb\bc\nd\re\ff"': "a\tb\bc\nd\re\ff",
             r'"it\'s a \\ sign"': "it's a \\ sign",
             r'"\u00e9t\u00E9 \U0001F600"': "\u00e9t\u00e9 \U0001F600",
+            # an escaped UTF-16 pair is the one character, as in JSON;
+            # halves not in that order stay apart
+            r'"\uD83D\uDE00 \ud83d\ude00"': "\U0001F600 \U0001F600",
+            r'"\ude00\ud83d \ud83d"': "\ude00\ud83d \ud83d",
         }
         path = tmp_path / "escapes.nt"
         path.write_text("".join(

@@ -61,6 +61,16 @@ class TestParseList:
     def test_examples(self, text, expected):
         assert parse_list(text) == expected
 
+    @pytest.mark.parametrize("escaped", [
+        r"\ud83d\ude00 x", r"\uD83D\uDE00", r"\ud83d", r"\ude00\ud83d",
+        r"\\ud83d\ude00", r"\ud83d\\ude00",
+    ])
+    def test_a_single_quoted_escape_decodes_as_json_does(self, escaped):
+        # an escaped UTF-16 pair is the one character; a lone half stays
+        assert parse_list(f"['{escaped}']") == parse_list(f'["{escaped}"]')
+        assert extract_json_object(f"{{'{escaped}': '{escaped}'}}") == \
+            extract_json_object(f'{{"{escaped}": "{escaped}"}}')
+
     def test_no_list(self):
         with raises_exactly(NO_LIST):
             parse_list("there is nothing here")

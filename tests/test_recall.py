@@ -573,6 +573,48 @@ class TestRemoteScorer:
         with pytest.raises(RecallError, match="malformed embedding"):
             scorer.score("q", "c")
 
+    def test_a_norm_that_overflows_is_an_error_in_any_order(self):
+        # 1e200 squares to infinity: the question's norm overflows, its
+        # dot with m.a too, and cosine read nan for m.a and 0.0 for m.c,
+        # so top_k kept a different candidate for each input order
+        vectors = {"q": [1e200, 1.0], "A": [1e200, 0.0], "B": [0.0, 1.0],
+                   "C": [1.0, 1.0]}
+
+        class Session:
+            def post(self, url, *, json, timeout):
+                return embedding(vectors[json["input"][0]])
+
+        candidates = [("m.a", "A"), ("m.b", "B"), ("m.c", "C")]
+        for order in (candidates, candidates[::-1]):
+            scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
+                                           session=Session(),
+                                           sleep=lambda _: None)
+            with pytest.raises(RecallError, match="norm overflows"):
+                top_k("q", order, 1, scorer)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=n, max_size=n), min_size=2, max_size=2)))
+    @example([[1e200, 1.0], [1.0, 1.0]])
+    @example([[1e154, 1e154], [1.0, 1.0]])
+    def test_every_score_is_finite_or_an_error(self, vectors):
+        left, right = vectors
+        session = FakeSession([embedding(left), embedding(right)])
+        scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
+                                       session=session, sleep=lambda _: None)
+        norm = (math.sqrt(sum(v * v for v in left))
+                * math.sqrt(sum(v * v for v in right)))
+        if not math.isfinite(norm):
+            with pytest.raises(RecallError, match="norm overflows"):
+                scorer.score("q", "c")
+            return
+        # a finite norm scores as cosine always has, bit for bit
+        dot = sum(a * b for a, b in zip(left, right))
+        score = scorer.score("q", "c")
+        assert math.isfinite(score)
+        assert score == (dot / norm if norm else 0.0)
+
     def test_dimension_mismatch_is_an_error(self):
         session = FakeSession([embedding([1.0, 2.0, 3.0]), embedding([1.0])])
         scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
