@@ -67,8 +67,6 @@ SETTINGS: dict[str, tuple[type, str]] = {
     "llm.model": (GenerationConfig, "model"),
     "llm.temperature": (GenerationConfig, "temperature"),
     "llm.max_tokens": (GenerationConfig, "max_tokens"),
-    "llm.frequency_penalty": (GenerationConfig, "frequency_penalty"),
-    "llm.presence_penalty": (GenerationConfig, "presence_penalty"),
     "planner.max_depth": (PlannerConfig, "max_depth"),
     "planner.no_guidance": (AblationFlags, "no_guidance"),
     "planner.no_memory": (AblationFlags, "no_memory"),

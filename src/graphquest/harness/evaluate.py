@@ -119,7 +119,8 @@ def _run_record(record: DatasetRecord, planner: Planner,
     if trace_path is not None:
         trace.save(str(trace_path))
     # Planner.run records a final event whether it answers or raises
-    payload = trace.final_event().payload
+    final = trace.final_event()
+    payload = final.payload
     predicted = payload.get("answer") or ""
     if error is None and not record.answers:
         error = "no gold answers"
@@ -134,7 +135,8 @@ def _run_record(record: DatasetRecord, planner: Planner,
         input_tokens=usage.input_tokens,
         output_tokens=usage.output_tokens,
         seconds=payload["elapsed_seconds"],
-        iterations=payload.get("iterations", 0),
+        # the iteration a failed run stopped in, as a finished one's
+        iterations=final.iteration,
         error=error,
     )
 

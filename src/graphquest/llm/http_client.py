@@ -55,8 +55,9 @@ class ChatCompletionsBackend:
             "messages": [{"role": "user", "content": prompt}],
             "temperature": config.temperature,
             "max_tokens": config.max_tokens,
-            "frequency_penalty": config.frequency_penalty,
-            "presence_penalty": config.presence_penalty,
+            # no setting: sent as the neutral 0.0 the API defaults to
+            "frequency_penalty": 0.0,
+            "presence_penalty": 0.0,
         }
         headers = {"Content-Type": "application/json"}
         key = _api_key_from_env()

@@ -18,15 +18,12 @@ class GenerationConfig:
     model: str = "gpt-3.5-turbo"
     temperature: float = 0.3
     max_tokens: int = 1024
-    frequency_penalty: float = 0.0
-    presence_penalty: float = 0.0
 
     def __post_init__(self) -> None:
         # requests cannot encode NaN or infinity in a request body
-        for name in ("temperature", "frequency_penalty", "presence_penalty"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not math.isfinite(self.temperature):
+            raise ValueError(
+                f"temperature must be finite, got {self.temperature!r}")
         if self.temperature < 0:
             raise ValueError(
                 f"temperature must be >= 0, got {self.temperature!r}")

@@ -85,11 +85,14 @@ class TestMerging:
         assert app.planner.max_depth == 6
 
     def test_unknown_key_rejected_with_catalog(self):
-        with pytest.raises(ConfigError) as info:
-            build_app_config(dict(self.BASE, **{"planner.depth": "3"}))
-        assert "planner.depth" in str(info.value)
-        assert "planner.max_depth" in str(info.value)
-        assert "planner.depth" not in SETTINGS
+        # the penalties are no settings: every request sends them at 0.0
+        for key in ("planner.depth", "llm.frequency_penalty",
+                    "llm.presence_penalty"):
+            with pytest.raises(ConfigError) as info:
+                build_app_config(dict(self.BASE, **{key: "3"}))
+            assert f"unknown config key {key!r}" in str(info.value)
+            assert "planner.max_depth" in str(info.value)
+            assert key not in SETTINGS
 
     def test_typed_parsing(self):
         app = build_app_config(dict(self.BASE, **{
@@ -117,8 +120,6 @@ class TestMerging:
         ("llm.temperature", "nan"),
         ("llm.temperature", "inf"),
         ("llm.temperature", "-0.5"),
-        ("llm.frequency_penalty", "-inf"),
-        ("llm.presence_penalty", "inf"),
         ("llm.max_tokens", "0"),
         ("llm.max_tokens", "-5"),
     ])
@@ -132,11 +133,9 @@ class TestMerging:
 
     def test_generation_settings_at_their_limits(self):
         app = build_app_config(dict(self.BASE, **{
-            "llm.temperature": "0", "llm.max_tokens": "1",
-            "llm.frequency_penalty": "-2", "llm.presence_penalty": "-2"}))
+            "llm.temperature": "0", "llm.max_tokens": "1"}))
         assert app.planner.generation == GenerationConfig(
-            temperature=0.0, max_tokens=1, frequency_penalty=-2.0,
-            presence_penalty=-2.0)
+            temperature=0.0, max_tokens=1)
 
     @pytest.mark.parametrize("pair", [("kg.path", "kg.endpoint"),
                                       ("llm.script", "llm.base_url")])

@@ -19,7 +19,7 @@ from graphquest.kg.sparql_client import SparqlKG
 from graphquest.kg.types import Direction, KGError
 from graphquest.llm.http_client import ChatCompletionsBackend
 from graphquest.llm.scripted import ScriptedBackend
-from graphquest.llm.types import GenerationConfig, LLMError
+from graphquest.llm.types import LLMError
 from graphquest.planner.engine import Planner, PlannerRunError
 from graphquest.planner.state import PlannerConfig, Question
 from graphquest.prompts import PromptLibrary
@@ -33,6 +33,7 @@ from graphquest.recall import (
 
 from adversaries import PromptAwareResponder
 from conftest import FIXTURES
+from http_fakes import Reply, not_json
 from oracles import random_graph
 from test_acceptance import _stable_lines
 from test_engine_properties import make_kg
@@ -52,131 +53,9 @@ _LABEL = re.compile(r"FILTER\(\?entity = ns:(\S+)\)")
 _EDGE = re.compile(r"^  (\S+) (\S+) (\S+) \.$", re.M)
 
 
-class Reply:
-    def __init__(self, status_code, payload=None):
-        self.status_code = status_code
-        self._payload = payload
-
-    def json(self):
-        return self._payload
-
-
 def bindings(variable, values):
     return Reply(200, {"results": {"bindings": [
         {variable: {"value": value}} for value in values]}})
-
-
-class _Endpoint:
-    """A session answering in process after a random sleep; it records
-    the threads it was called from."""
-
-    def __init__(self, seed):
-        self.rng = random.Random(seed)
-        self.lock = threading.Lock()
-        self.threads: set[int] = set()
-        self.requests = 0
-
-    def post(self, url, **kwargs):
-        with self.lock:
-            self.threads.add(threading.get_ident())
-            self.requests += 1
-            delay = self.rng.uniform(0, MAX_DELAY_S)
-        time.sleep(delay)
-        return self.answer(kwargs)
-
-
-class GraphEndpoint(_Endpoint):
-    """Answers SparqlKG's queries from an InMemoryKG.
-
-    `fail=(key, kind)` answers every query `key` names with the fault
-    `kind` from SPARQL_FAULTS, except that a "429" fails one attempt
-    only. An entity id names its label query, (entity, direction) a
-    relation search and (entity, relation, direction) an entity search.
-    """
-
-    def __init__(self, kg, seed=0, fail=None):
-        super().__init__(seed)
-        self.kg = kg
-        self.fail = fail
-        self.fired = False
-        self.labels_asked: list[str] = []
-
-    def answer(self, kwargs):
-        query = kwargs["data"].decode("utf-8")
-        label = _LABEL.search(query)
-        if label is not None:
-            key = label.group(1)
-        else:
-            first, middle, last = (part.removeprefix("ns:") for part
-                                   in _EDGE.search(query).groups())
-            if middle == "?relation":
-                key = ((last, Direction.INCOMING) if first == "?x"
-                       else (first, Direction.OUTGOING))
-            elif first == "?tailEntity":
-                key = (last, middle, Direction.INCOMING)
-            else:
-                key = (first, middle, Direction.OUTGOING)
-        with self.lock:
-            if label is not None:
-                self.labels_asked.append(key)
-            fault = None
-            if self.fail is not None and self.fail[0] == key:
-                kind = self.fail[1]
-                if kind != "429" or not self.fired:
-                    fault, self.fired = kind, True
-        if fault is not None:
-            return SPARQL_FAULTS[fault]()
-        if label is not None:
-            resolved = self.kg.resolve_label(key)
-            return bindings("tailEntity",
-                            [] if resolved.is_fallback else [resolved.label])
-        if len(key) == 2:
-            found = self.kg.search_relations(*key)
-            return bindings("relation", [NS + value for value in found])
-        found = self.kg.search_entities(*key)
-        return bindings("tailEntity", [NS + value for value in found])
-
-
-class EmbeddingEndpoint(_Endpoint):
-    """Embeds text as 16 buckets of hashed character trigrams.
-
-    `fail=(text, kind)` answers every request for `text` with the fault
-    `kind` from EMBEDDING_FAULTS, except that a "429" fails one attempt
-    only.
-    """
-
-    def __init__(self, seed, fail=None):
-        super().__init__(seed)
-        self.fail = fail
-        self.fired = False
-        # the texts in the order their requests arrived
-        self.texts: list[str] = []
-
-    def answer(self, kwargs):
-        text = kwargs["json"]["input"][0]
-        with self.lock:
-            self.texts.append(text)
-            fault = None
-            if self.fail is not None and self.fail[0] == text:
-                kind = self.fail[1]
-                if kind != "429" or not self.fired:
-                    fault, self.fired = kind, True
-        if fault is not None:
-            return EMBEDDING_FAULTS[fault]()
-        text = text.lower()
-        vector = [0.0] * 16
-        for i in range(len(text) - 2):
-            vector[zlib.crc32(text[i:i + 3].encode("utf-8")) % 16] += 1.0
-        return Reply(200, {"data": [{"embedding": vector}]})
-
-
-class NotJson:
-    """A 200 whose body does not decode, as a proxy's error page."""
-
-    status_code = 200
-
-    def json(self):
-        raise ValueError("Expecting value: line 1 column 1 (char 0)")
 
 
 def _refuse_connection():
@@ -187,7 +66,7 @@ def _refuse_connection():
 CHAT_FAULTS = {
     "400": lambda: Reply(400),
     "500": lambda: Reply(500),
-    "not-json": NotJson,
+    "not-json": not_json,
     "shape": lambda: Reply(200, {"choices": []}),
     "connection": _refuse_connection,
     "429": lambda: Reply(429),
@@ -208,6 +87,117 @@ SPARQL_FAULTS = {
 }
 
 
+class _Endpoint:
+    """A session answering in process after a random sleep; it records
+    the threads it was called from.
+
+    `fail=(*key, kind)` answers every request that `key` names with the
+    fault `kind` from the class's FAULTS, except that a "429" fails one
+    attempt only.
+    """
+
+    FAULTS: dict
+
+    def __init__(self, seed, fail=None):
+        self.rng = random.Random(seed)
+        self.lock = threading.Lock()
+        self.threads: set[int] = set()
+        self.requests = 0
+        self.fail = fail
+        self.fired = False
+
+    def post(self, url, **kwargs):
+        with self.lock:
+            self.threads.add(threading.get_ident())
+            self.requests += 1
+            delay = self.rng.uniform(0, MAX_DELAY_S)
+        time.sleep(delay)
+        return self.answer(kwargs)
+
+    def fault(self, *key):
+        """What makes the fault reply to the request `key` names, or None
+        for a true reply; called with the lock held."""
+        if self.fail is None or self.fail[:-1] != key:
+            return None
+        kind = self.fail[-1]
+        if kind == "429" and self.fired:
+            return None
+        self.fired = True
+        return self.FAULTS[kind]
+
+
+class GraphEndpoint(_Endpoint):
+    """Answers SparqlKG's queries from an InMemoryKG.
+
+    A fault's key names a query: an entity id its label query, (entity,
+    direction) a relation search and (entity, relation, direction) an
+    entity search.
+    """
+
+    FAULTS = SPARQL_FAULTS
+
+    def __init__(self, kg, seed=0, fail=None):
+        super().__init__(seed, fail)
+        self.kg = kg
+        self.labels_asked: list[str] = []
+
+    def answer(self, kwargs):
+        query = kwargs["data"].decode("utf-8")
+        label = _LABEL.search(query)
+        if label is not None:
+            key = label.group(1)
+        else:
+            first, middle, last = (part.removeprefix("ns:") for part
+                                   in _EDGE.search(query).groups())
+            if middle == "?relation":
+                key = ((last, Direction.INCOMING) if first == "?x"
+                       else (first, Direction.OUTGOING))
+            elif first == "?tailEntity":
+                key = (last, middle, Direction.INCOMING)
+            else:
+                key = (first, middle, Direction.OUTGOING)
+        with self.lock:
+            if label is not None:
+                self.labels_asked.append(key)
+            fault = self.fault(key)
+        if fault is not None:
+            return fault()
+        if label is not None:
+            resolved = self.kg.resolve_label(key)
+            return bindings("tailEntity",
+                            [] if resolved.is_fallback else [resolved.label])
+        if len(key) == 2:
+            found = self.kg.search_relations(*key)
+            return bindings("relation", [NS + value for value in found])
+        found = self.kg.search_entities(*key)
+        return bindings("tailEntity", [NS + value for value in found])
+
+
+class EmbeddingEndpoint(_Endpoint):
+    """Embeds text as 16 buckets of hashed character trigrams; a fault's
+    key is the text."""
+
+    FAULTS = EMBEDDING_FAULTS
+
+    def __init__(self, seed, fail=None):
+        super().__init__(seed, fail)
+        # the texts in the order their requests arrived
+        self.texts: list[str] = []
+
+    def answer(self, kwargs):
+        text = kwargs["json"]["input"][0]
+        with self.lock:
+            self.texts.append(text)
+            fault = self.fault(text)
+        if fault is not None:
+            return fault()
+        text = text.lower()
+        vector = [0.0] * 16
+        for i in range(len(text) - 2):
+            vector[zlib.crc32(text[i:i + 3].encode("utf-8")) % 16] += 1.0
+        return Reply(200, {"data": [{"embedding": vector}]})
+
+
 class ChatEndpoint(_Endpoint):
     """A chat-completions endpoint whose reply to a prompt depends only on
     `replies` and the prompt, not on the order requests arrive in: each
@@ -215,16 +205,15 @@ class ChatEndpoint(_Endpoint):
     about one prompt in six loses its last character, which the planner
     cannot parse, so it asks again.
 
-    `fail=(prompt, n, kind)` answers the n-th request that carries
-    `prompt` with the fault `kind` from CHAT_FAULTS, and so every retry
-    of that request, except that a "429" fails one attempt only.
+    A fault's key is (prompt, n): the n-th request that carries `prompt`,
+    and so every retry of that request.
     """
 
+    FAULTS = CHAT_FAULTS
+
     def __init__(self, replies, seed=0, fail=None):
-        super().__init__(seed)
+        super().__init__(seed, fail)
         self.replies = replies
-        self.fail = fail
-        self.fired = False
         # prompt -> the replies served for it
         self.served: dict[str, int] = {}
         # the prompts in the order their replies were made
@@ -234,16 +223,11 @@ class ChatEndpoint(_Endpoint):
         prompt = kwargs["json"]["messages"][0]["content"]
         with self.lock:
             served = self.served.get(prompt, 0)
-            fault = None
-            if self.fail is not None and self.fail[:2] == (prompt,
-                                                           served + 1):
-                kind = self.fail[2]
-                if kind != "429" or not self.fired:
-                    fault, self.fired = kind, True
+            fault = self.fault(prompt, served + 1)
             if fault is None:
                 self.served[prompt] = served + 1
         if fault is not None:
-            return CHAT_FAULTS[fault]()
+            return fault()
         with self.lock:
             self.answered.append(prompt)
         key = zlib.crc32(f"{self.replies}:{prompt}".encode("utf-8"))
@@ -259,30 +243,26 @@ class ChatEndpoint(_Endpoint):
         })
 
 
-def chat_backend(replies, *, pooled=True, **endpoint_kwargs):
-    endpoint = ChatEndpoint(replies, **endpoint_kwargs)
-    client = ChatCompletionsBackend(URL, session=endpoint,
-                                    sleep=lambda seconds: None)
-    if not pooled:
-        client.waits_on_network = False
+def client_of(make, endpoint, pooled=True):
+    """The client `make` builds on `endpoint`, kept on the caller's
+    thread unless `pooled`, and the endpoint."""
+    client = make(URL, session=endpoint, sleep=lambda seconds: None)
+    client.waits_on_network = pooled
     return client, endpoint
+
+
+def chat_backend(replies, *, pooled=True, **endpoint_kwargs):
+    return client_of(ChatCompletionsBackend,
+                     ChatEndpoint(replies, **endpoint_kwargs), pooled)
 
 
 def sparql_kg(kg, *, pooled=True, **endpoint_kwargs):
-    endpoint = GraphEndpoint(kg, **endpoint_kwargs)
-    client = SparqlKG(URL, session=endpoint, sleep=lambda seconds: None)
-    if not pooled:
-        client.waits_on_network = False
-    return client, endpoint
+    return client_of(SparqlKG, GraphEndpoint(kg, **endpoint_kwargs), pooled)
 
 
 def embedding_scorer(*, pooled=True, seed=0, fail=None):
-    endpoint = EmbeddingEndpoint(seed, fail=fail)
-    scorer = RemoteEmbeddingScorer(URL, session=endpoint,
-                                   sleep=lambda seconds: None)
-    if not pooled:
-        scorer.waits_on_network = False
-    return scorer, endpoint
+    return client_of(RemoteEmbeddingScorer, EmbeddingEndpoint(seed, fail),
+                     pooled)
 
 
 def panama_script():
@@ -404,24 +384,58 @@ def star_case():
     return kg, Question("Which spoke of the Hub is next?", (("m.hub", "Hub"),))
 
 
+def aborts_alike(run, fail, clean, error):
+    """Runs `run(pooled, fail)` inline, then pooled; `fail` is a fault as
+    the endpoints take it. A "429", which a retry answers, leaves both
+    runs' stable lines `clean`, and gives None. Any other fault aborts
+    both alike, caused by `error`, each with a final event whose error
+    the message names; gives that message and the stable lines."""
+    if fail[-1] == "429":
+        for pooled in (False, True):
+            assert _stable_lines(run(pooled, fail).trace) == clean, fail
+        return None
+    outcomes = []
+    for pooled in (False, True):
+        with pytest.raises(PlannerRunError) as caught:
+            run(pooled, fail)
+        assert isinstance(caught.value.__cause__, error), fail
+        final = caught.value.trace.events[-1]
+        assert final.kind == "final" and "error" in final.payload, fail
+        assert final.payload["error"] in str(caught.value), fail
+        outcomes.append((str(caught.value),
+                         _stable_lines(caught.value.trace)))
+    assert outcomes[1] == outcomes[0], fail
+    return outcomes[0]
+
+
+def over_graph_and_chat(kg, question, config, replies):
+    """`run(pooled, fail)` over a SPARQL endpoint that `fail` faults and
+    a chat endpoint serving `replies`."""
+    def run(pooled, fail=None):
+        client, _ = sparql_kg(kg, pooled=pooled, seed=7, fail=fail)
+        llm, _ = chat_backend(replies, pooled=pooled, seed=7)
+        return Planner(client, llm, config).run(question)
+    return run
+
+
 def test_failed_label_query_aborts_as_the_inline_run():
     kg, question = star_case()
     config = PlannerConfig(max_depth=2)
-    client, endpoint = sparql_kg(kg, pooled=False)
-    Planner(client, PromptAwareResponder(1), config).run(question)
-    assert len(endpoint.labels_asked) == 10
-    for entity in endpoint.labels_asked:
-        outcomes = []
-        for pooled in (False, True):
-            client, endpoint = sparql_kg(kg, pooled=pooled, seed=7,
-                                         fail=(entity, "400"))
-            with pytest.raises(PlannerRunError) as caught:
-                Planner(client, PromptAwareResponder(1), config).run(question)
-            outcomes.append((str(caught.value),
-                             _stable_lines(caught.value.trace)))
-        assert outcomes[1] == outcomes[0], entity
-        assert "HTTP 400" in outcomes[0][0]
-        assert endpoint.threads - {threading.get_ident()}
+    endpoints = []
+
+    def run(pooled, fail=None):
+        client, endpoint = sparql_kg(kg, pooled=pooled, seed=7, fail=fail)
+        endpoints.append(endpoint)
+        return Planner(client, PromptAwareResponder(1), config).run(question)
+
+    clean = _stable_lines(run(pooled=False).trace)
+    asked = endpoints[0].labels_asked
+    assert len(asked) == 10
+    for entity in asked:
+        message, _ = aborts_alike(run, (entity, "400"), clean, KGError)
+        assert "HTTP 400" in message
+        # the pooled run's batches ran on pool threads
+        assert endpoints[-1].threads - {threading.get_ident()}
 
 
 def test_label_faults_abort_as_the_inline_run():
@@ -431,49 +445,35 @@ def test_label_faults_abort_as_the_inline_run():
     that a retry answers leaves the trace as it was."""
     for seed in SWEEP_SEEDS:
         kg, question = sweep_case(seed)
+        endpoints = []
 
         def run(pooled, fail=None):
             client, endpoint = sparql_kg(kg, pooled=pooled, seed=seed,
                                          fail=fail)
-            planner = Planner(client, PromptAwareResponder(seed),
-                              SWEEP_CONFIG)
-            return planner, endpoint
+            endpoints.append(endpoint)
+            return Planner(client, PromptAwareResponder(seed),
+                           SWEEP_CONFIG).run(question)
 
-        planner, endpoint = run(pooled=False)
-        clean_trace = planner.run(question).trace
+        clean_trace = run(pooled=False).trace
         clean = _stable_lines(clean_trace)
+        asked = endpoints[0].labels_asked
         # id -> seq of the labels event that names it
         named_at = {eid: event.seq for event in clean_trace.events
                     if event.payload.get("op") == "labels"
                     for eid in [*event.payload["labels"],
                                 *event.payload.get("fallback", ())]}
-        assert sorted(endpoint.labels_asked) == sorted(named_at), seed
+        assert sorted(asked) == sorted(named_at), seed
         rng = random.Random(seed)
         for kind in SPARQL_FAULTS:
-            entity = rng.choice(endpoint.labels_asked)
+            entity = rng.choice(asked)
             hop = clean_trace.events[named_at[entity] - 1]
             assert hop.payload["op"] == "entities", (seed, entity)
-            outcomes = []
-            for pooled in (False, True):
-                planner, _ = run(pooled, (entity, kind))
-                if kind == "429":
-                    lines = _stable_lines(planner.run(question).trace)
-                    assert lines == clean, (seed, entity)
-                    continue
-                with pytest.raises(PlannerRunError) as caught:
-                    planner.run(question)
-                assert isinstance(caught.value.__cause__, KGError)
-                outcomes.append((str(caught.value),
-                                 _stable_lines(caught.value.trace)))
-            if kind == "429":
-                continue
-            assert outcomes[1] == outcomes[0], (seed, kind, entity)
-            message, lines = outcomes[0]
-            # every event up to the hop's entities event, and nothing after
-            assert lines[:-1] == clean[:hop.seq + 1], (seed, kind, entity)
-            final = caught.value.trace.events[-1]
-            assert final.kind == "final" and "error" in final.payload
-            assert final.payload["error"] in message
+            aborted = aborts_alike(run, (entity, kind), clean, KGError)
+            if aborted is not None:
+                # every event up to the hop's entities event, and nothing
+                # after
+                assert aborted[1][:-1] == clean[:hop.seq + 1], \
+                    (seed, kind, entity)
 
 
 def test_chat_faults_abort_as_the_inline_run():
@@ -484,19 +484,18 @@ def test_chat_faults_abort_as_the_inline_run():
     for seed in SWEEP_SEEDS:
         kg, question = sweep_case(seed)
 
-        def run(pooled, delays=0, fail=None):
-            llm, _ = chat_backend(seed, pooled=pooled, seed=delays,
-                                  fail=fail)
+        def run(pooled, fail=None):
+            llm, _ = chat_backend(seed, pooled=pooled, seed=seed, fail=fail)
             return Planner(kg, llm, SWEEP_CONFIG).run(question)
 
         clean_trace = run(pooled=False).trace
         clean = _stable_lines(clean_trace)
         calls = [event for event in clean_trace.events
                  if event.kind == "llm_call"]
+        prompts = [PROMPTS.prompt_of(call) for call in calls]
         rng = random.Random(seed)
         for kind in CHAT_FAULTS:
             index = rng.randrange(len(calls))
-            prompts = [PROMPTS.prompt_of(call) for call in calls]
             prompt = prompts[index]
             nth = prompts[:index + 1].count(prompt)
             stage = calls[index].payload["stage"]
@@ -508,27 +507,11 @@ def test_chat_faults_abort_as_the_inline_run():
                     for call, other in zip(calls[:index], prompts)):
                 stage = "later_tail_" + stage
             targets.append(stage)
-            outcomes = []
-            for pooled in (False, True):
-                fail = (prompt, nth, kind)
-                if kind == "429":
-                    lines = _stable_lines(run(pooled, seed, fail).trace)
-                    assert lines == clean, (seed, index)
-                    continue
-                with pytest.raises(PlannerRunError) as caught:
-                    run(pooled, seed, fail)
-                assert isinstance(caught.value.__cause__, LLMError)
-                outcomes.append((str(caught.value),
-                                 _stable_lines(caught.value.trace)))
-            if kind == "429":
-                continue
-            assert outcomes[1] == outcomes[0], (seed, kind, index)
-            message, lines = outcomes[0]
-            # every event before the failed call's, and nothing after it
-            assert lines[:-1] == clean[:calls[index].seq], (seed, kind, index)
-            final = caught.value.trace.events[-1]
-            assert final.kind == "final" and "error" in final.payload
-            assert final.payload["error"] in message
+            aborted = aborts_alike(run, (prompt, nth, kind), clean, LLMError)
+            if aborted is not None:
+                # every event before the failed call's, and nothing after it
+                assert aborted[1][:-1] == clean[:calls[index].seq], \
+                    (seed, kind, index)
     # the faults hit relation prompts of later tails, and retries after a
     # garbled reply
     assert "later_tail_relation_selection" in targets
@@ -543,46 +526,31 @@ def test_embedding_faults_abort_as_the_inline_run():
     faulted = 0
     for seed in SWEEP_SEEDS:
         kg, question = sweep_case(seed)
+        endpoints = []
 
         def run(pooled, fail=None):
             client, _ = sparql_kg(kg, pooled=pooled, seed=seed)
             scorer, endpoint = embedding_scorer(pooled=pooled, seed=seed,
                                                 fail=fail)
-            planner = Planner(client, PromptAwareResponder(seed),
-                              SWEEP_CONFIG, scorer=scorer)
-            return planner, endpoint
+            endpoints.append(endpoint)
+            return Planner(client, PromptAwareResponder(seed), SWEEP_CONFIG,
+                           scorer=scorer).run(question)
 
-        planner, endpoint = run(pooled=False)
-        clean = _stable_lines(planner.run(question).trace)
-        texts = endpoint.texts
+        clean = _stable_lines(run(pooled=False).trace)
+        texts = endpoints[0].texts
         if not texts:
             continue  # no hop of this run found enough to recall
         rng = random.Random(seed)
         for kind in EMBEDDING_FAULTS:
             fail = (rng.choice(texts), kind)
-            outcomes = []
-            for pooled in (False, True):
-                planner, _ = run(pooled, fail)
-                if kind == "429":
-                    lines = _stable_lines(planner.run(question).trace)
-                    assert lines == clean, (seed, fail)
-                    continue
-                with pytest.raises(PlannerRunError) as caught:
-                    planner.run(question)
-                assert isinstance(caught.value.__cause__, RecallError)
-                outcomes.append((str(caught.value),
-                                 _stable_lines(caught.value.trace)))
-            if kind == "429":
+            aborted = aborts_alike(run, fail, clean, RecallError)
+            if aborted is None:
                 continue
             faulted += 1
-            assert outcomes[1] == outcomes[0], (seed, fail)
-            message, lines = outcomes[0]
+            lines = aborted[1]
             # every event before the failed recall's, and nothing after it
-            assert lines[:-1] == clean[:len(lines) - 1], (seed, fail)
-            assert '"stage": "recall"' in clean[len(lines) - 1], (seed, fail)
-            final = caught.value.trace.events[-1]
-            assert final.kind == "final" and "error" in final.payload
-            assert final.payload["error"] in message
+            assert lines[:-1] == clean[:len(lines) - 1], fail
+            assert '"stage": "recall"' in clean[len(lines) - 1], fail
     assert faulted >= 5 * 4  # every kind, on several of the sweep runs
 
 
@@ -595,24 +563,6 @@ def search_of(event):
     return payload["entity"], payload["relation"], direction
 
 
-def aborts_alike(kg, question, config, replies, fail):
-    """The error and stable lines of the run whose query `fail` faults (as
-    GraphEndpoint's `fail`), pooled and inline alike."""
-    outcomes = []
-    for pooled in (False, True):
-        client, _ = sparql_kg(kg, pooled=pooled, seed=7, fail=fail)
-        llm, _ = chat_backend(replies, pooled=pooled, seed=7)
-        with pytest.raises(PlannerRunError) as caught:
-            Planner(client, llm, config).run(question)
-        assert isinstance(caught.value.__cause__, KGError)
-        outcomes.append((str(caught.value),
-                         _stable_lines(caught.value.trace)))
-    assert outcomes[1] == outcomes[0], fail
-    final = caught.value.trace.events[-1]
-    assert final.kind == "final" and final.payload["error"] in outcomes[0][0]
-    return outcomes[0]
-
-
 @pytest.mark.parametrize("direction", list(Direction))
 def test_failed_relation_search_mid_frontier_aborts_as_the_inline_run(
         direction):
@@ -620,8 +570,9 @@ def test_failed_relation_search_mid_frontier_aborts_as_the_inline_run(
     call's among them, are recorded before the error, pooled or not."""
     kg, question = star_case()
     config = PlannerConfig(max_depth=2)
-    llm, _ = chat_backend(1, pooled=False)
-    clean = Planner(kg, llm, config).run(question).trace
+    # the reference is the bare in-memory graph's run, not the endpoint's
+    clean = Planner(kg, chat_backend(1, pooled=False)[0],
+                    config).run(question).trace
     searches = [event for event in clean.events if event.iteration == 2
                 and event.payload.get("op") == "relations"]
     tails = list(dict.fromkeys(event.payload["entity"]
@@ -629,8 +580,9 @@ def test_failed_relation_search_mid_frontier_aborts_as_the_inline_run(
     assert len(tails) >= 3
     failed = next(event for event in searches
                   if search_of(event) == (tails[1], direction))
-    message, lines = aborts_alike(kg, question, config, 1,
-                                  (search_of(failed), "400"))
+    message, lines = aborts_alike(
+        over_graph_and_chat(kg, question, config, 1),
+        (search_of(failed), "400"), _stable_lines(clean), KGError)
     assert "HTTP 400" in message
     assert lines[:-1] == _stable_lines(clean)[:failed.seq]
     assert any(event.kind == "llm_call" and event.iteration == 2
@@ -648,9 +600,8 @@ def test_search_faults_abort_as_the_inline_run():
     made: set[tuple[str, str]] = set()
     for seed in SWEEP_SEEDS:
         kg, question = sweep_case(seed)
-        client, _ = sparql_kg(kg, pooled=False)
-        llm, _ = chat_backend(seed, pooled=False)
-        clean_trace = Planner(client, llm, SWEEP_CONFIG).run(question).trace
+        run = over_graph_and_chat(kg, question, SWEEP_CONFIG, seed)
+        clean_trace = run(pooled=False).trace
         clean = _stable_lines(clean_trace)
         firsts: dict[tuple, int] = {}
         for event in clean_trace.events:
@@ -662,19 +613,10 @@ def test_search_faults_abort_as_the_inline_run():
             op = "relations" if len(search) == 2 else "entities"
             kind = next(kinds[op])
             made.add((kind, op))
-            if kind != "429":
-                _, lines = aborts_alike(kg, question, SWEEP_CONFIG, seed,
-                                        (search, kind))
-                assert lines[:-1] == clean[:firsts[search]], \
+            aborted = aborts_alike(run, (search, kind), clean, KGError)
+            if aborted is not None:
+                assert aborted[1][:-1] == clean[:firsts[search]], \
                     (seed, search, kind)
-                continue
-            for pooled in (False, True):
-                client, _ = sparql_kg(kg, pooled=pooled, seed=7,
-                                      fail=(search, kind))
-                llm, _ = chat_backend(seed, pooled=pooled, seed=7)
-                lines = _stable_lines(
-                    Planner(client, llm, SWEEP_CONFIG).run(question).trace)
-                assert lines == clean, (seed, search)
     assert made == {(kind, op) for kind in SPARQL_FAULTS for op in kinds}
 
 
@@ -726,8 +668,8 @@ def test_one_expansion_resolves_the_labels_of_all_its_hops_together():
                                     hallucination_rate=0.0)
 
     inline = Planner(kg, responder(), config).run(question)
-    endpoint = GatheringEndpoint(kg, bodies, seed=3)
-    client = SparqlKG(URL, session=endpoint, sleep=lambda seconds: None)
+    client, endpoint = client_of(SparqlKG,
+                                 GatheringEndpoint(kg, bodies, seed=3))
     pooled = Planner(client, responder(), config).run(question)
     assert not endpoint.timed_out
     assert endpoint.arrived == set(bodies)
@@ -762,10 +704,8 @@ def test_a_failed_recall_leaves_no_label_lookup_running():
     kg = make_kg(triples, {"m.hub": "Hub",
                            **{eid: f"Thing {eid}" for eid in bodies}})
     question = Question("Which thing?", (("m.hub", "Hub"),))
-    endpoint = SlowLabels(kg)
-    client = SparqlKG(URL, session=endpoint, sleep=lambda seconds: None)
-    scorer = RemoteEmbeddingScorer(URL, session=RefusingEndpoint(),
-                                   sleep=lambda seconds: None)
+    client, endpoint = client_of(SparqlKG, SlowLabels(kg))
+    scorer, _ = client_of(RemoteEmbeddingScorer, RefusingEndpoint())
     planner = Planner(client, PromptAwareResponder(3, keep_fraction=1.0,
                                                    hallucination_rate=0.0),
                       PlannerConfig(max_depth=1), scorer=scorer)
@@ -879,93 +819,3 @@ def test_in_memory_kg_and_trigram_scorer_stay_on_the_callers_thread(
                           "resolve_label", "scores"}
     assert all(threads == {threading.get_ident()}
                for threads in calls.values()), calls
-
-
-# -- HTTP sessions ------------------------------------------------------------
-
-
-class AnyReply:
-    """A 200 whose body each of the three clients accepts."""
-
-    status_code = 200
-
-    def json(self):
-        return {"results": {"bindings": []},
-                "choices": [{"message": {"content": "ok"}}],
-                "data": [{"embedding": [1.0, 0.0]}]}
-
-
-CLIENTS = {
-    "sparql": (lambda session: SparqlKG(URL, session=session),
-               lambda client, n: client.search_relations(
-                   f"m.{n}", Direction.OUTGOING)),
-    "chat": (lambda session: ChatCompletionsBackend(URL, session=session),
-             lambda client, n: client.complete(f"prompt {n}",
-                                               GenerationConfig())),
-    "embedding": (lambda session: RemoteEmbeddingScorer(URL,
-                                                        session=session),
-                  lambda client, n: client.score(f"question {n}",
-                                                 f"label {n}")),
-}
-
-
-def call_from_threads(client, request, threads=3, per_thread=2):
-    """Each thread makes `per_thread` distinct requests (no cache hits);
-    all of them are alive at once, so no two share a thread id."""
-    errors = []
-    barrier = threading.Barrier(threads)
-
-    def work(offset):
-        try:
-            barrier.wait(timeout=10)
-            for n in range(per_thread):
-                request(client, offset * per_thread + n)
-        except Exception as exc:  # reported by the assert below
-            errors.append(exc)
-
-    workers = [threading.Thread(target=work, args=(offset,))
-               for offset in range(threads)]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join(timeout=10)
-    assert not any(worker.is_alive() for worker in workers)
-    assert not errors, errors
-
-
-@pytest.mark.parametrize("name", sorted(CLIENTS))
-def test_each_thread_gets_its_own_session(name, monkeypatch):
-    seen: list[tuple[int, requests.Session]] = []
-
-    def post(session, url, **kwargs):
-        seen.append((threading.get_ident(), session))
-        return AnyReply()
-
-    monkeypatch.setattr(requests.Session, "post", post)
-    make, request = CLIENTS[name]
-    call_from_threads(make(None), request)
-    assert len(seen) >= 6
-    by_thread: dict[int, set[int]] = {}
-    for thread, session in seen:
-        assert isinstance(session, requests.Session)
-        by_thread.setdefault(thread, set()).add(id(session))
-    assert len(by_thread) == 3
-    assert all(len(ids) == 1 for ids in by_thread.values())
-    assert len(set().union(*by_thread.values())) == 3
-
-
-@pytest.mark.parametrize("name", sorted(CLIENTS))
-def test_an_injected_session_serves_every_thread(name):
-    class Shared:
-        def __init__(self):
-            self.threads = []
-
-        def post(self, url, **kwargs):
-            self.threads.append(threading.get_ident())
-            return AnyReply()
-
-    session = Shared()
-    make, request = CLIENTS[name]
-    call_from_threads(make(session), request)
-    assert len(session.threads) >= 6
-    assert len(set(session.threads)) == 3

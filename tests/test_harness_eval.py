@@ -240,6 +240,23 @@ class TestRunEval:
             assert "no scripted rule" in result.error
             assert result.llm_calls == 0
 
+    def test_a_failed_question_reports_the_iteration_it_failed_in(
+            self, tmp_path, fixtures_dir, capitals_planner):
+        # the capitals script answers these questions' decomposition and
+        # memory update, and no evaluation: each run fails in iteration 1
+        records = load_dataset(str(fixtures_dir / "webqsp_smoke.json"))
+        run_eval(records, capitals_planner, out_dir=tmp_path)
+        saved = json.loads((tmp_path / "report.json").read_text(
+            encoding="utf-8"))["results"]
+        assert len(saved) == 10
+        for result in saved:
+            trace = RunTrace.load(str(tmp_path / "traces"
+                                      / f"{result['id']}.jsonl"))
+            assert "no scripted rule" in result["error"]
+            assert result["llm_calls"] == 2
+            assert result["iterations"] == trace.final_event().iteration
+            assert result["iterations"] == 1
+
 
 class TestApplyOverrides:
     """Ablation variants are planner.* keys applied by build_app_config."""

@@ -1,46 +1,14 @@
+import json
+
 import pytest
 import requests
 
 from graphquest.llm.http_client import ChatCompletionsBackend
 from graphquest.llm.types import GenerationConfig, LLMError
 
+from http_fakes import NOT_JSON, Reply, not_json, scripted
+
 CONFIG = GenerationConfig(model="test-model", temperature=0.3, max_tokens=1024)
-
-
-class FakeResponse:
-    def __init__(self, status_code, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-
-    def json(self):
-        return self._payload
-
-
-class FakeSession:
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.requests = []
-
-    def post(self, url, *, json, headers, timeout):
-        self.requests.append({"url": url, "json": json, "headers": headers,
-                              "timeout": timeout})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
-# bodies that do not decode: an HTML page, as a proxy's error page would
-# be, and an array nested deeper than the JSON decoder recurses
-NOT_JSON = (b"<html>busy</html>", b"[" * 200_000 + b"]" * 200_000)
-
-
-def not_json(body=NOT_JSON[0]):
-    """A 200 whose body is `body`."""
-    response = requests.Response()
-    response.status_code = 200
-    response._content = body
-    return response
 
 
 def chat_payload(text, usage=None):
@@ -50,12 +18,8 @@ def chat_payload(text, usage=None):
     return payload
 
 
-def make_backend(outcomes, base_url="http://llm.invalid/v1", **kwargs):
-    session = FakeSession(outcomes)
-    sleeps = []
-    backend = ChatCompletionsBackend(base_url, session=session,
-                                     sleep=sleeps.append, **kwargs)
-    return backend, session, sleeps
+def make_backend(outcomes, base_url="http://llm.invalid/v1"):
+    return scripted(ChatCompletionsBackend, base_url, outcomes)
 
 
 class TestRequestShape:
@@ -69,23 +33,21 @@ class TestRequestShape:
     def test_body_carries_decoding_settings(self, monkeypatch):
         monkeypatch.delenv("GRAPHQUEST_API_KEY", raising=False)
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
-        backend, session, _ = make_backend([FakeResponse(200,
-                                                         chat_payload("hi"))])
+        backend, session, _ = make_backend([Reply(200, chat_payload("hi"))])
         backend.complete("the prompt", CONFIG)
-        body = session.requests[0]["json"]
-        assert body["model"] == "test-model"
-        assert body["temperature"] == 0.3
-        assert body["max_tokens"] == 1024
-        assert body["frequency_penalty"] == 0.0
-        assert body["presence_penalty"] == 0.0
-        assert body["messages"] == [{"role": "user", "content": "the prompt"}]
+        # the body as sent; the penalties are no setting, and it carries
+        # them at 0.0
+        assert json.dumps(session.requests[0]["json"]) == (
+            '{"model": "test-model", "messages": [{"role": "user", '
+            '"content": "the prompt"}], "temperature": 0.3, '
+            '"max_tokens": 1024, "frequency_penalty": 0.0, '
+            '"presence_penalty": 0.0}')
         assert "Authorization" not in session.requests[0]["headers"]
         assert session.requests[0]["timeout"] == 60.0
 
     def test_api_key_read_from_env_only(self, monkeypatch):
         monkeypatch.setenv("GRAPHQUEST_API_KEY", "sk-test-123")
-        backend, session, _ = make_backend([FakeResponse(200,
-                                                         chat_payload("hi"))])
+        backend, session, _ = make_backend([Reply(200, chat_payload("hi"))])
         backend.complete("p", CONFIG)
         auth = session.requests[0]["headers"]["Authorization"]
         assert auth == "Bearer sk-test-123"
@@ -93,8 +55,7 @@ class TestRequestShape:
     def test_fallback_env_var(self, monkeypatch):
         monkeypatch.delenv("GRAPHQUEST_API_KEY", raising=False)
         monkeypatch.setenv("OPENAI_API_KEY", "sk-alt")
-        backend, session, _ = make_backend([FakeResponse(200,
-                                                         chat_payload("hi"))])
+        backend, session, _ = make_backend([Reply(200, chat_payload("hi"))])
         backend.complete("p", CONFIG)
         assert session.requests[0]["headers"]["Authorization"] == "Bearer sk-alt"
 
@@ -103,27 +64,26 @@ class TestResponses:
     def test_reported_usage_is_preferred(self):
         payload = chat_payload("answer text", {"prompt_tokens": 77,
                                                "completion_tokens": 11})
-        backend, _, _ = make_backend([FakeResponse(200, payload)])
+        backend, _, _ = make_backend([Reply(200, payload)])
         completion = backend.complete("p", CONFIG)
         assert completion.text == "answer text"
         assert completion.usage.input_tokens == 77
         assert completion.usage.output_tokens == 11
 
     def test_missing_usage_falls_back_to_estimate(self):
-        backend, _, _ = make_backend([FakeResponse(200,
-                                                   chat_payload("abcdefgh"))])
+        backend, _, _ = make_backend([Reply(200, chat_payload("abcdefgh"))])
         completion = backend.complete("x" * 40, CONFIG)
         assert completion.usage.input_tokens == 10  # ceil(40 / 4)
         assert completion.usage.output_tokens == 2  # ceil(8 / 4)
 
     def test_null_content_is_empty_text(self):
-        backend, _, _ = make_backend([FakeResponse(200, chat_payload(None))])
+        backend, _, _ = make_backend([Reply(200, chat_payload(None))])
         completion = backend.complete("p", CONFIG)
         assert completion.text == ""
         assert completion.usage.output_tokens == 0
 
     def test_malformed_payload_raises_transport_error(self):
-        backend, _, _ = make_backend([FakeResponse(200, {"weird": []})])
+        backend, _, _ = make_backend([Reply(200, {"weird": []})])
         with pytest.raises(LLMError):
             backend.complete("p", CONFIG)
 
@@ -147,7 +107,7 @@ class TestResponses:
                      id="tokens-fractional"),
     ])
     def test_malformed_fields_raise_transport_error(self, payload):
-        backend, _, _ = make_backend([FakeResponse(200, payload)])
+        backend, _, _ = make_backend([Reply(200, payload)])
         with pytest.raises(LLMError, match="malformed chat response"):
             backend.complete("p", CONFIG)
 
@@ -155,14 +115,14 @@ class TestResponses:
 class TestRetries:
     def test_retryable_then_success(self):
         backend, session, sleeps = make_backend(
-            [FakeResponse(429), requests.ConnectionError("down"),
-             FakeResponse(200, chat_payload("ok"))])
+            [Reply(429), requests.ConnectionError("down"),
+             Reply(200, chat_payload("ok"))])
         assert backend.complete("p", CONFIG).text == "ok"
         assert len(session.requests) == 3
         assert sleeps == [1.0, 2.0]
 
     def test_non_retryable_fails_fast(self):
-        backend, session, sleeps = make_backend([FakeResponse(401)])
+        backend, session, sleeps = make_backend([Reply(401)])
         with pytest.raises(LLMError) as info:
             backend.complete("p", CONFIG)
         assert "401" in str(info.value)
@@ -171,7 +131,7 @@ class TestRetries:
 
     def test_exhaustion_reports_last_error(self):
         backend, _, _ = make_backend(
-            [FakeResponse(503), FakeResponse(503), FakeResponse(503)])
+            [Reply(503), Reply(503), Reply(503)])
         with pytest.raises(LLMError) as info:
             backend.complete("p", CONFIG)
         assert "3 attempts" in str(info.value)
@@ -180,7 +140,7 @@ class TestRetries:
     def test_non_json_body_is_retried_then_typed(self):
         for body in NOT_JSON:
             backend, session, _ = make_backend(
-                [not_json(body), FakeResponse(200, chat_payload("ok"))])
+                [not_json(body), Reply(200, chat_payload("ok"))])
             assert backend.complete("p", CONFIG).text == "ok"
             assert len(session.requests) == 2
             backend, session, _ = make_backend([not_json(body)] * 3)

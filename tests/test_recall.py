@@ -7,7 +7,6 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +19,7 @@ from graphquest.recall import (
     top_k,
 )
 
+from http_fakes import NOT_JSON, Reply, not_json, scripted
 from oracles import oracle_top_k, oracle_trigram_score
 
 QUESTION = "Who is in control of the place where the movie takes place?"
@@ -471,88 +471,47 @@ class TestTopK:
             RecallConfig(threshold=-1)
 
 
-class FakeResponse:
-    def __init__(self, status_code, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-
-    def json(self):
-        return self._payload
-
-
-class FakeSession:
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.requests = []
-
-    def post(self, url, *, json, timeout):
-        self.requests.append({"url": url, "json": json, "timeout": timeout})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
-# bodies that do not decode: an HTML page, as a proxy's error page would
-# be, and an array nested deeper than the JSON decoder recurses
-NOT_JSON = (b"<html>busy</html>", b"[" * 200_000 + b"]" * 200_000)
-
-
-def not_json(body=NOT_JSON[0]):
-    """A 200 whose body is `body`."""
-    response = requests.Response()
-    response.status_code = 200
-    response._content = body
-    return response
-
-
 def embedding(vector):
-    return FakeResponse(200, {"data": [{"embedding": vector}]})
+    return Reply(200, {"data": [{"embedding": vector}]})
+
+
+def make_scorer(outcomes, **kwargs):
+    return scripted(RemoteEmbeddingScorer, "http://embed.invalid/v1",
+                    outcomes, **kwargs)
 
 
 class TestRemoteScorer:
     def test_cosine_of_served_vectors(self):
-        session = FakeSession([embedding([1.0, 0.0]), embedding([0.0, 1.0])])
-        scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
-                                       session=session, sleep=lambda _: None)
+        scorer, session, _ = make_scorer([embedding([1.0, 0.0]),
+                                          embedding([0.0, 1.0])])
         assert scorer.score("question", "label") == pytest.approx(0.0)
         assert session.requests[0]["timeout"] == 30.0
-        session2 = FakeSession([embedding([1.0, 1.0]), embedding([1.0, 1.0])])
-        scorer2 = RemoteEmbeddingScorer("http://embed.invalid/v1",
-                                        session=session2, sleep=lambda _: None)
-        assert scorer2.score("same", "text") == pytest.approx(1.0)
+        scorer, _, _ = make_scorer([embedding([1.0, 1.0]),
+                                    embedding([1.0, 1.0])])
+        assert scorer.score("same", "text") == pytest.approx(1.0)
 
     def test_embeddings_cached_per_text(self):
-        session = FakeSession([embedding([1.0, 0.0]), embedding([0.5, 0.5])])
-        scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
-                                       session=session, sleep=lambda _: None)
+        scorer, session, _ = make_scorer([embedding([1.0, 0.0]),
+                                          embedding([0.5, 0.5])])
         scorer.score("q", "label-a")
         scorer.score("q", "label-a")  # both texts already cached
         assert len(session.requests) == 2
         assert session.requests[0]["json"] == {"input": ["q"]}
 
     def test_model_included_when_configured(self):
-        session = FakeSession([embedding([1.0]), embedding([1.0])])
-        scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
-                                       session=session, model="embedder-1",
-                                       sleep=lambda _: None)
+        scorer, session, _ = make_scorer([embedding([1.0]), embedding([1.0])],
+                                         model="embedder-1")
         scorer.score("q", "c")
         assert session.requests[0]["json"]["model"] == "embedder-1"
 
     def test_retry_then_error(self):
-        session = FakeSession([FakeResponse(503), FakeResponse(503),
-                               FakeResponse(503)])
-        sleeps = []
-        scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
-                                       session=session, sleep=sleeps.append)
+        scorer, _, sleeps = make_scorer([Reply(503)] * 3)
         with pytest.raises(RecallError):
             scorer.score("q", "c")
         assert sleeps == [1.0, 2.0]
 
     def test_malformed_payload(self):
-        session = FakeSession([FakeResponse(200, {"data": []})])
-        scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
-                                       session=session, sleep=lambda _: None)
+        scorer, _, _ = make_scorer([Reply(200, {"data": []})])
         with pytest.raises(RecallError):
             scorer.score("q", "c")
 
@@ -567,9 +526,7 @@ class TestRemoteScorer:
     ])
     def test_embedding_of_other_than_finite_numbers_is_malformed(self,
                                                                  vector):
-        session = FakeSession([embedding(vector)])
-        scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
-                                       session=session, sleep=lambda _: None)
+        scorer, _, _ = make_scorer([embedding(vector)])
         with pytest.raises(RecallError, match="malformed embedding"):
             scorer.score("q", "c")
 
@@ -600,9 +557,7 @@ class TestRemoteScorer:
     @example([[1e154, 1e154], [1.0, 1.0]])
     def test_every_score_is_finite_or_an_error(self, vectors):
         left, right = vectors
-        session = FakeSession([embedding(left), embedding(right)])
-        scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
-                                       session=session, sleep=lambda _: None)
+        scorer, _, _ = make_scorer([embedding(left), embedding(right)])
         norm = (math.sqrt(sum(v * v for v in left))
                 * math.sqrt(sum(v * v for v in right)))
         if not math.isfinite(norm):
@@ -616,17 +571,13 @@ class TestRemoteScorer:
         assert score == (dot / norm if norm else 0.0)
 
     def test_dimension_mismatch_is_an_error(self):
-        session = FakeSession([embedding([1.0, 2.0, 3.0]), embedding([1.0])])
-        scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
-                                       session=session, sleep=lambda _: None)
+        scorer, _, _ = make_scorer([embedding([1.0, 2.0, 3.0]),
+                                    embedding([1.0])])
         with pytest.raises(RecallError, match="3 and 1"):
             scorer.score("q", "c")
 
     def test_client_error_fails_fast(self):
-        session = FakeSession([FakeResponse(401)])
-        sleeps = []
-        scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
-                                       session=session, sleep=sleeps.append)
+        scorer, session, sleeps = make_scorer([Reply(401)])
         with pytest.raises(RecallError) as info:
             scorer.score("q", "c")
         assert "HTTP 401" in str(info.value)
@@ -635,17 +586,12 @@ class TestRemoteScorer:
 
     def test_non_json_body_is_retried_then_typed(self):
         for body in NOT_JSON:
-            session = FakeSession([not_json(body), embedding([1.0]),
-                                   embedding([1.0])])
-            scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
-                                           session=session,
-                                           sleep=lambda _: None)
+            scorer, session, _ = make_scorer([not_json(body),
+                                              embedding([1.0]),
+                                              embedding([1.0])])
             assert scorer.score("q", "c") == pytest.approx(1.0)
             assert len(session.requests) == 3
-            session = FakeSession([not_json(body)] * 3)
-            scorer = RemoteEmbeddingScorer("http://embed.invalid/v1",
-                                           session=session,
-                                           sleep=lambda _: None)
+            scorer, session, _ = make_scorer([not_json(body)] * 3)
             with pytest.raises(RecallError):
                 scorer.score("q", "c")
             assert len(session.requests) == 3

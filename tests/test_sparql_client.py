@@ -10,30 +10,9 @@ from graphquest.planner.engine import Planner
 from graphquest.planner.state import PlannerConfig, Question
 
 from adversaries import PromptAwareResponder
+from http_fakes import NOT_JSON, Reply, not_json, scripted
 
 ENDPOINT = "http://kg.invalid:8890/sparql"
-
-
-class FakeResponse:
-    def __init__(self, status_code, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-
-    def json(self):
-        return self._payload
-
-
-# bodies that do not decode: an HTML page, as a proxy's error page would
-# be, and an array nested deeper than the JSON decoder recurses
-NOT_JSON = (b"<html>busy</html>", b"[" * 200_000 + b"]" * 200_000)
-
-
-def not_json(body=NOT_JSON[0]):
-    """A 200 whose body is `body`."""
-    response = requests.Response()
-    response.status_code = 200
-    response._content = body
-    return response
 
 
 def results_payload(variable, values):
@@ -48,33 +27,14 @@ def results_payload(variable, values):
     }
 
 
-class FakeSession:
-    """Scripted HTTP session: pops one canned outcome per request."""
-
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.requests = []
-
-    def post(self, url, *, data, headers, timeout):
-        self.requests.append({"url": url, "data": data, "headers": headers,
-                              "timeout": timeout})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
-def make_client(outcomes, **kwargs):
-    session = FakeSession(outcomes)
-    sleeps = []
-    client = SparqlKG(ENDPOINT, session=session, sleep=sleeps.append, **kwargs)
-    return client, session, sleeps
+def make_client(outcomes):
+    return scripted(SparqlKG, ENDPOINT, outcomes)
 
 
 class TestTransport:
     def test_posts_raw_query_with_sparql_headers(self):
         payload = results_payload("relation", ["location.country.capital"])
-        client, session, _ = make_client([FakeResponse(200, payload)])
+        client, session, _ = make_client([Reply(200, payload)])
         got = client.search_relations("m.05qtj", Direction.OUTGOING)
         assert got == ["location.country.capital"]
         sent = session.requests[0]
@@ -87,8 +47,8 @@ class TestTransport:
 
     def test_entity_query_direction_controls_template(self):
         payload = results_payload("tailEntity", ["m.0fsmy2"])
-        client, session, _ = make_client([FakeResponse(200, payload),
-                                          FakeResponse(200, payload)])
+        client, session, _ = make_client([Reply(200, payload),
+                                          Reply(200, payload)])
         client.search_entities("m.05qtj", "location.country.capital",
                                Direction.OUTGOING)
         client.search_entities("m.05qtj", "location.country.capital",
@@ -107,7 +67,7 @@ class TestTransport:
                 {"other": {"value": "ignored"}},
             ]}
         }
-        client, _, _ = make_client([FakeResponse(200, payload)])
+        client, _, _ = make_client([Reply(200, payload)])
         assert client.search_relations("m.0x", Direction.INCOMING) == \
             ["a.rel", "b.rel"]
 
@@ -125,7 +85,7 @@ class TestTransport:
                             "http://www.w3.org/2002/07/owl#sameAs")
             ]}
         }
-        client, _, _ = make_client([FakeResponse(200, payload)])
+        client, _, _ = make_client([Reply(200, payload)])
         assert client.search_relations("m.0x", Direction.OUTGOING) == \
             ["a.rel"]
 
@@ -146,7 +106,7 @@ class TestTransport:
         assert session.requests == []
 
     def test_malformed_payload_raises(self):
-        client, _, _ = make_client([FakeResponse(200, {"weird": True})])
+        client, _, _ = make_client([Reply(200, {"weird": True})])
         with pytest.raises(KGError):
             client.search_relations("m.0x", Direction.OUTGOING)
 
@@ -158,7 +118,7 @@ class TestTransport:
     ])
     def test_malformed_bindings_raise_kg_error(self, bindings):
         payload = {"results": {"bindings": bindings}}
-        client, _, _ = make_client([FakeResponse(200, payload)])
+        client, _, _ = make_client([Reply(200, payload)])
         with pytest.raises(KGError, match="malformed SPARQL results"):
             client.search_relations("m.0x", Direction.OUTGOING)
 
@@ -166,7 +126,7 @@ class TestTransport:
 class TestCache:
     def test_identical_query_hits_cache(self):
         payload = results_payload("relation", ["a.rel"])
-        client, session, _ = make_client([FakeResponse(200, payload)])
+        client, session, _ = make_client([Reply(200, payload)])
         first = client.search_relations("m.05qtj", Direction.OUTGOING)
         second = client.search_relations("m.05qtj", Direction.OUTGOING)
         assert first == second == ["a.rel"]
@@ -174,7 +134,7 @@ class TestCache:
 
     def test_cache_returns_copies(self):
         payload = results_payload("relation", ["a.rel"])
-        client, _, _ = make_client([FakeResponse(200, payload)])
+        client, _, _ = make_client([Reply(200, payload)])
         first = client.search_relations("m.05qtj", Direction.OUTGOING)
         first.append("mutated")
         assert client.search_relations("m.05qtj",
@@ -182,8 +142,8 @@ class TestCache:
 
     def test_different_direction_is_a_different_key(self):
         payload = results_payload("relation", ["a.rel"])
-        client, session, _ = make_client([FakeResponse(200, payload),
-                                          FakeResponse(200, payload)])
+        client, session, _ = make_client([Reply(200, payload),
+                                          Reply(200, payload)])
         client.search_relations("m.05qtj", Direction.OUTGOING)
         client.search_relations("m.05qtj", Direction.INCOMING)
         assert len(session.requests) == 2
@@ -193,7 +153,7 @@ class TestRetries:
     def test_retryable_statuses_back_off_exponentially(self):
         payload = results_payload("relation", ["a.rel"])
         client, session, sleeps = make_client(
-            [FakeResponse(503), FakeResponse(429), FakeResponse(200, payload)])
+            [Reply(503), Reply(429), Reply(200, payload)])
         assert client.search_relations("m.0x", Direction.OUTGOING) == ["a.rel"]
         assert len(session.requests) == 3
         assert sleeps == [1.0, 2.0]  # 1.0 * 2^0, 1.0 * 2^1
@@ -201,13 +161,13 @@ class TestRetries:
     def test_connection_errors_are_retried(self):
         payload = results_payload("relation", ["a.rel"])
         client, session, sleeps = make_client(
-            [requests.ConnectionError("boom"), FakeResponse(200, payload)])
+            [requests.ConnectionError("boom"), Reply(200, payload)])
         assert client.search_relations("m.0x", Direction.OUTGOING) == ["a.rel"]
         assert len(sleeps) == 1
 
     def test_exhausted_retries_raise_with_attempt_count(self):
         client, _, _ = make_client(
-            [FakeResponse(500), FakeResponse(500), FakeResponse(500)])
+            [Reply(500), Reply(500), Reply(500)])
         with pytest.raises(KGError) as info:
             client.search_relations("m.0x", Direction.OUTGOING)
         assert str(info.value) == (
@@ -216,7 +176,7 @@ class TestRetries:
         assert "failed after 3 attempts" in str(info.value)
 
     def test_client_error_fails_fast(self):
-        client, session, sleeps = make_client([FakeResponse(400)])
+        client, session, sleeps = make_client([Reply(400)])
         with pytest.raises(KGError) as info:
             client.search_relations("m.0x", Direction.OUTGOING)
         assert "failed after 1 attempts" in str(info.value)
@@ -231,7 +191,7 @@ class TestRetries:
         payload = results_payload("relation", ["a.rel"])
         for body in NOT_JSON:
             client, session, _ = make_client([not_json(body),
-                                              FakeResponse(200, payload)])
+                                              Reply(200, payload)])
             assert client.search_relations("m.0x",
                                            Direction.OUTGOING) == ["a.rel"]
             assert len(session.requests) == 2
@@ -245,7 +205,7 @@ class TestRetries:
 class TestLabels:
     def test_resolve_label_uses_first_value(self):
         payload = results_payload("tailEntity", ["Panama"])
-        client, session, _ = make_client([FakeResponse(200, payload)])
+        client, session, _ = make_client([Reply(200, payload)])
         label = client.resolve_label("m.05qtj")
         assert label.label == "Panama"
         assert label.is_fallback is False
@@ -254,7 +214,7 @@ class TestLabels:
 
     def test_resolve_label_falls_back_to_id(self):
         payload = {"results": {"bindings": []}}
-        client, _, _ = make_client([FakeResponse(200, payload)])
+        client, _, _ = make_client([Reply(200, payload)])
         label = client.resolve_label("m.0mystery")
         assert label.label == "m.0mystery"
         assert label.is_fallback is True
@@ -266,8 +226,8 @@ class TestLabels:
         ]}}
         blank = {"results": {"bindings": [
             {"tailEntity": {"type": "literal", "value": " \t"}}]}}
-        client, _, _ = make_client([FakeResponse(200, payload),
-                                    FakeResponse(200, blank)])
+        client, _, _ = make_client([Reply(200, payload),
+                                    Reply(200, blank)])
         assert client.resolve_label("m.05qtj").label == "Panama"
         label = client.resolve_label("m.0blank")
         assert label.label == "m.0blank"
@@ -285,7 +245,7 @@ class TestLabels:
                             "value": "http://dbpedia.org/resource/IPhone"}},
             {"tailEntity": name},
         ]}}
-        client, _, _ = make_client([FakeResponse(200, payload)])
+        client, _, _ = make_client([Reply(200, payload)])
         assert client.resolve_label("m.0iphone") == (
             "m.0iphone", "iPhone", False)
 
@@ -294,7 +254,7 @@ class TestLabels:
         payload = {"results": {"bindings": [
             {"alias": {"type": "literal", "value": alias}}
             for alias in ("Buzz", "Bee")]}}
-        client, session, _ = make_client([FakeResponse(200, payload)])
+        client, session, _ = make_client([Reply(200, payload)])
         assert client.resolve_label("m.0b") == ("m.0b", "Bee", False)
         assert InMemoryKG([("m.0b", "common.topic.alias", alias)
                            for alias in ("Buzz", "Bee")]
@@ -311,7 +271,7 @@ class TestLabels:
             {"alias": {"type": "literal", "value": "Apple phone"}},
             {"tailEntity": name},
         ]}}
-        client, _, _ = make_client([FakeResponse(200, payload)])
+        client, _, _ = make_client([Reply(200, payload)])
         assert client.resolve_label("m.0iphone") == (
             "m.0iphone", "iPhone", False)
 
@@ -325,7 +285,7 @@ class TestLabels:
                             "value": "http://dbpedia.org/resource/IPhone"}},
             {"alias": {"type": "literal", "value": alias}},
         ]}}
-        client, _, _ = make_client([FakeResponse(200, payload)])
+        client, _, _ = make_client([Reply(200, payload)])
         assert client.resolve_label("m.0iphone") == (
             "m.0iphone", label, False)
 
@@ -346,7 +306,7 @@ class TestEntitySearch:
     ]}}
 
     def test_keeps_only_plain_names(self):
-        client, _, _ = make_client([FakeResponse(200, self.TAILS)])
+        client, _, _ = make_client([Reply(200, self.TAILS)])
         assert client.search_entities("m.0t", "test.rel",
                                       Direction.OUTGOING) == ["m.0a"]
 
@@ -354,7 +314,7 @@ class TestEntitySearch:
         payload = {"results": {"bindings": [
             {"tailEntity": {"type": "literal", "value": value}}
             for value in ("1987", "1987-05-04")]}}
-        client, session, _ = make_client([FakeResponse(200, payload)])
+        client, session, _ = make_client([Reply(200, payload)])
         assert client.search_entities("m.0t", "test.born",
                                       Direction.OUTGOING) == [
             "1987", "1987-05-04"]
@@ -371,9 +331,9 @@ class TestEntitySearch:
             {"tailEntity": {"value": "m.0b"}},
         ]}}
         client, session, _ = make_client(
-            [FakeResponse(200, payload),
-             FakeResponse(200, results_payload("tailEntity", ["Alpha"])),
-             FakeResponse(200, results_payload("tailEntity", ["Beta"]))])
+            [Reply(200, payload),
+             Reply(200, results_payload("tailEntity", ["Alpha"])),
+             Reply(200, results_payload("tailEntity", ["Beta"]))])
         assert client.search_entities("m.0t", "test.rel",
                                       Direction.OUTGOING) == [
             "1987", "m.0a", "m.0b"]
@@ -393,9 +353,9 @@ class TestEntitySearch:
             {"tailEntity": {"type": "literal", "value": "m.0b"}},
         ]}}
         client, session, _ = make_client(
-            [FakeResponse(200, results_payload("tailEntity", ["Bee"])),
-             FakeResponse(200, tails),
-             FakeResponse(200, results_payload("tailEntity", ["Alpha"]))])
+            [Reply(200, results_payload("tailEntity", ["Bee"])),
+             Reply(200, tails),
+             Reply(200, results_payload("tailEntity", ["Alpha"]))])
         assert client.resolve_label("m.0b").label == "Bee"
         client.search_entities("m.0t", "test.rel", Direction.OUTGOING)
         assert client.resolve_label("m.0b").label == "Bee"
@@ -403,28 +363,28 @@ class TestEntitySearch:
         assert len(session.requests) == 3
 
     def test_a_run_over_such_tails_finishes(self):
-        class Graph(FakeSession):
+        class Graph:
             """m.0t -test.rel-> TAILS; m.0t and m.0a have names."""
 
             def __init__(self):
-                super().__init__([])
+                self.requests = []
 
-            def post(self, url, *, data, headers, timeout):
+            def post(self, url, *, data, **kwargs):
                 query = data.decode("utf-8")
                 self.requests.append(query)
                 if "FILTER(?entity = ns:" in query:
                     names = {"m.0t": ["Topic"], "m.0a": ["Alpha"]}
                     entity = query.split("FILTER(?entity = ns:")[1]
                     found = names.get(entity.split(")")[0], [])
-                    return FakeResponse(200, {"results": {"bindings": [
+                    return Reply(200, {"results": {"bindings": [
                         {"tailEntity": {"type": "literal", "value": name}}
                         for name in found]}})
                 if "ns:m.0t ?relation ?x" in query:
-                    return FakeResponse(200, results_payload(
+                    return Reply(200, results_payload(
                         "relation", ["test.rel"]))
                 if "ns:m.0t ns:test.rel ?tailEntity" in query:
-                    return FakeResponse(200, TestEntitySearch.TAILS)
-                return FakeResponse(200, {"results": {"bindings": []}})
+                    return Reply(200, TestEntitySearch.TAILS)
+                return Reply(200, {"results": {"bindings": []}})
 
         session = Graph()
         client = SparqlKG(ENDPOINT, session=session, sleep=lambda _: None)

@@ -125,8 +125,6 @@ class TestConfigs:
         assert config.max_depth == 4
         assert config.generation.temperature == 0.3
         assert config.generation.max_tokens == 1024
-        assert config.generation.frequency_penalty == 0.0
-        assert config.generation.presence_penalty == 0.0
         assert config.recall.threshold == 30
         assert config.ablations == AblationFlags()
 
