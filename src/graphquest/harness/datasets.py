@@ -127,13 +127,12 @@ def _pair(pair: object) -> tuple[str, str]:
 
 
 def _as_answer_strings(raw: object) -> tuple[str, ...]:
-    """Flatten the assorted answer encodings to plain strings."""
+    """Flatten the assorted answer encodings to plain strings, leaving out
+    each blank one, which would match an unanswered question."""
     if raw is None:
         return ()
-    if not isinstance(raw, list):
-        return (_answer(raw),)
     answers: list[str] = []
-    for entry in raw:
+    for entry in raw if isinstance(raw, list) else [_answer(raw)]:
         if not isinstance(entry, dict):
             answers.append(_answer(entry))
             continue
@@ -147,7 +146,8 @@ def _as_answer_strings(raw: object) -> tuple[str, ...]:
             raise TypeError(
                 f"aliases must be a list, not {type(aliases).__name__}")
         answers.extend(_answer(alias) for alias in aliases)
-    return tuple(dict.fromkeys(answers))
+    return tuple(dict.fromkeys(answer for answer in answers
+                               if answer.strip()))
 
 
 def _from_parses(parses: list) -> tuple[tuple[tuple[str, str], ...],

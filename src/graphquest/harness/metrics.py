@@ -16,9 +16,10 @@ def normalize_answer(text: str) -> str:
 
 def hits_at_1(predicted: str, gold: Sequence[str]) -> bool:
     """True when the prediction matches any gold answer after
-    normalization."""
+    normalization; a blank prediction matches none."""
     gold = list(gold)
     if not gold:
         raise MetricsError("gold answer set is empty")
     target = normalize_answer(predicted)
-    return any(normalize_answer(answer) == target for answer in gold)
+    return bool(target) and any(normalize_answer(answer) == target
+                                for answer in gold)

@@ -15,7 +15,6 @@ import re
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from typing import Any, Callable
 
 from .. import fanout
@@ -123,10 +122,6 @@ class RunResult:
     verdict: Verdict
     trace: RunTrace
     memory: Memory
-    # id -> label of every candidate seen (under no_memory, this
-    # iteration's only)
-    candidate_pool: dict[str, str]
-    sub_objectives: tuple[str, ...]
     iterations: int
     elapsed_seconds: float
 
@@ -201,8 +196,8 @@ class Planner:
             "iterations": run.iteration,
             "elapsed_seconds": round(elapsed, 6),
         })
-        return RunResult(verdict, run.trace, run.memory, run.candidate_pool,
-                         run.objectives, run.iteration, elapsed)
+        return RunResult(verdict, run.trace, run.memory, run.iteration,
+                         elapsed)
 
     # -- stage: task decomposition --------------------------------------
 
@@ -318,30 +313,27 @@ class Planner:
         # batch; the events follow hop by hop
         found_by_hop, failed = fanout.gather(
             self.kg, lambda hop: self.kg.search_entities(*hop), hops)
-        # the ids with no label that each hop is the first to find
-        unseen_by_hop: list[list[str]] = []
-        claimed: set[str] = set()
-        for found in found_by_hop:
-            unseen = [cid for cid in found
-                      if cid not in labels and cid not in claimed]
-            claimed.update(unseen)
-            unseen_by_hop.append(unseen)
+        unseen = list(dict.fromkeys(cid for found in found_by_hop
+                                    for cid in found if cid not in labels))
         resolved, unlabeled = fanout.gather(
-            self.kg, self.kg.resolve_label,
-            list(chain.from_iterable(unseen_by_hop)))
+            self.kg, self.kg.resolve_label, unseen)
+        # id -> its label, up to the first lookup that failed
+        fetched = dict(zip(unseen, resolved))
         # tail -> each hop from it that found something, with its candidates
         offers: dict[str, list[tuple[Hop, list[tuple[str, str]]]]] = {}
-        for hop, found, unseen in zip(hops, found_by_hop, unseen_by_hop):
+        for hop, found in zip(hops, found_by_hop):
             tail, relation, direction = hop
             run.record("kg_query", {
                 "op": "entities", "entity": tail, "relation": relation,
                 "direction": direction.value, "count": len(found),
             })
             run.expanded.add(hop)
-            if len(resolved) < len(unseen):
+            # the ids this hop is the first to find
+            new = [cid for cid in found if cid not in labels]
+            if unlabeled is not None and any(cid not in fetched
+                                             for cid in new):
                 raise unlabeled
-            self._record_labels(run, unseen, resolved[:len(unseen)])
-            del resolved[:len(unseen)]
+            self._record_labels(run, new, [fetched[cid] for cid in new])
             labeled = [(cid, labels[cid]) for cid in found]
             if pool is not labels:
                 for cid, clabel in labeled:

@@ -15,6 +15,7 @@ loaded events equal the recorded ones. Events in memory, and
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
@@ -110,37 +111,42 @@ class RunTrace:
         return (event for event in self.events if event.kind == kind)
 
     def final_event(self) -> TraceEvent | None:
-        for event in reversed(self.events):
-            if event.kind == "final":
-                return event
-        return None
+        return next((event for event in reversed(self.events)
+                     if event.kind == "final"), None)
 
     def save(self, path: str) -> None:
         """One JSON line per event, each repeated slot text written as a
         reference to the first `llm_call` that bound it.
 
         A lone surrogate in recorded text, which UTF-8 cannot hold, is
-        written as its ``\\uXXXX`` escape, and loads back as itself.
+        written as its ``\\uXXXX`` escape, and loads back as itself. A
+        high half right before a low one would load as one character: it
+        is a TraceError, raised before the file is opened.
         """
         # (slot, text) -> seq of the first llm_call that bound it
         first: dict[tuple[str, str], int] = {}
+        lines = []
+        for event in self.events:
+            slots = event.payload.get("slots")
+            if event.kind == "llm_call" and isinstance(slots, dict):
+                saved = {}
+                for slot, text in slots.items():
+                    seq = (first.setdefault((slot, text), event.seq)
+                           if isinstance(text, str) else event.seq)
+                    saved[slot] = (text if seq == event.seq
+                                   else {"seq": seq})
+                event = replace(event,
+                                payload={**event.payload, "slots": saved})
+            line = event.to_json()
+            if re.search("[\ud800-\udbff][\udc00-\udfff]", line):
+                raise TraceError(f"event {event.seq}: two surrogate halves "
+                                 f"would load as the one character they pair")
+            lines.append(line + "\n")
         # json.dumps writes raw text only inside strings, where the
         # backslash escape of a surrogate is the JSON escape
         with open(path, "w", encoding="utf-8",
                   errors="backslashreplace") as handle:
-            for event in self.events:
-                slots = event.payload.get("slots")
-                if event.kind == "llm_call" and isinstance(slots, dict):
-                    saved = {}
-                    for slot, text in slots.items():
-                        seq = (first.setdefault((slot, text), event.seq)
-                               if isinstance(text, str) else event.seq)
-                        saved[slot] = (text if seq == event.seq
-                                       else {"seq": seq})
-                    event = replace(event,
-                                    payload={**event.payload, "slots": saved})
-                handle.write(event.to_json())
-                handle.write("\n")
+            handle.writelines(lines)
 
     @classmethod
     def load(cls, path: str) -> "RunTrace":

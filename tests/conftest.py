@@ -8,18 +8,13 @@ from graphquest.kg.memory_store import InMemoryKG
 from graphquest.llm.scripted import ScriptedBackend
 from graphquest.planner.state import Question
 
-FIXTURES = Path(__file__).parent / "fixtures"
+from cases import FIXTURES, PANAMA_QUESTION, PANAMA_TOPICS
 
 # CI runners set CI; a failing property there prints the blob that
 # reproduces it with @reproduce_failure.
 settings.register_profile("ci", print_blob=True)
 if os.environ.get("CI"):
     settings.load_profile("ci")
-
-PANAMA_QUESTION = ("Who is in control of the place where the movie "
-                   "The Naked and the Dead takes place?")
-PANAMA_TOPICS = (("m.0jt3_v", "The Naked and the Dead"),
-                 ("m.02rhx1c", "President of Panama"))
 
 
 @pytest.fixture

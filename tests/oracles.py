@@ -1,4 +1,5 @@
-"""Independent reference implementations the tests compare against.
+"""Independent reference implementations the tests compare against, and
+the random graphs and questions they compare on.
 
 Everything here is deliberately written from scratch (different code
 paths, different idioms) so agreement with the package is evidence, not
@@ -11,6 +12,10 @@ import json
 import math
 import random
 import re
+
+from graphquest.planner.state import Question
+
+from cases import make_kg
 
 _WS = re.compile(r"\s+")
 
@@ -49,6 +54,8 @@ def oracle_normalize(text):
 
 def oracle_hits(predicted, gold):
     want = oracle_normalize(predicted)
+    if want == "":
+        return False  # an unanswered question matches nothing
     for answer in gold:
         if oracle_normalize(answer) == want:
             return True
@@ -137,6 +144,22 @@ def random_graph(rng: random.Random, max_entities: int = 30,
         triples.add((subject, rng.choice(relations), obj))
     labels = {eid: f"Thing {i:03d}" for i, eid in enumerate(entities)}
     return sorted(triples), labels
+
+
+def random_case(seed, *, unnamed=False):
+    """`random_graph(random.Random(seed))` as a graph, and the question how
+    its first two entities relate, asked from them; with `unnamed`, every
+    fourth entity has no name, so label fallbacks occur."""
+    triples, labels = random_graph(random.Random(seed))
+    entities = sorted(labels)
+    kg = make_kg(triples, {eid: labels[eid]
+                           for index, eid in enumerate(entities)
+                           if not (unnamed and index % 4 == 3)})
+    first, second = entities[:2]
+    question = Question(f"How does {labels[first]} relate to "
+                        f"{labels[second]}?",
+                        ((first, labels[first]), (second, labels[second])))
+    return kg, question
 
 
 def random_multigraph(rng: random.Random, max_entities: int = 16,

@@ -38,27 +38,28 @@ from graphquest.llm.parsing import (
     parse_list,
 )
 from graphquest.planner.engine import Planner
-from graphquest.planner.state import AblationFlags, PlannerConfig, Question
+from graphquest.planner.state import AblationFlags, PlannerConfig
 from graphquest.recall import top_k
 
 from adversaries import PromptAwareResponder, junk_backend
-from conftest import FIXTURES
-from oracles import (
-    naive_search_entities,
-    naive_search_relations,
-    oracle_hits,
-    oracle_top_k,
-    random_graph,
-    resummed_costs,
-)
-from test_engine_properties import check_invariants, make_kg
-from test_queries import (
+from cases import (
+    FIXTURES,
     GOLDEN_ENTITY_IN,
     GOLDEN_ENTITY_OUT,
     GOLDEN_NAME,
     GOLDEN_RELATION_IN,
     GOLDEN_RELATION_OUT,
 )
+from oracles import (
+    naive_search_entities,
+    naive_search_relations,
+    oracle_hits,
+    oracle_top_k,
+    random_case,
+    random_graph,
+    resummed_costs,
+)
+from trace_checks import check_invariants, stable_lines
 
 ANSWER = "Juan Carlos Varela"
 PRESIDENT = "m.02rhx1c"
@@ -79,21 +80,6 @@ def gate(capsys, criterion: str):
         raise
     else:
         _verdict(capsys, criterion, "PASS")
-
-
-def _stable_lines(trace) -> list[str]:
-    """Serialized events with the wall-clock reading zeroed out."""
-    lines = [event.to_json() for event in trace.events]
-    final = json.loads(lines[-1])
-    final["payload"]["elapsed_seconds"] = 0.0
-    lines[-1] = json.dumps(final, sort_keys=True, ensure_ascii=False)
-    return lines
-
-
-def _assert_acyclic(result) -> None:
-    for path in result.memory.paths:
-        nodes = path.entities()
-        assert len(set(nodes)) == len(nodes), f"entity revisited in {nodes}"
 
 
 # -- criterion 1: scripted self-correction regression ---------------------
@@ -121,7 +107,7 @@ def test_criterion_1_self_correction_regression(capsys, panama_kg,
         assert elapsed < 1.0, f"took {elapsed:.3f}s, budget is 1s"
 
         rerun = Planner(panama_kg, panama_llm).run(panama_question)
-        assert _stable_lines(result.trace) == _stable_lines(rerun.trace)
+        assert stable_lines(result.trace) == stable_lines(rerun.trace)
 
 
 # -- criterion 2: ablation differential -----------------------------------
@@ -429,32 +415,23 @@ def test_criterion_8_randomized_invariant_sweep(capsys, panama_kg,
     with gate(capsys, "criterion-8 randomized invariant sweep"):
         runs = 0
 
+        # check_invariants validates the memory paths: linked, acyclic
+        # and inside the depth budget
         config = PlannerConfig()
         for seed in range(460):
             result = Planner(panama_kg, _sweep_responder(seed),
                              config).run(panama_question)
-            check_invariants(result, config)
-            _assert_acyclic(result)
+            check_invariants(result.trace, config, panama_question,
+                             result.memory)
             runs += 1
 
         fallbacks = 0
+        small = PlannerConfig(max_depth=3)
         for seed in range(240):
-            rng = random.Random(80_000 + seed)
-            triples, labels = random_graph(rng)
-            entities = sorted(labels)
-            # every fourth entity has no name, so label fallbacks occur
-            kg = make_kg(triples, {eid: labels[eid]
-                                   for index, eid in enumerate(entities)
-                                   if index % 4 != 3})
-            topics = tuple((eid, labels[eid]) for eid in entities[:2])
-            question = Question(
-                f"How does {labels[entities[0]]} relate to "
-                f"{labels[entities[1]]}?", topics)
-            small = PlannerConfig(max_depth=3)
+            kg, question = random_case(80_000 + seed, unnamed=True)
             result = Planner(kg, _sweep_responder(seed),
                              small).run(question)
-            check_invariants(result, small)
-            _assert_acyclic(result)
+            check_invariants(result.trace, small, question, result.memory)
             fallbacks += sum(bool(e.payload.get("fallback"))
                              for e in result.trace.iter_kind("kg_query"))
             runs += 1
@@ -475,8 +452,8 @@ def test_criterion_8_randomized_invariant_sweep(capsys, panama_kg,
                 result = Planner(
                     panama_kg, _sweep_responder(1_000 * index + seed),
                     flagged).run(panama_question)
-                check_invariants(result, flagged)
-                _assert_acyclic(result)
+                check_invariants(result.trace, flagged, panama_question,
+                                 result.memory)
                 runs += 1
 
         assert runs == 1000

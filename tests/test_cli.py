@@ -22,7 +22,7 @@ from graphquest.planner.state import AblationFlags, Question
 from graphquest.prompts import PromptLibrary
 from graphquest.trace import RunTrace, TraceEvent
 
-from conftest import FIXTURES, PANAMA_QUESTION
+from cases import FIXTURES, PANAMA_QUESTION
 
 
 def panama_args(tmp_path, *extra):

@@ -18,7 +18,12 @@ from graphquest.prompts import PromptLibrary
 from graphquest.trace import RunTrace
 
 from adversaries import ANSWER_ANCHOR, MEMORY_ANCHOR, REFLECTION_ANCHOR
-from test_acceptance import _stable_lines
+from trace_checks import (
+    candidate_pool,
+    check_invariants,
+    stable_lines,
+    sub_objectives,
+)
 
 PROMPTS = PromptLibrary()
 
@@ -38,16 +43,6 @@ def planner(panama_kg, panama_llm):
     return Planner(panama_kg, panama_llm)
 
 
-def _pool_before(trace: RunTrace, seq: int) -> set[str]:
-    """The topics plus every id a labels event named before `seq`."""
-    pool = {NAKED, PRESIDENT}
-    for event in trace.iter_kind("kg_query"):
-        if event.seq < seq and event.payload["op"] == "labels":
-            pool.update(event.payload["labels"],
-                        event.payload.get("fallback", ()))
-    return pool
-
-
 def stages(trace: RunTrace) -> list[str]:
     return [e.payload["stage"] for e in trace.iter_kind("llm_call")]
 
@@ -55,6 +50,8 @@ def stages(trace: RunTrace) -> list[str]:
 class TestFullRun:
     def test_recovers_and_answers(self, planner, panama_question):
         result = planner.run(panama_question)
+        check_invariants(result.trace, planner.config, panama_question,
+                         result.memory)
         assert result.verdict.sufficient is True
         assert result.verdict.answer == "Juan Carlos Varela"
         assert result.verdict.forced is False
@@ -64,7 +61,7 @@ class TestFullRun:
     def test_sub_objective_count_matches_status_entries(self, planner,
                                                         panama_question):
         result = planner.run(panama_question)
-        assert len(result.sub_objectives) == 2
+        assert len(sub_objectives(result.trace)) == 2
         assert len(result.memory.status) == 2
 
     def test_llm_call_budget(self, planner, panama_question):
@@ -135,10 +132,11 @@ class TestFullRun:
         assert second["backtrack"] == [PRESIDENT]
         # the re-opened entity came from the accumulated candidate pool:
         # the topics plus the ids the labels events named before it
-        assert _pool_before(result.trace, reflections[1].seq) == {
+        assert set(candidate_pool(result.trace,
+                                  panama_question.topic_entities,
+                                  reflections[1].seq)) == {
             NAKED, PRESIDENT, PANAMA, PANAMA_CITY,
         }
-        assert "candidate_pool" not in second and "tails" not in second
         # the tails it passed over are its iteration's memory_update's
         update = next(e.payload for e in result.trace.iter_kind(
             "memory_update") if e.iteration == reflections[1].iteration)
@@ -147,24 +145,17 @@ class TestFullRun:
     def test_candidate_pool_accumulates_everything_seen(self, planner,
                                                         panama_question):
         result = planner.run(panama_question)
-        assert set(result.candidate_pool) == {
-            NAKED, PRESIDENT, PANAMA, PANAMA_CITY, VARELA,
-        }
-        assert result.candidate_pool[VARELA] == "Juan Carlos Varela"
         # the trace lists no pool; the labels events name every id in it
         # that is not a topic
-        assert _pool_before(result.trace, len(result.trace.events)) == \
-            set(result.candidate_pool)
-        assert all("candidate_pool" not in e.payload
-                   for e in result.trace.iter_kind("memory_update"))
+        pool = candidate_pool(result.trace, panama_question.topic_entities)
+        assert set(pool) == {NAKED, PRESIDENT, PANAMA, PANAMA_CITY, VARELA}
+        assert pool[VARELA] == "Juan Carlos Varela"
 
     def test_memory_keeps_suspended_paths(self, planner, panama_question):
         result = planner.run(panama_question)
         keys = {(p.origin, len(p.steps)) for p in result.memory.paths}
         # both two-hop dead-end paths survive next to the recovery path
         assert keys == {(NAKED, 2), (PRESIDENT, 2), (PRESIDENT, 1)}
-        for path in result.memory.paths:
-            path.validate(max_length=4)
         recovery = [p for p in result.memory.paths
                     if (p.origin, len(p.steps)) == (PRESIDENT, 1)][0]
         assert recovery.steps[0].relation == OFFICE_HOLDERS
@@ -178,8 +169,6 @@ class TestFullRun:
         assert updates[0][1] == "unknown"
         assert "Panama City" in updates[1][1]
         assert "Juan Carlos Varela" in updates[2][1]
-        for entry in updates:
-            assert len(entry) == 2  # one note per sub-objective, always
 
     def test_final_event_summarizes_run(self, planner, panama_question):
         result = planner.run(panama_question)
@@ -251,20 +240,6 @@ class TestFullRun:
                 PromptLibrary.digest(e.payload["template"]) for e in calls]
             assert all(PROMPTS.prompt_of(e) for e in calls)
 
-    def test_trace_is_deterministic_modulo_elapsed(self, panama_kg,
-                                                   panama_llm,
-                                                   panama_question):
-        lines = []
-        for _ in range(2):
-            result = Planner(panama_kg, panama_llm).run(panama_question)
-            serialized = [e.to_json() for e in result.trace.events]
-            final = result.trace.events[-1]
-            final.payload["elapsed_seconds"] = 0.0
-            serialized[-1] = final.to_json()
-            lines.append(serialized)
-        assert lines[0] == lines[1]
-
-
     def test_each_hop_is_offered_once(self, planner, panama_question):
         # in iteration 2 two paths end at Panama; its capital is one group
         result = planner.run(panama_question)
@@ -278,8 +253,8 @@ class TestFullRun:
     def test_repeated_topic_is_expanded_once(self, planner, panama_question):
         topics = panama_question.topic_entities
         repeated = Question(panama_question.text, topics + topics[:1])
-        assert _stable_lines(planner.run(repeated).trace) == \
-            _stable_lines(planner.run(panama_question).trace)
+        assert stable_lines(planner.run(repeated).trace) == \
+            stable_lines(planner.run(panama_question).trace)
 
 
 class TestVerdicts:
@@ -332,7 +307,7 @@ class TestVerdicts:
 class TestReentrancy:
     def test_nested_run_on_same_planner(self, panama_kg, panama_llm,
                                         panama_question):
-        solo = _stable_lines(
+        solo = stable_lines(
             Planner(panama_kg, panama_llm).run(panama_question).trace)
         nested = []
 
@@ -354,8 +329,8 @@ class TestReentrancy:
 
         planner = Planner(NestingKG(), panama_llm)
         outer = planner.run(panama_question)
-        assert _stable_lines(nested[0].trace) == solo
-        assert _stable_lines(outer.trace) == solo
+        assert stable_lines(nested[0].trace) == solo
+        assert stable_lines(outer.trace) == solo
         # the planner kept nothing of either run
         assert set(vars(planner)) == {"kg", "llm", "config", "scorer",
                                       "prompts"}
@@ -387,7 +362,7 @@ class TestAblations:
         # same recovery, one fewer model call, question text as the only
         # sub-objective
         assert result.verdict.answer == "Juan Carlos Varela"
-        assert result.sub_objectives == (panama_question.text,)
+        assert sub_objectives(result.trace) == [panama_question.text]
         assert len(result.memory.status) == 1
         assert len(stages(result.trace)) == 17
         assert "decompose" not in stages(result.trace)
@@ -423,9 +398,8 @@ class TestAblations:
         result = Planner(panama_kg, panama_llm, config).run(panama_question)
         assert result.verdict.answer == "Juan Carlos Varela"
         assert result.iterations == 3
-        for event in result.trace.iter_kind("selection"):
-            if event.payload.get("stage") in ("relations", "entities"):
-                assert len(event.payload["selected"]) <= 1
+        # no selection keeps more than one relation or entity
+        check_invariants(result.trace, config, panama_question, result.memory)
 
 
 class TestFailurePaths:

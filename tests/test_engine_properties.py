@@ -7,11 +7,9 @@ the planner is exercised far off the happy path.
 
 import json
 import random
-from collections import Counter
 
 import pytest
 
-from graphquest.kg.memory_store import InMemoryKG
 from graphquest.llm.accounting import usage_total
 from graphquest.llm.scripted import ResponderRule, ScriptedBackend
 from graphquest.llm.types import (
@@ -35,138 +33,11 @@ from adversaries import (
     PromptAwareResponder,
     junk_backend,
 )
-from oracles import random_graph
+from cases import make_kg
+from oracles import random_case, random_graph
+from trace_checks import candidate_pool, check_invariants, sub_objectives
 
 PROMPTS = PromptLibrary()
-
-
-def make_kg(triples, labels):
-    kg = InMemoryKG(triples)
-    for entity, label in labels.items():
-        kg.add(entity, "type.object.name", label)
-    return kg
-
-
-MEMORY_UPDATE_KEYS = {"status", "paths", "tail_entities", "candidate_pool",
-                      "warning"}
-
-
-def check_invariants(result, config):
-    """Assertions that hold for any run, no matter what the model said."""
-    assert 1 <= result.iterations <= config.max_depth
-    # paths stay linked, acyclic, and inside the depth budget
-    for path in result.memory.paths:
-        path.validate(max_length=config.max_depth)
-    # one progress note per sub-objective, always
-    assert len(result.memory.status) == len(result.sub_objectives)
-    events = result.trace.events
-    assert [e.seq for e in events] == list(range(len(events)))
-    finals = [e for e in events if e.kind == "final"]
-    assert len(finals) == 1 and events[-1] is finals[0]
-    for event in events:
-        # optional keys appear only when they carry something
-        for key in ("warning", "dropped", "cycles"):
-            if key in event.payload:
-                assert event.payload[key], (event.kind, key)
-    pool = result.candidate_pool
-    no_memory = config.ablations.no_memory
-    # the topics: the entities searched in iteration 1
-    topics = {e.payload["entity"] for e in result.trace.iter_kind("kg_query")
-              if e.iteration == 1 and e.payload["op"] == "relations"}
-    # no labels event names a topic
-    resolved = set(topics)
-    for event in result.trace.iter_kind("kg_query"):
-        if event.payload["op"] != "labels":
-            continue
-        named, unnamed = event.payload["labels"], event.payload.get(
-            "fallback", [])
-        assert named or unnamed
-        for eid in unnamed:
-            # an unnamed entity is shown by its id
-            assert eid not in named
-            if not no_memory:
-                assert eid in pool
-            assert pool.get(eid, eid) == eid
-        # each entity is resolved and traced once per run
-        ids = [*named, *unnamed]
-        assert len(set(ids)) == len(ids)
-        assert resolved.isdisjoint(ids)
-        resolved.update(ids)
-    # a spent hop is never searched again: once per run, or once per
-    # iteration when memory is reset every iteration
-    searched = [
-        (e.iteration if no_memory else None, e.payload["entity"],
-         e.payload["relation"], e.payload["direction"])
-        for e in result.trace.iter_kind("kg_query")
-        if e.payload["op"] == "entities"]
-    assert len(searched) == len(set(searched))
-    # each hop that found something is one group of its iteration's
-    # entity prompt, however many paths end at its tail
-    for event in result.trace.iter_kind("llm_call"):
-        if event.payload["stage"].removesuffix("_retry") != \
-                "entity_selection":
-            continue
-        triplets = PROMPTS.prompt_of(event).rsplit("\nTriplets: ", 1)[1]
-        groups = Counter(
-            (e.payload["relation"], e.payload["direction"])
-            for e in result.trace.iter_kind("kg_query")
-            if e.iteration == event.iteration
-            and e.payload["op"] == "entities" and e.payload["count"])
-        for (relation, direction), count in groups.items():
-            marker = (f", {relation}, [" if direction == "outgoing"
-                      else f"], {relation}, ")
-            assert triplets.count(marker) == count, (event.iteration, marker)
-    for event in result.trace.iter_kind("memory_update"):
-        assert set(event.payload) <= MEMORY_UPDATE_KEYS
-    for event in result.trace.iter_kind("llm_call"):
-        assert event.usage is not None
-        assert event.usage.input_tokens == \
-            approximate_tokens(PROMPTS.prompt_of(event))
-        assert event.usage.output_tokens == \
-            approximate_tokens(event.payload["response"])
-    breadth = config.ablations.fixed_breadth
-    for event in result.trace.iter_kind("selection"):
-        stage = event.payload.get("stage")
-        if stage == "relations":
-            assert set(event.payload["selected"]) <= \
-                set(event.payload["candidates"])
-        if stage in ("relations", "entities") and breadth is not None:
-            assert len(event.payload["selected"]) <= breadth
-    for event in result.trace.iter_kind("verdict"):
-        if not event.payload["forced"]:
-            # answer present exactly when the verdict claims sufficiency
-            assert (event.payload["answer"] is not None) == \
-                event.payload["sufficient"]
-    # With memory on, the pool is the topics plus every id a labels event
-    # names, and no memory_update lists it. Without memory it restarts
-    # every iteration, so each memory_update lists it whole.
-    named = set(topics)
-    listed: list[str] = []
-    for event in events:
-        payload = event.payload
-        if event.kind == "kg_query" and payload["op"] == "labels":
-            named.update(payload["labels"], payload.get("fallback", ()))
-        elif event.kind == "memory_update":
-            assert ("candidate_pool" in payload) is no_memory
-            listed = payload.get("candidate_pool", [])
-            assert listed == sorted(set(listed))
-        elif event.kind == "reflection":
-            # the iteration's tails are its memory_update's tail_entities
-            assert "candidate_pool" not in payload and "tails" not in payload
-            # add is true exactly when some entity is re-opened
-            assert payload["add"] is bool(payload["backtrack"])
-            # a re-opened entity was in the pool before the reflection
-            assert set(payload["backtrack"]) <= \
-                (set(listed) if no_memory else named)
-        elif event.kind == "selection" and payload["stage"] == "entities":
-            assert "tails" not in payload
-    if no_memory:
-        assert listed == sorted(pool)
-    else:
-        assert named == set(pool)
-    verdict = result.verdict
-    if not verdict.forced:
-        assert verdict.sufficient and verdict.answer
 
 
 class TestJunkResponder:
@@ -178,7 +49,7 @@ class TestJunkResponder:
         config = PlannerConfig(max_depth=4)
         backend = junk_backend(random.Random(seed))
         result = Planner(panama_kg, backend, config).run(panama_question)
-        check_invariants(result, config)
+        check_invariants(result.trace, config, panama_question, result.memory)
         assert result.iterations == 4
         assert result.verdict.forced is True
         assert result.verdict.sufficient is False
@@ -218,22 +89,16 @@ class TestRandomizedTrajectories:
         responder = PromptAwareResponder(seed)
         config = PlannerConfig(max_depth=4)
         result = Planner(panama_kg, responder, config).run(panama_question)
-        check_invariants(result, config)
+        check_invariants(result.trace, config, panama_question, result.memory)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_invariants_on_random_graphs(self, seed):
-        rng = random.Random(1000 + seed)
-        triples, labels = random_graph(rng)
-        kg = make_kg(triples, labels)
-        entities = sorted(labels)
-        topics = tuple((eid, labels[eid]) for eid in entities[:2])
-        question = Question(f"How does {labels[entities[0]]} relate to "
-                            f"{labels[entities[1]]}?", topics)
+        kg, question = random_case(1000 + seed)
         responder = PromptAwareResponder(seed, sufficiency_rate=0.1,
                                         add_rate=0.5)
         config = PlannerConfig(max_depth=3)
         result = Planner(kg, responder, config).run(question)
-        check_invariants(result, config)
+        check_invariants(result.trace, config, question, result.memory)
 
     def test_breadth_one_cuts_relations_and_entities(self):
         # the Panama script never offers a choice that a cap of 1 would
@@ -244,15 +109,10 @@ class TestRandomizedTrajectories:
                   "entity_selection": "entities"}
         cuts = {"relations": 0, "entities": 0}
         for seed in range(8):
-            rng = random.Random(3000 + seed)
-            triples, labels = random_graph(rng)
-            entities = sorted(labels)
-            topics = tuple((eid, labels[eid]) for eid in entities[:2])
-            question = Question(f"How does {labels[entities[0]]} relate "
-                                f"to {labels[entities[1]]}?", topics)
-            result = Planner(make_kg(triples, labels),
-                             PromptAwareResponder(seed), config).run(question)
-            check_invariants(result, config)
+            kg, question = random_case(3000 + seed)
+            result = Planner(kg, PromptAwareResponder(seed),
+                             config).run(question)
+            check_invariants(result.trace, config, question, result.memory)
             asked = None  # (selection stage, reply) of the last selection call
             for event in result.trace.events:
                 if event.kind == "llm_call":
@@ -286,9 +146,9 @@ class TestRandomizedTrajectories:
         responder = PromptAwareResponder(200 + seed)
         config = PlannerConfig(max_depth=3, ablations=flags)
         result = Planner(panama_kg, responder, config).run(panama_question)
-        check_invariants(result, config)
+        check_invariants(result.trace, config, panama_question, result.memory)
         if flags.no_guidance:
-            assert result.sub_objectives == (panama_question.text,)
+            assert sub_objectives(result.trace) == [panama_question.text]
         if flags.no_reflection:
             assert all(not e.payload["add"]
                        for e in result.trace.iter_kind("reflection"))
@@ -297,12 +157,13 @@ class TestRandomizedTrajectories:
     def test_traces_round_trip_through_disk(self, tmp_path, panama_kg,
                                             panama_question, seed):
         responder = PromptAwareResponder(300 + seed)
-        result = Planner(panama_kg, responder,
-                         PlannerConfig(max_depth=3)).run(panama_question)
+        config = PlannerConfig(max_depth=3)
+        result = Planner(panama_kg, responder, config).run(panama_question)
         path = tmp_path / f"run-{seed}.jsonl"
         result.trace.save(str(path))
         loaded = RunTrace.load(str(path))
         assert loaded.events == result.trace.events
+        check_invariants(loaded, config, panama_question)
         direct_usage, direct_calls = usage_total(result.trace)
         loaded_usage, loaded_calls = usage_total(loaded)
         assert (direct_usage, direct_calls) == (loaded_usage, loaded_calls)
@@ -324,7 +185,7 @@ class TestConvergingPaths:
         config = PlannerConfig(max_depth=4)
         result = Planner(make_kg(triples, labels), responder,
                          config).run(question)
-        check_invariants(result, config)
+        check_invariants(result.trace, config, question, result.memory)
         assert len(result.memory.paths) == 89_368
         calls = list(result.trace.iter_kind("llm_call"))
         assert len(calls) == 50
@@ -336,20 +197,12 @@ class TestLabelEvents:
     def test_one_labels_event_per_expansion_at_most(self):
         widest = 0  # the most ids one labels event resolved
         for seed in range(8):
-            rng = random.Random(5000 + seed)
-            triples, labels = random_graph(rng)
-            entities = sorted(labels)
-            # every fourth entity has no name, so fallbacks occur
-            kg = make_kg(triples, {eid: labels[eid]
-                                   for index, eid in enumerate(entities)
-                                   if index % 4 != 3})
-            topics = tuple((eid, labels[eid]) for eid in entities[:2])
-            question = Question(f"How does {labels[entities[0]]} relate "
-                                f"to {labels[entities[1]]}?", topics)
+            kg, question = random_case(5000 + seed, unnamed=True)
             config = PlannerConfig(max_depth=3)
             result = Planner(kg, PromptAwareResponder(seed),
                              config).run(question)
-            check_invariants(result, config)  # no id in two labels events
+            # no id in two labels events
+            check_invariants(result.trace, config, question, result.memory)
             queries = [e.payload for e in result.trace.iter_kind("kg_query")]
             ops = [payload["op"] for payload in queries]
             assert "label" not in ops
@@ -383,10 +236,8 @@ class TestCycleGuard:
         config = PlannerConfig(max_depth=4)
         question = Question("Does the loop close?", (("m.0a", "Alpha"),))
         result = Planner(kg, backend, config).run(question)
-        check_invariants(result, config)
-        for path in result.memory.paths:
-            entities = path.entities()
-            assert len(set(entities)) == len(entities)
+        # the memory paths are acyclic
+        check_invariants(result.trace, config, question, result.memory)
         blocked = [e for e in result.trace.iter_kind("selection")
                    if e.payload.get("cycles")]
         assert blocked, "the return hop should be recorded as blocked"
@@ -419,8 +270,8 @@ class TestRecallTrigger:
 
     def test_oversized_candidate_set_is_ranked_and_cut(self):
         kg = self.wide_kg(35)  # exceeds the default threshold of 30
-        planner = Planner(kg, ScriptedBackend(self.base_rules()))
-        result = planner.run(self.question())
+        question = self.question()
+        result = Planner(kg, ScriptedBackend(self.base_rules())).run(question)
         recalls = [e for e in result.trace.iter_kind("selection")
                    if e.payload.get("stage") == "recall"]
         assert len(recalls) == 1
@@ -434,7 +285,8 @@ class TestRecallTrigger:
         assert prompt.count("Candidate ") == 24
         assert result.verdict.answer == "Relevant Answer Thing"
         # the pool keeps every retrieved candidate, not just the kept ones
-        assert len(result.candidate_pool) == 36
+        assert len(candidate_pool(result.trace,
+                                  question.topic_entities)) == 36
 
     def test_under_threshold_set_is_untouched(self):
         kg = self.wide_kg(30)  # exactly at the threshold: no ranking
@@ -470,7 +322,10 @@ class TestRecallTrigger:
         recalls = [e for e in result.trace.iter_kind("selection")
                    if e.payload.get("stage") == "recall"]
         assert [e.payload["before"] for e in recalls] == [41]
-        assert result.candidate_pool["m.0t"] == "m.0t"
+        # the topic is offered by its id
+        offer = next(e for e in result.trace.iter_kind("llm_call")
+                     if e.payload["stage"] == "relation_selection")
+        assert offer.payload["slots"]["topic_entity"] == "m.0t"
 
 
 class TestBreadthCap:
@@ -566,7 +421,7 @@ class TestParseRecovery:
         rules[DECOMPOSE_ANCHOR] = "still not a list"
         backend = FlipFlopBackend(rules, set())
         result = Planner(solo_kg(), backend).run(solo_question())
-        assert result.sub_objectives == (solo_question().text,)
+        assert sub_objectives(result.trace) == [solo_question().text]
         first_selection = next(result.trace.iter_kind("selection"))
         assert "unparseable after retry" in first_selection.payload["warning"]
         assert result.verdict.answer == "Target"  # run still completes

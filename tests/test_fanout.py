@@ -18,7 +18,6 @@ from graphquest.kg.memory_store import InMemoryKG
 from graphquest.kg.sparql_client import SparqlKG
 from graphquest.kg.types import Direction, KGError
 from graphquest.llm.http_client import ChatCompletionsBackend
-from graphquest.llm.scripted import ScriptedBackend
 from graphquest.llm.types import LLMError
 from graphquest.planner.engine import Planner, PlannerRunError
 from graphquest.planner.state import PlannerConfig, Question
@@ -32,11 +31,10 @@ from graphquest.recall import (
 )
 
 from adversaries import PromptAwareResponder
-from conftest import FIXTURES
+from cases import make_kg
 from http_fakes import Reply, not_json
-from oracles import random_graph
-from test_acceptance import _stable_lines
-from test_engine_properties import make_kg
+from oracles import random_case
+from trace_checks import stable_lines
 
 URL = "http://service.invalid/endpoint"
 NS = "http://rdf.freebase.com/ns/"
@@ -265,32 +263,15 @@ def embedding_scorer(*, pooled=True, seed=0, fail=None):
                      pooled)
 
 
-def panama_script():
-    return ScriptedBackend.from_file(str(FIXTURES / "panama_script.json"))
-
-
-def sweep_case(seed):
-    """A random graph whose every fourth entity has no name, and its
-    question, as tests/test_trace_golden.py builds them."""
-    triples, labels = random_graph(random.Random(seed))
-    entities = sorted(labels)
-    kg = make_kg(triples, {eid: labels[eid]
-                           for index, eid in enumerate(entities)
-                           if index % 4 != 3})
-    question = Question(
-        f"How does {labels[entities[0]]} relate to {labels[entities[1]]}?",
-        tuple((eid, labels[eid]) for eid in entities[:2]))
-    return kg, question
-
-
 # -- the planner's traces ---------------------------------------------------
 
 
-def test_panama_trace_is_unchanged_by_the_pool(panama_kg, panama_question):
-    inline = Planner(panama_kg, panama_script()).run(panama_question)
+def test_panama_trace_is_unchanged_by_the_pool(panama_kg, panama_llm,
+                                               panama_question):
+    inline = Planner(panama_kg, panama_llm).run(panama_question)
     client, endpoint = sparql_kg(panama_kg, seed=1)
-    pooled = Planner(client, panama_script()).run(panama_question)
-    assert _stable_lines(pooled.trace) == _stable_lines(inline.trace)
+    pooled = Planner(client, panama_llm).run(panama_question)
+    assert stable_lines(pooled.trace) == stable_lines(inline.trace)
     assert pooled.verdict.answer == "Juan Carlos Varela"
     # some batches did run on pool threads
     assert endpoint.threads - {threading.get_ident()}
@@ -299,7 +280,7 @@ def test_panama_trace_is_unchanged_by_the_pool(panama_kg, panama_question):
 def test_random_graph_traces_are_unchanged_by_the_pool():
     recalls = 0
     for seed in SWEEP_SEEDS:
-        kg, question = sweep_case(seed)
+        kg, question = random_case(seed, unnamed=True)
         scorer, _ = embedding_scorer(pooled=False)
         inline = Planner(kg, PromptAwareResponder(seed), SWEEP_CONFIG,
                          scorer=scorer).run(question)
@@ -307,7 +288,7 @@ def test_random_graph_traces_are_unchanged_by_the_pool():
         scorer, _ = embedding_scorer(seed=seed)
         pooled = Planner(client, PromptAwareResponder(seed), SWEEP_CONFIG,
                          scorer=scorer).run(question)
-        assert _stable_lines(pooled.trace) == _stable_lines(inline.trace), \
+        assert stable_lines(pooled.trace) == stable_lines(inline.trace), \
             seed
         recalls += sum(event.payload.get("stage") == "recall"
                        for event in pooled.trace.events)
@@ -320,7 +301,7 @@ def test_relation_calls_landing_out_of_order_keep_the_inline_trace():
     pool_threads: set[int] = set()
     reordered = batched = 0
     for seed in SWEEP_SEEDS:
-        kg, question = sweep_case(seed)
+        kg, question = random_case(seed, unnamed=True)
         traces = []
         for pooled in (False, True):
             client, _ = sparql_kg(kg, pooled=pooled, seed=seed)
@@ -328,7 +309,7 @@ def test_relation_calls_landing_out_of_order_keep_the_inline_trace():
             llm, chat = chat_backend(seed, pooled=pooled, seed=seed)
             result = Planner(client, llm, SWEEP_CONFIG,
                              scorer=scorer).run(question)
-            traces.append(_stable_lines(result.trace))
+            traces.append(stable_lines(result.trace))
         assert traces[1] == traces[0], seed
         pool_threads |= chat.threads - {threading.get_ident()}
         calls = [event for event in result.trace.events
@@ -392,7 +373,7 @@ def aborts_alike(run, fail, clean, error):
     the message names; gives that message and the stable lines."""
     if fail[-1] == "429":
         for pooled in (False, True):
-            assert _stable_lines(run(pooled, fail).trace) == clean, fail
+            assert stable_lines(run(pooled, fail).trace) == clean, fail
         return None
     outcomes = []
     for pooled in (False, True):
@@ -403,7 +384,7 @@ def aborts_alike(run, fail, clean, error):
         assert final.kind == "final" and "error" in final.payload, fail
         assert final.payload["error"] in str(caught.value), fail
         outcomes.append((str(caught.value),
-                         _stable_lines(caught.value.trace)))
+                         stable_lines(caught.value.trace)))
     assert outcomes[1] == outcomes[0], fail
     return outcomes[0]
 
@@ -428,7 +409,7 @@ def test_failed_label_query_aborts_as_the_inline_run():
         endpoints.append(endpoint)
         return Planner(client, PromptAwareResponder(1), config).run(question)
 
-    clean = _stable_lines(run(pooled=False).trace)
+    clean = stable_lines(run(pooled=False).trace)
     asked = endpoints[0].labels_asked
     assert len(asked) == 10
     for entity in asked:
@@ -444,7 +425,7 @@ def test_label_faults_abort_as_the_inline_run():
     and including the entities event of the hop that found the id; a 429
     that a retry answers leaves the trace as it was."""
     for seed in SWEEP_SEEDS:
-        kg, question = sweep_case(seed)
+        kg, question = random_case(seed, unnamed=True)
         endpoints = []
 
         def run(pooled, fail=None):
@@ -455,7 +436,7 @@ def test_label_faults_abort_as_the_inline_run():
                            SWEEP_CONFIG).run(question)
 
         clean_trace = run(pooled=False).trace
-        clean = _stable_lines(clean_trace)
+        clean = stable_lines(clean_trace)
         asked = endpoints[0].labels_asked
         # id -> seq of the labels event that names it
         named_at = {eid: event.seq for event in clean_trace.events
@@ -482,14 +463,14 @@ def test_chat_faults_abort_as_the_inline_run():
     failed call; a 429 that a retry answers leaves the trace as it was."""
     targets: list[str] = []
     for seed in SWEEP_SEEDS:
-        kg, question = sweep_case(seed)
+        kg, question = random_case(seed, unnamed=True)
 
         def run(pooled, fail=None):
             llm, _ = chat_backend(seed, pooled=pooled, seed=seed, fail=fail)
             return Planner(kg, llm, SWEEP_CONFIG).run(question)
 
         clean_trace = run(pooled=False).trace
-        clean = _stable_lines(clean_trace)
+        clean = stable_lines(clean_trace)
         calls = [event for event in clean_trace.events
                  if event.kind == "llm_call"]
         prompts = [PROMPTS.prompt_of(call) for call in calls]
@@ -525,7 +506,7 @@ def test_embedding_faults_abort_as_the_inline_run():
     was."""
     faulted = 0
     for seed in SWEEP_SEEDS:
-        kg, question = sweep_case(seed)
+        kg, question = random_case(seed, unnamed=True)
         endpoints = []
 
         def run(pooled, fail=None):
@@ -536,7 +517,7 @@ def test_embedding_faults_abort_as_the_inline_run():
             return Planner(client, PromptAwareResponder(seed), SWEEP_CONFIG,
                            scorer=scorer).run(question)
 
-        clean = _stable_lines(run(pooled=False).trace)
+        clean = stable_lines(run(pooled=False).trace)
         texts = endpoints[0].texts
         if not texts:
             continue  # no hop of this run found enough to recall
@@ -582,9 +563,9 @@ def test_failed_relation_search_mid_frontier_aborts_as_the_inline_run(
                   if search_of(event) == (tails[1], direction))
     message, lines = aborts_alike(
         over_graph_and_chat(kg, question, config, 1),
-        (search_of(failed), "400"), _stable_lines(clean), KGError)
+        (search_of(failed), "400"), stable_lines(clean), KGError)
     assert "HTTP 400" in message
-    assert lines[:-1] == _stable_lines(clean)[:failed.seq]
+    assert lines[:-1] == stable_lines(clean)[:failed.seq]
     assert any(event.kind == "llm_call" and event.iteration == 2
                for event in clean.events[:failed.seq])
 
@@ -599,10 +580,10 @@ def test_search_faults_abort_as_the_inline_run():
              for op in ("relations", "entities")}
     made: set[tuple[str, str]] = set()
     for seed in SWEEP_SEEDS:
-        kg, question = sweep_case(seed)
+        kg, question = random_case(seed, unnamed=True)
         run = over_graph_and_chat(kg, question, SWEEP_CONFIG, seed)
         clean_trace = run(pooled=False).trace
-        clean = _stable_lines(clean_trace)
+        clean = stable_lines(clean_trace)
         firsts: dict[tuple, int] = {}
         for event in clean_trace.events:
             if event.payload.get("op") in kinds:
@@ -673,7 +654,7 @@ def test_one_expansion_resolves_the_labels_of_all_its_hops_together():
     pooled = Planner(client, responder(), config).run(question)
     assert not endpoint.timed_out
     assert endpoint.arrived == set(bodies)
-    assert _stable_lines(pooled.trace) == _stable_lines(inline.trace)
+    assert stable_lines(pooled.trace) == stable_lines(inline.trace)
     # still one labels event per hop, each naming two ids and one fallback
     labels = [event.payload for event in pooled.trace.events
               if event.payload.get("op") == "labels"]
@@ -796,7 +777,7 @@ def test_each_calling_thread_gets_its_own_workers():
 
 
 def test_in_memory_kg_and_trigram_scorer_stay_on_the_callers_thread(
-        monkeypatch, panama_kg, panama_question):
+        monkeypatch, panama_kg, panama_llm, panama_question):
     calls: dict[str, set[int]] = {}
 
     def spy(owner, name):
@@ -811,9 +792,9 @@ def test_in_memory_kg_and_trigram_scorer_stay_on_the_callers_thread(
         spy(InMemoryKG, name)
     # top_k scores a batch with one `scores` call
     spy(TrigramScorer, "scores")
-    Planner(panama_kg, panama_script()).run(panama_question)
+    Planner(panama_kg, panama_llm).run(panama_question)
     for seed in SWEEP_SEEDS:
-        kg, question = sweep_case(seed)
+        kg, question = random_case(seed, unnamed=True)
         Planner(kg, PromptAwareResponder(seed), SWEEP_CONFIG).run(question)
     assert set(calls) == {"search_relations", "search_entities",
                           "resolve_label", "scores"}

@@ -364,6 +364,20 @@ class TestLayoutDetection:
             dict(fields, question="Q?", topic_entity={"m.0a": "A"})])
         assert load_dataset(path)[0].answers == answers
 
+    @pytest.mark.parametrize("record", [
+        {"topic_entities": [["m.0a", "A"]], "answers": ["Paris", " ", ""]},
+        {"topic_entity": {"m.0a": "A"}, "answers": [
+            {"answer": "Paris", "aliases": [" "]}, {"answer": "\t"}]},
+        {"Parses": [{"TopicEntityMid": "m.0a", "Answers": [
+            {"EntityName": "Paris"}, {"AnswerArgument": " "}]}]},
+        {"graph_query": {"nodes": [{"node_type": "entity", "id": "m.0a"}]},
+         "answer": [{"answer_argument": "Paris", "entity_name": " "}]},
+    ], ids=["normalized", "cwq", "webqsp", "grailqa"])
+    def test_a_blank_gold_answer_is_dropped(self, tmp_path, record):
+        # it would match an unanswered question
+        path = write_json(tmp_path / "x.json", [dict(record, question="Q?")])
+        assert load_dataset(path)[0].answers == ("Paris",)
+
     def test_the_raw_question_comes_before_the_question(self, tmp_path):
         path = write_json(tmp_path / "x.json", [
             {"RawQuestion": "raw?", "question": "processed?",

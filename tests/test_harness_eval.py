@@ -18,6 +18,7 @@ from graphquest.harness.evaluate import (
 )
 from graphquest.harness.metrics import MetricsError, hits_at_1, \
     normalize_answer
+from graphquest.llm.scripted import ScriptedBackend
 from graphquest.planner.engine import Planner
 from graphquest.planner.state import AblationFlags, PlannerConfig
 from graphquest.trace import RunTrace
@@ -41,10 +42,28 @@ class TestMetrics:
         ("Lyon", ["Paris"], False),
         ("Ciudad de Panamá", ["Panama City", "Ciudad de Panamá"], True),
         ("", ["Paris"], False),
+        # a blank prediction matches nothing, not even a blank answer
+        (" ", ["Paris", ""], False),
+        ("", [" \t"], False),
     ])
     def test_hits(self, predicted, gold, expected):
         assert hits_at_1(predicted, gold) is expected
         assert hits_at_1(predicted, gold) is oracle_hits(predicted, gold)
+
+    def test_an_unanswered_question_is_not_correct(self, tmp_path,
+                                                   capitals_kg):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps([
+            {"id": "q1", "question": "What is the capital of France?",
+             "topic_entities": [["m.fr", "France"]],
+             "answers": ["Paris", " "]}]), encoding="utf-8")
+        # every reply leaves the question unanswered
+        silent = ScriptedBackend([], default_response='{"A": "", "R": ""}')
+        report = run_eval(load_dataset(str(path)),
+                          Planner(capitals_kg, silent))
+        assert report.results[0].predicted == ""
+        assert report.results[0].correct is False
+        assert report.hits_at_1 == 0.0
 
     def test_empty_gold_rejected(self):
         with pytest.raises(MetricsError):

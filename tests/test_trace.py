@@ -87,8 +87,9 @@ class TestSerialization:
 
     def test_recorded_text_of_any_code_point_round_trips(self, tmp_path):
         # a lone surrogate (a reply's JSON escape \ud800, decoded), a NUL,
-        # a line separator and a character outside the basic plane
-        text = "a\ud800b\x00c\u2028d\U0001F600e"
+        # a line separator, a character outside the basic plane and a low
+        # half before a high one
+        text = "a\ud800b\x00c\u2028d\U0001F600e\ude00\ud83d"
         trace = RunTrace()
         # twice, so the second call saves its question as a reference
         for _ in range(2):
@@ -107,6 +108,20 @@ class TestSerialization:
         assert b"a\\ud800b" in saved
         assert "\U0001F600".encode("utf-8") in saved
         assert RunTrace.load(str(path)).events == trace.events
+
+    def test_adjacent_surrogate_halves_are_refused_before_saving(
+            self, tmp_path):
+        # saved as the escapes \ud83d\ude00, the two halves would load as
+        # the one character U+1F600
+        trace = RunTrace()
+        trace.record("verdict", 0, {"sufficient": False})
+        trace.record("final", 0, {"answer": "\ud83d" + "\ude00",
+                                  "elapsed_seconds": 0.0})
+        path = tmp_path / "trace.jsonl"
+        path.write_text("earlier\n", encoding="utf-8")
+        with pytest.raises(TraceError, match="^event 1: "):
+            trace.save(str(path))
+        assert path.read_text(encoding="utf-8") == "earlier\n"
 
     def test_bad_line_raises(self):
         with pytest.raises(TraceError):

@@ -33,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import random
 
 import pytest
 
@@ -45,10 +44,9 @@ from graphquest.recall import RecallConfig, TrigramScorer
 from graphquest.trace import RunTrace
 
 from adversaries import PromptAwareResponder
-from conftest import FIXTURES
-from oracles import random_graph
-from test_acceptance import _stable_lines
-from test_engine_properties import make_kg
+from cases import FIXTURES
+from oracles import random_case
+from trace_checks import stable_lines
 
 # group -> (event count, sha256 of the stable lines joined by newlines)
 GOLDEN = {
@@ -138,7 +136,7 @@ def _rendered(trace: RunTrace) -> RunTrace:
 
 
 def _digest(traces) -> tuple[int, str]:
-    lines = [line for trace in traces for line in _stable_lines(trace)]
+    lines = [line for trace in traces for line in stable_lines(trace)]
     blob = "\n".join(lines).encode("utf-8")
     return len(lines), hashlib.sha256(blob).hexdigest()
 
@@ -250,16 +248,7 @@ def _sweep_traces(make=Planner):
     config = PlannerConfig(max_depth=3,
                            recall=RecallConfig(threshold=3, k=2))
     for seed in range(SWEEP_SEEDS):
-        rng = random.Random(80_000 + seed)
-        triples, labels = random_graph(rng)
-        entities = sorted(labels)
-        kg = make_kg(triples, {eid: labels[eid]
-                               for index, eid in enumerate(entities)
-                               if index % 4 != 3})
-        topics = tuple((eid, labels[eid]) for eid in entities[:2])
-        question = Question(
-            f"How does {labels[entities[0]]} relate to "
-            f"{labels[entities[1]]}?", topics)
+        kg, question = random_case(80_000 + seed, unnamed=True)
         yield make(kg, PromptAwareResponder(seed), config).run(
             question).trace
 
