@@ -13,6 +13,7 @@ from pathlib import Path
 from ..llm.accounting import usage_total
 from ..planner.engine import Planner, PlannerRunError
 from ..planner.state import Question
+from ..trace import TraceError
 from .datasets import DatasetRecord
 from .metrics import hits_at_1
 
@@ -108,7 +109,8 @@ def _unique_filenames(ids: list[str]) -> list[str]:
 def _run_record(record: DatasetRecord, planner: Planner,
                 trace_path: Path | None) -> QuestionResult:
     """Run one record, save its trace to `trace_path` (if given) as the
-    run ends, and read the result from that trace's final event."""
+    run ends, and read the result from that trace's final event. A trace
+    that cannot be saved is a failed question whose error says why."""
     question = Question(record.question, tuple(record.topic_entities))
     error: str | None = None
     try:
@@ -117,7 +119,12 @@ def _run_record(record: DatasetRecord, planner: Planner,
         trace = exc.trace
         error = str(exc)
     if trace_path is not None:
-        trace.save(str(trace_path))
+        try:
+            trace.save(str(trace_path))
+        except TraceError as exc:
+            # one trace that cannot be saved fails its question, not the run
+            unsaved = f"trace not saved: {exc}"
+            error = unsaved if error is None else f"{error}; {unsaved}"
     # Planner.run records a final event whether it answers or raises
     final = trace.final_event()
     payload = final.payload

@@ -78,27 +78,53 @@ class InMemoryKG:
         self._aliases: dict[str, str] = {}
         self._ids: dict[str, str] = {}
         self._size = 0
-        for subject, relation, obj in triples:
-            self.add(subject, relation, obj)
+        self._index(triples)
 
     def __len__(self) -> int:
         return self._size
 
     def add(self, subject: str, relation: str, obj: str) -> None:
         """Insert one triple; name/alias predicates feed the label table."""
-        if relation == NAME_PREDICATE:
-            _keep_first(self._names, self._ids, subject, obj)
-            return
-        if relation in ALIAS_PREDICATES:
-            _keep_first(self._aliases, self._ids, subject, obj)
-            return
-        ids = self._ids
-        subject = ids.setdefault(subject, subject)
-        relation = ids.setdefault(relation, relation)
-        obj = ids.setdefault(obj, obj)
-        _append(self._out, subject, relation, obj)
-        _append(self._in, obj, relation, subject)
-        self._size += 1
+        self._index(((subject, relation, obj),))
+
+    def _index(self, triples: Iterable[tuple[str, str, str]]) -> int:
+        """Insert every triple, in order; returns how many were read.
+
+        The one loop that fills the store: a file's lines, the
+        constructor's triples and `add` all come through here, so its
+        tables and methods are bound to locals once per call, not once
+        per triple.
+        """
+        out, into = self._out, self._in
+        out_get, in_get = out.get, into.get
+        names, aliases, ids = self._names, self._aliases, self._ids
+        intern = ids.setdefault
+        count = size = 0
+        for subject, relation, obj in triples:
+            count += 1
+            if relation == NAME_PREDICATE:
+                _keep_first(names, ids, subject, obj)
+            elif relation in ALIAS_PREDICATES:
+                _keep_first(aliases, ids, subject, obj)
+            else:
+                subject = intern(subject, subject)
+                relation = intern(relation, relation)
+                obj = intern(obj, obj)
+                flat = out_get(subject)
+                if flat is None:
+                    out[subject] = [relation, obj]
+                else:
+                    flat.append(relation)
+                    flat.append(obj)
+                flat = in_get(obj)
+                if flat is None:
+                    into[obj] = [relation, subject]
+                else:
+                    flat.append(relation)
+                    flat.append(subject)
+                size += 1
+        self._size += size
+        return count
 
     def triples(self) -> Iterator[Triplet]:
         for subject, flat in self._out.items():
@@ -123,30 +149,9 @@ class InMemoryKG:
         # a copy, so a merged load reuses the ids this store already holds
         # and a failed one leaves the table as it was
         staged._ids = dict(self._ids)
-        add = staged.add
-        count = 0
         try:
             with open(path, "r", encoding="utf-8-sig") as handle:
-                lines = enumerate(handle, start=1)
-                parse = _parse_tsv
-                for number, raw in lines:
-                    line = raw.strip()
-                    if line and not line.startswith("#"):
-                        if line.startswith("<"):
-                            parse = _parse_nt
-                        # the loop below parses this line too
-                        lines = chain([(number, raw)], lines)
-                        break
-                for number, raw in lines:
-                    line = raw.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    try:
-                        triple = parse(line)
-                    except ValueError as exc:
-                        raise KGError(f"{path}:{number}: {exc}") from None
-                    add(*triple)
-                    count += 1
+                count = staged._index(_read_triples(path, handle))
         except UnicodeDecodeError as exc:
             raise KGError(f"{path}: not UTF-8 text ({exc.reason})") from None
         self._merge(staged)
@@ -198,15 +203,6 @@ class InMemoryKG:
         return self._out if direction is Direction.OUTGOING else self._in
 
 
-def _append(index: dict[str, list[str]], entity: str, relation: str,
-            other: str) -> None:
-    flat = index.get(entity)
-    if flat is None:
-        index[entity] = [relation, other]
-    else:
-        flat += relation, other
-
-
 def _keep_first(labels: dict[str, str], ids: dict[str, str], entity: str,
                 label: str) -> None:
     """Keep the first sorted label; a blank one never becomes a label."""
@@ -216,16 +212,49 @@ def _keep_first(labels: dict[str, str], ids: dict[str, str], entity: str,
             labels[ids.setdefault(entity, entity)] = label
 
 
-def _parse_tsv(line: str) -> tuple[str, str, str]:
-    columns = line.split("\t")
-    if len(columns) < 3:
-        raise ValueError(
-            f"expected 3 tab-separated columns, got {len(columns)}")
-    subject, relation, obj = (columns[0].strip(), columns[1].strip(),
-                              columns[2].strip())
-    if not subject or not relation or not obj:
-        raise ValueError("empty column")
-    return subject, relation, obj
+def _read_triples(path: str,
+                  lines: Iterable[str]) -> Iterator[tuple[str, str, str]]:
+    """Each data line of a triple file as (subject, relation, object).
+
+    The first data line picks the format: one that starts with ``<`` means
+    N-Triples, any other TSV. A malformed line is a KGError that reads
+    `<path>:<line>: <problem>`.
+    """
+    numbered = enumerate(lines, start=1)
+    ntriples = False
+    for number, raw in numbered:
+        line = raw.strip()
+        if line and line[0] != "#":
+            ntriples = line[0] == "<"
+            # the loop below reads this line too
+            numbered = chain([(number, raw)], numbered)
+            break
+    if ntriples:
+        for number, raw in numbered:
+            line = raw.strip()
+            if not line or line[0] == "#":
+                continue
+            try:
+                triple = _parse_nt(line)
+            except ValueError as exc:
+                raise KGError(f"{path}:{number}: {exc}") from None
+            yield triple
+        return
+    # TSV, the common case, is split here: no Python function call per line
+    for number, raw in numbered:
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        columns = line.split("\t")
+        if len(columns) < 3:
+            raise KGError(f"{path}:{number}: expected 3 tab-separated "
+                          f"columns, got {len(columns)}")
+        subject = columns[0].strip()
+        relation = columns[1].strip()
+        obj = columns[2].strip()
+        if not subject or not relation or not obj:
+            raise KGError(f"{path}:{number}: empty column")
+        yield subject, relation, obj
 
 
 def _parse_nt(line: str) -> tuple[str, str, str]:

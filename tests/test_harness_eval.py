@@ -142,6 +142,27 @@ class TestRunEval:
         trace = RunTrace.load(str(out / "traces" / f"{record.id}.jsonl"))
         assert trace.events
 
+    def test_a_trace_that_cannot_be_saved_fails_only_its_question(
+            self, tmp_path, capitals_records, capitals_planner):
+        # two surrogate halves in order would load back as the one
+        # character they pair, so RunTrace.save refuses the trace
+        paired = dataclasses.replace(
+            capitals_records[0],
+            question=capitals_records[0].question + " \ud83d" + "\ude00")
+        records = [paired, *capitals_records[1:]]
+        out = tmp_path / "eval"
+        report = run_eval(records, capitals_planner, out_dir=out)
+        first, *rest = report.results
+        assert first.correct is False
+        assert "surrogate halves" in first.error
+        assert [result.correct for result in rest] == [True, True, False]
+        assert all(result.error is None for result in rest)
+        saved = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert "surrogate halves" in saved["results"][0]["error"]
+        assert (out / "summary.tsv").exists()
+        assert sorted(p.stem for p in (out / "traces").glob("*.jsonl")) == \
+            sorted(record.id for record in records[1:])
+
     def test_each_record_gets_its_own_trace_file(self, tmp_path,
                                                  capitals_records,
                                                  capitals_planner):

@@ -42,6 +42,24 @@ def write_nt(path, rows):
     return str(path)
 
 
+def tsv_rows(rows):
+    """The rows a TSV file holds as they are: no column blank or padded."""
+    return [row for row in rows
+            if all(column and column == column.strip() for column in row)]
+
+
+def write_tsv(path, rows):
+    path.write_text("".join("\t".join(row) + "\n" for row in rows),
+                    encoding="utf-8")
+    return str(path)
+
+
+def ordered_vars(kg):
+    """The store's state, each dict as its items in order."""
+    return {name: list(value.items()) if isinstance(value, dict) else value
+            for name, value in vars(kg).items()}
+
+
 def snapshot(kg, entities, relations):
     """Every query answer the store gives over these ids."""
     answers = [len(kg), list(kg.triples())]
@@ -173,6 +191,32 @@ class TestLoading:
         kg.load_triples(str(path))
         kg.load_triples(str(path))
         assert len(kg) == 2
+
+    def test_load_calls_no_method_per_triple(self, tmp_path, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("load_triples called add")
+
+        monkeypatch.setattr(InMemoryKG, "add", refuse)
+        rows = [("m.0a", "test.block.edge", "m.0b"),
+                ("m.0a", "type.object.name", "Alpha")]
+        kg = InMemoryKG()
+        assert kg.load_triples(write_tsv(tmp_path / "g.tsv", rows)) == 2
+        assert kg.load_triples(write_nt(tmp_path / "g.nt", rows)) == 2
+        assert len(kg) == 2
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_build_leaves_the_same_store(self, seed, tmp_path):
+        # the id table and every dict's order included
+        rows = tsv_rows(random_multigraph(random.Random(seed)))
+        by_add = InMemoryKG()
+        for row in rows:
+            by_add.add(*row)
+        by_tsv, by_nt = InMemoryKG(), InMemoryKG()
+        by_tsv.load_triples(write_tsv(tmp_path / "g.tsv", rows))
+        by_nt.load_triples(write_nt(tmp_path / "g.nt", rows))
+        expected = ordered_vars(InMemoryKG(rows))
+        for kg in (by_add, by_tsv, by_nt):
+            assert ordered_vars(kg) == expected
 
     def test_ntriples_literal_escapes(self, tmp_path):
         labels = {
@@ -310,11 +354,15 @@ class TestQueries:
         del labels
 
     @pytest.mark.parametrize("seed", range(16))
-    @pytest.mark.parametrize("build", ["add", "two files"])
+    @pytest.mark.parametrize("build", ["add", "two files", "tsv"])
     def test_matches_naive_scan_on_multigraphs(self, seed, build, tmp_path):
         rows = random_multigraph(random.Random(seed))
         if build == "add":
             kg = InMemoryKG(rows)
+        elif build == "tsv":
+            rows = tsv_rows(rows)
+            kg = InMemoryKG()
+            kg.load_triples(write_tsv(tmp_path / "g.tsv", rows))
         else:
             cut = random.Random(-seed).randint(0, len(rows))
             kg = InMemoryKG()
