@@ -36,6 +36,9 @@ def load_dataset(path: str) -> list[DatasetRecord]:
     with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             payload = json.load(handle)
+        except UnicodeDecodeError as exc:
+            raise DatasetError(
+                f"{path}: not UTF-8 text ({exc.reason})") from None
         except (ValueError, RecursionError) as exc:
             raise DatasetError(f"{path}: not JSON ({exc})") from None
     if not isinstance(payload, list):

@@ -51,14 +51,18 @@ class ScriptedBackend:
         a "rules" list and optional "default" response.
 
         Raises LLMError, naming the file and the rule index, when the file
-        is not JSON, not of that shape, has a "default" that is neither
-        text nor null, or has a rule whose "pattern" or "response" is not
-        text, whose "regex" flag is not a JSON boolean, or whose regex
-        does not compile. A leading byte-order mark is skipped.
+        is not UTF-8 text, not JSON, not of that shape, has a "default"
+        that is neither text nor null, or has a rule whose "pattern" or
+        "response" is not text, whose "regex" flag is not a JSON boolean,
+        or whose regex does not compile. A leading byte-order mark is
+        skipped.
         """
         with open(path, "r", encoding="utf-8-sig") as handle:
             try:
                 payload = json.load(handle)
+            except UnicodeDecodeError as exc:
+                raise LLMError(f"rule file {path}: not UTF-8 text "
+                               f"({exc.reason})") from None
             except (ValueError, RecursionError) as exc:
                 raise LLMError(f"rule file {path}: not JSON ({exc})") from None
         default = None

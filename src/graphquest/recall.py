@@ -224,8 +224,6 @@ class RemoteEmbeddingScorer:
         norm = left_norm * right_norm
         if not math.isfinite(norm):  # else cosine is nan or a false 0.0
             raise RecallError("embedding too large to score: norm overflows")
-        if norm == 0.0:
-            return 0.0
         return dot / norm
 
     def _embed(self, text: str) -> tuple[list[float], float]:
@@ -242,17 +240,23 @@ class RemoteEmbeddingScorer:
         )
         try:
             vector = payload["data"][0]["embedding"]
-            # a string iterates as its characters, json reads NaN and
-            # Infinity as numbers, and an empty list has no direction:
-            # none of them is an embedding
-            if not isinstance(vector, list) or not vector or not all(
+            # a string iterates as its characters, and json reads NaN and
+            # Infinity as numbers: neither is an embedding
+            if not isinstance(vector, list) or not all(
                     type(v) in (int, float) and math.isfinite(v)
                     for v in vector):
                 raise TypeError("not a list of finite numbers")
             vector = [float(v) for v in vector]
+            norm = math.sqrt(sum(v * v for v in vector))
+            # an empty or all-zero list has no direction, nor has one whose
+            # squares underflow: every score against it would read 0.0. The
+            # smallest nonzero norm is about 2.2e-162, so the product of
+            # two never underflows to zero
+            if norm == 0.0:
+                raise TypeError("no direction")
         except (KeyError, IndexError, TypeError, OverflowError):
             raise RecallError("malformed embedding response") from None
-        entry = vector, math.sqrt(sum(v * v for v in vector))
+        entry = vector, norm
         self._cache[text] = entry
         return entry
 

@@ -384,7 +384,9 @@ class TestErrorExits:
     @pytest.mark.parametrize("target, prefix", [
         ("--kg", "input error: "),
         ("--config", "configuration error: "),
+        ("--script", "configuration error: "),
         ("inspect-trace", "input error: "),
+        ("eval", "input error: "),
     ])
     @pytest.mark.parametrize("form", ["not-utf8", "directory"])
     def test_unreadable_input_is_exit_2(self, tmp_path, capsys, target,
@@ -397,6 +399,10 @@ class TestErrorExits:
             bad.write_bytes(b"m.0a\tcaf\xe9\tm.0b\n")
         if target == "inspect-trace":
             argv = ["inspect-trace", str(bad)]
+        elif target == "eval":
+            argv = ["eval", str(bad), "--kg", str(FIXTURES / "capitals.tsv"),
+                    "--script", str(FIXTURES / "capitals_script.json"),
+                    "--out", str(tmp_path / "evals")]
         else:
             argv = panama_args(tmp_path, target, str(bad))
         assert main(argv) == 2
@@ -404,6 +410,9 @@ class TestErrorExits:
         assert err.startswith(prefix)
         assert str(bad) in err
         assert len(err.splitlines()) == 1
+        if form == "not-utf8":
+            assert err.endswith(
+                f"{bad}: not UTF-8 text (invalid continuation byte)\n")
 
     # buffered, the listing fits in the buffer and fails when flushed;
     # unbuffered, its first `print` fails

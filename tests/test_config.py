@@ -260,3 +260,16 @@ class TestSettingsTable:
             if line.startswith("| `"):
                 documented.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
         assert documented == set(SETTINGS)
+
+
+def test_readme_library_use_block_prints_its_comments(tmp_path, capsys,
+                                                      monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    # the fixture paths from the checkout, the trace saved under tmp_path
+    block = block.replace('"tests/', f'"{README.parent}/tests/')
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == ["Juan Carlos Varela", "3"]
+    assert (tmp_path / "trace.jsonl").is_file()

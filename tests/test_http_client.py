@@ -1,12 +1,11 @@
 import json
 
 import pytest
-import requests
 
 from graphquest.llm.http_client import ChatCompletionsBackend
 from graphquest.llm.types import GenerationConfig, LLMError
 
-from http_fakes import NOT_JSON, Reply, not_json, scripted
+from http_fakes import Reply, scripted
 
 CONFIG = GenerationConfig(model="test-model", temperature=0.3, max_tokens=1024)
 
@@ -110,41 +109,3 @@ class TestResponses:
         backend, _, _ = make_backend([Reply(200, payload)])
         with pytest.raises(LLMError, match="malformed chat response"):
             backend.complete("p", CONFIG)
-
-
-class TestRetries:
-    def test_retryable_then_success(self):
-        backend, session, sleeps = make_backend(
-            [Reply(429), requests.ConnectionError("down"),
-             Reply(200, chat_payload("ok"))])
-        assert backend.complete("p", CONFIG).text == "ok"
-        assert len(session.requests) == 3
-        assert sleeps == [1.0, 2.0]
-
-    def test_non_retryable_fails_fast(self):
-        backend, session, sleeps = make_backend([Reply(401)])
-        with pytest.raises(LLMError) as info:
-            backend.complete("p", CONFIG)
-        assert "401" in str(info.value)
-        assert len(session.requests) == 1
-        assert sleeps == []
-
-    def test_exhaustion_reports_last_error(self):
-        backend, _, _ = make_backend(
-            [Reply(503), Reply(503), Reply(503)])
-        with pytest.raises(LLMError) as info:
-            backend.complete("p", CONFIG)
-        assert "3 attempts" in str(info.value)
-        assert "HTTP 503" in str(info.value)
-
-    def test_non_json_body_is_retried_then_typed(self):
-        for body in NOT_JSON:
-            backend, session, _ = make_backend(
-                [not_json(body), Reply(200, chat_payload("ok"))])
-            assert backend.complete("p", CONFIG).text == "ok"
-            assert len(session.requests) == 2
-            backend, session, _ = make_backend([not_json(body)] * 3)
-            with pytest.raises(LLMError) as info:
-                backend.complete("p", CONFIG)
-            assert "3 attempts" in str(info.value)
-            assert len(session.requests) == 3

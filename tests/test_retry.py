@@ -1,3 +1,4 @@
+import re
 import threading
 from typing import Callable, NamedTuple
 
@@ -10,7 +11,7 @@ from graphquest.llm.http_client import ChatCompletionsBackend
 from graphquest.llm.types import GenerationConfig, LLMError
 from graphquest.recall import RecallError, RemoteEmbeddingScorer
 
-from http_fakes import ACCEPTED_BY_ALL, Reply, scripted
+from http_fakes import ACCEPTED_BY_ALL, NOT_JSON, Reply, not_json, scripted
 
 
 class Client(NamedTuple):
@@ -23,36 +24,82 @@ class Client(NamedTuple):
     name: str
     # the keywords each of its requests is posted with
     keywords: list[str]
+    # what `request` returns when every reply is ACCEPTED_BY_ALL
+    answer: object
 
 
 CLIENTS = {
     "sparql": Client(SparqlKG, "http://kg.invalid/sparql",
                      lambda client, n: client.search_relations(
                          f"m.{n}", Direction.OUTGOING),
-                     KGError, "SPARQL", ["data", "headers", "timeout"]),
+                     KGError, "SPARQL", ["data", "headers", "timeout"], []),
     "chat": Client(ChatCompletionsBackend,
                    "http://llm.invalid/v1/chat/completions",
-                   lambda client, n: client.complete(f"prompt {n}",
-                                                     GenerationConfig()),
-                   LLMError, "chat", ["headers", "json", "timeout"]),
+                   lambda client, n: client.complete(
+                       f"prompt {n}", GenerationConfig()).text,
+                   LLMError, "chat", ["headers", "json", "timeout"], "ok"),
     "embedding": Client(RemoteEmbeddingScorer, "http://embed.invalid/v1",
                         lambda client, n: client.score(f"question {n}",
                                                        f"label {n}"),
-                        RecallError, "embedding", ["json", "timeout"]),
+                        RecallError, "embedding", ["json", "timeout"], 1.0),
 }
 each_client = pytest.mark.parametrize("name", sorted(CLIENTS))
 
+# each fault the policy retries, and a pattern of the error it leaves
+UNDECODED = r"response body is not JSON \(.+\)"
+RETRIED = {
+    "429": (Reply(429), "HTTP 429"),
+    "500": (Reply(500), "HTTP 500"),
+    "503": (Reply(503), "HTTP 503"),
+    "connection-error": (requests.ConnectionError("down"), "down"),
+    "html-body": (not_json(NOT_JSON[0]), UNDECODED),
+    "deep-body": (not_json(NOT_JSON[1]), UNDECODED),
+}
+each_retried_fault = pytest.mark.parametrize("fault", list(RETRIED))
+
 
 @each_client
-def test_each_client_fails_with_its_layers_one_error_type(name):
+@each_retried_fault
+def test_a_retried_fault_backs_off_then_succeeds(name, fault):
     spec = CLIENTS[name]
-    client, session, _ = scripted(spec.make, spec.url, [Reply(503)] * 3)
+    outcome, _ = RETRIED[fault]
+    # two replies accepted, as an embedding score asks for two texts
+    client, _, sleeps = scripted(
+        spec.make, spec.url,
+        [outcome] * 2 + [Reply(200, ACCEPTED_BY_ALL)] * 2)
+    assert spec.request(client, 0) == spec.answer
+    assert sleeps == [1.0, 2.0]  # 1.0 * 2^0, 1.0 * 2^1
+
+
+@each_client
+@each_retried_fault
+def test_three_retried_faults_give_the_clients_error(name, fault):
+    spec = CLIENTS[name]
+    outcome, reason = RETRIED[fault]
+    client, session, sleeps = scripted(spec.make, spec.url, [outcome] * 3)
     with pytest.raises(spec.error) as info:
         spec.request(client, 0)
     assert type(info.value) is spec.error
-    assert str(info.value) == (
-        f"{spec.name} endpoint {spec.url} failed after 3 attempts: HTTP 503")
+    assert re.fullmatch(re.escape(
+        f"{spec.name} endpoint {spec.url} failed after 3 attempts: ")
+        + reason, str(info.value))
     assert len(session.requests) == 3
+    assert sleeps == [1.0, 2.0]
+
+
+@each_client
+@pytest.mark.parametrize("status", [400, 401, 404])
+def test_a_refused_request_fails_at_once(name, status):
+    # the endpoint answered and refused the request: no retry
+    spec = CLIENTS[name]
+    client, session, sleeps = scripted(spec.make, spec.url, [Reply(status)])
+    with pytest.raises(spec.error) as info:
+        spec.request(client, 0)
+    assert type(info.value) is spec.error
+    assert str(info.value) == (f"{spec.name} endpoint {spec.url} failed "
+                               f"after 1 attempts: HTTP {status}")
+    assert len(session.requests) == 1
+    assert sleeps == []
 
 
 @each_client

@@ -1,7 +1,6 @@
 import json
 
 import pytest
-import requests
 
 from graphquest.kg.memory_store import InMemoryKG
 from graphquest.kg.sparql_client import SparqlKG
@@ -10,7 +9,7 @@ from graphquest.planner.engine import Planner
 from graphquest.planner.state import PlannerConfig, Question
 
 from adversaries import PromptAwareResponder
-from http_fakes import NOT_JSON, Reply, not_json, scripted
+from http_fakes import Reply, scripted
 
 ENDPOINT = "http://kg.invalid:8890/sparql"
 
@@ -147,59 +146,6 @@ class TestCache:
         client.search_relations("m.05qtj", Direction.OUTGOING)
         client.search_relations("m.05qtj", Direction.INCOMING)
         assert len(session.requests) == 2
-
-
-class TestRetries:
-    def test_retryable_statuses_back_off_exponentially(self):
-        payload = results_payload("relation", ["a.rel"])
-        client, session, sleeps = make_client(
-            [Reply(503), Reply(429), Reply(200, payload)])
-        assert client.search_relations("m.0x", Direction.OUTGOING) == ["a.rel"]
-        assert len(session.requests) == 3
-        assert sleeps == [1.0, 2.0]  # 1.0 * 2^0, 1.0 * 2^1
-
-    def test_connection_errors_are_retried(self):
-        payload = results_payload("relation", ["a.rel"])
-        client, session, sleeps = make_client(
-            [requests.ConnectionError("boom"), Reply(200, payload)])
-        assert client.search_relations("m.0x", Direction.OUTGOING) == ["a.rel"]
-        assert len(sleeps) == 1
-
-    def test_exhausted_retries_raise_with_attempt_count(self):
-        client, _, _ = make_client(
-            [Reply(500), Reply(500), Reply(500)])
-        with pytest.raises(KGError) as info:
-            client.search_relations("m.0x", Direction.OUTGOING)
-        assert str(info.value) == (
-            f"SPARQL endpoint {ENDPOINT} failed after 3 attempts: HTTP 500")
-        assert "HTTP 500" in str(info.value)
-        assert "failed after 3 attempts" in str(info.value)
-
-    def test_client_error_fails_fast(self):
-        client, session, sleeps = make_client([Reply(400)])
-        with pytest.raises(KGError) as info:
-            client.search_relations("m.0x", Direction.OUTGOING)
-        assert "failed after 1 attempts" in str(info.value)
-        assert len(session.requests) == 1
-        assert sleeps == []
-        # the endpoint answered and refused the query: not "unreachable"
-        assert str(info.value) == (
-            f"SPARQL endpoint {client.endpoint_url} failed after 1 "
-            f"attempts: HTTP 400")
-
-    def test_non_json_body_is_retried_then_typed(self):
-        payload = results_payload("relation", ["a.rel"])
-        for body in NOT_JSON:
-            client, session, _ = make_client([not_json(body),
-                                              Reply(200, payload)])
-            assert client.search_relations("m.0x",
-                                           Direction.OUTGOING) == ["a.rel"]
-            assert len(session.requests) == 2
-            client, session, _ = make_client([not_json(body)] * 3)
-            with pytest.raises(KGError) as info:
-                client.search_relations("m.0x", Direction.OUTGOING)
-            assert "failed after 3 attempts" in str(info.value)
-            assert len(session.requests) == 3
 
 
 class TestLabels:
